@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from ouirrev.model import build_model
+from ouirrev.model import LinearModel, build_model
 from ouirrev.sampler import (
     euler_maruyama_path,
     make_exact_stepper,
@@ -238,3 +239,83 @@ class TestWorkerResolution:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(-1)
+
+
+def _irreversible_16() -> LinearModel:
+    """Stable irreversible n=16 drift B = D + W (D diagonal, W antisymmetric),
+    Gamma = I, built from closed-form entries so only the sampler's bits vary."""
+    n = 16
+    i, j = np.indices((n, n))
+    b = np.diag(1.0 + 0.25 * np.arange(n)) + 0.5 * np.sin(i - j)
+    return build_model(b, np.eye(n))
+
+
+_PIN_MODELS = {"rot2": lambda: rotational_model(1.0), "irr16": _irreversible_16}
+
+# (case, model, entry point, method, start, steps). Step counts 129 and 257 are
+# one past a 128 / 256 time block, 1000 is a multiple of neither.
+_PIN_CASES = [
+    ("rot2-batch-exact-law-1", "rot2", "batch", "exact", "law", 1),
+    ("rot2-batch-exact-law-257", "rot2", "batch", "exact", "law", 257),
+    ("rot2-batch-exact-x0-1000", "rot2", "batch", "exact", "x0", 1000),
+    ("rot2-batch-euler-law-129", "rot2", "batch", "euler", "law", 129),
+    ("rot2-batch-euler-x0-1000", "rot2", "batch", "euler", "x0", 1000),
+    ("irr16-batch-exact-law-257", "irr16", "batch", "exact", "law", 257),
+    ("irr16-batch-exact-x0-1", "irr16", "batch", "exact", "x0", 1),
+    ("irr16-batch-exact-x0-1000", "irr16", "batch", "exact", "x0", 1000),
+    ("irr16-batch-euler-law-1000", "irr16", "batch", "euler", "law", 1000),
+    ("irr16-batch-euler-x0-129", "irr16", "batch", "euler", "x0", 129),
+    ("rot2-path-exact-x0-1", "rot2", "path", "exact", "x0", 1),
+    ("rot2-path-exact-x0-257", "rot2", "path", "exact", "x0", 257),
+    ("rot2-path-euler-x0-1000", "rot2", "path", "euler", "x0", 1000),
+    ("irr16-path-exact-x0-129", "irr16", "path", "exact", "x0", 129),
+    ("irr16-path-euler-x0-257", "irr16", "path", "euler", "x0", 257),
+]
+
+_PIN_DIGESTS = {
+    "rot2-batch-exact-law-1": "e252e838c1cc05bfb5f8407aeb3f29de12436c587eaa088b5f8ade447e9c75c4",
+    "rot2-batch-exact-law-257": "19e9370609c22f73149c319c45242a9d396a521d19d15abeb9f7d757b9d44f20",
+    "rot2-batch-exact-x0-1000": "0a27085aa392d075b97d577a039807ff994a92acd2cbad9141d055367f2217af",
+    "rot2-batch-euler-law-129": "57f160a1ba4e887e6d2372805c9878d768340e9f181567fcdac7f4fe7a09267a",
+    "rot2-batch-euler-x0-1000": "6d2ccc3173fa27ff86590b1d5a7021c5af9e640a4ba3f09cd953482b4e07dbb5",
+    "irr16-batch-exact-law-257": "60a883231134291db6b752ad7f45e5af0d869938e1c6d22fba6e08a025fad49d",
+    "irr16-batch-exact-x0-1": "beb912d7ec709a07444e77b0cc6d99b3e685d2e24e20655404c9e13984fd629b",
+    "irr16-batch-exact-x0-1000": "fbb6d047e60434ff1a5aaa1d5b95d70533beab1858e2862e94c765e7b3963185",
+    "irr16-batch-euler-law-1000": "30f8252f2e7b8009996feec175350e8e6380211d6dc2ab8c6abe09a71cd4e5a1",
+    "irr16-batch-euler-x0-129": "1c023a2310239e9db717de61939919f89a7ce050b18d63358b81d5203250a092",
+    "rot2-path-exact-x0-1": "35e0bba43daf938c92542502e072642f1d3a645bed4ced18ec29978f80561d7d",
+    "rot2-path-exact-x0-257": "a3cf0dcccf59546dadbd61bac3b86212f8eadd110117cc1b311f4846c649b691",
+    "rot2-path-euler-x0-1000": "f0619fc5ff9710a796a1c706eb2c878ae98e63367e7c461a39b4fb127890b1c3",
+    "irr16-path-exact-x0-129": "8b0e0416c517f5d09055a29604247b9a0e742196d269e2888f6fee5eac9aa8b1",
+    "irr16-path-euler-x0-257": "db51c3a22e679ebc2bc3048dabd5b51b352b137c1ced4f2ad7d5708b76b4d78a",
+}
+
+
+def _pin_digest(model_name, entry, method, start, steps) -> str:
+    m = _PIN_MODELS[model_name]()
+    x0 = np.linspace(1.0, -0.5, m.n)
+    dt = 0.01
+    if entry == "batch":
+        kwargs = {"law": stationary_law(m)} if start == "law" else {"x0": x0}
+        out = sample_batch(m, dt, steps, n_paths=3, seed=2024, method=method, **kwargs)
+    else:
+        integrate = sample_path if method == "exact" else euler_maruyama_path
+        out = integrate(m, x0, dt, steps, path_stream(2024, 1))
+    return hashlib.sha256(out.states.tobytes() + out.heat.tobytes()).hexdigest()
+
+
+class TestBitPin:
+    """Pins the exact output bits of every sampler entry point.
+
+    The reruns and worker-count checks in TestBatchDeterminism cannot see a
+    change that alters bits the same way everywhere; these SHA-256 digests of
+    states.tobytes() + heat.tobytes() can. They assume numpy's Philox bit
+    generator and ziggurat standard_normal streams as of numpy 2.4.6, and
+    IEEE double arithmetic; a numpy release that changes either stream
+    changes them legitimately.
+    """
+
+    @pytest.mark.parametrize("case", _PIN_CASES, ids=[c[0] for c in _PIN_CASES])
+    def test_digest(self, case):
+        name, *args = case
+        assert _pin_digest(*args) == _PIN_DIGESTS[name]
