@@ -10,8 +10,8 @@ Exit codes: 0 ok / checks passed, 1 validation error, 2 numerical failure,
 Every command is deterministic given (model file, flags, seed). CSV numbers
 use the shortest round-trip representation of doubles; JSON reports are
 canonical (sorted keys) and re-serialize to identical bytes after parsing.
-The environment variable OU_IRREV_THREADS optionally caps the worker count
-for path generation (0 or absent = auto); outputs are byte-identical across
+The environment variable OU_IRREV_THREADS sets the worker count for path
+generation (0, 1 or absent = serial); outputs are byte-identical across
 worker counts.
 """
 

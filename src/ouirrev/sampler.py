@@ -11,10 +11,16 @@ a pure function of (model, x0, dt, steps, master seed, path index) - bit for
 bit, independent of how many paths run, in which order, or across how many
 worker processes.
 
-To keep that guarantee, the state recursion never enters a BLAS call whose
-result could depend on batch shape: all matrix-vector products are expanded
-column by column with a fixed accumulation order (n <= 32, so this is also
-fast when vectorized across a batch of paths).
+To keep that guarantee, nothing after the draws enters a BLAS call whose
+result could depend on batch shape. Each m @ x is expanded in column-broadcast
+form, out = m[:, 0] x_0, then out += m[:, j] x_j for j = 1 .. n-1: n
+elementwise calls vectorized across the paths, each output element the same
+fixed sequence of roundings for any batch shape. One integrator serves every
+entry point. It does the noise transform, recursion, heat sums and the copy
+into the path-major result in blocks of _TIME_BLOCK steps, so temporaries do
+not grow with the run. Blocking changes no bits: every term is per step, and
+the cumulative heat of a block is a cumsum that starts from the previous W,
+the same left-to-right sum as one cumsum over all steps.
 
 Heat increments use the Stratonovich midpoint rule,
 dW = 2 (A^{-1} b(x_mid)) . dx with x_mid the chord midpoint, which is exact
@@ -24,10 +30,12 @@ potential when one exists.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +43,13 @@ from . import linalg
 from .model import LinearModel
 from .stationary import StationaryLaw
 
-# Path-chunk size cap: bounds peak memory of the vectorized recursion.
+# Path-chunk size cap: bounds the arrays a pool worker returns and, with
+# _TIME_BLOCK, the temporaries of the vectorized recursion.
 _CHUNK_ELEMENT_BUDGET = 5_000_000
+
+# Time steps per pass of the noise transform, heat accumulation and layout
+# copy, so their temporaries stay cache-sized however long the run.
+_TIME_BLOCK = 256
 
 # Stream index reserved for estimator bootstraps; never a path index.
 BOOTSTRAP_STREAM = 2**64 - 1
@@ -102,15 +115,13 @@ class TrajectoryBatch:
 
 
 def _colmatvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x over the trailing axis of x, expanded with fixed accumulation
-    order so results are identical for any leading (batch) shape."""
-    n = m.shape[0]
-    out = np.empty_like(x)
-    for i in range(n):
-        acc = m[i, 0] * x[..., 0]
-        for j in range(1, n):
-            acc += m[i, j] * x[..., j]
-        out[..., i] = acc
+    """m @ x over axis -2 of x, whose last axis indexes paths, as n
+    column-broadcast multiply-adds m[:, j] * x[..., j, :] in fixed j order:
+    every output element is the same sequence of roundings for any batch
+    shape."""
+    out = m[:, 0:1] * x[..., 0:1, :]
+    for j in range(1, m.shape[1]):
+        out += m[:, j : j + 1] * x[..., j : j + 1, :]
     return out
 
 
@@ -127,8 +138,8 @@ def make_exact_stepper(model: LinearModel, dt: float) -> ExactStepper:
 
 def _validate_run(model: LinearModel, x0, dt: float, steps: int) -> np.ndarray:
     xv = np.asarray(x0, dtype=float)
-    if xv.shape[-1:] != (model.n,):
-        raise ValueError(f"initial state must end in dimension {model.n}, got shape {xv.shape}")
+    if xv.shape != (model.n,):
+        raise ValueError(f"initial state must have shape ({model.n},), got {xv.shape}")
     if not np.all(np.isfinite(xv)):
         raise ValueError("initial state contains non-finite entries")
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
@@ -139,45 +150,82 @@ def _validate_run(model: LinearModel, x0, dt: float, steps: int) -> np.ndarray:
     return xv
 
 
-def _exact_states(phi: np.ndarray, noise: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    steps = noise.shape[0]
-    states = np.empty((steps + 1,) + x0.shape)
-    states[0] = x0
-    x = np.array(x0, dtype=float, copy=True)
-    for k in range(steps):
-        x = _colmatvec(phi, x)
-        x += noise[k]
-        states[k + 1] = x
-    return states
+class _Update(NamedTuple):
+    """Exact x' = Phi x + L z (drift Phi, noise_mat L = chol(Sigma_dt)) or Euler
+    x' = x - dt B x + sqrt(dt) Gamma z (drift B, noise_mat Gamma); S = A^{-1} B."""
+
+    method: str
+    dt: float
+    drift: np.ndarray
+    noise_mat: np.ndarray
+    s_mat: np.ndarray
 
 
-def _euler_states(bmat: np.ndarray, dt: float, noise: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    steps = noise.shape[0]
-    states = np.empty((steps + 1,) + x0.shape)
-    states[0] = x0
-    x = np.array(x0, dtype=float, copy=True)
-    for k in range(steps):
-        x = x - dt * _colmatvec(bmat, x)
-        x += noise[k]
-        states[k + 1] = x
-    return states
+def _update(model: LinearModel, dt: float, method: str) -> _Update:
+    if method == "exact":
+        stepper = make_exact_stepper(model, dt)
+        drift, noise_mat = stepper.Phi, stepper.chol
+    else:
+        drift, noise_mat = model.B, model.Gamma
+    return _Update(method, float(dt), drift, noise_mat, np.linalg.solve(model.A, model.B))
 
 
-def _heat_series(s_mat: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Cumulative heat W_k from the midpoint rule; time along the first axis."""
-    n = states.shape[-1]
-    mid = 0.5 * (states[1:] + states[:-1])
-    dx = states[1:] - states[:-1]
-    v = _colmatvec(s_mat, mid)
-    prod = v * dx
-    dw = prod[..., 0].copy()
-    for i in range(1, n):
-        dw += prod[..., i]
-    dw *= -2.0
-    heat = np.empty(states.shape[:-1])
-    heat[0] = 0.0
-    np.cumsum(dw, axis=0, out=heat[1:])
-    return heat
+def _integrate(states: np.ndarray, heat: np.ndarray, update: _Update) -> None:
+    """Fill path-major states (paths, steps + 1, n) and heat (paths, steps + 1)
+    in place, _TIME_BLOCK steps at a time.
+
+    On entry states[:, 0] holds the starts and states[:, 1:] the standard
+    normal draws z; each block of z feeds the noise transform before the
+    block's states overwrite it. Inside a block the work is time-major with
+    paths on the last axis, so that every numpy call runs along the batch.
+    """
+    count, total, n = states.shape
+    steps = total - 1
+    euler, dt = update.method == "euler", update.dt
+    block = np.empty((min(_TIME_BLOCK, steps) + 1, n, count))
+    wsum = np.empty((block.shape[0], count))
+    block[0] = states[:, 0].T
+    heat[:, 0] = 0.0
+    for k0 in range(0, steps, _TIME_BLOCK):
+        b = min(_TIME_BLOCK, steps - k0)
+        noise = _colmatvec(update.noise_mat, states[:, k0 + 1 : k0 + b + 1].transpose(1, 2, 0))
+        if euler:
+            noise *= math.sqrt(dt)
+        for k in range(b):
+            x = block[k]
+            fx = _colmatvec(update.drift, x)
+            np.add(x - dt * fx if euler else fx, noise[k], out=block[k + 1])
+        # Midpoint increments dW = -2 (S x_mid) . dx.
+        cur = block[: b + 1]
+        mid = cur[1:] + cur[:-1]
+        mid *= 0.5
+        prod = _colmatvec(update.s_mat, mid)
+        prod *= cur[1:] - cur[:-1]
+        w = wsum[: b + 1]
+        w[1:] = prod[:, 0]
+        for i in range(1, n):
+            w[1:] += prod[:, i]
+        w[1:] *= -2.0
+        # Cumsum from the previous W; the first block starts at dW_1 itself,
+        # as one cumsum over all steps would (0.0 + -0.0 is +0.0).
+        w[0] = heat[:, k0]
+        first = 1 if k0 == 0 else 0
+        np.cumsum(w[first:], axis=0, out=w[first:])
+        states[:, k0 + 1 : k0 + b + 1] = cur[1:].transpose(2, 0, 1)
+        heat[:, k0 + 1 : k0 + b + 1] = w[1:].T
+        block[0] = block[b]
+
+
+def _single_path(model, x0, dt, steps, rng, seed_record, method: str) -> Trajectory:
+    """One path from one standard_normal((steps, n)) draw of rng."""
+    xv = _validate_run(model, x0, dt, steps)
+    update = _update(model, dt, method)
+    states = np.empty((1, steps + 1, model.n))
+    heat = np.empty((1, steps + 1))
+    states[0, 0] = xv
+    rng.standard_normal(out=states[0, 1:])
+    _integrate(states, heat, update)
+    return Trajectory(dt=update.dt, states=states[0], heat=heat[0], seed=seed_record)
 
 
 def sample_path(
@@ -194,14 +242,7 @@ def sample_path(
     The stream is consumed as a single standard_normal((steps, n)) block;
     heat is accumulated with the Stratonovich midpoint rule.
     """
-    xv = _validate_run(model, x0, dt, steps)
-    stepper = make_exact_stepper(model, dt)
-    z = rng.standard_normal((steps, model.n))
-    noise = _colmatvec(stepper.chol, z)
-    states = _exact_states(stepper.Phi, noise, xv)
-    s_mat = np.linalg.solve(model.A, model.B)
-    heat = _heat_series(s_mat, states)
-    return Trajectory(dt=float(dt), states=states, heat=heat, seed=seed_record)
+    return _single_path(model, x0, dt, steps, rng, seed_record, "exact")
 
 
 def euler_maruyama_path(
@@ -215,62 +256,53 @@ def euler_maruyama_path(
 ) -> Trajectory:
     """Reference Euler-Maruyama integrator x' = x - B x dt + Gamma sqrt(dt) z,
     exposing the discretization bias the exact sampler avoids."""
-    xv = _validate_run(model, x0, dt, steps)
-    z = rng.standard_normal((steps, model.n))
-    noise = math.sqrt(float(dt)) * _colmatvec(model.Gamma, z)
-    states = _euler_states(model.B, float(dt), noise, xv)
-    s_mat = np.linalg.solve(model.A, model.B)
-    heat = _heat_series(s_mat, states)
-    return Trajectory(dt=float(dt), states=states, heat=heat, seed=seed_record)
+    return _single_path(model, x0, dt, steps, rng, seed_record, "euler")
 
 
 def sample_stationary_start(law: StationaryLaw, rng: np.random.Generator) -> np.ndarray:
     """A draw from the stationary law N(0, Xi) via its Cholesky factor."""
-    z = rng.standard_normal(law.model.n)
-    return _colmatvec(law.chol_Xi, z)
+    z = rng.standard_normal((law.model.n, 1))
+    return _colmatvec(law.chol_Xi, z)[:, 0]
 
 
-def _generate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """Generate a contiguous range of paths; module-level for process pools.
+def _fill_chunk(job, lo: int, states: np.ndarray, heat: np.ndarray) -> None:
+    """Generate paths lo, lo + 1, ... of a batch into path-major states / heat.
 
     Per path p the stream is consumed exactly as the single-path API does:
     an optional standard_normal(n) block for a stationary start, then one
-    standard_normal((steps, n)) block for the increments.
+    standard_normal((steps, n)) block for the increments, drawn straight into
+    the path's rows of states.
     """
-    (seed, indices, steps, n, method, dt, phi, chol_step, bmat, gamma, s_mat, x0, chol_xi) = args
-    count = len(indices)
-    z = np.empty((steps, count, n))
-    if chol_xi is not None:
-        z0 = np.empty((count, n))
-        for c, p in enumerate(indices):
-            stream = path_stream(seed, p)
-            z0[c] = stream.standard_normal(n)
-            z[:, c, :] = stream.standard_normal((steps, n))
-        starts = _colmatvec(chol_xi, z0)
-    else:
-        for c, p in enumerate(indices):
-            z[:, c, :] = path_stream(seed, p).standard_normal((steps, n))
-        starts = np.broadcast_to(x0, (count, n))
-    if method == "exact":
-        noise = _colmatvec(chol_step, z)
-        states = _exact_states(phi, noise, starts)
-    else:
-        noise = math.sqrt(dt) * _colmatvec(gamma, z)
-        states = _euler_states(bmat, dt, noise, starts)
-    heat = _heat_series(s_mat, states)
+    seed, x0, chol_xi, update = job
+    for c in range(states.shape[0]):
+        stream = path_stream(seed, lo + c)
+        if chol_xi is not None:
+            stream.standard_normal(out=states[c, 0])
+        stream.standard_normal(out=states[c, 1:])
+    states[:, 0] = x0 if chol_xi is None else _colmatvec(chol_xi, states[:, 0].T).T
+    _integrate(states, heat, update)
+
+
+def _generate_chunk(job, steps: int, bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Process-pool entry: _fill_chunk paths lo .. hi-1 into fresh arrays."""
+    lo, hi = bounds
+    states = np.empty((hi - lo, steps + 1, job[1].shape[0]))
+    heat = np.empty(states.shape[:2])
+    _fill_chunk(job, lo, states, heat)
     return states, heat
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit value, else OU_IRREV_THREADS, else 1 (serial)."""
+    """Worker count: explicit value, else OU_IRREV_THREADS, else 1 (serial).
+
+    0 also means serial; there is no automatic choice.
+    """
     if workers is None:
         raw = os.environ.get("OU_IRREV_THREADS", "").strip()
         workers = int(raw) if raw else 0
     if workers < 0:
         raise ValueError(f"worker count must be >= 0, got {workers}")
-    if workers == 0:
-        return 1
-    return workers
+    return max(workers, 1)
 
 
 def sample_batch(
@@ -296,56 +328,24 @@ def sample_batch(
         raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
     if not (0 <= int(seed) < 2**64):
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    n = model.n
-    if law is not None:
-        start_vec = np.zeros(n)
-        chol_xi = law.chol_Xi
-    else:
-        start_vec = np.asarray(np.zeros(n) if x0 is None else x0, dtype=float)
-        chol_xi = None
-    start_vec = _validate_run(model, start_vec, dt, steps)
-    dt = float(dt)
-    if method == "exact":
-        stepper = make_exact_stepper(model, dt)
-        phi, chol_step = stepper.Phi, stepper.chol
-    else:
-        phi = chol_step = None
-    s_mat = np.linalg.solve(model.A, model.B)
+    chol_xi = None if law is None else law.chol_Xi
+    start = np.zeros(model.n) if x0 is None or law is not None else x0
+    start_vec = _validate_run(model, start, dt, steps)
+    job = (int(seed), start_vec, chol_xi, _update(model, dt, method))
 
     n_workers = resolve_workers(workers)
-    chunk = max(1, _CHUNK_ELEMENT_BUDGET // ((steps + 1) * n))
+    chunk = max(1, _CHUNK_ELEMENT_BUDGET // ((steps + 1) * model.n))
     if n_workers > 1:
         chunk = min(chunk, max(1, math.ceil(n_paths / n_workers)))
-    specs = [
-        (
-            int(seed),
-            range(lo, min(lo + chunk, n_paths)),
-            int(steps),
-            n,
-            method,
-            dt,
-            phi,
-            chol_step,
-            model.B,
-            model.Gamma,
-            s_mat,
-            start_vec,
-            chol_xi,
-        )
-        for lo in range(0, n_paths, chunk)
-    ]
-    if n_workers > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(specs))) as pool:
-            parts = list(pool.map(_generate_chunk, specs))
+    bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+    states = np.empty((n_paths, steps + 1, model.n))
+    heat = np.empty((n_paths, steps + 1))
+    if n_workers > 1 and len(bounds) > 1:
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(bounds))) as pool:
+            parts = pool.map(functools.partial(_generate_chunk, job, int(steps)), bounds)
+            for (lo, hi), part in zip(bounds, parts):
+                states[lo:hi], heat[lo:hi] = part
     else:
-        parts = [_generate_chunk(spec) for spec in specs]
-    states = np.concatenate([p[0] for p in parts], axis=1)
-    heat = np.concatenate([p[1] for p in parts], axis=1)
-    return TrajectoryBatch(
-        dt=dt,
-        seed=int(seed),
-        states=np.ascontiguousarray(states.transpose(1, 0, 2)),
-        heat=np.ascontiguousarray(heat.T),
-        stationary_start=law is not None,
-        method=method,
-    )
+        for lo, hi in bounds:
+            _fill_chunk(job, lo, states[lo:hi], heat[lo:hi])
+    return TrajectoryBatch(float(dt), int(seed), states, heat, law is not None, method)

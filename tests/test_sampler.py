@@ -6,6 +6,8 @@ import pytest
 
 from ouirrev.model import LinearModel, build_model
 from ouirrev.sampler import (
+    _TIME_BLOCK,
+    _colmatvec,
     euler_maruyama_path,
     make_exact_stepper,
     path_stream,
@@ -115,6 +117,13 @@ class TestSamplePath:
             traj = sample_path(m, x0, dt, 1, path_stream(9, 0))
             assert np.max(np.abs(traj.states[1] - x0)) < 50 * math.sqrt(dt)
             assert abs(traj.heat[1]) < 50 * math.sqrt(dt)
+
+    def test_batched_start_rejected(self):
+        # one path has one start; a stack of starts is not silently broadcast
+        m = rotational_model(1.0)
+        for integrate in (sample_path, euler_maruyama_path):
+            with pytest.raises(ValueError):
+                integrate(m, [[1.0, 0.0], [0.0, 1.0]], 0.01, 10, path_stream(0, 0))
 
     def test_invalid_arguments(self):
         m = rotational_model(1.0)
@@ -319,3 +328,29 @@ class TestBitPin:
     def test_digest(self, case):
         name, *args = case
         assert _pin_digest(*args) == _PIN_DIGESTS[name]
+
+    def test_cases_cover_time_block_edges(self):
+        steps = {case[-1] for case in _PIN_CASES}
+        assert 1 in steps and _TIME_BLOCK + 1 in steps
+        assert any(s > _TIME_BLOCK + 1 and s % _TIME_BLOCK for s in steps)  # a ragged last block
+
+
+class TestColMatVec:
+    """The column-broadcast product is the same per path whatever the batch."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
+    def test_batch_shape_independence(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        x = rng.standard_normal((5, n, 7))  # (time, component, path)
+        batched = _colmatvec(m, x)
+        assert batched.shape == x.shape
+        per_vector = np.stack(
+            [
+                np.stack([_colmatvec(m, x[t, :, p : p + 1])[:, 0] for p in range(x.shape[2])], -1)
+                for t in range(x.shape[0])
+            ]
+        )
+        assert np.array_equal(batched, per_vector)
+        assert np.array_equal(batched[0], _colmatvec(m, x[0]))
+        assert np.max(np.abs(batched - m @ x)) <= 1e-12
