@@ -48,8 +48,8 @@ from .stationary import StationaryLaw
 _CHUNK_ELEMENT_BUDGET = 5_000_000
 
 # Time steps per pass of the noise transform, heat accumulation and layout
-# copy, so their temporaries stay cache-sized however long the run.
-_TIME_BLOCK = 256
+# copy, so their temporaries do not grow with the run length.
+_TIME_BLOCK = 128
 
 # Stream index reserved for estimator bootstraps; never a path index.
 BOOTSTRAP_STREAM = 2**64 - 1
