@@ -261,8 +261,8 @@ def _irreversible_16() -> LinearModel:
 
 _PIN_MODELS = {"rot2": lambda: rotational_model(1.0), "irr16": _irreversible_16}
 
-# (case, model, entry point, method, start, steps). Step counts 129 and 257 are
-# one past a 128 / 256 time block, 1000 is a multiple of neither.
+# (case, model, entry point, method, start, steps). With 128-step time blocks,
+# 129 and 257 end one step into a new block and 1000 ends in a ragged block.
 _PIN_CASES = [
     ("rot2-batch-exact-law-1", "rot2", "batch", "exact", "law", 1),
     ("rot2-batch-exact-law-257", "rot2", "batch", "exact", "law", 257),
