@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -214,6 +215,39 @@ class TestTransientCommand:
         cov = np.array([float(last[header.index(f"cov_{i}{j}")]) for i in (1, 2) for j in (1, 2)])
         expected = 0.5 * np.linalg.solve([[2.0, 1.0], [1.0, 2.0]], np.eye(2)).reshape(-1)
         assert np.max(np.abs(cov.reshape(-1) - expected)) < 1e-8
+
+
+_CSV_PIN_ARGS = ["--paths", "2", "--steps", "300", "--seed", "13"]
+_CSV_PIN_CASES = {
+    "exact-x0": ["--method", "exact", "--x0", "2,-1"],
+    "exact-stationary": ["--method", "exact", "--stationary"],
+    "euler-x0": ["--method", "euler", "--x0", "2,-1"],
+    "euler-stationary": ["--method", "euler", "--stationary"],
+}
+_CSV_PIN_DIGESTS = {
+    "exact-x0": "fbd193bcff5ba2c24258369bdb3884204d76b0ada7a284a58ad8e693feefc215",
+    "exact-stationary": "d83d655e3fc1a683a18db1a6860fa63a8e566fd4b54d95998fa92793df503e09",
+    "euler-x0": "19b2ff7cba07bc95f21bfb79583a174ac8826799eaae612bb541b47fe98d48d8",
+    "euler-stationary": "6855cc1d046edcc27d21267590a322efeab2ea2a19753f197a9481da90ed3c13",
+}
+
+
+class TestSimulateCsvPin:
+    """Pins the exact bytes of `simulate` CSVs (rotational model, both paths).
+
+    The digests rest on the same numpy RNG streams as the sampler's TestBitPin
+    and on repr's shortest round-trip digits for every cell.
+    """
+
+    @pytest.mark.parametrize("case", sorted(_CSV_PIN_CASES))
+    def test_digest(self, case, model_file, tmp_path, capsys):
+        prefix = tmp_path / "pin"
+        argv = ["simulate", model_file(ROT), *_CSV_PIN_ARGS, *_CSV_PIN_CASES[case]]
+        assert main(argv + ["--out", str(prefix)]) == 0
+        digest = hashlib.sha256()
+        for k in range(2):
+            digest.update((tmp_path / f"pin_p{k}.csv").read_bytes())
+        assert digest.hexdigest() == _CSV_PIN_DIGESTS[case]
 
 
 class TestVerifyCommand:
