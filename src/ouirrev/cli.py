@@ -151,16 +151,23 @@ def cmd_analyze(config: RunConfig) -> int:
     return 0
 
 
+def _csv_cells(values) -> str:
+    """Comma-joined shortest round-trip reprs of Python floats.
+
+    Callers pass ndarray.tolist() output: repr of a Python float gives the
+    same digits as _fmt without a numpy scalar per cell.
+    """
+    return ",".join(map(repr, values))
+
+
 def _write_trajectory_csv(path: str, traj: sampler.Trajectory) -> None:
     n = traj.states.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",W"
+    dt = float(traj.dt)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for k in range(traj.states.shape[0]):
-            cells = [_fmt(k * traj.dt)]
-            cells.extend(_fmt(v) for v in traj.states[k])
-            cells.append(_fmt(traj.heat[k]))
-            fh.write(",".join(cells) + "\n")
+        for k, (row, w) in enumerate(zip(traj.states.tolist(), traj.heat.tolist())):
+            fh.write(f"{k * dt!r},{_csv_cells(row)},{w!r}\n")
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -191,9 +198,12 @@ def cmd_transient(config: RunConfig) -> int:
     x0 = np.zeros(model.n) if config.x0 is None else np.asarray(config.x0, dtype=float)
     if x0.shape != (model.n,):
         raise ValueError(f"--x0 must have {model.n} components")
+    if not (math.isfinite(config.t_step) and math.isfinite(config.t_max)):
+        raise ValueError("transient grid requires finite --t-step and --t-max")
     if config.t_step <= 0 or config.t_max < 0:
         raise ValueError("transient grid requires --t-step > 0 and --t-max >= 0")
-    reversible = classify(model).verdict is Verdict.REVERSIBLE
+    factors = transient.rate_factors(model)
+    reversible = factors.verdict is Verdict.REVERSIBLE
     n = model.n
     header = ["t"]
     header += [f"mean_{i + 1}" for i in range(n)]
@@ -201,27 +211,22 @@ def cmd_transient(config: RunConfig) -> int:
     header += ["entropy", "epr_t", "hdr_t", "entropy_rate"]
     if reversible:
         header.append("free_energy")
+    # Point mass at t = 0: entropy and rates are undefined, not -inf.
+    undefined = "," * (len(header) - 1 - n - n * n)
     rows = [",".join(header)]
     n_rows = int(math.floor(config.t_max / config.t_step + 1e-9)) + 1
-    for k in range(n_rows):
-        t = k * config.t_step
-        state = transient.propagate(model, x0, t)
-        cells = [_fmt(t)]
-        cells.extend(_fmt(v) for v in state.mean)
-        cells.extend(_fmt(v) for v in state.cov.reshape(-1))
+    states = transient.propagate_grid(model, x0, config.t_step, n_rows)
+    for k, state in enumerate(states):
+        law = _csv_cells([k * config.t_step, *state.mean.tolist(), *state.cov.ravel().tolist()])
         try:
-            snap = transient.instantaneous_rates(model, state)
-            cells.extend(
-                [_fmt(snap.entropy), _fmt(snap.epr_t), _fmt(snap.hdr_t), _fmt(snap.entropy_rate)]
-            )
-            if reversible:
-                cells.append(_fmt(snap.free_energy))
+            snap = factors.rates(state)
         except UndefinedEntropyError:
-            # Point mass at t = 0: entropy and rates are undefined, not -inf.
-            cells.extend(["", "", "", ""])
-            if reversible:
-                cells.append("")
-        rows.append(",".join(cells))
+            rows.append(law + undefined)
+            continue
+        rates = [snap.entropy, snap.epr_t, snap.hdr_t, snap.entropy_rate]
+        if reversible:
+            rates.append(snap.free_energy)
+        rows.append(f"{law},{_csv_cells(rates)}")
     _emit("\n".join(rows), config.out_path)
     return 0
 

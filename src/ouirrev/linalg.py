@@ -329,6 +329,12 @@ def gram_integral(b, a, t: float) -> np.ndarray:
     The doubling keeps every intermediate at the size of the result itself;
     a single block exponential loses accuracy once t times the spread of the
     spectrum of b is large.
+
+    Raises
+    ------
+    NumericalFailureError
+        If the integral overflows (b with eigenvalues of negative real part
+        over a long interval), as expm does.
     """
     bm = _as_square(b, "b")
     am = _as_square(a, "a")
@@ -356,6 +362,8 @@ def gram_integral(b, a, t: float) -> np.ndarray:
         g = phi @ g @ phi.T + g
         g = 0.5 * (g + g.T)
         phi = phi @ phi
+    if not np.all(np.isfinite(g)):
+        raise NumericalFailureError("overflow in Gram integral")
     return g
 
 

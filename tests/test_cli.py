@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ouirrev import cli, transient
 from ouirrev.cli import build_parser, canonical_json, main
+from ouirrev.model import classify
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_defaults.json"
 
@@ -14,6 +16,7 @@ ROT = {"B": [[1.0, 1.0], [-1.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 REV = {"B": [[2.0, 1.0], [1.0, 2.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 SWEEP = {"B": [[-1.0, 0.0], [0.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 SCALAR = {"B": [[1.0]], "Gamma": [[1.0]]}
+SWEEP_1D = {"B": [[-1.0]], "Gamma": [[1.0]]}
 
 
 @pytest.fixture
@@ -175,7 +178,7 @@ class TestTransientCommand:
         row0 = lines[1].split(",")
         cov_cols = row0[3:7]
         assert all(float(c) == 0.0 for c in cov_cols)
-        assert row0[header.index("entropy")] == ""
+        assert row0[header.index("entropy") :] == [""] * 5
 
     def test_free_energy_column_absent_for_irreversible(self, model_file, capsys):
         assert main(["transient", model_file(ROT), "--x0", "1,0", "--t-max", "0.2"]) == 0
@@ -215,6 +218,32 @@ class TestTransientCommand:
         cov = np.array([float(last[header.index(f"cov_{i}{j}")]) for i in (1, 2) for j in (1, 2)])
         expected = 0.5 * np.linalg.solve([[2.0, 1.0], [1.0, 2.0]], np.eye(2)).reshape(-1)
         assert np.max(np.abs(cov.reshape(-1) - expected)) < 1e-8
+
+    def test_classifies_once(self, model_file, capsys, monkeypatch):
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return classify(model)
+
+        monkeypatch.setattr(cli, "classify", counting)
+        monkeypatch.setattr(transient, "classify", counting)
+        for payload in (REV, ROT):
+            calls.clear()
+            assert main(["transient", model_file(payload), "--x0", "1,0", "--t-max", "1"]) == 0
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("payload", [SWEEP_1D, SWEEP], ids=["n1", "n2"])
+    def test_overflow_exit_2(self, payload, model_file, capsys):
+        x0 = ",".join(["1"] * len(payload["B"]))
+        argv = ["transient", model_file(payload), "--x0", x0, "--t-max", "400", "--t-step", "1"]
+        assert main(argv) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_max", ["inf", "nan"])
+    def test_non_finite_grid_exit_1(self, t_max, model_file, capsys):
+        assert main(["transient", model_file(ROT), "--t-max", t_max]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 _CSV_PIN_ARGS = ["--paths", "2", "--steps", "300", "--seed", "13"]

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from ouirrev import linalg
-from ouirrev.exceptions import DegenerateModelError, NotPositiveDefiniteError
+from ouirrev.exceptions import DegenerateModelError, NotPositiveDefiniteError, NumericalFailureError
 
 from oracles import companion_eigvals, gram_quadrature, match_spectra
 
@@ -216,6 +216,13 @@ class TestGramIntegral:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             linalg.gram_integral(np.eye(2), np.eye(2), -0.1)
+
+    def test_overflow_is_numerical_failure(self):
+        # integral of e^{2s} over [0, 360] exceeds the double range
+        with pytest.raises(NumericalFailureError):
+            linalg.gram_integral([[-1.0]], [[1.0]], 360.0)
+        with pytest.raises(NumericalFailureError):
+            linalg.gram_integral(np.diag([-1.0, 1.0]), np.eye(2), 400.0)
 
 
 class TestCholesky:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ouirrev.exceptions import PotentialUndefinedError, UndefinedEntropyError
-from ouirrev.model import build_model
+from ouirrev import linalg
+from ouirrev.exceptions import NumericalFailureError, PotentialUndefinedError, UndefinedEntropyError
+from ouirrev.model import Verdict, build_model, classify
 from ouirrev.stationary import stationary_density, stationary_law
 from ouirrev.transient import (
     GaussianState,
@@ -14,6 +15,7 @@ from ouirrev.transient import (
     instantaneous_rates,
     potential,
     propagate,
+    propagate_grid,
     transition_density,
 )
 
@@ -21,6 +23,37 @@ from conftest import rotational_model, thermo_corpus
 from oracles import gaussian_kl
 
 FD_STEP = 1e-4
+GRID_RTOL = 1e-9
+
+
+def irreversible_8d():
+    """B = K + W with K SPD and W antisymmetric, Gamma = I: stable, irreversible."""
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((8, 8))
+    w = rng.standard_normal((8, 8))
+    return build_model(g @ g.T / 8 + 0.5 * np.eye(8) + (w - w.T), np.eye(8))
+
+
+def rates_reference(model, state):
+    """The per-state rate formulas in their original operation order."""
+    low = linalg.chol_spd(state.cov)
+    n = model.n
+    ent = 0.5 * n * (1.0 + math.log(2.0 * math.pi)) + float(np.sum(np.log(np.diag(low))))
+    cov_inv = np.linalg.solve(state.cov, np.eye(n))
+    cov_inv = 0.5 * (cov_inv + cov_inv.T)
+    ainv_b = np.linalg.solve(model.A, model.B)
+    m_t = 2.0 * ainv_b - cov_inv
+    bt_ainv_b = model.B.T @ ainv_b
+    mean_term = 2.0 * float(state.mean @ bt_ainv_b @ state.mean)
+    epr_t = 0.5 * float(np.trace(m_t.T @ model.A @ m_t @ state.cov)) + mean_term
+    epr_t = max(epr_t, 0.0)
+    hdr_t = 2.0 * float(np.trace(bt_ainv_b @ state.cov)) - float(np.trace(model.B)) + mean_term
+    psi = None
+    if classify(model).verdict is Verdict.REVERSIBLE:
+        s = np.linalg.solve(model.A, model.B)
+        s = 0.5 * (s + s.T)
+        psi = float(np.trace(s @ state.cov)) + float(state.mean @ s @ state.mean) - ent
+    return epr_t, hdr_t, epr_t - hdr_t, psi
 
 
 def entropy_rate_fd(model, x0, t):
@@ -70,6 +103,48 @@ class TestPropagate:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             propagate(rotational_model(1.0), [0.0, 0.0], -0.5)
+
+    def test_overflow_is_numerical_failure(self):
+        with pytest.raises(NumericalFailureError):
+            propagate(build_model([[-1.0]], [[1.0]]), [1.0], 360.0)
+
+
+class TestPropagateGrid:
+    @pytest.mark.parametrize(
+        "model, x0, h, n_rows",
+        [
+            (rotational_model(1.0), [2.0, 0.0], 0.01, 2001),
+            (build_model([[2.0, 1.0], [1.0, 2.0]], np.eye(2)), [1.0, -3.0], 0.01, 1001),
+            (build_model(np.diag([-1.0, 1.0]), np.eye(2)), [1.0, 1.0], 0.05, 401),
+            (irreversible_8d(), np.linspace(-1.0, 1.0, 8), 0.02, 501),
+        ],
+        ids=["rot2", "reversible2", "sweeping2", "irreversible8"],
+    )
+    def test_matches_propagate_every_row(self, model, x0, h, n_rows):
+        states = propagate_grid(model, x0, h, n_rows)
+        assert len(states) == n_rows
+        for k, state in enumerate(states):
+            ref = propagate(model, x0, k * h)
+            assert state.t == k * h
+            for got, want in ((state.mean, ref.mean), (state.cov, ref.cov)):
+                assert np.linalg.norm(got - want) <= GRID_RTOL * np.linalg.norm(want)
+            assert np.array_equal(state.cov, state.cov.T)
+
+    def test_first_row_is_point_mass(self):
+        state = propagate_grid(rotational_model(1.0), [1.0, 2.0], 0.1, 1)[0]
+        assert state.t == 0.0
+        assert np.array_equal(state.mean, [1.0, 2.0])
+        assert np.array_equal(state.cov, np.zeros((2, 2)))
+
+    def test_overflow_is_numerical_failure(self):
+        # the one-step kernels are finite; the stepped covariance overflows near t = 355
+        with pytest.raises(NumericalFailureError):
+            propagate_grid(build_model([[-1.0]], [[1.0]]), [1.0], 1.0, 401)
+
+    @pytest.mark.parametrize("h, n_rows", [(0.0, 3), (-0.1, 3), (math.inf, 3), (0.1, 0)])
+    def test_bad_grid_rejected(self, h, n_rows):
+        with pytest.raises(ValueError):
+            propagate_grid(rotational_model(1.0), [0.0, 0.0], h, n_rows)
 
 
 class TestTransitionDensity:
@@ -194,6 +269,19 @@ class TestInstantaneousRates:
         assert abs(snap.entropy_rate) < 1e-8
         assert snap.epr_t == pytest.approx(2.0, abs=1e-8)
         assert snap.epr_t == pytest.approx(law.epr, abs=1e-8)
+
+    def test_fixed_states_bit_identical(self, sweeping_model):
+        models = [m for m, _ in thermo_corpus()] + [sweeping_model, irreversible_8d()]
+        for m in models:
+            x0 = np.linspace(2.0, -1.0, m.n)
+            for t in (0.05, 0.7, 3.0):
+                state = propagate(m, x0, t)
+                snap = instantaneous_rates(m, state)
+                got = (snap.epr_t, snap.hdr_t, snap.entropy_rate, snap.free_energy)
+                assert got == rates_reference(m, state)
+                assert snap.entropy == entropy(state)
+                if snap.free_energy is not None:
+                    assert snap.free_energy == free_energy(m, state)
 
     def test_snapshot_free_energy_only_when_reversible(self, reversible_2d):
         rev_snap = instantaneous_rates(reversible_2d, propagate(reversible_2d, [1.0, 1.0], 0.5))
