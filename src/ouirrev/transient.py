@@ -108,13 +108,12 @@ def propagate_grid(model: LinearModel, x0, t_step: float, n_rows: int) -> list[G
     if n_rows < 1:
         raise ValueError(f"grid needs at least one row, got {n_rows}")
     phi = linalg.expm(-model.B * h)
-    phi_t = phi.T
     sigma = linalg.gram_integral(model.B, model.A, h)
     mean, cov = xv.copy(), np.zeros((model.n, model.n))
     states = [GaussianState(t=0.0, mean=mean, cov=cov)]
     for k in range(1, n_rows):
         mean = phi @ mean
-        cov = phi @ cov @ phi_t + sigma
+        cov = phi @ cov @ phi.T + sigma
         cov = 0.5 * (cov + cov.T)
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise NumericalFailureError(f"transient law overflows at t = {k * h!r}")
@@ -179,9 +178,8 @@ class RateFactors:
 
         Raises UndefinedEntropyError for singular covariance, as entropy does.
         """
-        low = _chol_cov(state.cov)
+        ent = entropy(state)
         n = state.cov.shape[0]
-        ent = 0.5 * n * (1.0 + math.log(2.0 * math.pi)) + float(np.sum(np.log(np.diag(low))))
         cov_inv = np.linalg.solve(state.cov, np.eye(n))
         cov_inv = 0.5 * (cov_inv + cov_inv.T)
         m_t = 2.0 * self.ainv_b - cov_inv
