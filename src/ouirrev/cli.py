@@ -166,8 +166,8 @@ def _write_trajectory_csv(path: str, traj: sampler.Trajectory) -> None:
     dt = float(traj.dt)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        # One tolist() per row: converting the whole path at once holds a
-        # Python float object per cell and raises peak memory by ~4%.
+        # One tolist() per row: converting the whole path at once would hold
+        # a Python float object for every cell of the path at the same time.
         for k, (row, w) in enumerate(zip(traj.states, traj.heat)):
             fh.write(f"{k * dt!r},{_csv_cells(row.tolist())},{float(w)!r}\n")
 
