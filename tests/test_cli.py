@@ -279,6 +279,48 @@ class TestSimulateCsvPin:
         assert digest.hexdigest() == _CSV_PIN_DIGESTS[case]
 
 
+def _ring_model(n: int) -> dict:
+    """Irreversible n-dimensional model: B = 1.5 I plus a cyclic rotation
+    (B[i][i+1] = 1, B[i+1][i] = -1), Gamma lower bidiagonal (1 on the
+    diagonal, 0.5 below it)."""
+    b = [[0.0] * n for _ in range(n)]
+    gamma = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        b[i][i] = 1.5
+        b[i][(i + 1) % n] += 1.0
+        b[(i + 1) % n][i] -= 1.0
+        gamma[i][i] = 1.0
+        if i:
+            gamma[i][i - 1] = 0.5
+    return {"B": b, "Gamma": gamma}
+
+
+_VERIFY_PIN_ARGS = ["--paths", "20", "--steps", "2000", "--burn-in", "2"]
+_VERIFY_PIN_CASES = {
+    "rot2": (ROT, "7"),
+    "ring8": (_ring_model(8), "2"),
+}
+_VERIFY_PIN_DIGESTS = {
+    "rot2": "d68e362447042b569b6d5fc7715239e1246736f7a3e82a038d55379ee10a538b",
+    "ring8": "0f8576e09d59097db698eef606a63cf7a1536c76cee856ab86b2834fc4dc6947",
+}
+
+
+class TestVerifyJsonPin:
+    """Pins the exact bytes of `verify` JSON reports at a light budget.
+
+    Every estimator section (hdr, two-time symmetry, Green-Kubo) feeds the
+    report, so a silent change in the bits of any estimate changes a digest.
+    """
+
+    @pytest.mark.parametrize("case", sorted(_VERIFY_PIN_CASES))
+    def test_digest(self, case, model_file, capsys):
+        payload, seed = _VERIFY_PIN_CASES[case]
+        assert main(["verify", model_file(payload), *_VERIFY_PIN_ARGS, "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_PIN_DIGESTS[case]
+
+
 class TestVerifyCommand:
     def test_rotational_passes(self, model_file, capsys):
         code, report = run_json(
