@@ -6,12 +6,12 @@ verification of the analytic predictions.
 """
 
 from .estimators import (
-    EstimateReport,
+    PathStatistics,
     empirical_moments,
     empirical_two_time,
-    estimate_report,
     greenkubo_check,
     hdr_estimate,
+    path_statistics,
     reversibility_test,
 )
 from .exceptions import (
@@ -64,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Classification",
     "DegenerateModelError",
-    "EstimateReport",
     "ExactStepper",
     "ForceFlux",
     "GaussianState",
@@ -74,6 +73,7 @@ __all__ = [
     "NoStationaryLawError",
     "NotPositiveDefiniteError",
     "NumericalFailureError",
+    "PathStatistics",
     "PotentialUndefinedError",
     "Spectrum",
     "StationaryLaw",
@@ -91,7 +91,6 @@ __all__ = [
     "empirical_two_time",
     "entropy",
     "entropy_production_rate",
-    "estimate_report",
     "euler_maruyama_path",
     "expm",
     "fdr_residuals",
@@ -104,6 +103,7 @@ __all__ = [
     "instantaneous_rates",
     "is_spd",
     "make_exact_stepper",
+    "path_statistics",
     "path_stream",
     "potential",
     "propagate",

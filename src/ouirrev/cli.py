@@ -287,7 +287,8 @@ def cmd_verify(config: RunConfig) -> int:
         "pass": bool(hdr_pass),
     }
 
-    rev = estimators.reversibility_test(batch, config.tau_list, burn_in=config.burn_in)
+    stats = estimators.path_statistics(batch, config.tau_list, burn_in=config.burn_in)
+    rev = estimators.reversibility_test(stats)
     sections["two_time_symmetry"] = {
         "statistic": rev.statistic,
         "threshold": rev.threshold,
@@ -309,9 +310,8 @@ def cmd_verify(config: RunConfig) -> int:
         cond_batch,
         model,
         config.tau_list,
-        stationary_batch=batch,
+        stats=stats,
         law=law,
-        burn_in=config.burn_in,
     )
     gk_pass = gk.max_abs_z <= GREEN_KUBO_Z_MAX and gk.max_abs_z_two_time <= GREEN_KUBO_Z_MAX
     sections["green_kubo"] = {

@@ -2,6 +2,11 @@
 two-time covariance, reversibility asymmetry test, heat-rate estimation,
 and the conditional-mean regression (Onsager/Green-Kubo) check.
 
+Both two-time estimators (the reversibility test and the R(t, 0) half of the
+Green-Kubo check) read one PathStatistics value: the per-path lag products
+x(t + lag) x(t)^T, built by path_statistics in one pass over the states per
+lag, so a verify run forms each lag's products once.
+
 All estimators are deterministic functions of (batch, parameters): bootstrap
 resampling draws from a reserved stream derived from the batch's master seed,
 and cross-path reductions run in path order (heat totals through exact
@@ -65,17 +70,19 @@ class GreenKuboResult:
 
 
 @dataclass(frozen=True, eq=False)
-class EstimateReport:
+class PathStatistics:
+    """Per-path two-time products of one stationary batch after burn-in.
+
+    lag_products maps each distinct lag to the per-path time averages of
+    x(t + lag) x(t)^T, shape (n_paths, n, n); lags keeps the lags as
+    requested (order and repeats). seed is the batch's master seed, from
+    which the bootstrap stream is derived.
+    """
+
+    lags: tuple[float, ...]
+    lag_products: dict[float, np.ndarray]
     n_paths: int
-    n_steps: int
-    dt: float
-    burn_in: float
-    xi_hat: np.ndarray
-    r_hat: dict[float, np.ndarray]
-    hdr_hat: HdrEstimate
-    asymmetry: ReversibilityResult
-    greenkubo_maxdev: float
-    verdict_reversible: bool
+    seed: int
 
 
 def _burn_index(batch: TrajectoryBatch, burn_in: float) -> int:
@@ -107,7 +114,7 @@ def empirical_moments(batch: TrajectoryBatch, burn_in: float) -> MomentEstimate:
             f"{MIN_EFFECTIVE_SAMPLES} samples and >= 2 paths"
         )
     per_path_mean = kept.mean(axis=1)
-    per_path_second = np.einsum("pti,ptj->pij", kept, kept) / n_times
+    per_path_second = _lag_products(kept, kept) / n_times
     mean = per_path_mean.mean(axis=0)
     xi_hat = per_path_second.mean(axis=0)
     xi_hat = 0.5 * (xi_hat + xi_hat.T)
@@ -143,16 +150,50 @@ def _lag_steps(batch: TrajectoryBatch, lag: float) -> int:
     return rounded
 
 
-def _per_path_two_time(batch: TrajectoryBatch, lag: float, burn_in: float) -> np.ndarray:
-    """Per-path averages of x(t + lag) x(t)^T; shape (n_paths, n, n)."""
+def _lag_products(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Sum over t of later[p, t, i] * earlier[p, t, j]; shape (paths, n, n).
+
+    One two-operand contraction per row i, on views of the states (no copy):
+    the same sums as np.einsum("pti,ptj->pij", later, earlier), bit for bit,
+    and faster at every n.
+    """
+    n = later.shape[2]
+    out = np.empty((later.shape[0], n, n))
+    for i in range(n):
+        out[:, i, :] = np.einsum("pt,ptj->pj", later[:, :, i], earlier)
+    return out
+
+
+def path_statistics(batch: TrajectoryBatch, lags, burn_in: float = 0.0) -> PathStatistics:
+    """Per-path averages of x(t + lag) x(t)^T for each lag, after burn-in.
+
+    Each distinct lag is computed once; repeated lags share one entry.
+
+    Raises
+    ------
+    ValueError
+        On a negative burn-in, or a lag that is negative, off the dt grid or
+        not shorter than the trajectory.
+    InsufficientDataError
+        If burn-in discards the whole trajectory, a lag leaves no time pairs,
+        or the batch has fewer than two paths.
+    """
     k0 = _burn_index(batch, burn_in)
-    ell = _lag_steps(batch, lag)
-    later = batch.states[:, k0 + ell :, :]
-    earlier = batch.states[:, k0 : batch.n_steps + 1 - ell, :]
-    count = earlier.shape[1]
-    if count < 1 or batch.n_paths < 2:
-        raise InsufficientDataError("no admissible time pairs after burn-in at this lag")
-    return np.einsum("pti,ptj->pij", later, earlier) / count
+    lags = tuple(float(v) for v in lags)
+    products: dict[float, np.ndarray] = {}
+    for lag in lags:
+        if lag in products:
+            continue
+        ell = _lag_steps(batch, lag)
+        later = batch.states[:, k0 + ell :, :]
+        earlier = batch.states[:, k0 : batch.n_steps + 1 - ell, :]
+        count = earlier.shape[1]
+        if count < 1 or batch.n_paths < 2:
+            raise InsufficientDataError("no admissible time pairs after burn-in at this lag")
+        per_path = _lag_products(later, earlier) / count
+        per_path.setflags(write=False)  # shared by every estimator that reads stats
+        products[lag] = per_path
+    return PathStatistics(lags=lags, lag_products=products, n_paths=batch.n_paths, seed=batch.seed)
 
 
 def empirical_two_time(batch: TrajectoryBatch, lag: float, burn_in: float = 0.0) -> np.ndarray:
@@ -161,19 +202,17 @@ def empirical_two_time(batch: TrajectoryBatch, lag: float, burn_in: float = 0.0)
     Compare against e^{-B lag} Xi. The asymmetric part is the reversibility
     signal, so no symmetrization is applied (lag 0 is symmetric by sample).
     """
-    return _per_path_two_time(batch, lag, burn_in).mean(axis=0)
+    lag = float(lag)
+    return path_statistics(batch, (lag,), burn_in).lag_products[lag].mean(axis=0)
 
 
-def _bootstrap_indices(batch: TrajectoryBatch, n_resamples: int) -> np.ndarray:
-    rng = path_stream(batch.seed, BOOTSTRAP_STREAM)
-    return rng.integers(0, batch.n_paths, size=(n_resamples, batch.n_paths))
+def _bootstrap_indices(stats: PathStatistics, n_resamples: int) -> np.ndarray:
+    rng = path_stream(stats.seed, BOOTSTRAP_STREAM)
+    return rng.integers(0, stats.n_paths, size=(n_resamples, stats.n_paths))
 
 
 def reversibility_test(
-    batch: TrajectoryBatch,
-    lags,
-    burn_in: float = 0.0,
-    threshold: float = REVERSIBILITY_THRESHOLD,
+    stats: PathStatistics, threshold: float = REVERSIBILITY_THRESHOLD
 ) -> ReversibilityResult:
     """Test the time-reversal symmetry R(tau) = R(tau)^T of the two-time
     covariance (sufficient for Gaussian processes).
@@ -186,17 +225,16 @@ def reversibility_test(
     bootstrap accounts for the multiplicity over lags, which keeps the
     false-positive rate at the threshold calibrated. Above the threshold the
     verdict is irreversible; below it the data are consistent with
-    reversibility (the test cannot prove it).
+    reversibility (the test cannot prove it). The lags are those of stats.
     """
-    lags = [float(v) for v in lags]
-    if len(lags) < 2:
+    if len(stats.lags) < 2:
         raise ValueError("need at least two lags")
-    resamples = _bootstrap_indices(batch, BOOTSTRAP_RESAMPLES)
+    resamples = _bootstrap_indices(stats, BOOTSTRAP_RESAMPLES)
     obs_norms: list[float] = []
     boot_norms: list[np.ndarray] = []
     per_lag: dict[float, float] = {}
-    for lag in lags:
-        per_path = _per_path_two_time(batch, lag, burn_in)
+    for lag in stats.lags:
+        per_path = stats.lag_products[lag]
         asym = per_path - per_path.transpose(0, 2, 1)
         observed = asym.mean(axis=0)
         boot = asym[resamples].mean(axis=1) - observed
@@ -243,13 +281,14 @@ def greenkubo_check(
     model: LinearModel,
     checkpoints,
     *,
-    stationary_batch: TrajectoryBatch | None = None,
+    stats: PathStatistics | None = None,
     law: StationaryLaw | None = None,
-    burn_in: float = 0.0,
 ) -> GreenKuboResult:
     """Conditional-mean regression check: the ensemble mean from a shared x0
-    must decay as e^{-B t} x0, and (when a stationary batch and law are given)
-    the stationary R(t, 0) must match e^{-B t} Xi - the same time dependence.
+    must decay as e^{-B t} x0, and (when the stationary batch's path
+    statistics and the law are given) the stationary R(t, 0) must match
+    e^{-B t} Xi - the same time dependence. stats must hold every checkpoint
+    as a lag.
 
     Deviations are reported as worst componentwise z-scores against
     path-ensemble standard errors.
@@ -277,13 +316,16 @@ def greenkubo_check(
         max_z = max(max_z, float(z.max()))
         max_dev = max(max_dev, float(np.linalg.norm(snap.mean(axis=0) - target)) / scale)
     max_z_two_time = None
-    if stationary_batch is not None:
+    if stats is not None:
         if law is None:
             raise ValueError("two-time comparison needs the stationary law")
+        missing = [t for t in checkpoints if t not in stats.lag_products]
+        if missing:
+            raise ValueError(f"checkpoints {missing} are not lags of the path statistics")
         max_z_two_time = 0.0
-        root_q = math.sqrt(stationary_batch.n_paths)
+        root_q = math.sqrt(stats.n_paths)
         for t in checkpoints:
-            per_path = _per_path_two_time(stationary_batch, t, burn_in)
+            per_path = stats.lag_products[t]
             target = linalg.expm(-model.B * t) @ law.Xi
             se = per_path.std(axis=0, ddof=1) / root_q
             z = np.abs(per_path.mean(axis=0) - target) / np.maximum(se, 1e-300)
@@ -295,36 +337,3 @@ def greenkubo_check(
         checkpoints=checkpoints,
     )
 
-
-def estimate_report(
-    batch: TrajectoryBatch,
-    model: LinearModel,
-    law: StationaryLaw,
-    lags,
-    burn_in: float,
-    cond_batch: TrajectoryBatch | None = None,
-) -> EstimateReport:
-    """Bundle the full statistical picture of one stationary batch."""
-    moments = empirical_moments(batch, burn_in)
-    lags = [float(v) for v in lags]
-    r_hat = {lag: empirical_two_time(batch, lag, burn_in) for lag in lags}
-    rev = reversibility_test(batch, lags, burn_in)
-    hdr = hdr_estimate(batch, burn_in)
-    maxdev = math.nan
-    if cond_batch is not None:
-        gk = greenkubo_check(
-            cond_batch, model, lags, stationary_batch=batch, law=law, burn_in=burn_in
-        )
-        maxdev = gk.max_deviation
-    return EstimateReport(
-        n_paths=batch.n_paths,
-        n_steps=batch.n_steps,
-        dt=batch.dt,
-        burn_in=burn_in,
-        xi_hat=moments.xi_hat,
-        r_hat=r_hat,
-        hdr_hat=hdr,
-        asymmetry=rev,
-        greenkubo_maxdev=maxdev,
-        verdict_reversible=rev.verdict_reversible,
-    )

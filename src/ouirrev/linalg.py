@@ -358,10 +358,12 @@ def gram_integral(b, a, t: float) -> np.ndarray:
     phi = f[:n, :n]
     g = f[:n, n:] @ phi.T
     g = 0.5 * (g + g.T)
-    for _ in range(s):
-        g = phi @ g @ phi.T + g
-        g = 0.5 * (g + g.T)
-        phi = phi @ phi
+    # Overflow is detected by the finiteness check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            g = phi @ g @ phi.T + g
+            g = 0.5 * (g + g.T)
+            phi = phi @ phi
     if not np.all(np.isfinite(g)):
         raise NumericalFailureError("overflow in Gram integral")
     return g

@@ -57,8 +57,9 @@ def build_model(B, Gamma) -> LinearModel:
     Raises
     ------
     ModelValidationError
-        If Gamma is singular (|det| <= 1e-12 * ||Gamma||_F^n) or A fails the
-        positive-definiteness check.
+        If Gamma is singular (smallest singular value <= 1e-12 times the
+        largest, a test that depends neither on units nor on n) or A fails
+        the positive-definiteness check.
     ValueError
         On shape mismatch or non-finite entries.
     """
@@ -69,8 +70,8 @@ def build_model(B, Gamma) -> LinearModel:
         raise ValueError(f"dimension mismatch: B is {n}x{n}, Gamma is {g.shape[0]}x{g.shape[0]}")
     if n > linalg.MAX_DIM:
         raise ValueError(f"dimension {n} exceeds supported maximum {linalg.MAX_DIM}")
-    gnorm = float(np.linalg.norm(g))
-    if abs(float(np.linalg.det(g))) <= 1e-12 * gnorm**n:
+    sv = np.linalg.svd(g, compute_uv=False)
+    if sv[-1] <= 1e-12 * sv[0]:
         raise ModelValidationError("Gamma is singular or nearly singular")
     a = g @ g.T
     a = 0.5 * (a + a.T)

@@ -111,13 +111,15 @@ def propagate_grid(model: LinearModel, x0, t_step: float, n_rows: int) -> list[G
     sigma = linalg.gram_integral(model.B, model.A, h)
     mean, cov = xv.copy(), np.zeros((model.n, model.n))
     states = [GaussianState(t=0.0, mean=mean, cov=cov)]
-    for k in range(1, n_rows):
-        mean = phi @ mean
-        cov = phi @ cov @ phi.T + sigma
-        cov = 0.5 * (cov + cov.T)
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise NumericalFailureError(f"transient law overflows at t = {k * h!r}")
-        states.append(GaussianState(t=k * h, mean=mean, cov=cov))
+    # Overflow is detected by the finiteness check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_rows):
+            mean = phi @ mean
+            cov = phi @ cov @ phi.T + sigma
+            cov = 0.5 * (cov + cov.T)
+            if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+                raise NumericalFailureError(f"transient law overflows at t = {k * h!r}")
+            states.append(GaussianState(t=k * h, mean=mean, cov=cov))
     return states
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from ouirrev import linalg
 from ouirrev.cli import main
-from ouirrev.estimators import greenkubo_check, hdr_estimate, reversibility_test
+from ouirrev.estimators import greenkubo_check, hdr_estimate, path_statistics, reversibility_test
 from ouirrev.exceptions import NoStationaryLawError
 from ouirrev.model import Verdict, build_model, classify
 from ouirrev.sampler import sample_batch
@@ -177,9 +177,8 @@ def test_criterion_5_green_kubo(rot_batch_default, rev_batch_default):
         ("reversible", rev_batch_default),
     ):
         cond = sample_batch(m, dt=0.01, steps=100, n_paths=2000, seed=99, x0=[1.0, 1.0])
-        res = greenkubo_check(
-            cond, m, checkpoints, stationary_batch=batch, law=law, burn_in=10.0
-        )
+        stats = path_statistics(batch, checkpoints, burn_in=10.0)
+        res = greenkubo_check(cond, m, checkpoints, stats=stats, law=law)
         check(
             failures,
             res.max_abs_z <= 4.0,
@@ -255,7 +254,7 @@ def test_criterion_8_reversibility_test_calibration(rev_model):
     for s in range(50):
         m = rev_model if s % 2 == 0 else other
         batch = sample_batch(m, dt=0.01, steps=3000, n_paths=100, seed=1000 + s, law=laws[id(m)])
-        if not reversibility_test(batch, lags, burn_in=0.0).verdict_reversible:
+        if not reversibility_test(path_statistics(batch, lags, burn_in=0.0)).verdict_reversible:
             false_positives += 1
     check(failures, false_positives <= 2, f"{false_positives}/50 false irreversible verdicts")
     # detection power at the default budget
@@ -264,7 +263,7 @@ def test_criterion_8_reversibility_test_calibration(rev_model):
     detected = 0
     for s in range(50):
         batch = sample_batch(m, dt=0.01, steps=10_000, n_paths=200, seed=3000 + s, law=law)
-        if not reversibility_test(batch, lags, burn_in=10.0).verdict_reversible:
+        if not reversibility_test(path_statistics(batch, lags, burn_in=10.0)).verdict_reversible:
             detected += 1
     check(failures, detected >= 48, f"only {detected}/50 rotational runs detected")
     report(8, "reversibility test calibration (<=5% FP, >=95% detection)", failures)

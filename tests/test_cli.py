@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ouirrev import cli, transient
+from ouirrev import cli, estimators, transient
 from ouirrev.cli import build_parser, canonical_json, main
 from ouirrev.model import classify
 
@@ -233,12 +233,15 @@ class TestTransientCommand:
             assert main(["transient", model_file(payload), "--x0", "1,0", "--t-max", "1"]) == 0
             assert len(calls) == 1
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("payload", [SWEEP_1D, SWEEP], ids=["n1", "n2"])
     def test_overflow_exit_2(self, payload, model_file, capsys):
         x0 = ",".join(["1"] * len(payload["B"]))
         argv = ["transient", model_file(payload), "--x0", x0, "--t-max", "400", "--t-step", "1"]
         assert main(argv) == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("t_max", ["inf", "nan"])
     def test_non_finite_grid_exit_1(self, t_max, model_file, capsys):
@@ -342,6 +345,20 @@ class TestVerifyCommand:
         assert code == 0
         assert report["sections"]["fdr"]["strong_residual"] <= 1e-10
         assert report["sections"]["two_time_symmetry"]["verdict_reversible"]
+
+    @pytest.mark.parametrize("taus", ["0.1,0.5,1.0", "0.2,0.4,0.6,0.8,1.0"])
+    def test_lag_products_once_per_lag(self, taus, model_file, capsys, monkeypatch):
+        calls = []
+        kernel = estimators._lag_products
+
+        def counting(later, earlier):
+            calls.append(later.shape)
+            return kernel(later, earlier)
+
+        monkeypatch.setattr(estimators, "_lag_products", counting)
+        argv = ["verify", model_file(ROT), "--paths", "20", "--steps", "2000", "--burn-in", "2"]
+        assert main(argv + ["--tau", taus]) in (0, 4)
+        assert len(calls) == len(taus.split(","))
 
     def test_sweeping_sections_skipped(self, model_file, capsys):
         code, report = run_json(capsys, ["verify", model_file(SWEEP)])

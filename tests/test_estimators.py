@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from ouirrev import estimators
 from ouirrev.estimators import (
     empirical_moments,
     empirical_two_time,
-    estimate_report,
     greenkubo_check,
     hdr_estimate,
+    path_statistics,
     reversibility_test,
 )
 from ouirrev.exceptions import InsufficientDataError
@@ -92,12 +93,12 @@ class TestEmpiricalTwoTime:
 class TestReversibilityTest:
     def test_reversible_accepted(self, rev_batch):
         _, _, batch = rev_batch
-        res = reversibility_test(batch, [0.1, 0.5, 1.0])
+        res = reversibility_test(path_statistics(batch, [0.1, 0.5, 1.0]))
         assert res.verdict_reversible
 
     def test_rotational_rejected_strongly(self, rot_batch):
         _, _, batch = rot_batch
-        res = reversibility_test(batch, [0.1, 0.5, 1.0])
+        res = reversibility_test(path_statistics(batch, [0.1, 0.5, 1.0]))
         assert not res.verdict_reversible
         assert res.statistic > 5 * res.threshold
 
@@ -105,17 +106,17 @@ class TestReversibilityTest:
         m = build_model(np.eye(2), np.eye(2))
         law = stationary_law(m)
         batch = sample_batch(m, dt=0.02, steps=2000, n_paths=80, seed=300, law=law)
-        assert reversibility_test(batch, [0.1, 0.5]).verdict_reversible
+        assert reversibility_test(path_statistics(batch, [0.1, 0.5])).verdict_reversible
 
     def test_needs_two_lags(self, rot_batch):
         _, _, batch = rot_batch
         with pytest.raises(ValueError):
-            reversibility_test(batch, [0.5])
+            reversibility_test(path_statistics(batch, [0.5]))
 
     def test_deterministic_rerun(self, rot_batch):
         _, _, batch = rot_batch
-        a = reversibility_test(batch, [0.1, 0.5, 1.0])
-        b = reversibility_test(batch, [0.1, 0.5, 1.0])
+        a = reversibility_test(path_statistics(batch, [0.1, 0.5, 1.0]))
+        b = reversibility_test(path_statistics(batch, [0.1, 0.5, 1.0]))
         assert a.statistic == b.statistic
         assert a.per_lag == b.per_lag
 
@@ -148,9 +149,9 @@ class TestGreenKubo:
     def test_conditional_decay_both_classes(self, rot_batch, rev_batch):
         for m, law, batch in (rot_batch, rev_batch):
             cond = sample_batch(m, dt=0.02, steps=50, n_paths=2000, seed=500, x0=[1.0, 1.0])
-            res = greenkubo_check(
-                cond, m, [0.2, 0.5, 1.0], stationary_batch=batch, law=law, burn_in=0.0
-            )
+            checkpoints = [0.2, 0.5, 1.0]
+            stats = path_statistics(batch, checkpoints, burn_in=0.0)
+            res = greenkubo_check(cond, m, checkpoints, stats=stats, law=law)
             assert res.max_abs_z <= 4.0
             assert res.max_abs_z_two_time <= 4.0
 
@@ -185,12 +186,74 @@ class TestConsistency:
         slope, _ = np.polyfit(np.log(sizes), np.log(errors), 1)
         assert -0.7 <= slope <= -0.3
 
-    def test_report_bundle(self, rot_batch):
+    def test_path_statistics_bundle(self, rot_batch):
         m, law, batch = rot_batch
         cond = sample_batch(m, dt=0.02, steps=50, n_paths=500, seed=700, x0=[1.0, 1.0])
-        report = estimate_report(batch, m, law, [0.1, 0.5, 1.0], burn_in=0.0, cond_batch=cond)
-        assert report.n_paths == batch.n_paths
-        assert not report.verdict_reversible
-        assert set(report.r_hat) == {0.1, 0.5, 1.0}
-        assert report.hdr_hat.stderr > 0
-        assert math.isfinite(report.greenkubo_maxdev)
+        lags = [0.1, 0.5, 1.0]
+        stats = path_statistics(batch, lags, burn_in=0.0)
+        assert stats.n_paths == batch.n_paths
+        assert stats.seed == batch.seed
+        assert set(stats.lag_products) == set(lags)
+        for lag in lags:
+            assert stats.lag_products[lag].shape == (batch.n_paths, 2, 2)
+            assert np.array_equal(
+                stats.lag_products[lag].mean(axis=0), empirical_two_time(batch, lag, burn_in=0.0)
+            )
+        assert not reversibility_test(stats).verdict_reversible
+        gk = greenkubo_check(cond, m, lags, stats=stats, law=law)
+        assert math.isfinite(gk.max_deviation)
+
+    def test_repeated_lag_computed_once(self, rot_batch):
+        _, _, batch = rot_batch
+        stats = path_statistics(batch, [0.5, 0.1, 0.5])
+        assert stats.lags == (0.5, 0.1, 0.5)
+        assert list(stats.lag_products) == [0.5, 0.1]
+        assert not stats.lag_products[0.5].flags.writeable
+
+    def test_greenkubo_needs_checkpoint_lags(self, rot_batch):
+        m, law, batch = rot_batch
+        cond = sample_batch(m, dt=0.02, steps=50, n_paths=10, seed=701, x0=[1.0, 1.0])
+        stats = path_statistics(batch, [0.1, 0.5])
+        with pytest.raises(ValueError, match="not lags"):
+            greenkubo_check(cond, m, [0.1, 1.0], stats=stats, law=law)
+
+
+def _einsum_oracle(later, earlier):
+    return np.einsum("pti,ptj->pij", later, earlier)
+
+
+class TestLagProducts:
+    """The row-wise kernel against the single-expression einsum it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
+    def test_equal_to_einsum(self, n):
+        rng = np.random.default_rng(n)
+        steps = 400
+        states = rng.standard_normal((7, steps + 1, n))
+        for k0 in (0, 37):
+            for ell in (0, 1, 250):
+                later = states[:, k0 + ell :, :]
+                earlier = states[:, k0 : steps + 1 - ell, :]
+                assert np.array_equal(
+                    estimators._lag_products(later, earlier), _einsum_oracle(later, earlier)
+                ), (n, k0, ell)
+
+    def test_path_statistics_matches_oracle(self, rot_batch):
+        _, _, batch = rot_batch
+        k0, ell = 50, 25  # burn-in 1.0 and lag 0.5 at dt = 0.02
+        stats = path_statistics(batch, [0.5], burn_in=1.0)
+        later = batch.states[:, k0 + ell :, :]
+        earlier = batch.states[:, k0 : batch.n_steps + 1 - ell, :]
+        expected = _einsum_oracle(later, earlier) / earlier.shape[1]
+        assert np.array_equal(stats.lag_products[0.5], expected)
+
+    def test_validation(self, rot_batch):
+        _, _, batch = rot_batch
+        with pytest.raises(ValueError, match="burn-in"):
+            path_statistics(batch, [0.1], burn_in=-1.0)
+        with pytest.raises(InsufficientDataError):
+            path_statistics(batch, [0.1], burn_in=1e6)
+        with pytest.raises(ValueError, match="multiple of dt"):
+            path_statistics(batch, [0.013])
+        with pytest.raises(ValueError, match="exceeds"):
+            path_statistics(batch, [1e9])

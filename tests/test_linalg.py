@@ -217,6 +217,7 @@ class TestGramIntegral:
         with pytest.raises(ValueError):
             linalg.gram_integral(np.eye(2), np.eye(2), -0.1)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflow_is_numerical_failure(self):
         # integral of e^{2s} over [0, 360] exceeds the double range
         with pytest.raises(NumericalFailureError):

@@ -21,6 +21,11 @@ class TestBuildModel:
         with pytest.raises(ModelValidationError):
             build_model(np.eye(2), [[1.0, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("n", [19, 32])
+    def test_identity_gamma_accepted_at_large_n(self, n):
+        m = build_model(2.0 * np.eye(n), np.eye(n))
+        assert m.n == n
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             build_model(np.eye(2), np.eye(3))

@@ -104,6 +104,7 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(rotational_model(1.0), [0.0, 0.0], -0.5)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflow_is_numerical_failure(self):
         with pytest.raises(NumericalFailureError):
             propagate(build_model([[-1.0]], [[1.0]]), [1.0], 360.0)
@@ -136,6 +137,7 @@ class TestPropagateGrid:
         assert np.array_equal(state.mean, [1.0, 2.0])
         assert np.array_equal(state.cov, np.zeros((2, 2)))
 
+    @pytest.mark.filterwarnings("error")
     def test_overflow_is_numerical_failure(self):
         # the one-step kernels are finite; the stepped covariance overflows near t = 355
         with pytest.raises(NumericalFailureError):
