@@ -153,9 +153,10 @@ def _lag_steps(batch: TrajectoryBatch, lag: float) -> int:
 def _lag_products(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     """Sum over t of later[p, t, i] * earlier[p, t, j]; shape (paths, n, n).
 
-    One two-operand contraction per row i, on views of the states (no copy):
-    the same sums as np.einsum("pti,ptj->pij", later, earlier), bit for bit,
-    and faster at every n.
+    One two-operand contraction per row i, on views of the states (no copy).
+    It gives the same sums, bit for bit, as a single einsum over all (i, j)
+    at once, and is faster than it (measured at n = 2 and n = 16); the tests
+    keep that einsum as the oracle.
     """
     n = later.shape[2]
     out = np.empty((later.shape[0], n, n))
@@ -336,4 +337,3 @@ def greenkubo_check(
         max_abs_z_two_time=max_z_two_time,
         checkpoints=checkpoints,
     )
-
