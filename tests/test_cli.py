@@ -324,6 +324,36 @@ class TestVerifyJsonPin:
         assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_PIN_DIGESTS[case]
 
 
+_TRANSIENT_PIN_CASES = {
+    "rot2": (ROT, ["--x0", "2,0", "--t-max", "5", "--t-step", "0.01"]),
+    "rev2": (REV, ["--x0", "2,0", "--t-max", "5", "--t-step", "0.01"]),
+    "ring8": (_ring_model(8), ["--x0", "1,0,0,0,0,0,0,-1", "--t-max", "2", "--t-step", "0.01"]),
+    # rows 0-10 fall below the Cholesky pivot floor, so their rate cells are empty
+    "rot2-faint": (
+        {"B": ROT["B"], "Gamma": [[1e-5, 0.0], [0.0, 1e-5]]},
+        ["--x0", "2,0", "--t-max", "0.04", "--t-step", "0.001"],
+    ),
+}
+_TRANSIENT_PIN_DIGESTS = {
+    "rot2": "d5150541bcd9af604f4e851fe5ea07c6780d4e3d53f035c93c94f8e4d927f4f7",
+    "rev2": "d57d9b46ea85ae794fd191dde25951f2ee2b8ce33ea0486718cfd7e00385ccf6",
+    "ring8": "59fabae44389b56a59e35cc77bd3801c8220db41bb9c99169c340e44fa8f6f1a",
+    "rot2-faint": "8a2268111d0e38ebd237d51e4d94029bd3ad19e2614887816bb1793cd6ad38c4",
+}
+
+
+class TestTransientCsvPin:
+    """Pins the exact bytes of `transient` CSVs: the stepped law, entropy,
+    rates and (for the reversible model) free energy of every row."""
+
+    @pytest.mark.parametrize("case", sorted(_TRANSIENT_PIN_CASES))
+    def test_digest(self, case, model_file, capsys):
+        payload, args = _TRANSIENT_PIN_CASES[case]
+        assert main(["transient", model_file(payload), *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == _TRANSIENT_PIN_DIGESTS[case]
+
+
 class TestVerifyCommand:
     def test_rotational_passes(self, model_file, capsys):
         code, report = run_json(
