@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators, sampler, stationary, transient
-from .exceptions import NoStationaryLawError, NumericalFailureError, UndefinedEntropyError
+from .exceptions import NoStationaryLawError, NumericalFailureError
 from .model import LinearModel, Verdict, classify, model_from_dict
 
 DEFAULT_SEED = 0
@@ -211,22 +211,20 @@ def cmd_transient(config: RunConfig) -> int:
     header += ["entropy", "epr_t", "hdr_t", "entropy_rate"]
     if reversible:
         header.append("free_energy")
+    n_law = 1 + n + n * n
     # Point mass at t = 0: entropy and rates are undefined, not -inf.
-    undefined = "," * (len(header) - 1 - n - n * n)
+    undefined = "," * (len(header) - n_law)
     rows = [",".join(header)]
     n_rows = int(math.floor(config.t_max / config.t_step + 1e-9)) + 1
     states = transient.propagate_grid(model, x0, config.t_step, n_rows)
-    for k, state in enumerate(states):
-        law = _csv_cells([k * config.t_step, *state.mean.tolist(), *state.cov.ravel().tolist()])
-        try:
-            snap = factors.rates(state)
-        except UndefinedEntropyError:
-            rows.append(law + undefined)
-            continue
-        rates = [snap.entropy, snap.epr_t, snap.hdr_t, snap.entropy_rate]
-        if reversible:
-            rates.append(snap.free_energy)
-        rows.append(f"{law},{_csv_cells(rates)}")
+    grid = factors.grid_rates(states)
+    columns = [grid.entropy, grid.epr_t, grid.hdr_t, grid.entropy_rate]
+    if reversible:
+        columns.append(grid.free_energy)
+    table = np.column_stack([states.t, states.mean, states.cov.reshape(n_rows, -1), *columns])
+    for row, defined in zip(table, ~np.isnan(grid.entropy)):
+        cells = row.tolist()
+        rows.append(_csv_cells(cells) if defined else _csv_cells(cells[:n_law]) + undefined)
     _emit("\n".join(rows), config.out_path)
     return 0
 

@@ -1,6 +1,11 @@
 """Dense real-matrix kernels: eigenvalues, matrix exponential, Lyapunov solves,
 Gram integrals of exponentials, SPD factorization, symmetry diagnostics.
 
+chol_spd and is_spd also accept a stack (..., n, n) of matrices. The stack is
+factored by one column loop vectorized over its leading axes, and each factor
+has the same bits as the factor of that matrix alone; the transient rates of
+a whole time grid rest on this.
+
 Everything here is self-contained (numpy array arithmetic plus one LU solve for
 the Kronecker system) and pure: no shared mutable state, safe for concurrent use.
 Intended scale is dense matrices with n <= 32.
@@ -28,11 +33,13 @@ _EPS = float(np.finfo(float).eps)
 _PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0)
 
 
-def _as_square(m, name: str = "matrix") -> np.ndarray:
+def _as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """m as a finite float array of shape (n, n), n >= 1; with stack set, any
+    stack (..., n, n) of such matrices."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if a.shape[0] == 0:
+    if a.shape[-1] == 0:
         raise ValueError(f"{name} must be at least 1x1")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -53,10 +60,21 @@ class Spectrum:
     min_real_part: float
 
 
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., n, n): one dot product of
+    its flattened entries, as np.linalg.norm takes it."""
+    flat = a.reshape(*a.shape[:-2], 1, -1)
+    return np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
+
+
+def _sym_defects(a: np.ndarray) -> np.ndarray:
+    """sym_defect of each matrix of a stack (..., n, n)."""
+    return _frobenius(a - a.swapaxes(-1, -2)) / (1.0 + _frobenius(a))
+
+
 def sym_defect(m) -> float:
     """Relative asymmetry ||m - m^T||_F / (1 + ||m||_F); zero iff symmetric."""
-    a = _as_square(m)
-    return float(np.linalg.norm(a - a.T) / (1.0 + np.linalg.norm(a)))
+    return float(_sym_defects(_as_square(m)))
 
 
 def _hessenberg(a: np.ndarray) -> np.ndarray:
@@ -369,36 +387,67 @@ def gram_integral(b, a, t: float) -> np.ndarray:
     return g
 
 
+def _chol_stack(s) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of s, shape (n, n) or (..., n, n), and the per-matrix
+    pass mask (True where every pivot clears the floor).
+
+    The column loop runs once over the whole stack; each matrix sees the same
+    operations, in the same order, as if it were factored alone. A matrix
+    whose pivot at column j fails gets NaN from column j on.
+
+    Raises
+    ------
+    ValueError
+        If some matrix is not symmetric within TOL_SYM.
+    """
+    a = _as_square(s, stack=True)
+    if np.any(_sym_defects(a) > TOL_SYM):
+        raise ValueError("input to chol_spd must be symmetric")
+    n = a.shape[-1]
+    a3 = a.reshape(-1, n, n)
+    floor = PD_FLOOR_SCALE * (1.0 + np.max(np.diagonal(a3, axis1=1, axis2=2), axis=1))
+    low = np.zeros_like(a3)
+    # A failed pivot stays NaN, and every later pivot of its matrix reads it.
+    low[:, range(n), range(n)] = np.nan
+    for j in range(n):
+        lj = low[:, j, :j]
+        d = a3[:, j, j] - (lj[:, None, :] @ lj[:, :, None])[:, 0, 0]
+        np.sqrt(d, out=low[:, j, j], where=d > floor)
+        if j + 1 < n:
+            upd = (low[:, j + 1 :, :j] @ lj[:, :, None])[:, :, 0]
+            low[:, j + 1 :, j] = (a3[:, j + 1 :, j] - upd) / low[:, j, j, None]
+    ok = ~np.isnan(low[:, n - 1, n - 1])
+    return low.reshape(a.shape), ok.reshape(a.shape[:-2])
+
+
 def chol_spd(s) -> np.ndarray:
     """Lower-triangular Cholesky factor L with L L^T = s.
+
+    s is one matrix (n, n) or a stack (..., n, n); a stack is factored in one
+    pass and each of its factors equals, bit for bit, the factor of that
+    matrix alone.
 
     Raises
     ------
     ValueError
         If s is not symmetric within TOL_SYM (argument error).
     NotPositiveDefiniteError
-        If any pivot falls at or below the floor 1e-12 * (1 + max diagonal).
+        If any pivot falls at or below the floor 1e-12 * (1 + max diagonal)
+        of its matrix.
     """
-    a = _as_square(s)
-    if sym_defect(a) > TOL_SYM:
-        raise ValueError("input to chol_spd must be symmetric")
-    n = a.shape[0]
-    floor = PD_FLOOR_SCALE * (1.0 + float(np.max(np.diag(a))))
-    low = np.zeros((n, n))
-    for j in range(n):
-        d = a[j, j] - float(np.dot(low[j, :j], low[j, :j]))
-        if d <= floor:
-            raise NotPositiveDefiniteError(f"pivot {d:.3g} at column {j} below floor {floor:.3g}")
-        low[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    low, ok = _chol_stack(s)
+    if not ok.all():
+        first = np.unravel_index(int(np.argmin(ok)), ok.shape)
+        j = int(np.argmax(np.isnan(np.diagonal(low[first]))))
+        where = f" of matrix {', '.join(map(str, first))}" if ok.ndim else ""
+        raise NotPositiveDefiniteError(
+            f"pivot at column {j}{where} at or below floor 1e-12 * (1 + max diagonal)"
+        )
     return low
 
 
-def is_spd(s) -> bool:
-    """Whether s is symmetric positive definite (all Cholesky pivots above floor)."""
-    try:
-        chol_spd(s)
-    except NotPositiveDefiniteError:
-        return False
-    return True
+def is_spd(s) -> bool | np.ndarray:
+    """Whether s is symmetric positive definite (all Cholesky pivots above
+    floor): a bool for one matrix, a bool array for a stack (..., n, n)."""
+    ok = _chol_stack(s)[1]
+    return bool(ok) if ok.ndim == 0 else ok

@@ -15,7 +15,8 @@ exact one-step recursion (the Markov property)
 
 so each kernel runs once per grid rather than once per row. The stepped grid
 is deterministic and agrees with per-row propagate to a normwise relative
-1e-9 or better.
+1e-9 or better. The grid comes back as one GaussianState whose fields carry a
+leading grid axis.
 
 Instantaneous rates are Gaussian moment evaluations of the stationary-theory
 integrands at the time-t law (mean mu, covariance C); with
@@ -29,6 +30,13 @@ d/dt e[P] = (1/2) tr(C^{-1} Cdot). Both forms are quadrature-validated in the
 test suite. The factors that depend only on the model (A^{-1} B, B^T A^{-1} B,
 tr B, the verdict and the potential matrix) are computed once by rate_factors
 and reused for every state.
+
+The rates of a whole grid are evaluated in one pass: one stacked Cholesky
+factorization for the entropies, one batched solve for the inverse
+covariances, and every trace and quadratic form in batched matmul form. Each
+row has the same bits as the evaluation of that state alone, because the
+single-state entry points (entropy, free_energy, instantaneous_rates,
+RateFactors.rates) run the same kernel on one state.
 """
 
 from __future__ import annotations
@@ -50,9 +58,13 @@ from .model import LinearModel, Verdict, classify
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Law of the process at a fixed time: mean vector and covariance matrix."""
+    """Law of the process at a fixed time: mean vector and covariance matrix.
 
-    t: float
+    A grid of laws (propagate_grid) is one GaussianState whose fields carry a
+    leading grid axis: t (N,), mean (N, n), cov (N, n, n).
+    """
+
+    t: float | np.ndarray
     mean: np.ndarray
     cov: np.ndarray
 
@@ -62,15 +74,17 @@ class ThermoSnapshot:
     """Thermodynamic functionals of a Gaussian state.
 
     free_energy is defined only for reversible models and is None otherwise;
-    entropy_rate always equals epr_t - hdr_t.
+    entropy_rate always equals epr_t - hdr_t. For a grid (RateFactors.
+    grid_rates) every field is an array along the grid axis, NaN on the rows
+    where the functionals are undefined.
     """
 
-    t: float
-    entropy: float
-    free_energy: float | None
-    epr_t: float
-    hdr_t: float
-    entropy_rate: float
+    t: float | np.ndarray
+    entropy: float | np.ndarray
+    free_energy: float | np.ndarray | None
+    epr_t: float | np.ndarray
+    hdr_t: float | np.ndarray
+    entropy_rate: float | np.ndarray
 
 
 def propagate(model: LinearModel, x0, t: float) -> GaussianState:
@@ -86,8 +100,9 @@ def propagate(model: LinearModel, x0, t: float) -> GaussianState:
     return GaussianState(t=t, mean=mean, cov=cov)
 
 
-def propagate_grid(model: LinearModel, x0, t_step: float, n_rows: int) -> list[GaussianState]:
-    """Laws at t_k = k * t_step for k = 0 .. n_rows - 1, started from the point x0.
+def propagate_grid(model: LinearModel, x0, t_step: float, n_rows: int) -> GaussianState:
+    """Laws at t_k = k * t_step for k = 0 .. n_rows - 1, started from the point
+    x0, stacked along a leading grid axis: t (N,), mean (N, n), cov (N, n, n).
 
     Steps mean <- Phi mean, cov <- Phi cov Phi^T + Sigma_h from mean = x0,
     cov = 0, with Phi and Sigma_h computed once. cov is symmetrized after every
@@ -109,18 +124,20 @@ def propagate_grid(model: LinearModel, x0, t_step: float, n_rows: int) -> list[G
         raise ValueError(f"grid needs at least one row, got {n_rows}")
     phi = linalg.expm(-model.B * h)
     sigma = linalg.gram_integral(model.B, model.A, h)
-    mean, cov = xv.copy(), np.zeros((model.n, model.n))
-    states = [GaussianState(t=0.0, mean=mean, cov=cov)]
+    means = np.empty((n_rows, model.n))
+    covs = np.empty((n_rows, model.n, model.n))
+    means[0], covs[0] = xv, 0.0
     # Overflow is detected by the finiteness check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_rows):
-            mean = phi @ mean
-            cov = phi @ cov @ phi.T + sigma
-            cov = 0.5 * (cov + cov.T)
-            if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-                raise NumericalFailureError(f"transient law overflows at t = {k * h!r}")
-            states.append(GaussianState(t=k * h, mean=mean, cov=cov))
-    return states
+            means[k] = phi @ means[k - 1]
+            cov = phi @ covs[k - 1] @ phi.T + sigma
+            covs[k] = 0.5 * (cov + cov.T)
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NumericalFailureError(f"transient law overflows at t = {k * h!r}")
+    return GaussianState(t=np.arange(n_rows) * h, mean=means, cov=covs)
 
 
 def _chol_cov(cov: np.ndarray) -> np.ndarray:
@@ -148,15 +165,34 @@ def transition_density(model: LinearModel, x, t: float, x0) -> float:
     )
 
 
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _quad(mean: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """mean^T m mean for a mean (n,) or a stack of means (..., n)."""
+    return (mean[..., None, :] @ m @ mean[..., :, None])[..., 0, 0]
+
+
+def _entropies(cov: np.ndarray) -> np.ndarray:
+    """Entropy of a covariance (n, n) or of each in a stack (..., n, n); NaN
+    where a Cholesky pivot fails the floor (NaN propagates from its factor)."""
+    low = linalg._chol_stack(cov)[0]
+    n = cov.shape[-1]
+    half_logdet = np.sum(np.log(np.diagonal(low, axis1=-2, axis2=-1)), axis=-1)
+    return 0.5 * n * (1.0 + math.log(2.0 * math.pi)) + half_logdet
+
+
 def entropy(state: GaussianState) -> float:
     """Differential entropy (n/2)(1 + log 2 pi) + (1/2) log det cov.
 
     Raises UndefinedEntropyError for singular covariance (e.g. t = 0) rather
     than returning -inf.
     """
-    low = _chol_cov(state.cov)
-    n = state.cov.shape[0]
-    return 0.5 * n * (1.0 + math.log(2.0 * math.pi)) + float(np.sum(np.log(np.diag(low))))
+    ent = float(_entropies(np.asarray(state.cov, dtype=float)))
+    if math.isnan(ent):
+        raise UndefinedEntropyError("state covariance is singular (point mass)")
+    return ent
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,31 +211,56 @@ class RateFactors:
     verdict: Verdict
     S: np.ndarray | None
 
-    def rates(self, state: GaussianState) -> ThermoSnapshot:
-        """Entropy, instantaneous epr/hdr, and their balance at a Gaussian state.
+    def grid_rates(self, states: GaussianState) -> ThermoSnapshot:
+        """Entropy, instantaneous epr/hdr, and their balance along a grid of
+        states (as propagate_grid returns them), as arrays over the grid.
 
-        Raises UndefinedEntropyError for singular covariance, as entropy does.
+        Rows whose covariance fails the Cholesky floor (the point mass at
+        t = 0) are NaN in every field but t. A single state (mean (n,),
+        cov (n, n)) gives 0-d arrays.
         """
-        ent = entropy(state)
-        n = state.cov.shape[0]
-        cov_inv = np.linalg.solve(state.cov, np.eye(n))
-        cov_inv = 0.5 * (cov_inv + cov_inv.T)
+        mean = np.asarray(states.mean, dtype=float)
+        cov = np.asarray(states.cov, dtype=float)
+        ent = _entropies(cov)
+        ok = ~np.isnan(ent)
+        eye = np.eye(cov.shape[-1])
+        # Undefined rows are replaced by I so that the batched solve cannot fail on them.
+        defined_cov = np.where(ok[..., None, None], cov, eye)
+        cov_inv = np.linalg.solve(defined_cov, np.broadcast_to(eye, cov.shape))
+        cov_inv = 0.5 * (cov_inv + cov_inv.swapaxes(-1, -2))
         m_t = 2.0 * self.ainv_b - cov_inv
-        mean_term = 2.0 * float(state.mean @ self.bt_ainv_b @ state.mean)
-        epr_t = 0.5 * float(np.trace(m_t.T @ self.A @ m_t @ state.cov)) + mean_term
-        epr_t = max(epr_t, 0.0)
-        hdr_t = 2.0 * float(np.trace(self.bt_ainv_b @ state.cov)) - self.trace_b + mean_term
+        mean_term = 2.0 * _quad(mean, self.bt_ainv_b)
+        epr_t = 0.5 * _trace(m_t.swapaxes(-1, -2) @ self.A @ m_t @ cov) + mean_term
+        epr_t = np.where(epr_t < 0.0, 0.0, epr_t)
+        hdr_t = 2.0 * _trace(self.bt_ainv_b @ cov) - self.trace_b + mean_term
+        epr_t, hdr_t = np.where(ok, epr_t, np.nan), np.where(ok, hdr_t, np.nan)
         psi = None
         if self.S is not None:
-            s = self.S
-            psi = float(np.trace(s @ state.cov)) + float(state.mean @ s @ state.mean) - ent
+            psi = _trace(self.S @ cov) + _quad(mean, self.S) - ent
         return ThermoSnapshot(
-            t=state.t,
+            t=states.t,
             entropy=ent,
             free_energy=psi,
             epr_t=epr_t,
             hdr_t=hdr_t,
             entropy_rate=epr_t - hdr_t,
+        )
+
+    def rates(self, state: GaussianState) -> ThermoSnapshot:
+        """Entropy, instantaneous epr/hdr, and their balance at a Gaussian state.
+
+        Raises UndefinedEntropyError for singular covariance, as entropy does.
+        """
+        snap = self.grid_rates(state)
+        if math.isnan(snap.entropy):
+            raise UndefinedEntropyError("state covariance is singular (point mass)")
+        return ThermoSnapshot(
+            t=state.t,
+            entropy=float(snap.entropy),
+            free_energy=None if snap.free_energy is None else float(snap.free_energy),
+            epr_t=float(snap.epr_t),
+            hdr_t=float(snap.hdr_t),
+            entropy_rate=float(snap.entropy_rate),
         )
 
 
@@ -218,20 +279,20 @@ def rate_factors(model: LinearModel) -> RateFactors:
     )
 
 
-def _potential_matrix(model: LinearModel) -> np.ndarray:
-    """Symmetric S of the potential U(x) = x^T S x (see RateFactors)."""
-    s = rate_factors(model).S
-    if s is None:
+def _reversible_factors(model: LinearModel) -> RateFactors:
+    """rate_factors of a reversible model, whose S gives the potential."""
+    factors = rate_factors(model)
+    if factors.S is None:
         raise PotentialUndefinedError(
             "free energy requires a reversible model (force has no potential otherwise)"
         )
-    return s
+    return factors
 
 
 def potential(model: LinearModel, x) -> float:
     """Potential U(x) = x^T A^{-1} B x of a reversible model."""
     xv = np.asarray(x, dtype=float)
-    s = _potential_matrix(model)
+    s = _reversible_factors(model).S
     return float(xv @ s @ xv)
 
 
@@ -241,9 +302,7 @@ def free_energy(model: LinearModel, state: GaussianState) -> float:
     E[U] under the Gaussian state is tr(S cov) + mean^T S mean with
     U(x) = x^T S x, S = A^{-1} B.
     """
-    s = _potential_matrix(model)
-    mean_u = float(np.trace(s @ state.cov)) + float(state.mean @ s @ state.mean)
-    return mean_u - entropy(state)
+    return _reversible_factors(model).rates(state).free_energy
 
 
 def instantaneous_rates(model: LinearModel, state: GaussianState) -> ThermoSnapshot:

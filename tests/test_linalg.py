@@ -250,6 +250,53 @@ class TestCholesky:
             linalg.chol_spd(np.diag([1.0, 1e-14]))
 
 
+def _chol_reference(s: np.ndarray) -> np.ndarray:
+    """The per-matrix column loop in its original operation order."""
+    n = s.shape[0]
+    low = np.zeros((n, n))
+    for j in range(n):
+        low[j, j] = math.sqrt(s[j, j] - float(np.dot(low[j, :j], low[j, :j])))
+        if j + 1 < n:
+            low[j + 1 :, j] = (s[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    return low
+
+
+def _spd_stack(n: int, count: int = 12) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((count, n, n)) * rng.uniform(0.1, 10.0, (count, 1, 1))
+    s = g @ g.swapaxes(1, 2) + rng.uniform(0.0, 2.0, (count, 1, 1)) * np.eye(n)
+    return 0.5 * (s + s.swapaxes(1, 2))
+
+
+class TestCholeskyStack:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
+    def test_stack_equals_each_matrix_alone(self, n):
+        stack = _spd_stack(n)
+        lows = linalg.chol_spd(stack)
+        assert lows.shape == stack.shape
+        for s, low in zip(stack, lows):
+            assert np.array_equal(low, _chol_reference(s))
+            assert np.array_equal(low, linalg.chol_spd(s))
+            assert np.array_equal(low, linalg.chol_spd(s[None])[0])
+        assert np.array_equal(linalg.chol_spd(stack.reshape(3, 4, n, n)), lows.reshape(3, 4, n, n))
+        assert linalg.is_spd(stack).all()
+
+    def test_member_below_floor(self):
+        stack = _spd_stack(3, 5)
+        stack[2] = np.diag([1.0, 1e-14, 2.0])
+        with pytest.raises(NotPositiveDefiniteError, match="matrix 2"):
+            linalg.chol_spd(stack)
+        assert linalg.is_spd(stack).tolist() == [True, True, False, True, True]
+
+    def test_asymmetric_member_rejected(self):
+        stack = _spd_stack(3, 5)
+        stack[4, 0, 1] += 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            linalg.chol_spd(stack)
+        with pytest.raises(ValueError, match="symmetric"):
+            linalg.is_spd(stack)
+
+
 class TestSymDefect:
     def test_symmetric_zero(self):
         assert linalg.sym_defect(np.array([[1.0, 2.0], [2.0, 3.0]])) == 0.0

@@ -16,6 +16,7 @@ from ouirrev.transient import (
     potential,
     propagate,
     propagate_grid,
+    rate_factors,
     transition_density,
 )
 
@@ -122,20 +123,20 @@ class TestPropagateGrid:
         ids=["rot2", "reversible2", "sweeping2", "irreversible8"],
     )
     def test_matches_propagate_every_row(self, model, x0, h, n_rows):
-        states = propagate_grid(model, x0, h, n_rows)
-        assert len(states) == n_rows
-        for k, state in enumerate(states):
+        grid = propagate_grid(model, x0, h, n_rows)
+        assert len(grid.t) == n_rows
+        for k, (t, mean, cov) in enumerate(zip(grid.t, grid.mean, grid.cov)):
             ref = propagate(model, x0, k * h)
-            assert state.t == k * h
-            for got, want in ((state.mean, ref.mean), (state.cov, ref.cov)):
+            assert t == k * h
+            for got, want in ((mean, ref.mean), (cov, ref.cov)):
                 assert np.linalg.norm(got - want) <= GRID_RTOL * np.linalg.norm(want)
-            assert np.array_equal(state.cov, state.cov.T)
+            assert np.array_equal(cov, cov.T)
 
     def test_first_row_is_point_mass(self):
-        state = propagate_grid(rotational_model(1.0), [1.0, 2.0], 0.1, 1)[0]
-        assert state.t == 0.0
-        assert np.array_equal(state.mean, [1.0, 2.0])
-        assert np.array_equal(state.cov, np.zeros((2, 2)))
+        grid = propagate_grid(rotational_model(1.0), [1.0, 2.0], 0.1, 1)
+        assert grid.t[0] == 0.0
+        assert np.array_equal(grid.mean[0], [1.0, 2.0])
+        assert np.array_equal(grid.cov[0], np.zeros((2, 2)))
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_is_numerical_failure(self):
@@ -291,6 +292,32 @@ class TestInstantaneousRates:
         rot = rotational_model(1.0)
         rot_snap = instantaneous_rates(rot, propagate(rot, [1.0, 1.0], 0.5))
         assert rot_snap.free_energy is None
+
+
+class TestGridRates:
+    @pytest.mark.parametrize(
+        "model, x0",
+        [*thermo_corpus(), (irreversible_8d(), np.linspace(-1.0, 1.0, 8))],
+        ids=["reversible2", "rot2", "irreversible2", "scalar", "irreversible8"],
+    )
+    def test_every_row_bit_identical(self, model, x0):
+        grid = propagate_grid(model, x0, 0.01, 500)
+        snaps = rate_factors(model).grid_rates(grid)
+        assert np.isnan(snaps.entropy[0]) and np.isnan(snaps.epr_t[0])
+        for k in range(1, 500):
+            state = GaussianState(t=grid.t[k], mean=grid.mean[k], cov=grid.cov[k])
+            got = (snaps.epr_t[k], snaps.hdr_t[k], snaps.entropy_rate[k])
+            psi = None if snaps.free_energy is None else snaps.free_energy[k]
+            assert (*got, psi) == rates_reference(model, state)
+            assert snaps.entropy[k] == entropy(state)
+
+    def test_rows_below_pivot_floor_undefined(self):
+        # cov(t) ~ 1e-10 t I stays at or below the floor 1e-12 (1 + max diag)
+        # through t = 0.01, so rows 0-10 of the h = 0.001 grid are undefined
+        model = build_model([[1.0, 1.0], [-1.0, 1.0]], 1e-5 * np.eye(2))
+        snaps = rate_factors(model).grid_rates(propagate_grid(model, [2.0, 0.0], 0.001, 41))
+        for field in (snaps.entropy, snaps.epr_t, snaps.hdr_t, snaps.entropy_rate):
+            assert np.flatnonzero(np.isnan(field)).tolist() == list(range(11))
 
 
 class TestRelativeEntropy:
