@@ -7,8 +7,6 @@ verification of the analytic predictions.
 
 from .estimators import (
     PathStatistics,
-    empirical_moments,
-    empirical_two_time,
     greenkubo_check,
     hdr_estimate,
     path_statistics,
@@ -40,8 +38,6 @@ from .sampler import (
 from .stationary import (
     ForceFlux,
     StationaryLaw,
-    entropy_production_rate,
-    fdr_residuals,
     force_flux,
     heat_dissipation_rate_stationary,
     stationary_density,
@@ -87,13 +83,9 @@ __all__ = [
     "classify",
     "drift",
     "eig",
-    "empirical_moments",
-    "empirical_two_time",
     "entropy",
-    "entropy_production_rate",
     "euler_maruyama_path",
     "expm",
-    "fdr_residuals",
     "force_flux",
     "free_energy",
     "gram_integral",

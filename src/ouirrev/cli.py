@@ -250,7 +250,7 @@ def cmd_verify(config: RunConfig) -> int:
     law = stationary.stationary_law(model)
     reversible = cls.verdict is Verdict.REVERSIBLE
 
-    standard, strong = stationary.fdr_residuals(law)
+    standard, strong = law.fdr_standard_residual, law.fdr_strong_residual
     strong_zero = strong <= FDR_RESIDUAL_TOL
     fdr_pass = standard <= FDR_RESIDUAL_TOL and strong_zero == reversible
     sections["fdr"] = {

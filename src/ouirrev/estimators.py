@@ -1,6 +1,6 @@
-"""Statistical verdicts from trajectory ensembles: empirical moments,
-two-time covariance, reversibility asymmetry test, heat-rate estimation,
-and the conditional-mean regression (Onsager/Green-Kubo) check.
+"""Statistical verdicts from trajectory ensembles: per-path two-time
+products, reversibility asymmetry test, heat-rate estimation, and the
+conditional-mean regression (Onsager/Green-Kubo) check.
 
 Both two-time estimators (the reversibility test and the R(t, 0) half of the
 Green-Kubo check) read one PathStatistics value: the per-path lag products
@@ -32,17 +32,6 @@ BOOTSTRAP_RESAMPLES = 200
 # Studentized asymmetry above this is declared irreversible; below it the
 # verdict is "consistent with reversible" (failure to reject, not proof).
 REVERSIBILITY_THRESHOLD = 3.0
-MIN_EFFECTIVE_SAMPLES = 100
-
-
-@dataclass(frozen=True, eq=False)
-class MomentEstimate:
-    mean: np.ndarray
-    xi_hat: np.ndarray  # symmetrized second-moment matrix
-    se_mean: np.ndarray
-    se_xi: np.ndarray
-    n_effective: int
-    converged: bool  # False when early/late window moments diverge
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,48 +83,6 @@ def _burn_index(batch: TrajectoryBatch, burn_in: float) -> int:
             f"burn-in {burn_in} discards the whole trajectory (span {batch.t_final})"
         )
     return k0
-
-
-def empirical_moments(batch: TrajectoryBatch, burn_in: float) -> MomentEstimate:
-    """Time-and-ensemble mean and second moment after burn-in.
-
-    xi_hat is the raw symmetrized average of x x^T (the process mean is zero
-    under the stationary law), so it coincides with the lag-0 two-time
-    estimate. Standard errors come from the spread of per-path time averages
-    (batch means over i.i.d. paths).
-    """
-    k0 = _burn_index(batch, burn_in)
-    kept = batch.states[:, k0:, :]
-    n_paths, n_times = kept.shape[0], kept.shape[1]
-    total = n_paths * n_times
-    if total < MIN_EFFECTIVE_SAMPLES or n_paths < 2:
-        raise InsufficientDataError(
-            f"{total} retained samples over {n_paths} paths; need >= "
-            f"{MIN_EFFECTIVE_SAMPLES} samples and >= 2 paths"
-        )
-    per_path_mean = kept.mean(axis=1)
-    per_path_second = _lag_products(kept, kept) / n_times
-    mean = per_path_mean.mean(axis=0)
-    xi_hat = per_path_second.mean(axis=0)
-    xi_hat = 0.5 * (xi_hat + xi_hat.T)
-    se_mean = per_path_mean.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    se_xi = per_path_second.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    # Non-convergence diagnostic: stationary moments should not drift between
-    # the early and late halves of the retained window.
-    half = n_times // 2
-    tr_early = float(np.einsum("pti,pti->", kept[:, :half], kept[:, :half])) / max(half, 1)
-    tr_late = float(np.einsum("pti,pti->", kept[:, half:], kept[:, half:])) / max(
-        n_times - half, 1
-    )
-    converged = bool(tr_late <= 2.0 * tr_early + 1e-12 and tr_early <= 2.0 * tr_late + 1e-12)
-    return MomentEstimate(
-        mean=mean,
-        xi_hat=xi_hat,
-        se_mean=se_mean,
-        se_xi=se_xi,
-        n_effective=total,
-        converged=converged,
-    )
 
 
 def _lag_steps(batch: TrajectoryBatch, lag: float) -> int:
@@ -195,16 +142,6 @@ def path_statistics(batch: TrajectoryBatch, lags, burn_in: float = 0.0) -> PathS
         per_path.setflags(write=False)  # shared by every estimator that reads stats
         products[lag] = per_path
     return PathStatistics(lags=lags, lag_products=products, n_paths=batch.n_paths, seed=batch.seed)
-
-
-def empirical_two_time(batch: TrajectoryBatch, lag: float, burn_in: float = 0.0) -> np.ndarray:
-    """Ensemble-and-time average of x(t + lag) x(t)^T in the stationary regime.
-
-    Compare against e^{-B lag} Xi. The asymmetric part is the reversibility
-    signal, so no symmetrization is applied (lag 0 is symmetric by sample).
-    """
-    lag = float(lag)
-    return path_statistics(batch, (lag,), burn_in).lag_products[lag].mean(axis=0)
 
 
 def _bootstrap_indices(stats: PathStatistics, n_resamples: int) -> np.ndarray:

@@ -6,8 +6,9 @@ factored by one column loop vectorized over its leading axes, and each factor
 has the same bits as the factor of that matrix alone; the transient rates of
 a whole time grid rest on this.
 
-Everything here is self-contained (numpy array arithmetic plus one LU solve for
-the Kronecker system) and pure: no shared mutable state, safe for concurrent use.
+Eigenvalues come from LAPACK through np.linalg.eigvals, and the Lyapunov solve
+is one LU solve of the Kronecker system; the rest is numpy array arithmetic.
+Everything is pure: no shared mutable state, safe for concurrent use.
 Intended scale is dense matrices with n <= 32.
 """
 
@@ -26,8 +27,6 @@ TOL_SYM = 1e-9
 TOL_LYAP = 1e-9
 PD_FLOOR_SCALE = 1e-12
 MAX_DIM = 32
-
-_EPS = float(np.finfo(float).eps)
 
 # Diagonal Pade coefficients of order 6 for the matrix exponential.
 _PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0)
@@ -52,7 +51,7 @@ class Spectrum:
 
     Attributes
     ----------
-    eigenvalues : complex ndarray, sorted by (real, imag)
+    eigenvalues : complex ndarray in canonical order (see eig)
     min_real_part : smallest real part over the spectrum
     """
 
@@ -77,191 +76,28 @@ def sym_defect(m) -> float:
     return float(_sym_defects(_as_square(m)))
 
 
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by Householder similarity transforms."""
-    h = a.copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1 :, k].copy()
-        sigma = math.sqrt(float(np.dot(x, x)))
-        if sigma == 0.0:
-            continue
-        alpha = -math.copysign(sigma, x[0]) if x[0] != 0.0 else -sigma
-        v = x
-        v[0] -= alpha
-        vsq = float(np.dot(v, v))
-        if vsq == 0.0:
-            continue
-        beta = 2.0 / vsq
-        # H = I - beta v v^T applied on both sides (similarity).
-        h[k + 1 :, k:] -= beta * np.outer(v, v @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= beta * np.outer(h[:, k + 1 :] @ v, v)
-        h[k + 1, k] = alpha
-        h[k + 2 :, k] = 0.0
-    return h
-
-
-def _hqr_eigvals(h: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of an upper Hessenberg matrix by Francis double-shift QR.
-
-    Classic EISPACK-style bulge-chasing iteration without eigenvector
-    accumulation; h is destroyed. Returns (real parts, imag parts).
-    """
-    n = h.shape[0]
-    wr = np.zeros(n)
-    wi = np.zeros(n)
-    anorm = 0.0
-    for i in range(n):
-        for j in range(max(i - 1, 0), n):
-            anorm += abs(h[i, j])
-    if anorm == 0.0:
-        return wr, wi
-    nn = n - 1
-    t = 0.0
-    sweeps = 0
-    p = q = r = 0.0
-    while nn >= 0:
-        its = 0
-        while True:
-            # Look for a single negligible subdiagonal element.
-            l = 0
-            for ll in range(nn, 0, -1):
-                s = abs(h[ll - 1, ll - 1]) + abs(h[ll, ll])
-                if s == 0.0:
-                    s = anorm
-                if abs(h[ll, ll - 1]) <= _EPS * s:
-                    h[ll, ll - 1] = 0.0
-                    l = ll
-                    break
-            x = h[nn, nn]
-            if l == nn:
-                # One real eigenvalue deflates.
-                wr[nn] = x + t
-                wi[nn] = 0.0
-                nn -= 1
-                break
-            y = h[nn - 1, nn - 1]
-            w = h[nn, nn - 1] * h[nn - 1, nn]
-            if l == nn - 1:
-                # Trailing 2x2 block deflates: real pair or conjugate pair.
-                p = 0.5 * (y - x)
-                q = p * p + w
-                z = math.sqrt(abs(q))
-                x += t
-                if q >= 0.0:
-                    z = p + math.copysign(z, p)
-                    wr[nn - 1] = wr[nn] = x + z
-                    if z != 0.0:
-                        wr[nn] = x - w / z
-                    wi[nn - 1] = wi[nn] = 0.0
-                else:
-                    wr[nn - 1] = wr[nn] = x + p
-                    wi[nn - 1] = -z
-                    wi[nn] = z
-                nn -= 2
-                break
-            if sweeps >= max_sweeps:
-                raise NumericalFailureError(
-                    f"QR eigenvalue iteration did not converge within {max_sweeps} sweeps"
-                )
-            if its > 0 and its % 10 == 0:
-                # Exceptional shift to break occasional cycling.
-                t += x
-                for i in range(nn + 1):
-                    h[i, i] -= x
-                s = abs(h[nn, nn - 1]) + abs(h[nn - 1, nn - 2])
-                y = x = 0.75 * s
-                w = -0.4375 * s * s
-            its += 1
-            sweeps += 1
-            # Form the implicit double shift; look for two consecutive
-            # small subdiagonals so the bulge chase can start mid-block.
-            m = nn - 2
-            while m >= l:
-                z = h[m, m]
-                r = x - z
-                s = y - z
-                p = (r * s - w) / h[m + 1, m] + h[m, m + 1]
-                q = h[m + 1, m + 1] - z - r - s
-                r = h[m + 2, m + 1]
-                s = abs(p) + abs(q) + abs(r)
-                p /= s
-                q /= s
-                r /= s
-                if m == l:
-                    break
-                u = abs(h[m, m - 1]) * (abs(q) + abs(r))
-                v = abs(p) * (abs(h[m - 1, m - 1]) + abs(z) + abs(h[m + 1, m + 1]))
-                if u <= _EPS * v:
-                    break
-                m -= 1
-            for i in range(m + 2, nn + 1):
-                h[i, i - 2] = 0.0
-            for i in range(m + 3, nn + 1):
-                h[i, i - 3] = 0.0
-            # Double QR step (bulge chase) on rows l..nn, columns m..nn.
-            for k in range(m, nn):
-                if k != m:
-                    p = h[k, k - 1]
-                    q = h[k + 1, k - 1]
-                    r = h[k + 2, k - 1] if k != nn - 1 else 0.0
-                    x = abs(p) + abs(q) + abs(r)
-                    if x != 0.0:
-                        p /= x
-                        q /= x
-                        r /= x
-                s = math.copysign(math.sqrt(p * p + q * q + r * r), p)
-                if s == 0.0:
-                    continue
-                if k == m:
-                    if l != m:
-                        h[k, k - 1] = -h[k, k - 1]
-                else:
-                    h[k, k - 1] = -s * x
-                p += s
-                x = p / s
-                y = q / s
-                z = r / s
-                q /= p
-                r /= p
-                for j in range(k, nn + 1):
-                    pp = h[k, j] + q * h[k + 1, j]
-                    if k != nn - 1:
-                        pp += r * h[k + 2, j]
-                        h[k + 2, j] -= pp * z
-                    h[k + 1, j] -= pp * y
-                    h[k, j] -= pp * x
-                mmin = nn if nn < k + 3 else k + 3
-                for i in range(l, mmin + 1):
-                    pp = x * h[i, k] + y * h[i, k + 1]
-                    if k != nn - 1:
-                        pp += z * h[i, k + 2]
-                        h[i, k + 2] -= pp * r
-                    h[i, k + 1] -= pp * q
-                    h[i, k] -= pp
-    return wr, wi
-
-
 def eig(m) -> Spectrum:
-    """All eigenvalues of a real square matrix.
+    """All eigenvalues of a real square matrix, in canonical order.
 
-    Hessenberg reduction followed by shifted (Francis double-shift) QR
-    iteration, capped at 100*n sweeps. Only eigenvalues are computed; the
-    result is closed under conjugation by construction.
+    The values come from np.linalg.eigvals (LAPACK geev). They are ordered by
+    real part rounded to a grid of TOL_EIG times the spectral radius, then by
+    imaginary part, so that values whose real parts differ only by rounding
+    noise keep one order however the matrix was permuted.
 
     Raises
     ------
     NumericalFailureError
-        If the QR iteration does not converge within the sweep budget.
+        If the eigenvalue iteration does not converge.
     """
     a = _as_square(m)
-    n = a.shape[0]
-    h = _hessenberg(a)
-    wr, wi = _hqr_eigvals(h, max_sweeps=100 * n)
-    values = wr + 1j * wi
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    return Spectrum(eigenvalues=values, min_real_part=float(np.min(wr)))
+    try:
+        values = np.linalg.eigvals(a).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigenvalue iteration did not converge: {exc}") from exc
+    grid = TOL_EIG * float(np.max(np.abs(values)))
+    real_key = np.round(values.real / grid) if grid > 0.0 else values.real
+    values = values[np.lexsort((values.imag, real_key))]
+    return Spectrum(eigenvalues=values, min_real_part=float(np.min(values.real)))
 
 
 def expm(m) -> np.ndarray:

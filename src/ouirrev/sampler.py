@@ -23,9 +23,14 @@ the cumulative heat of a block is a cumsum that starts from the previous W,
 the same left-to-right sum as one cumsum over all steps.
 
 Heat increments use the Stratonovich midpoint rule,
-dW = 2 (A^{-1} b(x_mid)) . dx with x_mid the chord midpoint, which is exact
-in expectation for linear drift and exactly the increment of the quadratic
-potential when one exists.
+dW = 2 (A^{-1} b(x_mid)) . dx with x_mid the chord midpoint. With
+N = -2 B^T A^{-1}, the stationary mean of one increment over a step h is
+(1/2) tr((N - N^T) e^{-B h} Xi). For a reversible model N is symmetric, the
+mean is zero like the entropy production rate, and each increment is exactly
+the increment of the quadratic potential. For an irreversible model the mean
+falls below epr * h by a relative O(h ||B||): on the rotational model
+B = [[1, 1], [-1, 1]], Gamma = I at dt = 0.01 the rate is 1.98007 against
+epr = 2.
 """
 
 from __future__ import annotations
@@ -319,8 +324,9 @@ def sample_batch(
 ) -> TrajectoryBatch:
     """Sample an ensemble of paths with per-path streams derived from seed.
 
-    Starts are either a shared point x0 or, when law is given, independent
-    stationary draws. Results are byte-identical for any worker count.
+    Starts are either a shared point x0 (the origin when neither is given)
+    or, when law is given, independent stationary draws; giving both is a
+    ValueError. Results are byte-identical for any worker count.
     """
     if method not in ("exact", "euler"):
         raise ValueError(f"unknown method {method!r}")
@@ -328,8 +334,10 @@ def sample_batch(
         raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
     if not (0 <= int(seed) < 2**64):
         raise ValueError("seed must fit in an unsigned 64-bit integer")
+    if x0 is not None and law is not None:
+        raise ValueError("give either x0 or law, not both")
     chol_xi = None if law is None else law.chol_Xi
-    start = np.zeros(model.n) if x0 is None or law is not None else x0
+    start = np.zeros(model.n) if x0 is None else x0
     start_vec = _validate_run(model, start, dt, steps)
     job = (int(seed), start_vec, chol_xi, _update(model, dt, method))
 

@@ -91,12 +91,6 @@ def stationary_law(model: LinearModel) -> StationaryLaw:
     )
 
 
-def entropy_production_rate(law: StationaryLaw) -> float:
-    """Stationary entropy production rate (1/2) tr(M^T A M Xi); nonnegative,
-    zero exactly for reversible models."""
-    return law.epr
-
-
 def heat_dissipation_rate_stationary(law: StationaryLaw) -> float:
     """Stationary mean heat dissipation rate 2 tr(B^T A^{-1} B Xi) - tr(B).
 
@@ -134,15 +128,6 @@ def force_flux(law: StationaryLaw, x) -> ForceFlux:
     mechanical = -2.0 * (ainv_b @ xv)
     flux = 0.5 * (law.model.A @ affinity)
     return ForceFlux(affinity=affinity, flux=flux, mechanical_force=mechanical)
-
-
-def fdr_residuals(law: StationaryLaw) -> tuple[float, float]:
-    """(standard, strong) fluctuation-dissipation residuals, both relative.
-
-    standard = ||B Xi + Xi B^T - A||_F / (1 + ||A||_F)  (holds for every law)
-    strong   = ||A - 2 B Xi||_F / (1 + ||A||_F)         (zero iff reversible)
-    """
-    return law.fdr_standard_residual, law.fdr_strong_residual
 
 
 def stationary_density(law: StationaryLaw, x) -> float:

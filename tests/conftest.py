@@ -26,6 +26,22 @@ def random_reversible_model(rng: np.random.Generator, n: int) -> LinearModel:
     return build_model(a @ k, gamma)
 
 
+def ring_model(n: int) -> dict:
+    """Irreversible n-dimensional model: B = 1.5 I plus a cyclic rotation
+    (B[i][i+1] = 1, B[i+1][i] = -1), Gamma lower bidiagonal (1 on the
+    diagonal, 0.5 below it)."""
+    b = [[0.0] * n for _ in range(n)]
+    gamma = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        b[i][i] = 1.5
+        b[i][(i + 1) % n] += 1.0
+        b[(i + 1) % n][i] -= 1.0
+        gamma[i][i] = 1.0
+        if i:
+            gamma[i][i - 1] = 0.5
+    return {"B": b, "Gamma": gamma}
+
+
 @pytest.fixture
 def rot1() -> LinearModel:
     return rotational_model(1.0)

@@ -10,6 +10,8 @@ from ouirrev import cli, estimators, transient
 from ouirrev.cli import build_parser, canonical_json, main
 from ouirrev.model import classify
 
+from conftest import ring_model
+
 GOLDEN = Path(__file__).parent / "golden" / "cli_defaults.json"
 
 ROT = {"B": [[1.0, 1.0], [-1.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
@@ -65,6 +67,16 @@ class TestClassifyCommand:
 
     def test_missing_file_exit_3(self, capsys):
         assert main(["classify", "/nonexistent/model.json"]) == 3
+
+    def test_eig_failure_exit_2(self, model_file, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        assert main(["classify", model_file(ROT)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestAnalyzeCommand:
@@ -282,30 +294,14 @@ class TestSimulateCsvPin:
         assert digest.hexdigest() == _CSV_PIN_DIGESTS[case]
 
 
-def _ring_model(n: int) -> dict:
-    """Irreversible n-dimensional model: B = 1.5 I plus a cyclic rotation
-    (B[i][i+1] = 1, B[i+1][i] = -1), Gamma lower bidiagonal (1 on the
-    diagonal, 0.5 below it)."""
-    b = [[0.0] * n for _ in range(n)]
-    gamma = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        b[i][i] = 1.5
-        b[i][(i + 1) % n] += 1.0
-        b[(i + 1) % n][i] -= 1.0
-        gamma[i][i] = 1.0
-        if i:
-            gamma[i][i - 1] = 0.5
-    return {"B": b, "Gamma": gamma}
-
-
 _VERIFY_PIN_ARGS = ["--paths", "20", "--steps", "2000", "--burn-in", "2"]
 _VERIFY_PIN_CASES = {
     "rot2": (ROT, "7"),
-    "ring8": (_ring_model(8), "2"),
+    "ring8": (ring_model(8), "2"),
 }
 _VERIFY_PIN_DIGESTS = {
     "rot2": "d68e362447042b569b6d5fc7715239e1246736f7a3e82a038d55379ee10a538b",
-    "ring8": "0f8576e09d59097db698eef606a63cf7a1536c76cee856ab86b2834fc4dc6947",
+    "ring8": "541a1f6c5d8031f148676e026c1c141b00e7b2764ca2938f6f4bc48bbd7d0715",
 }
 
 
@@ -327,7 +323,7 @@ class TestVerifyJsonPin:
 _TRANSIENT_PIN_CASES = {
     "rot2": (ROT, ["--x0", "2,0", "--t-max", "5", "--t-step", "0.01"]),
     "rev2": (REV, ["--x0", "2,0", "--t-max", "5", "--t-step", "0.01"]),
-    "ring8": (_ring_model(8), ["--x0", "1,0,0,0,0,0,0,-1", "--t-max", "2", "--t-step", "0.01"]),
+    "ring8": (ring_model(8), ["--x0", "1,0,0,0,0,0,0,-1", "--t-max", "2", "--t-step", "0.01"]),
     # rows 0-10 fall below the Cholesky pivot floor, so their rate cells are empty
     "rot2-faint": (
         {"B": ROT["B"], "Gamma": [[1e-5, 0.0], [0.0, 1e-5]]},

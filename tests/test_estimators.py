@@ -5,8 +5,6 @@ import pytest
 
 from ouirrev import estimators
 from ouirrev.estimators import (
-    empirical_moments,
-    empirical_two_time,
     greenkubo_check,
     hdr_estimate,
     path_statistics,
@@ -34,48 +32,40 @@ def rev_batch():
     return m, law, sample_batch(m, dt=0.02, steps=2500, n_paths=100, seed=200, law=law)
 
 
+def _lag_mean_and_se(batch, lag: float):
+    """Ensemble mean of the per-path lag products and its standard error."""
+    per_path = path_statistics(batch, (lag,)).lag_products[lag]
+    return per_path.mean(axis=0), per_path.std(axis=0, ddof=1) / math.sqrt(batch.n_paths)
+
+
 class TestEmpiricalMoments:
     def test_rotational_moments(self, rot_batch):
         _, law, batch = rot_batch
-        est = empirical_moments(batch, burn_in=0.0)
-        assert np.all(np.abs(est.mean) <= 4 * est.se_mean)
-        assert np.all(np.abs(est.xi_hat - law.Xi) <= 4 * est.se_xi)
-        assert est.converged
+        per_path_mean = batch.states.mean(axis=1)
+        se_mean = per_path_mean.std(axis=0, ddof=1) / math.sqrt(batch.n_paths)
+        assert np.all(np.abs(per_path_mean.mean(axis=0)) <= 4 * se_mean)
+        xi_hat, se_xi = _lag_mean_and_se(batch, 0.0)
+        assert np.all(np.abs(xi_hat - law.Xi) <= 4 * se_xi)
 
     def test_scalar_variance(self):
         m = build_model([[1.0]], [[1.0]])
         law = stationary_law(m)
         batch = sample_batch(m, dt=0.02, steps=2500, n_paths=100, seed=5, law=law)
-        est = empirical_moments(batch, burn_in=0.0)
-        assert abs(est.xi_hat[0, 0] - 0.5) <= 4 * est.se_xi[0, 0]
-
-    def test_sweeping_flags_nonconvergence(self, sweeping_model):
-        batch = sample_batch(sweeping_model, dt=0.01, steps=600, n_paths=50, seed=7, x0=[0.0, 0.0])
-        est = empirical_moments(batch, burn_in=1.0)
-        assert not est.converged
-
-    def test_symmetric_by_construction(self, rot_batch):
-        _, _, batch = rot_batch
-        est = empirical_moments(batch, burn_in=0.0)
-        assert np.array_equal(est.xi_hat, est.xi_hat.T)
-
-    def test_too_few_samples(self, rot1):
-        law = stationary_law(rot1)
-        batch = sample_batch(rot1, dt=0.01, steps=10, n_paths=4, seed=1, law=law)
-        with pytest.raises(InsufficientDataError):
-            empirical_moments(batch, burn_in=0.0)
+        xi_hat, se_xi = _lag_mean_and_se(batch, 0.0)
+        assert abs(xi_hat[0, 0] - 0.5) <= 4 * se_xi[0, 0]
 
 
 class TestEmpiricalTwoTime:
     def test_zero_lag_matches_xi_hat(self, rot_batch):
         _, _, batch = rot_batch
-        est = empirical_moments(batch, burn_in=0.0)
-        r0 = empirical_two_time(batch, 0.0, burn_in=0.0)
-        assert np.max(np.abs(r0 - est.xi_hat)) < 1e-12
+        r0 = path_statistics(batch, (0.0,)).lag_products[0.0].mean(axis=0)
+        samples = batch.n_paths * (batch.n_steps + 1)
+        xi_hat = np.einsum("pti,ptj->ij", batch.states, batch.states) / samples
+        assert np.max(np.abs(r0 - xi_hat)) < 1e-12
 
     def test_rotational_asymmetry_detected(self, rot_batch):
         _, law, batch = rot_batch
-        r = empirical_two_time(batch, 0.5, burn_in=0.0)
+        r = path_statistics(batch, (0.5,)).lag_products[0.5].mean(axis=0)
         target = two_time_covariance(law, 0.5)
         assert np.max(np.abs(r - target)) < 0.05
         # asymmetric part e^{-tau} sin(tau) is far above the noise floor
@@ -85,9 +75,9 @@ class TestEmpiricalTwoTime:
     def test_lag_validation(self, rot_batch):
         _, _, batch = rot_batch
         with pytest.raises(ValueError):
-            empirical_two_time(batch, 0.013)
+            path_statistics(batch, (0.013,))
         with pytest.raises(ValueError):
-            empirical_two_time(batch, 1e9)
+            path_statistics(batch, (1e9,))
 
 
 class TestReversibilityTest:
@@ -180,8 +170,8 @@ class TestConsistency:
                 batch = sample_batch(
                     m, dt=0.02, steps=1000, n_paths=n_paths, seed=10_000 + 17 * rep, law=law
                 )
-                est = empirical_moments(batch, burn_in=0.0)
-                sq += float(np.linalg.norm(est.xi_hat - law.Xi)) ** 2
+                xi_hat = path_statistics(batch, (0.0,)).lag_products[0.0].mean(axis=0)
+                sq += float(np.linalg.norm(xi_hat - law.Xi)) ** 2
             errors.append(math.sqrt(sq / 8))
         slope, _ = np.polyfit(np.log(sizes), np.log(errors), 1)
         assert -0.7 <= slope <= -0.3
@@ -196,9 +186,8 @@ class TestConsistency:
         assert set(stats.lag_products) == set(lags)
         for lag in lags:
             assert stats.lag_products[lag].shape == (batch.n_paths, 2, 2)
-            assert np.array_equal(
-                stats.lag_products[lag].mean(axis=0), empirical_two_time(batch, lag, burn_in=0.0)
-            )
+            alone = path_statistics(batch, (lag,)).lag_products[lag]
+            assert np.array_equal(stats.lag_products[lag].mean(axis=0), alone.mean(axis=0))
         assert not reversibility_test(stats).verdict_reversible
         gk = greenkubo_check(cond, m, lags, stats=stats, law=law)
         assert math.isfinite(gk.max_deviation)

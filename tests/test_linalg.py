@@ -7,6 +7,7 @@ import scipy.linalg
 from ouirrev import linalg
 from ouirrev.exceptions import DegenerateModelError, NotPositiveDefiniteError, NumericalFailureError
 
+from conftest import ring_model
 from oracles import companion_eigvals, gram_quadrature, match_spectra
 
 
@@ -68,6 +69,25 @@ class TestEig:
             linalg.eig(np.ones((2, 3)))
         with pytest.raises(ValueError):
             linalg.eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_canonical_order_under_permutation(self):
+        # Every eigenvalue of the ring has real part 1.5 up to rounding noise,
+        # so only the rounded real key keeps the order fixed.
+        b = np.array(ring_model(8)["B"])
+        ref = linalg.eig(b).eigenvalues
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            p = np.eye(8)[rng.permutation(8)]
+            vals = linalg.eig(p @ b @ p.T).eigenvalues
+            assert np.max(np.abs(vals - ref)) <= 1e-14
+
+    def test_lapack_failure_is_numerical_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NumericalFailureError):
+            linalg.eig(np.eye(2))
 
 
 class TestExpm:

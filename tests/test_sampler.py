@@ -152,6 +152,13 @@ class TestStationaryStart:
         b = sample_stationary_start(law, path_stream(2, 0))
         assert np.array_equal(a, b)
 
+    def test_x0_with_law_rejected(self):
+        # a shared start and stationary draws are exclusive; neither wins silently
+        m = rotational_model(1.0)
+        law = stationary_law(m)
+        with pytest.raises(ValueError, match="not both"):
+            sample_batch(m, dt=0.01, steps=10, n_paths=2, seed=1, x0=[1.0, 0.0], law=law)
+
 
 class TestEulerMaruyama:
     def test_scalar_variance_bias(self):

@@ -8,8 +8,6 @@ from ouirrev.exceptions import NoStationaryLawError
 from ouirrev.model import Verdict, build_model, classify
 from ouirrev.stationary import (
     EPS_EPR,
-    entropy_production_rate,
-    fdr_residuals,
     force_flux,
     heat_dissipation_rate_stationary,
     stationary_density,
@@ -57,17 +55,17 @@ class TestStationaryLaw:
 class TestEntropyProduction:
     def test_reversible_is_zero(self, reversible_2d):
         law = stationary_law(reversible_2d)
-        assert entropy_production_rate(law) <= 1e-10
+        assert law.epr <= 1e-10
 
     def test_scalar_is_zero(self):
         for lam in (0.3, 3.0):
             law = stationary_law(build_model([[lam]], [[1.0]]))
-            assert entropy_production_rate(law) <= 1e-12
+            assert law.epr <= 1e-12
 
     def test_rotational_value(self):
         for omega in (0.5, 1.0, 2.0):
             law = stationary_law(rotational_model(omega))
-            assert entropy_production_rate(law) == pytest.approx(2 * omega**2, abs=1e-10)
+            assert law.epr == pytest.approx(2 * omega**2, abs=1e-10)
 
     def test_closed_form_matches_quadrature(self):
         # anti-hallucination gate: the Gaussian trace formula must agree with
@@ -178,19 +176,22 @@ class TestForceFlux:
 
 class TestFdrResiduals:
     def test_reversible_both_small(self, reversible_2d):
-        standard, strong = fdr_residuals(stationary_law(reversible_2d))
+        law = stationary_law(reversible_2d)
+        standard, strong = law.fdr_standard_residual, law.fdr_strong_residual
         assert standard <= 1e-10
         assert strong <= 1e-10
 
     def test_rotational_strong_value(self):
         # A - 2 B Xi = I - B, Frobenius norm omega sqrt(2), scale 1 + sqrt(2)
         for omega in (0.5, 1.0, 2.0):
-            standard, strong = fdr_residuals(stationary_law(rotational_model(omega)))
+            law = stationary_law(rotational_model(omega))
+            standard, strong = law.fdr_standard_residual, law.fdr_strong_residual
             assert standard <= 1e-10
             assert strong == pytest.approx(omega * math.sqrt(2) / (1 + math.sqrt(2)), abs=1e-9)
 
     def test_scalar_both_tiny(self):
-        standard, strong = fdr_residuals(stationary_law(build_model([[2.0]], [[1.0]])))
+        law = stationary_law(build_model([[2.0]], [[1.0]]))
+        standard, strong = law.fdr_standard_residual, law.fdr_strong_residual
         assert standard <= 1e-12
         assert strong <= 1e-12
 
