@@ -39,7 +39,6 @@ from .stationary import (
     ForceFlux,
     StationaryLaw,
     force_flux,
-    heat_dissipation_rate_stationary,
     stationary_density,
     stationary_law,
     two_time_covariance,
@@ -91,7 +90,6 @@ __all__ = [
     "gram_integral",
     "greenkubo_check",
     "hdr_estimate",
-    "heat_dissipation_rate_stationary",
     "instantaneous_rates",
     "is_spd",
     "make_exact_stepper",

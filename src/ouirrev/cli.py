@@ -139,7 +139,7 @@ def cmd_analyze(config: RunConfig) -> int:
     report = {
         "xi": _matrix_list(law.Xi),
         "epr": law.epr,
-        "hdr": stationary.heat_dissipation_rate_stationary(law),
+        "hdr": law.hdr,
         "fdr_standard": law.fdr_standard_residual,
         "fdr_strong": law.fdr_strong_residual,
         "r_tau": {
@@ -203,7 +203,7 @@ def cmd_transient(config: RunConfig) -> int:
     if not (0 < config.t_step < math.inf and 0 <= config.t_max < math.inf):
         raise ValueError("transient grid requires finite --t-step > 0 and --t-max >= 0")
     factors = transient.rate_factors(model)
-    reversible = factors.verdict is Verdict.REVERSIBLE
+    reversible = factors.classification.verdict is Verdict.REVERSIBLE
     n = model.n
     header = ["t"]
     header += [f"mean_{i + 1}" for i in range(n)]
@@ -235,11 +235,15 @@ def _skipped(reason: str) -> dict:
 
 def cmd_verify(config: RunConfig) -> int:
     model = _load_model(config)
-    cls = classify(model)
+    try:
+        law = stationary.stationary_law(model)
+        cls = law.classification
+    except NoStationaryLawError:
+        law, cls = None, classify(model)
     sections: dict[str, dict] = {}
     sections["classification"] = dict(_classification_dict(cls), **{"pass": True})
 
-    if cls.verdict is Verdict.SWEEPING:
+    if law is None:
         reason = "no stationary law (sweeping model)"
         for name in ("fdr", "epr_vs_hdr_mc", "two_time_symmetry", "green_kubo"):
             sections[name] = _skipped(reason)
@@ -247,7 +251,6 @@ def cmd_verify(config: RunConfig) -> int:
         _emit(canonical_json(report), config.out_path)
         return 0
 
-    law = stationary.stationary_law(model)
     reversible = cls.verdict is Verdict.REVERSIBLE
 
     standard, strong = law.fdr_standard_residual, law.fdr_strong_residual

@@ -243,12 +243,14 @@ def greenkubo_check(
     max_dev = 0.0
     scale = 1.0 + float(np.linalg.norm(x0))
     root_p = math.sqrt(cond_batch.n_paths)
+    phis = []  # e^{-B t} per checkpoint, for both targets
     for t in checkpoints:
         k = int(round(t / cond_batch.dt))
         if abs(k * cond_batch.dt - t) > 1e-9 * max(1.0, t) or k > cond_batch.n_steps:
             raise ValueError(f"checkpoint {t} not on the trajectory grid")
         snap = cond_batch.states[:, k, :]
-        target = linalg.expm(-model.B * t) @ x0
+        phis.append(linalg.expm(-model.B * t))
+        target = phis[-1] @ x0
         se = snap.std(axis=0, ddof=1) / root_p
         z = np.abs(snap.mean(axis=0) - target) / np.maximum(se, 1e-300)
         max_z = max(max_z, float(z.max()))
@@ -262,9 +264,9 @@ def greenkubo_check(
             raise ValueError(f"checkpoints {missing} are not lags of the path statistics")
         max_z_two_time = 0.0
         root_q = math.sqrt(stats.n_paths)
-        for t in checkpoints:
+        for t, phi in zip(checkpoints, phis):
             per_path = stats.lag_products[t]
-            target = linalg.expm(-model.B * t) @ law.Xi
+            target = phi @ law.Xi
             se = per_path.std(axis=0, ddof=1) / root_q
             z = np.abs(per_path.mean(axis=0) - target) / np.maximum(se, 1e-300)
             max_z_two_time = max(max_z_two_time, float(z.max()))

@@ -49,6 +49,7 @@ class Classification:
     spectrum_B: linalg.Spectrum
     symmetry_defect_AinvB: float
     marginal: bool
+    ainv_b: np.ndarray  # read-only; the rates and the stationary law reuse it
 
 
 def build_model(B, Gamma) -> LinearModel:
@@ -101,18 +102,19 @@ def classify(model: LinearModel) -> Classification:
     """
     spectrum = linalg.eig(model.B)
     ainv_b = np.linalg.solve(model.A, model.B)
+    ainv_b.setflags(write=False)
     defect = linalg.sym_defect(ainv_b)
     if spectrum.min_real_part <= SPECTRAL_TOL:
         marginal = abs(spectrum.min_real_part) <= SPECTRAL_TOL
-        return Classification(Verdict.SWEEPING, spectrum, defect, marginal)
+        return Classification(Verdict.SWEEPING, spectrum, defect, marginal, ainv_b)
     if defect <= linalg.TOL_SYM and linalg.is_spd(0.5 * (ainv_b + ainv_b.T)):
         # B is then similar to a symmetric matrix, so its spectrum must be real.
         if float(np.max(np.abs(spectrum.eigenvalues.imag))) > 1e-8:
             raise NumericalFailureError(
                 "inconsistent classification: symmetric A^{-1}B but complex spectrum"
             )
-        return Classification(Verdict.REVERSIBLE, spectrum, defect, False)
-    return Classification(Verdict.IRREVERSIBLE, spectrum, defect, False)
+        return Classification(Verdict.REVERSIBLE, spectrum, defect, False, ainv_b)
+    return Classification(Verdict.IRREVERSIBLE, spectrum, defect, False, ainv_b)
 
 
 def model_from_dict(payload) -> LinearModel:

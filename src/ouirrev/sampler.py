@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -349,6 +348,8 @@ def sample_batch(
     states = np.empty((n_paths, steps + 1, model.n))
     heat = np.empty((n_paths, steps + 1))
     if n_workers > 1 and len(bounds) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not imported by serial runs
+
         with ProcessPoolExecutor(max_workers=min(n_workers, len(bounds))) as pool:
             parts = pool.map(functools.partial(_generate_chunk, job, int(steps)), bounds)
             for (lo, hi), part in zip(bounds, parts):

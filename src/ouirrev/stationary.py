@@ -3,15 +3,15 @@ thermodynamic quantities built on it: covariance, entropy production rate,
 heat dissipation rate, affinity/flux, fluctuation-dissipation residuals,
 two-time covariance.
 
-The Gaussian closed forms used here are derived by taking expectations of the
-defining integrands under the stationary law P = N(0, Xi), with
-grad log P = -Xi^{-1} x and drift b(x) = -B x:
+The law is P = N(0, Xi) with B Xi + Xi B^T = A. Its entropy production and
+heat dissipation rates are the transient rates at that law, read from the
+transient Gaussian-moment kernel (transient.RateFactors) at mean 0, cov Xi:
 
     epr = (1/2) tr(M^T A M Xi),        M = 2 A^{-1} B - Xi^{-1}
     hdr = 2 tr(B^T A^{-1} B Xi) - tr(B)
 
 Both are cross-validated against quadrature of the defining integrals in the
-test suite before being trusted.
+test suite. A^{-1} B is the one classify solved for.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from . import linalg
 from .exceptions import NoStationaryLawError
-from .model import Classification, LinearModel, Verdict, classify
+from .model import Classification, LinearModel, Verdict
+from .transient import rate_factors
 
 # Threshold separating "zero epr" from genuinely positive epr: well above
 # accumulated 1e-10-level linear-algebra noise, far below physical values.
@@ -37,6 +38,7 @@ class StationaryLaw:
     Xi: np.ndarray
     Xi_inv: np.ndarray
     epr: float
+    hdr: float  # equals epr: no entropy change in a stationary state
     fdr_standard_residual: float
     fdr_strong_residual: float
     classification: Classification
@@ -62,7 +64,8 @@ def stationary_law(model: LinearModel) -> StationaryLaw:
     NoStationaryLawError
         For sweeping models, which have no integrable stationary density.
     """
-    cls = classify(model)
+    factors = rate_factors(model)
+    cls = factors.classification
     if cls.verdict is Verdict.SWEEPING:
         raise NoStationaryLawError(
             "model is sweeping (eigenvalue real part <= 0); no stationary law exists"
@@ -71,10 +74,7 @@ def stationary_law(model: LinearModel) -> StationaryLaw:
     chol = linalg.chol_spd(xi)
     xi_inv = np.linalg.solve(xi, np.eye(model.n))
     xi_inv = 0.5 * (xi_inv + xi_inv.T)
-    ainv_b = np.linalg.solve(model.A, model.B)
-    m_mat = 2.0 * ainv_b - xi_inv
-    epr = 0.5 * float(np.trace(m_mat.T @ model.A @ m_mat @ xi))
-    epr = max(epr, 0.0)
+    epr, hdr = factors._moment_rates(np.zeros(model.n), xi, xi_inv)
     a_norm = float(np.linalg.norm(model.A))
     standard = float(np.linalg.norm(model.B @ xi + xi @ model.B.T - model.A)) / (1.0 + a_norm)
     strong = float(np.linalg.norm(model.A - 2.0 * model.B @ xi)) / (1.0 + a_norm)
@@ -82,24 +82,14 @@ def stationary_law(model: LinearModel) -> StationaryLaw:
         model=model,
         Xi=xi,
         Xi_inv=xi_inv,
-        epr=epr,
+        epr=float(epr),
+        hdr=float(hdr),
         fdr_standard_residual=standard,
         fdr_strong_residual=strong,
         classification=cls,
         chol_Xi=chol,
-        M=m_mat,
+        M=2.0 * cls.ainv_b - xi_inv,
     )
-
-
-def heat_dissipation_rate_stationary(law: StationaryLaw) -> float:
-    """Stationary mean heat dissipation rate 2 tr(B^T A^{-1} B Xi) - tr(B).
-
-    Equals the entropy production rate in any stationary state (the entropy
-    balance has zero entropy change there).
-    """
-    model = law.model
-    ainv_b = np.linalg.solve(model.A, model.B)
-    return 2.0 * float(np.trace(model.B.T @ ainv_b @ law.Xi)) - float(np.trace(model.B))
 
 
 def two_time_covariance(law: StationaryLaw, tau: float) -> np.ndarray:
@@ -124,8 +114,7 @@ def force_flux(law: StationaryLaw, x) -> ForceFlux:
     if xv.shape != (law.model.n,):
         raise ValueError(f"state must have shape ({law.model.n},), got {xv.shape}")
     affinity = -(law.M @ xv)
-    ainv_b = np.linalg.solve(law.model.A, law.model.B)
-    mechanical = -2.0 * (ainv_b @ xv)
+    mechanical = -2.0 * (law.classification.ainv_b @ xv)
     flux = 0.5 * (law.model.A @ affinity)
     return ForceFlux(affinity=affinity, flux=flux, mechanical_force=mechanical)
 

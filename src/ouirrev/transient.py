@@ -27,9 +27,10 @@ M_t = 2 A^{-1} B - C^{-1},
 
 so the entropy rate epr - hdr is mean-independent, matching
 d/dt e[P] = (1/2) tr(C^{-1} Cdot). Both forms are quadrature-validated in the
-test suite. The factors that depend only on the model (A^{-1} B, B^T A^{-1} B,
-tr B, the verdict and the potential matrix) are computed once by rate_factors
-and reused for every state.
+test suite, and written once (RateFactors._moment_rates), which the
+stationary law also evaluates at (0, Xi). The factors that depend only on the
+model (the classification with its A^{-1} B, B^T A^{-1} B, tr B and the
+potential matrix) are computed once by rate_factors and reused for every state.
 
 The rates of a whole grid are evaluated in one pass: one stacked Cholesky
 factorization for the entropies, one batched solve for the inverse
@@ -53,7 +54,7 @@ from .exceptions import (
     PotentialUndefinedError,
     UndefinedEntropyError,
 )
-from .model import LinearModel, Verdict, classify
+from .model import Classification, LinearModel, Verdict, classify
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,17 +200,25 @@ def entropy(state: GaussianState) -> float:
 class RateFactors:
     """The model-only factors of the instantaneous rates, computed once.
 
-    S = sym(A^{-1} B) is the potential matrix, so that U(x) = x^T S x and
-    2 A^{-1} b(x) = -grad U(x) hold exactly for b(x) = -B x; it is None unless
-    the model is reversible.
+    classification carries the verdict and A^{-1} B. S = sym(A^{-1} B) is the
+    potential matrix, so that U(x) = x^T S x and 2 A^{-1} b(x) = -grad U(x)
+    hold exactly for b(x) = -B x; it is None unless the model is reversible.
     """
 
     A: np.ndarray
-    ainv_b: np.ndarray
+    classification: Classification
     bt_ainv_b: np.ndarray
     trace_b: float
-    verdict: Verdict
     S: np.ndarray | None
+
+    def _moment_rates(self, mean, cov, cov_inv) -> tuple[np.ndarray, np.ndarray]:
+        """epr and hdr of the Gaussian law N(mean, cov), or of each law in a
+        stack, given cov^{-1}: the one copy of the moment formulas."""
+        m_t = 2.0 * self.classification.ainv_b - cov_inv
+        mean_term = 2.0 * _quad(mean, self.bt_ainv_b)
+        epr = 0.5 * _trace(m_t.swapaxes(-1, -2) @ self.A @ m_t @ cov) + mean_term
+        hdr = 2.0 * _trace(self.bt_ainv_b @ cov) - self.trace_b + mean_term
+        return np.where(epr < 0.0, 0.0, epr), hdr
 
     def grid_rates(self, states: GaussianState) -> ThermoSnapshot:
         """Entropy, instantaneous epr/hdr, and their balance along a grid of
@@ -228,11 +237,7 @@ class RateFactors:
         defined_cov = np.where(ok[..., None, None], cov, eye)
         cov_inv = np.linalg.solve(defined_cov, np.broadcast_to(eye, cov.shape))
         cov_inv = 0.5 * (cov_inv + cov_inv.swapaxes(-1, -2))
-        m_t = 2.0 * self.ainv_b - cov_inv
-        mean_term = 2.0 * _quad(mean, self.bt_ainv_b)
-        epr_t = 0.5 * _trace(m_t.swapaxes(-1, -2) @ self.A @ m_t @ cov) + mean_term
-        epr_t = np.where(epr_t < 0.0, 0.0, epr_t)
-        hdr_t = 2.0 * _trace(self.bt_ainv_b @ cov) - self.trace_b + mean_term
+        epr_t, hdr_t = self._moment_rates(mean, cov, cov_inv)
         epr_t, hdr_t = np.where(ok, epr_t, np.nan), np.where(ok, hdr_t, np.nan)
         psi = None
         if self.S is not None:
@@ -266,15 +271,14 @@ class RateFactors:
 
 def rate_factors(model: LinearModel) -> RateFactors:
     """Classify the model once and precompute what every rate evaluation reuses."""
-    verdict = classify(model).verdict
-    ainv_b = np.linalg.solve(model.A, model.B)
-    s = 0.5 * (ainv_b + ainv_b.T) if verdict is Verdict.REVERSIBLE else None
+    cls = classify(model)
+    ainv_b = cls.ainv_b
+    s = 0.5 * (ainv_b + ainv_b.T) if cls.verdict is Verdict.REVERSIBLE else None
     return RateFactors(
         A=model.A,
-        ainv_b=ainv_b,
+        classification=cls,
         bt_ainv_b=model.B.T @ ainv_b,
         trace_b=float(np.trace(model.B)),
-        verdict=verdict,
         S=s,
     )
 

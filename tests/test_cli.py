@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ouirrev import cli, estimators, transient
+from ouirrev import cli, estimators, linalg, transient
 from ouirrev.cli import build_parser, canonical_json, main
 from ouirrev.model import classify
 
@@ -385,6 +385,27 @@ class TestVerifyCommand:
         argv = ["verify", model_file(ROT), "--paths", "20", "--steps", "2000", "--burn-in", "2"]
         assert main(argv + ["--tau", taus]) in (0, 4)
         assert len(calls) == len(taus.split(","))
+
+    @pytest.mark.parametrize("payload", [ROT, ring_model(8)], ids=["rot2", "ring8"])
+    def test_classifies_once(self, payload, model_file, capsys, monkeypatch):
+        calls, eig_calls = [], []
+        eig = linalg.eig
+
+        def counting(model):
+            calls.append(model)
+            return classify(model)
+
+        def counting_eig(b):
+            eig_calls.append(b)
+            return eig(b)
+
+        monkeypatch.setattr(cli, "classify", counting)
+        monkeypatch.setattr(transient, "classify", counting)
+        monkeypatch.setattr(linalg, "eig", counting_eig)
+        argv = ["verify", model_file(payload), "--paths", "20", "--steps", "500", "--burn-in", "1"]
+        assert main(argv) in (0, 4)
+        assert len(calls) == 1
+        assert len(eig_calls) == 1
 
     def test_sweeping_sections_skipped(self, model_file, capsys):
         code, report = run_json(capsys, ["verify", model_file(SWEEP)])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ouirrev import estimators
+from ouirrev import estimators, linalg
 from ouirrev.estimators import (
     greenkubo_check,
     hdr_estimate,
@@ -144,6 +144,22 @@ class TestGreenKubo:
             res = greenkubo_check(cond, m, checkpoints, stats=stats, law=law)
             assert res.max_abs_z <= 4.0
             assert res.max_abs_z_two_time <= 4.0
+
+    def test_one_expm_per_checkpoint(self, rot_batch, monkeypatch):
+        m, law, batch = rot_batch
+        cond = sample_batch(m, dt=0.02, steps=50, n_paths=20, seed=500, x0=[1.0, 1.0])
+        checkpoints = [0.2, 0.5, 1.0]
+        stats = path_statistics(batch, checkpoints, burn_in=0.0)
+        calls = []
+        kernel = linalg.expm
+
+        def counting(a):
+            calls.append(a)
+            return kernel(a)
+
+        monkeypatch.setattr(linalg, "expm", counting)
+        greenkubo_check(cond, m, checkpoints, stats=stats, law=law)
+        assert len(calls) == len(checkpoints)
 
     def test_zero_start_stays_zero(self, rot1):
         cond = sample_batch(rot1, dt=0.02, steps=50, n_paths=2000, seed=600, x0=[0.0, 0.0])

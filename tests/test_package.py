@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import ouirrev
 
 
@@ -13,6 +18,7 @@ def test_removed_names_gone():
     for module, name in [
         (stationary, "entropy_production_rate"),
         (stationary, "fdr_residuals"),
+        (stationary, "heat_dissipation_rate_stationary"),
         (estimators, "empirical_two_time"),
         (estimators, "empirical_moments"),
         (estimators, "MomentEstimate"),
@@ -21,3 +27,16 @@ def test_removed_names_gone():
         assert not hasattr(module, name)
         assert not hasattr(ouirrev, name)
         assert name not in ouirrev.__all__
+
+
+def test_cli_import_skips_process_pool():
+    # concurrent.futures and multiprocessing are imported only for a run with workers > 1
+    code = (
+        "import sys, ouirrev.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ouirrev.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -9,13 +9,13 @@ from ouirrev.model import Verdict, build_model, classify
 from ouirrev.stationary import (
     EPS_EPR,
     force_flux,
-    heat_dissipation_rate_stationary,
     stationary_density,
     stationary_law,
     two_time_covariance,
 )
+from ouirrev.transient import GaussianState, rate_factors
 
-from conftest import random_reversible_model, rotational_model
+from conftest import random_reversible_model, ring_model, rotational_model, thermo_corpus
 from oracles import epr_quadrature, gauss_hermite_expectation
 
 
@@ -105,19 +105,35 @@ class TestHeatDissipation:
         ]
         for m in models:
             law = stationary_law(m)
-            assert abs(heat_dissipation_rate_stationary(law) - law.epr) <= 1e-9
+            assert abs(law.hdr - law.epr) <= 1e-9
 
     def test_reversible_zero(self, reversible_2d):
         law = stationary_law(reversible_2d)
-        assert abs(heat_dissipation_rate_stationary(law)) <= 1e-9
+        assert abs(law.hdr) <= 1e-9
 
     def test_rotational_value(self):
         law = stationary_law(rotational_model(1.0))
-        assert heat_dissipation_rate_stationary(law) == pytest.approx(2.0, abs=1e-10)
+        assert law.hdr == pytest.approx(2.0, abs=1e-10)
 
     def test_scalar_zero(self):
         law = stationary_law(build_model([[3.0]], [[1.0]]))
-        assert abs(heat_dissipation_rate_stationary(law)) <= 1e-12
+        assert abs(law.hdr) <= 1e-12
+
+
+class TestSharedRateKernel:
+    def test_law_rates_are_transient_rates_at_xi(self):
+        # epr and hdr of the law are the transient rates at (0, Xi), bit for bit
+        rng = np.random.default_rng(16)
+        g, w = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
+        b16 = g @ g.T / 16 + 0.5 * np.eye(16) + (w - w.T) / math.sqrt(32.0)
+        ring = ring_model(8)
+        models = [m for m, _ in thermo_corpus()]
+        models += [build_model(ring["B"], ring["Gamma"]), build_model(b16, np.eye(16))]
+        for m in models:
+            law = stationary_law(m)
+            snap = rate_factors(m).rates(GaussianState(math.inf, np.zeros(m.n), law.Xi))
+            assert law.epr == snap.epr_t
+            assert law.hdr == snap.hdr_t
 
 
 class TestTwoTimeCovariance:
