@@ -11,6 +11,7 @@ from .estimators import (
     hdr_estimate,
     path_statistics,
     reversibility_test,
+    stationary_statistics,
 )
 from .exceptions import (
     DegenerateModelError,
@@ -104,6 +105,7 @@ __all__ = [
     "solve_lyapunov",
     "stationary_density",
     "stationary_law",
+    "stationary_statistics",
     "sym_defect",
     "transition_density",
     "two_time_covariance",

@@ -238,8 +238,8 @@ def cmd_verify(config: RunConfig) -> int:
     try:
         law = stationary.stationary_law(model)
         cls = law.classification
-    except NoStationaryLawError:
-        law, cls = None, classify(model)
+    except NoStationaryLawError as exc:
+        law, cls = None, exc.classification
     sections: dict[str, dict] = {}
     sections["classification"] = dict(_classification_dict(cls), **{"pass": True})
 
@@ -263,16 +263,16 @@ def cmd_verify(config: RunConfig) -> int:
         "pass": bool(fdr_pass),
     }
 
-    batch = sampler.sample_batch(
-        model,
+    stats, hdr = estimators.stationary_statistics(
+        law,
         dt=config.dt,
         steps=config.steps,
         n_paths=config.paths,
         seed=config.seed,
-        law=law,
+        lags=config.tau_list,
+        burn_in=config.burn_in,
     )
     epr = law.epr
-    hdr = estimators.hdr_estimate(batch, burn_in=config.burn_in)
     if reversible:
         hdr_pass = abs(hdr.value) <= HDR_ZERO_SIGMAS * hdr.stderr
         criterion = f"|hdr| <= {_fmt(HDR_ZERO_SIGMAS)} * stderr"
@@ -288,7 +288,6 @@ def cmd_verify(config: RunConfig) -> int:
         "pass": bool(hdr_pass),
     }
 
-    stats = estimators.path_statistics(batch, config.tau_list, burn_in=config.burn_in)
     rev = estimators.reversibility_test(stats)
     sections["two_time_symmetry"] = {
         "statistic": rev.statistic,

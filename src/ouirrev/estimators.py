@@ -4,8 +4,17 @@ conditional-mean regression (Onsager/Green-Kubo) check.
 
 Both two-time estimators (the reversibility test and the R(t, 0) half of the
 Green-Kubo check) read one PathStatistics value: the per-path lag products
-x(t + lag) x(t)^T, built by path_statistics in one pass over the states per
-lag, so a verify run forms each lag's products once.
+x(t + lag) x(t)^T, so a verify run forms each lag's products once.
+PathStatistics comes from one accumulator (_LagSums), a consumer of the
+sampler's time blocks. stationary_statistics hands it the blocks while the
+paths are generated (sampler.stream_batch), so no state array is kept: only
+per-path sums, a window of the last max(lag) states, and the heat at burn-in
+and at T, from which the heat rate is read by the same formula as
+hdr_estimate. path_statistics feeds a stored batch's states through the same
+accumulator. Each lag's products are summed per super-block of
+sampler._SUPER_BLOCK consecutive later times (aligned to t = 0), then added in
+time order, so the sums depend only on each path's states: the same bits from
+either entry point, for any path count, chunking or worker count.
 
 All estimators are deterministic functions of (batch, parameters): bootstrap
 resampling draws from a reserved stream derived from the batch's master seed,
@@ -17,6 +26,7 @@ the path level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,10 +35,19 @@ import numpy as np
 from . import linalg
 from .exceptions import InsufficientDataError
 from .model import LinearModel
-from .sampler import BOOTSTRAP_STREAM, TrajectoryBatch, path_stream
+from .sampler import (
+    _SUPER_BLOCK,
+    BOOTSTRAP_STREAM,
+    TrajectoryBatch,
+    _validate_grid,
+    path_stream,
+    stream_batch,
+)
 from .stationary import StationaryLaw
 
 BOOTSTRAP_RESAMPLES = 200
+# Doubles of resampled per-path asymmetries held at once by reversibility_test.
+_BOOTSTRAP_ELEMENT_BUDGET = 1 << 20
 # Studentized asymmetry above this is declared irreversible; below it the
 # verdict is "consistent with reversible" (failure to reject, not proof).
 REVERSIBILITY_THRESHOLD = 3.0
@@ -74,36 +93,36 @@ class PathStatistics:
     seed: int
 
 
-def _burn_index(batch: TrajectoryBatch, burn_in: float) -> int:
+def _burn_index(dt: float, steps: int, burn_in: float) -> int:
     if burn_in < 0:
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
-    k0 = int(math.ceil(burn_in / batch.dt - 1e-9))
-    if k0 > batch.n_steps:
+    k0 = int(math.ceil(burn_in / dt - 1e-9))
+    if k0 > steps:
         raise InsufficientDataError(
-            f"burn-in {burn_in} discards the whole trajectory (span {batch.t_final})"
+            f"burn-in {burn_in} discards the whole trajectory (span {steps * dt})"
         )
     return k0
 
 
-def _lag_steps(batch: TrajectoryBatch, lag: float) -> int:
-    steps = lag / batch.dt
-    rounded = int(round(steps))
-    if abs(steps - rounded) > 1e-6 * max(1.0, abs(steps)):
-        raise ValueError(f"lag {lag} is not a multiple of dt {batch.dt}")
+def _lag_steps(dt: float, steps: int, lag: float) -> int:
+    ratio = lag / dt
+    rounded = int(round(ratio))
+    if abs(ratio - rounded) > 1e-6 * max(1.0, abs(ratio)):
+        raise ValueError(f"lag {lag} is not a multiple of dt {dt}")
     if rounded < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
-    if rounded >= batch.n_steps:
-        raise ValueError(f"lag {lag} exceeds trajectory span {batch.t_final}")
+    if rounded >= steps:
+        raise ValueError(f"lag {lag} exceeds trajectory span {steps * dt}")
     return rounded
 
 
 def _lag_products(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     """Sum over t of later[p, t, i] * earlier[p, t, j]; shape (paths, n, n).
 
-    One two-operand contraction per row i, on views of the states (no copy).
-    It gives the same sums, bit for bit, as a single einsum over all (i, j)
-    at once, and is faster than it (measured at n = 2 and n = 16); the tests
-    keep that einsum as the oracle.
+    One two-operand contraction per row i, on path-major views of the states
+    (no copy). It gives the same sums, bit for bit, as a single einsum over all
+    (i, j) at once, and is faster than it (measured at n = 2 and n = 16); the
+    tests keep that einsum as the oracle.
     """
     n = later.shape[2]
     out = np.empty((later.shape[0], n, n))
@@ -112,10 +131,88 @@ def _lag_products(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     return out
 
 
+class _LagSums:
+    """Consumer of a chunk of paths, fed their states in global index order:
+    per-path sums of x(j) x(j - ell)^T for each lag ell (in steps) over
+    j = k0 + ell .. steps, and the heat W at k0 and at steps.
+
+    The products of each super-block of _SUPER_BLOCK consecutive j (aligned
+    to j = 0) are formed by one _lag_products call on a path-major window
+    that also keeps the last max(ell) states of the previous super-blocks,
+    then added to the running sum in time order. The sums therefore depend
+    only on each path's states, not on how the states were fed or on which
+    other paths share the chunk.
+    """
+
+    def __init__(self, ells: tuple[int, ...], k0: int, steps: int, n: int, count: int):
+        self.ells, self.k0, self.steps = ells, k0, steps
+        self.hist = max(ells)
+        self.window = np.empty((count, self.hist + _SUPER_BLOCK, n))
+        self.sums = np.zeros((len(ells), count, n, n))
+        self.heat = np.empty((count, 2))
+
+    def __call__(self, k: int, states: np.ndarray, heat: np.ndarray) -> None:
+        """states (L, n, paths) and heat (L, paths) at indices k .. k + L - 1."""
+        last = k + len(states) - 1
+        if k <= self.k0 <= last:
+            self.heat[:, 0] = heat[self.k0 - k]
+        if last == self.steps:
+            self.heat[:, 1] = heat[-1]
+        pos = 0
+        while pos < len(states):
+            j = k + pos
+            base = j - j % _SUPER_BLOCK
+            take = min(len(states) - pos, base + _SUPER_BLOCK - j)
+            at = self.hist + j - base
+            self.window[:, at : at + take] = states[pos : pos + take].transpose(2, 0, 1)
+            pos += take
+            end = j + take - 1
+            if end == self.steps or end == base + _SUPER_BLOCK - 1:
+                self._flush(base, end)
+
+    def _flush(self, base: int, end: int) -> None:
+        """Add the products of later indices base .. end, then keep the last
+        hist states as the next super-block's history."""
+        stop = self.hist + end - base + 1
+        for sums, ell in zip(self.sums, self.ells):
+            first = max(base, self.k0 + ell)
+            if first <= end:
+                at = self.hist + first - base
+                earlier = self.window[:, at - ell : stop - ell]
+                sums += _lag_products(self.window[:, at:stop], earlier)
+        if self.hist and end < self.steps:
+            self.window[:, : self.hist] = self.window[:, _SUPER_BLOCK : _SUPER_BLOCK + self.hist]
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.sums, self.heat
+
+
+def _statistics_plan(dt: float, steps: int, lags, burn_in: float):
+    """Validated (k0, lags, distinct lags in steps)."""
+    k0 = _burn_index(dt, steps, burn_in)
+    lags = tuple(float(v) for v in lags)
+    distinct = dict.fromkeys(lags)
+    ells = tuple(_lag_steps(dt, steps, lag) for lag in distinct)
+    if any(k0 + ell > steps for ell in ells):
+        raise InsufficientDataError("no admissible time pairs after burn-in at this lag")
+    return k0, lags, ells
+
+
+def _path_statistics(lags, ells, k0, steps, sums, seed) -> PathStatistics:
+    products: dict[float, np.ndarray] = {}
+    for lag, ell, total in zip(dict.fromkeys(lags), ells, sums):
+        per_path = total / (steps + 1 - k0 - ell)
+        per_path.setflags(write=False)  # shared by every estimator that reads stats
+        products[lag] = per_path
+    return PathStatistics(lags=lags, lag_products=products, n_paths=sums.shape[1], seed=seed)
+
+
 def path_statistics(batch: TrajectoryBatch, lags, burn_in: float = 0.0) -> PathStatistics:
     """Per-path averages of x(t + lag) x(t)^T for each lag, after burn-in.
 
-    Each distinct lag is computed once; repeated lags share one entry.
+    Each distinct lag is computed once; repeated lags share one entry. The
+    batch's states pass through the same accumulator as a streamed run
+    (stationary_statistics), so both give the same bits for the same paths.
 
     Raises
     ------
@@ -126,22 +223,46 @@ def path_statistics(batch: TrajectoryBatch, lags, burn_in: float = 0.0) -> PathS
         If burn-in discards the whole trajectory, a lag leaves no time pairs,
         or the batch has fewer than two paths.
     """
-    k0 = _burn_index(batch, burn_in)
-    lags = tuple(float(v) for v in lags)
-    products: dict[float, np.ndarray] = {}
-    for lag in lags:
-        if lag in products:
-            continue
-        ell = _lag_steps(batch, lag)
-        later = batch.states[:, k0 + ell :, :]
-        earlier = batch.states[:, k0 : batch.n_steps + 1 - ell, :]
-        count = earlier.shape[1]
-        if count < 1 or batch.n_paths < 2:
-            raise InsufficientDataError("no admissible time pairs after burn-in at this lag")
-        per_path = _lag_products(later, earlier) / count
-        per_path.setflags(write=False)  # shared by every estimator that reads stats
-        products[lag] = per_path
-    return PathStatistics(lags=lags, lag_products=products, n_paths=batch.n_paths, seed=batch.seed)
+    steps = batch.n_steps
+    k0, lags, ells = _statistics_plan(batch.dt, steps, lags, burn_in)
+    if batch.n_paths < 2:
+        raise InsufficientDataError("no admissible time pairs after burn-in at this lag")
+    acc = _LagSums(ells, k0, steps, batch.dim, batch.n_paths)
+    for k in range(0, steps + 1, _SUPER_BLOCK):
+        part = slice(k, k + _SUPER_BLOCK)
+        acc(k, batch.states[:, part].transpose(1, 2, 0), batch.heat[:, part].T)
+    return _path_statistics(lags, ells, k0, steps, acc.sums, batch.seed)
+
+
+def stationary_statistics(
+    law: StationaryLaw,
+    dt: float,
+    steps: int,
+    n_paths: int,
+    seed: int,
+    lags,
+    burn_in: float = 0.0,
+) -> tuple[PathStatistics, HdrEstimate]:
+    """path_statistics and hdr_estimate of sample_batch(law.model, dt, steps,
+    n_paths, seed, law=law), computed while the paths are generated: no
+    state array is kept, only per-path lag sums, a window of the last
+    max(lag) states and the heat at burn-in and at T. The results are the
+    same bits as the two estimators applied to the stored batch.
+
+    Raises as sample_batch, path_statistics and hdr_estimate do, before any
+    path is drawn.
+    """
+    _validate_grid(dt, steps)
+    k0, lags, ells = _statistics_plan(dt, steps, lags, burn_in)
+    span = (steps - k0) * dt
+    if span <= 0.0 or n_paths < 2:
+        raise InsufficientDataError("need at least 2 paths and a nonempty window after burn-in")
+    make = functools.partial(_LagSums, ells, k0, steps, law.model.n)
+    parts = stream_batch(law, dt, steps, n_paths, seed, make)
+    sums = np.concatenate([part[0] for part in parts], axis=1)
+    heat = np.concatenate([part[1] for part in parts])
+    stats = _path_statistics(lags, ells, k0, steps, sums, int(seed))
+    return stats, _heat_rate(heat[:, 0], heat[:, 1], span)
 
 
 def _bootstrap_indices(stats: PathStatistics, n_resamples: int) -> np.ndarray:
@@ -175,7 +296,13 @@ def reversibility_test(
         per_path = stats.lag_products[lag]
         asym = per_path - per_path.transpose(0, 2, 1)
         observed = asym.mean(axis=0)
-        boot = asym[resamples].mean(axis=1) - observed
+        # Resample means a chunk of resamples at a time: asym[resamples] whole
+        # would hold resamples x paths x n^2 doubles.
+        step = max(1, _BOOTSTRAP_ELEMENT_BUDGET // asym.size)
+        boot = np.concatenate(
+            [asym[resamples[r : r + step]].mean(axis=1) for r in range(0, len(resamples), step)]
+        )
+        boot -= observed
         norms = np.linalg.norm(boot, axis=(1, 2))
         spread = float(norms.std(ddof=1))
         if spread <= 0.0:
@@ -200,18 +327,24 @@ def reversibility_test(
     )
 
 
+def _heat_rate(w_start: np.ndarray, w_end: np.ndarray, span: float) -> HdrEstimate:
+    """Per-path rates (w_end - w_start) / span, averaged over paths (exact
+    summation), standard error over paths."""
+    rates = (w_end - w_start) / span
+    value = math.fsum(rates.tolist()) / len(rates)
+    stderr = float(rates.std(ddof=1)) / math.sqrt(len(rates))
+    return HdrEstimate(value=value, stderr=stderr, n_paths=len(rates))
+
+
 def hdr_estimate(batch: TrajectoryBatch, burn_in: float = 0.0) -> HdrEstimate:
     """Stationary heat dissipation rate from cumulative heat: per path
     (W(T) - W(burn_in)) / (T - burn_in), averaged over paths (exact
     summation), standard error over paths."""
-    k0 = _burn_index(batch, burn_in)
+    k0 = _burn_index(batch.dt, batch.n_steps, burn_in)
     span = (batch.n_steps - k0) * batch.dt
     if span <= 0.0 or batch.n_paths < 2:
         raise InsufficientDataError("need at least 2 paths and a nonempty window after burn-in")
-    rates = (batch.heat[:, -1] - batch.heat[:, k0]) / span
-    value = math.fsum(rates.tolist()) / batch.n_paths
-    stderr = float(rates.std(ddof=1)) / math.sqrt(batch.n_paths)
-    return HdrEstimate(value=value, stderr=stderr, n_paths=batch.n_paths)
+    return _heat_rate(batch.heat[:, k0], batch.heat[:, -1], span)
 
 
 def greenkubo_check(

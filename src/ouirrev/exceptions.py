@@ -14,7 +14,14 @@ class DegenerateModelError(ValueError):
 
 
 class NoStationaryLawError(ValueError):
-    """Requested a stationary law for a sweeping model, which has none."""
+    """Requested a stationary law for a sweeping model, which has none.
+
+    classification is the model's Classification, when the raiser built one.
+    """
+
+    def __init__(self, message: str, classification=None):
+        super().__init__(message)
+        self.classification = classification
 
 
 class PotentialUndefinedError(ValueError):

@@ -16,11 +16,15 @@ result could depend on batch shape. Each m @ x is expanded in column-broadcast
 form, out = m[:, 0] x_0, then out += m[:, j] x_j for j = 1 .. n-1: n
 elementwise calls vectorized across the paths, each output element the same
 fixed sequence of roundings for any batch shape. One integrator serves every
-entry point. It does the noise transform, recursion, heat sums and the copy
-into the path-major result in blocks of _TIME_BLOCK steps, so temporaries do
-not grow with the run. Blocking changes no bits: every term is per step, and
-the cumulative heat of a block is a cumsum that starts from the previous W,
-the same left-to-right sum as one cumsum over all steps.
+entry point. It draws each path's normals _SUPER_BLOCK steps at a time, does
+the noise transform, recursion and heat sums in blocks of _TIME_BLOCK steps,
+and hands each finished block to a consumer, so temporaries do not grow with
+the run. sample_batch's consumer copies the blocks into path-major arrays;
+stream_batch lets a caller keep only what it needs (estimators accumulate
+per-path lag products this way). Blocking changes no bits: the draws continue
+each path's stream, every term is per step, and the cumulative heat of a block
+is a cumsum that starts from the carried W, the same left-to-right sum as one
+cumsum over all steps.
 
 Heat increments use the Stratonovich midpoint rule,
 dW = 2 (A^{-1} b(x_mid)) . dx with x_mid the chord midpoint. With
@@ -51,9 +55,13 @@ from .stationary import StationaryLaw
 # _TIME_BLOCK, the temporaries of the vectorized recursion.
 _CHUNK_ELEMENT_BUDGET = 5_000_000
 
-# Time steps per pass of the noise transform, heat accumulation and layout
-# copy, so their temporaries do not grow with the run length.
+# Time steps per pass of the noise transform, recursion and heat
+# accumulation, so their temporaries do not grow with the run length.
 _TIME_BLOCK = 128
+
+# Time steps of normals drawn per path at a time, a multiple of _TIME_BLOCK.
+# Summation order of streamed per-path sums follows the same global blocks.
+_SUPER_BLOCK = 1024
 
 # Stream index reserved for estimator bootstraps; never a path index.
 BOOTSTRAP_STREAM = 2**64 - 1
@@ -140,17 +148,21 @@ def make_exact_stepper(model: LinearModel, dt: float) -> ExactStepper:
     return ExactStepper(dt=dt, Phi=phi, Sigma_dt=sigma, chol=chol)
 
 
+def _validate_grid(dt: float, steps: int) -> None:
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ValueError(f"steps must be a positive integer, got {steps}")
+    dt = float(dt)
+    if not math.isfinite(dt) or dt <= 0.0:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+
+
 def _validate_run(model: LinearModel, x0, dt: float, steps: int) -> np.ndarray:
     xv = np.asarray(x0, dtype=float)
     if xv.shape != (model.n,):
         raise ValueError(f"initial state must have shape ({model.n},), got {xv.shape}")
     if not np.all(np.isfinite(xv)):
         raise ValueError("initial state contains non-finite entries")
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
-        raise ValueError(f"steps must be a positive integer, got {steps}")
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    _validate_grid(dt, steps)
     return xv
 
 
@@ -174,62 +186,89 @@ def _update(model: LinearModel, dt: float, method: str) -> _Update:
     return _Update(method, float(dt), drift, noise_mat, np.linalg.solve(model.A, model.B))
 
 
-def _integrate(states: np.ndarray, heat: np.ndarray, update: _Update) -> None:
-    """Fill path-major states (paths, steps + 1, n) and heat (paths, steps + 1)
-    in place, _TIME_BLOCK steps at a time.
+def _integrate(streams, start: np.ndarray, update: _Update, steps: int, consumer) -> None:
+    """Advance the paths of one chunk by steps and hand every finished time
+    block to consumer(k, states, heat).
 
-    On entry states[:, 0] holds the starts and states[:, 1:] the standard
-    normal draws z; each block of z feeds the noise transform before the
-    block's states overwrite it. Inside a block the work is time-major with
+    streams holds one generator per path, positioned after any start draw;
+    start is (n, paths). Each path's normals are drawn _SUPER_BLOCK steps at a
+    time. Inside a block of _TIME_BLOCK steps the work is time-major with
     paths on the last axis, so that every numpy call runs along the batch.
+    consumer receives states (L, n, paths) and heat (L, paths) at the global
+    indices k .. k + L - 1: first index 0 (the starts, W = 0), then each time
+    block in order. The arrays are reused, so it must copy what it keeps.
     """
-    count, total, n = states.shape
-    steps = total - 1
+    n, count = start.shape
     euler, dt = update.method == "euler", update.dt
+    draws = np.empty((count, min(_SUPER_BLOCK, steps), n))
     block = np.empty((min(_TIME_BLOCK, steps) + 1, n, count))
-    wsum = np.empty((block.shape[0], count))
-    block[0] = states[:, 0].T
-    heat[:, 0] = 0.0
-    for k0 in range(0, steps, _TIME_BLOCK):
-        b = min(_TIME_BLOCK, steps - k0)
-        noise = _colmatvec(update.noise_mat, states[:, k0 + 1 : k0 + b + 1].transpose(1, 2, 0))
-        if euler:
-            noise *= math.sqrt(dt)
-        for k in range(b):
-            x = block[k]
-            fx = _colmatvec(update.drift, x)
-            np.add(x - dt * fx if euler else fx, noise[k], out=block[k + 1])
-        # Midpoint increments dW = -2 (S x_mid) . dx.
-        cur = block[: b + 1]
-        mid = cur[1:] + cur[:-1]
-        mid *= 0.5
-        prod = _colmatvec(update.s_mat, mid)
-        prod *= cur[1:] - cur[:-1]
-        w = wsum[: b + 1]
-        w[1:] = prod[:, 0]
-        for i in range(1, n):
-            w[1:] += prod[:, i]
-        w[1:] *= -2.0
-        # Cumsum from the previous W; the first block starts at dW_1 itself,
-        # as one cumsum over all steps would (0.0 + -0.0 is +0.0).
-        w[0] = heat[:, k0]
-        first = 1 if k0 == 0 else 0
-        np.cumsum(w[first:], axis=0, out=w[first:])
-        states[:, k0 + 1 : k0 + b + 1] = cur[1:].transpose(2, 0, 1)
-        heat[:, k0 + 1 : k0 + b + 1] = w[1:].T
-        block[0] = block[b]
+    z = np.empty(block[1:].shape)
+    wsum = np.zeros((block.shape[0], count))
+    block[0] = start
+    consumer(0, block[:1], wsum[:1])
+    for s0 in range(0, steps, _SUPER_BLOCK):
+        span = min(_SUPER_BLOCK, steps - s0)
+        for c, stream in enumerate(streams):
+            stream.standard_normal(out=draws[c, :span])
+        for r in range(0, span, _TIME_BLOCK):
+            b = min(_TIME_BLOCK, span - r)
+            # Copy the block's draws time-major in one strided pass: the
+            # transform reads them n times, and n strided passes over rows a
+            # power of two apart contend for the same cache sets.
+            z[:b] = draws[:, r : r + b].transpose(1, 2, 0)
+            noise = _colmatvec(update.noise_mat, z[:b])
+            if euler:
+                noise *= math.sqrt(dt)
+            for k in range(b):
+                x = block[k]
+                fx = _colmatvec(update.drift, x)
+                np.add(x - dt * fx if euler else fx, noise[k], out=block[k + 1])
+            # Midpoint increments dW = -2 (S x_mid) . dx.
+            cur = block[: b + 1]
+            mid = cur[1:] + cur[:-1]
+            mid *= 0.5
+            prod = _colmatvec(update.s_mat, mid)
+            prod *= cur[1:] - cur[:-1]
+            w = wsum[: b + 1]
+            w[1:] = prod[:, 0]
+            for i in range(1, n):
+                w[1:] += prod[:, i]
+            w[1:] *= -2.0
+            # Cumsum from the carried W; the first block starts at dW_1 itself,
+            # as one cumsum over all steps would (0.0 + -0.0 is +0.0).
+            first = 1 if s0 + r == 0 else 0
+            np.cumsum(w[first:], axis=0, out=w[first:])
+            consumer(s0 + r + 1, cur[1:], w[1:])
+            block[0] = block[b]
+            wsum[0] = w[b]
+
+
+class _Layout:
+    """sample_batch's consumer: copies each block into path-major states
+    (paths, steps + 1, n) and heat (paths, steps + 1)."""
+
+    def __init__(self, states: np.ndarray, heat: np.ndarray):
+        self.states, self.heat = states, heat
+
+    @classmethod
+    def allocate(cls, steps: int, n: int, count: int) -> _Layout:
+        return cls(np.empty((count, steps + 1, n)), np.empty((count, steps + 1)))
+
+    def __call__(self, k: int, states: np.ndarray, heat: np.ndarray) -> None:
+        self.states[:, k : k + len(states)] = states.transpose(2, 0, 1)
+        self.heat[:, k : k + len(heat)] = heat.T
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.states, self.heat
 
 
 def _single_path(model, x0, dt, steps, rng, seed_record, method: str) -> Trajectory:
-    """One path from one standard_normal((steps, n)) draw of rng."""
+    """One path whose increments are the next steps x n normals of rng."""
     xv = _validate_run(model, x0, dt, steps)
     update = _update(model, dt, method)
-    states = np.empty((1, steps + 1, model.n))
-    heat = np.empty((1, steps + 1))
-    states[0, 0] = xv
-    rng.standard_normal(out=states[0, 1:])
-    _integrate(states, heat, update)
-    return Trajectory(dt=update.dt, states=states[0], heat=heat[0], seed=seed_record)
+    out = _Layout.allocate(steps, model.n, 1)
+    _integrate([rng], xv[:, None], update, steps, out)
+    return Trajectory(dt=update.dt, states=out.states[0], heat=out.heat[0], seed=seed_record)
 
 
 def sample_path(
@@ -243,8 +282,8 @@ def sample_path(
 ) -> Trajectory:
     """Sample one path with the exact transition law.
 
-    The stream is consumed as a single standard_normal((steps, n)) block;
-    heat is accumulated with the Stratonovich midpoint rule.
+    The stream supplies steps x n standard normals in order; heat is
+    accumulated with the Stratonovich midpoint rule.
     """
     return _single_path(model, x0, dt, steps, rng, seed_record, "exact")
 
@@ -269,31 +308,41 @@ def sample_stationary_start(law: StationaryLaw, rng: np.random.Generator) -> np.
     return _colmatvec(law.chol_Xi, z)[:, 0]
 
 
-def _fill_chunk(job, lo: int, states: np.ndarray, heat: np.ndarray) -> None:
-    """Generate paths lo, lo + 1, ... of a batch into path-major states / heat.
+class _Job(NamedTuple):
+    """What every chunk of a batch shares: master seed, shared start (used
+    when chol_xi is None), stationary-start factor, and the step update."""
 
-    Per path p the stream is consumed exactly as the single-path API does:
-    an optional standard_normal(n) block for a stationary start, then one
-    standard_normal((steps, n)) block for the increments, drawn straight into
-    the path's rows of states.
+    seed: int
+    x0: np.ndarray
+    chol_xi: np.ndarray | None
+    update: _Update
+
+
+def _generate(job: _Job, lo: int, hi: int, steps: int, consumer) -> None:
+    """Generate paths lo .. hi-1 of a batch into consumer.
+
+    Per path p the stream is consumed as the single-path API does: an
+    optional standard_normal(n) block for a stationary start, then the
+    normals of the increments in step order.
     """
-    seed, x0, chol_xi, update = job
-    for c in range(states.shape[0]):
-        stream = path_stream(seed, lo + c)
-        if chol_xi is not None:
-            stream.standard_normal(out=states[c, 0])
-        stream.standard_normal(out=states[c, 1:])
-    states[:, 0] = x0 if chol_xi is None else _colmatvec(chol_xi, states[:, 0].T).T
-    _integrate(states, heat, update)
+    streams = [path_stream(job.seed, p) for p in range(lo, hi)]
+    if job.chol_xi is None:
+        start = np.repeat(job.x0[:, None], hi - lo, axis=1)
+    else:
+        draws = np.empty((hi - lo, job.x0.shape[0]))
+        for c, stream in enumerate(streams):
+            stream.standard_normal(out=draws[c])
+        start = _colmatvec(job.chol_xi, draws.T)
+    _integrate(streams, start, job.update, steps, consumer)
 
 
-def _generate_chunk(job, steps: int, bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Process-pool entry: _fill_chunk paths lo .. hi-1 into fresh arrays."""
+def _consume_chunk(job: _Job, steps: int, make_consumer, bounds: tuple[int, int]):
+    """Process-pool entry: run paths lo .. hi-1 into make_consumer(hi - lo)
+    and return its result()."""
     lo, hi = bounds
-    states = np.empty((hi - lo, steps + 1, job[1].shape[0]))
-    heat = np.empty(states.shape[:2])
-    _fill_chunk(job, lo, states, heat)
-    return states, heat
+    consumer = make_consumer(hi - lo)
+    _generate(job, lo, hi, steps, consumer)
+    return consumer.result()
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -307,6 +356,41 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers < 0:
         raise ValueError(f"worker count must be >= 0, got {workers}")
     return max(workers, 1)
+
+
+def _prepare(model, dt, steps, n_paths, seed, x0, law, method) -> _Job:
+    if method not in ("exact", "euler"):
+        raise ValueError(f"unknown method {method!r}")
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
+    if not (0 <= int(seed) < 2**64):
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    if x0 is not None and law is not None:
+        raise ValueError("give either x0 or law, not both")
+    chol_xi = None if law is None else law.chol_Xi
+    start = np.zeros(model.n) if x0 is None else x0
+    start_vec = _validate_run(model, start, dt, steps)
+    return _Job(int(seed), start_vec, chol_xi, _update(model, dt, method))
+
+
+def _chunk_bounds(n_paths: int, path_elements: int, n_workers: int) -> list[tuple[int, int]]:
+    """Consecutive path ranges of at most _CHUNK_ELEMENT_BUDGET elements per
+    chunk (path_elements per path), split across n_workers when above 1."""
+    chunk = max(1, _CHUNK_ELEMENT_BUDGET // path_elements)
+    if n_workers > 1:
+        chunk = min(chunk, max(1, math.ceil(n_paths / n_workers)))
+    return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+
+
+def _map_chunks(work, bounds: list[tuple[int, int]], n_workers: int) -> list:
+    """[work(b) for b in bounds], in a process pool when there are several
+    workers and several chunks."""
+    if n_workers > 1 and len(bounds) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not imported by serial runs
+
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(bounds))) as pool:
+            return list(pool.map(work, bounds))
+    return [work(b) for b in bounds]
 
 
 def sample_batch(
@@ -327,34 +411,37 @@ def sample_batch(
     or, when law is given, independent stationary draws; giving both is a
     ValueError. Results are byte-identical for any worker count.
     """
-    if method not in ("exact", "euler"):
-        raise ValueError(f"unknown method {method!r}")
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
-        raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
-    if not (0 <= int(seed) < 2**64):
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if x0 is not None and law is not None:
-        raise ValueError("give either x0 or law, not both")
-    chol_xi = None if law is None else law.chol_Xi
-    start = np.zeros(model.n) if x0 is None else x0
-    start_vec = _validate_run(model, start, dt, steps)
-    job = (int(seed), start_vec, chol_xi, _update(model, dt, method))
-
+    job = _prepare(model, dt, steps, n_paths, seed, x0, law, method)
     n_workers = resolve_workers(workers)
-    chunk = max(1, _CHUNK_ELEMENT_BUDGET // ((steps + 1) * model.n))
-    if n_workers > 1:
-        chunk = min(chunk, max(1, math.ceil(n_paths / n_workers)))
-    bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+    bounds = _chunk_bounds(n_paths, (steps + 1) * model.n, n_workers)
     states = np.empty((n_paths, steps + 1, model.n))
     heat = np.empty((n_paths, steps + 1))
     if n_workers > 1 and len(bounds) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # not imported by serial runs
-
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(bounds))) as pool:
-            parts = pool.map(functools.partial(_generate_chunk, job, int(steps)), bounds)
-            for (lo, hi), part in zip(bounds, parts):
-                states[lo:hi], heat[lo:hi] = part
+        make = functools.partial(_Layout.allocate, int(steps), model.n)
+        work = functools.partial(_consume_chunk, job, int(steps), make)
+        for (lo, hi), part in zip(bounds, _map_chunks(work, bounds, n_workers)):
+            states[lo:hi], heat[lo:hi] = part
     else:
         for lo, hi in bounds:
-            _fill_chunk(job, lo, states[lo:hi], heat[lo:hi])
+            _generate(job, lo, hi, steps, _Layout(states[lo:hi], heat[lo:hi]))
     return TrajectoryBatch(float(dt), int(seed), states, heat, law is not None, method)
+
+
+def stream_batch(
+    law: StationaryLaw, dt: float, steps: int, n_paths: int, seed: int, make_consumer
+) -> list:
+    """Run the paths of sample_batch(law.model, dt, steps, n_paths, seed,
+    law=law) without keeping them: each chunk of paths hands its time blocks
+    to make_consumer(chunk_size) (see _integrate), and the list of every
+    chunk's consumer.result(), in path order, is returned. The worker count is
+    resolve_workers(); make_consumer must pickle when it is above 1. The paths
+    are the same bits as sample_batch's, so a consumer that sums per path in a
+    fixed time order gives the same sums for any path count, chunking or
+    worker count.
+    """
+    job = _prepare(law.model, dt, steps, n_paths, seed, None, law, "exact")
+    n_workers = resolve_workers()
+    # Per path: a super-block of draws, and a consumer window of about as much.
+    bounds = _chunk_bounds(n_paths, 2 * min(steps, _SUPER_BLOCK) * law.model.n, n_workers)
+    work = functools.partial(_consume_chunk, job, int(steps), make_consumer)
+    return _map_chunks(work, bounds, n_workers)

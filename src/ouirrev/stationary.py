@@ -62,13 +62,15 @@ def stationary_law(model: LinearModel) -> StationaryLaw:
     Raises
     ------
     NoStationaryLawError
-        For sweeping models, which have no integrable stationary density.
+        For sweeping models, which have no integrable stationary density;
+        the exception carries the model's classification.
     """
     factors = rate_factors(model)
     cls = factors.classification
     if cls.verdict is Verdict.SWEEPING:
         raise NoStationaryLawError(
-            "model is sweeping (eigenvalue real part <= 0); no stationary law exists"
+            "model is sweeping (eigenvalue real part <= 0); no stationary law exists",
+            classification=cls,
         )
     xi = linalg.solve_lyapunov(model.B, model.A)
     chol = linalg.chol_spd(xi)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -300,8 +301,8 @@ _VERIFY_PIN_CASES = {
     "ring8": (ring_model(8), "2"),
 }
 _VERIFY_PIN_DIGESTS = {
-    "rot2": "d68e362447042b569b6d5fc7715239e1246736f7a3e82a038d55379ee10a538b",
-    "ring8": "541a1f6c5d8031f148676e026c1c141b00e7b2764ca2938f6f4bc48bbd7d0715",
+    "rot2": "fea2c7f7446950e54493746a72f606d16d1ac20ce1117b47edbcb450af7d6154",
+    "ring8": "d1e020a3c318a739742904659c4af7399e16008ee43e06d2f0c6f6ba5c93d3e3",
 }
 
 
@@ -384,9 +385,13 @@ class TestVerifyCommand:
         monkeypatch.setattr(estimators, "_lag_products", counting)
         argv = ["verify", model_file(ROT), "--paths", "20", "--steps", "2000", "--burn-in", "2"]
         assert main(argv + ["--tau", taus]) in (0, 4)
-        assert len(calls) == len(taus.split(","))
+        # The stream forms each lag's products one super-block at a time: in
+        # all, every time pair (t + lag, t) after the burn-in once.
+        ells = [round(float(tau) / 0.01) for tau in taus.split(",")]
+        assert sum(shape[1] for shape in calls) == sum(2001 - 200 - ell for ell in ells)
+        assert {shape[0] for shape in calls} == {20}
 
-    @pytest.mark.parametrize("payload", [ROT, ring_model(8)], ids=["rot2", "ring8"])
+    @pytest.mark.parametrize("payload", [ROT, ring_model(8), SWEEP], ids=["rot2", "ring8", "sweep"])
     def test_classifies_once(self, payload, model_file, capsys, monkeypatch):
         calls, eig_calls = [], []
         eig = linalg.eig
@@ -406,6 +411,26 @@ class TestVerifyCommand:
         assert main(argv) in (0, 4)
         assert len(calls) == 1
         assert len(eig_calls) == 1
+
+    def test_worker_count_invariance(self, model_file, capsys, monkeypatch):
+        argv = ["verify", model_file(ROT), *_VERIFY_PIN_ARGS, "--seed", "7"]
+        monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
+        main(argv)
+        serial = capsys.readouterr().out
+        monkeypatch.setenv("OU_IRREV_THREADS", "2")
+        main(argv)
+        assert capsys.readouterr().out == serial
+
+    def test_default_budget_memory(self, model_file, capsys):
+        # The stored batch alone held 200 x 10 001 x (2 + 1) doubles (48 MB);
+        # the stream keeps per-path sums and one super-block per path.
+        tracemalloc.start()
+        try:
+            assert main(["verify", model_file(ROT), "--seed", "3"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_sweeping_sections_skipped(self, model_file, capsys):
         code, report = run_json(capsys, ["verify", model_file(SWEEP)])

@@ -1,18 +1,22 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ouirrev import estimators, linalg
+from ouirrev import estimators, linalg, sampler
 from ouirrev.estimators import (
+    PathStatistics,
     greenkubo_check,
     hdr_estimate,
     path_statistics,
     reversibility_test,
+    stationary_statistics,
 )
 from ouirrev.exceptions import InsufficientDataError
 from ouirrev.model import build_model
-from ouirrev.sampler import sample_batch
+from ouirrev.sampler import _SUPER_BLOCK, sample_batch
 from ouirrev.stationary import stationary_law, two_time_covariance
 
 from conftest import rotational_model
@@ -227,6 +231,19 @@ def _einsum_oracle(later, earlier):
     return np.einsum("pti,ptj->pij", later, earlier)
 
 
+def _superblock_oracle(states, k0, ell):
+    """Per-path mean of x(j) x(j - ell)^T over j = k0 + ell .. steps, the
+    einsum of each super-block of _SUPER_BLOCK consecutive j (aligned to
+    j = 0) added in time order."""
+    steps = states.shape[1] - 1
+    total = np.zeros((states.shape[0], states.shape[2], states.shape[2]))
+    for base in range(0, steps + 1, _SUPER_BLOCK):
+        lo, hi = max(base, k0 + ell), min(base + _SUPER_BLOCK, steps + 1)
+        if lo < hi:
+            total += _einsum_oracle(states[:, lo:hi], states[:, lo - ell : hi - ell])
+    return total / (steps + 1 - k0 - ell)
+
+
 class TestLagProducts:
     """The row-wise kernel against the single-expression einsum it replaced."""
 
@@ -247,10 +264,13 @@ class TestLagProducts:
         _, _, batch = rot_batch
         k0, ell = 50, 25  # burn-in 1.0 and lag 0.5 at dt = 0.02
         stats = path_statistics(batch, [0.5], burn_in=1.0)
+        expected = _superblock_oracle(batch.states, k0, ell)
+        assert np.array_equal(stats.lag_products[0.5], expected)
         later = batch.states[:, k0 + ell :, :]
         earlier = batch.states[:, k0 : batch.n_steps + 1 - ell, :]
-        expected = _einsum_oracle(later, earlier) / earlier.shape[1]
-        assert np.array_equal(stats.lag_products[0.5], expected)
+        whole = _einsum_oracle(later, earlier) / earlier.shape[1]
+        rel = np.linalg.norm(stats.lag_products[0.5] - whole) / np.linalg.norm(whole)
+        assert rel <= 1e-12
 
     def test_validation(self, rot_batch):
         _, _, batch = rot_batch
@@ -262,3 +282,119 @@ class TestLagProducts:
             path_statistics(batch, [0.013])
         with pytest.raises(ValueError, match="exceeds"):
             path_statistics(batch, [1e9])
+
+
+def _sin_model(n: int):
+    """B = D + 0.5 sin(i - j) with D = diag(1, 1.25, ...), Gamma = I: stable,
+    irreversible for n >= 2, from closed-form entries."""
+    i, j = np.indices((n, n))
+    return build_model(np.diag(1.0 + 0.25 * np.arange(n)) + 0.5 * np.sin(i - j), np.eye(n))
+
+
+# (steps, burn-in index, lags in steps) around the super-block edges: one step;
+# exactly one super-block; one super-block + 1 with the burn-in on the edge; a
+# lag whose first pair straddles the edge; a ragged last super-block with the
+# burn-in off the edge and a lag spanning earlier super-blocks.
+_STREAM_CASES = [
+    (1, 0, (0,)),
+    (_SUPER_BLOCK, 0, (0, 1)),
+    (_SUPER_BLOCK + 1, _SUPER_BLOCK, (0, 1)),
+    (_SUPER_BLOCK + 20, _SUPER_BLOCK - 5, (0, 10)),
+    (2 * _SUPER_BLOCK + 300, 37, (0, 1, 150)),
+]
+
+
+class TestStreamedStatistics:
+    """stationary_statistics accumulates while it samples; it must give the
+    same bits as path_statistics and hdr_estimate on the stored batch."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("case", _STREAM_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+    def test_equals_stored_batch(self, n, case, monkeypatch):
+        steps, k0, ells = case
+        dt, n_paths, seed = 0.01, 5, 11
+        m = _sin_model(n)
+        law = stationary_law(m)
+        lags = tuple(ell * dt for ell in ells)
+        batch = sample_batch(m, dt, steps, n_paths, seed, law=law)
+        ref = path_statistics(batch, lags, burn_in=k0 * dt)
+        ref_hdr = hdr_estimate(batch, burn_in=k0 * dt)
+        # chunks of 2 paths: the last chunk holds one
+        monkeypatch.setattr(sampler, "_CHUNK_ELEMENT_BUDGET", 4 * min(steps, _SUPER_BLOCK) * n)
+        stats, hdr = stationary_statistics(law, dt, steps, n_paths, seed, lags, k0 * dt)
+        for lag in lags:
+            assert np.array_equal(stats.lag_products[lag], ref.lag_products[lag]), lag
+        assert (hdr.value, hdr.stderr) == (ref_hdr.value, ref_hdr.stderr)
+        make = functools.partial(estimators._LagSums, ells, k0, steps, n)
+        parts = sampler.stream_batch(law, dt, steps, n_paths, seed, make)
+        assert len(parts) == 3
+        heat = np.concatenate([part[1] for part in parts])
+        assert np.array_equal(heat, batch.heat[:, [k0, -1]])
+        sums = np.concatenate([part[0] for part in parts], axis=1)
+        for total, lag, ell in zip(sums, lags, ells):
+            assert np.array_equal(total / (steps + 1 - k0 - ell), ref.lag_products[lag])
+
+    def test_worker_count_invariance(self, monkeypatch):
+        law = stationary_law(rotational_model(1.0))
+        args = (law, 0.01, 1500, 6, 21, (0.1, 0.5, 1.0), 2.0)
+        monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
+        serial, serial_hdr = stationary_statistics(*args)
+        monkeypatch.setenv("OU_IRREV_THREADS", "2")
+        pooled, pooled_hdr = stationary_statistics(*args)
+        for lag in serial.lags:
+            assert np.array_equal(serial.lag_products[lag], pooled.lag_products[lag])
+        assert (serial_hdr.value, serial_hdr.stderr) == (pooled_hdr.value, pooled_hdr.stderr)
+
+    def test_validation_before_sampling(self, monkeypatch):
+        law = stationary_law(rotational_model(1.0))
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before validating")
+
+        monkeypatch.setattr(estimators, "stream_batch", no_sampling)
+        with pytest.raises(ValueError, match="multiple of dt"):
+            stationary_statistics(law, 0.01, 100, 4, 1, (0.013,))
+        with pytest.raises(ValueError, match="exceeds"):
+            stationary_statistics(law, 0.01, 100, 4, 1, (1.0, 5.0))
+        with pytest.raises(InsufficientDataError):
+            stationary_statistics(law, 0.01, 100, 4, 1, (0.1,), burn_in=1.0)
+        with pytest.raises(InsufficientDataError):
+            stationary_statistics(law, 0.01, 100, 1, 1, (0.1,))
+        for dt in (0.0, -0.01, math.nan):
+            with pytest.raises(ValueError, match="dt must be"):
+                stationary_statistics(law, dt, 100, 4, 1, (0.1,))
+        with pytest.raises(ValueError, match="steps must be"):
+            stationary_statistics(law, 0.01, 0, 4, 1, (0.0,))
+
+
+def _random_stats(n: int, n_paths: int) -> PathStatistics:
+    rng = np.random.default_rng(n)
+    products = {lag: rng.standard_normal((n_paths, n, n)) for lag in (0.1, 0.5)}
+    return PathStatistics(lags=(0.1, 0.5), lag_products=products, n_paths=n_paths, seed=5)
+
+
+class TestBootstrapChunks:
+    """reversibility_test averages resamples a chunk at a time; the chunks
+    change no bits and bound the memory. (At n = 1 the asymmetry is zero.)"""
+
+    @pytest.mark.parametrize("n", [2, 16, 32])
+    def test_chunks_change_no_bits(self, n, monkeypatch):
+        stats = _random_stats(n, 200)
+        results = []
+        for budget in (10**12, 3 * 200 * n * n + 1, 1):  # whole, 3 resamples, 1 resample
+            monkeypatch.setattr(estimators, "_BOOTSTRAP_ELEMENT_BUDGET", budget)
+            res = reversibility_test(stats)
+            results.append((res.statistic, res.per_lag))
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_peak_memory_n32(self):
+        # Resampling all 200 resamples at once held 200 x 200 x 32 x 32
+        # doubles (328 MB) per lag.
+        stats = _random_stats(32, 200)
+        tracemalloc.start()
+        try:
+            reversibility_test(stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
