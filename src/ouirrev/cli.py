@@ -4,7 +4,8 @@ the Monte Carlo vs. analytic verification suite.
 Model file format: a JSON object {"B": [[...]], "Gamma": [[...]]} with n
 inferred from the rows (ragged rows rejected).
 
-Exit codes: 0 ok / checks passed, 1 validation error, 2 numerical failure,
+Exit codes: 0 ok / checks passed, 1 validation error (including usage errors:
+a flag value that does not convert, an unknown command), 2 numerical failure,
 3 I/O error, 4 verification failed.
 
 Every command is deterministic given (model file, flags, seed). CSV numbers
@@ -21,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,38 +29,10 @@ from . import estimators, sampler, stationary, transient
 from .exceptions import NoStationaryLawError, NumericalFailureError
 from .model import LinearModel, Verdict, classify, model_from_dict
 
-DEFAULT_SEED = 0
-DEFAULT_DT = 0.01
-DEFAULT_STEPS = 10_000  # T = 100 at the default dt
-DEFAULT_PATHS = 200
-DEFAULT_BURN_IN = 10.0
-DEFAULT_TAUS = (0.1, 0.5, 1.0)
-
 GREEN_KUBO_Z_MAX = 4.0
 HDR_REL_ERR_MAX = 0.05
 HDR_ZERO_SIGMAS = 3.0
 FDR_RESIDUAL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed command options; defaults are documented in --help and pinned
-    by a golden-file test so they cannot drift silently."""
-
-    model_path: str
-    seed: int = DEFAULT_SEED
-    dt: float = DEFAULT_DT
-    steps: int = DEFAULT_STEPS
-    paths: int = DEFAULT_PATHS
-    burn_in: float = DEFAULT_BURN_IN
-    tau_list: tuple[float, ...] = DEFAULT_TAUS
-    out_path: str | None = None
-    json_output: bool = False
-    x0: tuple[float, ...] | None = None
-    stationary_start: bool = False
-    method: str = "exact"
-    t_max: float = 2.0
-    t_step: float = 0.1
 
 
 def _fmt(x: float) -> str:
@@ -77,18 +49,30 @@ def _matrix_list(m: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in m]
 
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+def _seed(text: str) -> int:
+    """--seed converter: an integer in [0, 2**64)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"must fit in an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    """--tau and --x0 converter: comma-separated numbers."""
     try:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}") from None
     if not values:
-        raise ValueError(f"{flag} must list at least one number")
+        raise argparse.ArgumentTypeError("must list at least one number")
     return values
 
 
-def _load_model(config: RunConfig) -> LinearModel:
-    with open(config.model_path, "r", encoding="utf-8") as fh:
+def _load_model(path: str) -> LinearModel:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -114,11 +98,11 @@ def _classification_dict(cls) -> dict:
     }
 
 
-def cmd_classify(config: RunConfig) -> int:
-    model = _load_model(config)
+def cmd_classify(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
     cls = classify(model)
-    if config.json_output:
-        _emit(canonical_json(_classification_dict(cls)), config.out_path)
+    if args.json:
+        _emit(canonical_json(_classification_dict(cls)), args.out)
         return 0
     lines = [f"verdict: {cls.verdict}"]
     eig_strs = [
@@ -129,12 +113,12 @@ def cmd_classify(config: RunConfig) -> int:
     lines.append(f"min real part: {_fmt(cls.spectrum_B.min_real_part)}")
     lines.append(f"symmetry defect of A^-1 B: {_fmt(cls.symmetry_defect_AinvB)}")
     lines.append(f"marginal: {'true' if cls.marginal else 'false'}")
-    _emit("\n".join(lines), config.out_path)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    model = _load_model(config)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
     law = stationary.stationary_law(model)  # NoStationaryLawError -> exit 1
     report = {
         "xi": _matrix_list(law.Xi),
@@ -144,10 +128,10 @@ def cmd_analyze(config: RunConfig) -> int:
         "fdr_strong": law.fdr_strong_residual,
         "r_tau": {
             _fmt(tau): _matrix_list(stationary.two_time_covariance(law, tau))
-            for tau in config.tau_list
+            for tau in args.tau
         },
     }
-    _emit(canonical_json(report), config.out_path)
+    _emit(canonical_json(report), args.out)
     return 0
 
 
@@ -172,35 +156,30 @@ def _write_trajectory_csv(path: str, traj: sampler.Trajectory) -> None:
             fh.write(f"{k * dt!r},{_csv_cells(row.tolist())},{float(w)!r}\n")
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    model = _load_model(config)
-    if config.out_path is None:
-        raise ValueError("simulate requires --out (output file prefix)")
-    law = stationary.stationary_law(model) if config.stationary_start else None
-    x0 = None
-    if not config.stationary_start:
-        x0 = np.zeros(model.n) if config.x0 is None else np.asarray(config.x0, dtype=float)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
+    law = stationary.stationary_law(model) if args.stationary else None
     batch = sampler.sample_batch(
         model,
-        dt=config.dt,
-        steps=config.steps,
-        n_paths=config.paths,
-        seed=config.seed,
-        x0=x0,
+        dt=args.dt,
+        steps=args.steps,
+        n_paths=args.paths,
+        seed=args.seed,
+        x0=None if args.stationary else args.x0,
         law=law,
-        method=config.method,
+        method=args.method,
     )
     for k in range(batch.n_paths):
-        _write_trajectory_csv(f"{config.out_path}_p{k}.csv", batch.path(k))
+        _write_trajectory_csv(f"{args.out}_p{k}.csv", batch.path(k))
     return 0
 
 
-def cmd_transient(config: RunConfig) -> int:
-    model = _load_model(config)
-    x0 = np.zeros(model.n) if config.x0 is None else np.asarray(config.x0, dtype=float)
+def cmd_transient(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
+    x0 = np.zeros(model.n) if args.x0 is None else np.asarray(args.x0, dtype=float)
     if x0.shape != (model.n,):
         raise ValueError(f"--x0 must have {model.n} components")
-    if not (0 < config.t_step < math.inf and 0 <= config.t_max < math.inf):
+    if not (0 < args.t_step < math.inf and 0 <= args.t_max < math.inf):
         raise ValueError("transient grid requires finite --t-step > 0 and --t-max >= 0")
     factors = transient.rate_factors(model)
     reversible = factors.classification.verdict is Verdict.REVERSIBLE
@@ -215,8 +194,8 @@ def cmd_transient(config: RunConfig) -> int:
     # Point mass at t = 0: entropy and rates are undefined, not -inf.
     undefined = "," * (len(header) - n_law)
     rows = [",".join(header)]
-    n_rows = int(math.floor(config.t_max / config.t_step + 1e-9)) + 1
-    states = transient.propagate_grid(model, x0, config.t_step, n_rows)
+    n_rows = int(math.floor(args.t_max / args.t_step + 1e-9)) + 1
+    states = transient.propagate_grid(model, x0, args.t_step, n_rows)
     grid = factors.grid_rates(states)
     columns = [grid.entropy, grid.epr_t, grid.hdr_t, grid.entropy_rate]
     if reversible:
@@ -225,7 +204,7 @@ def cmd_transient(config: RunConfig) -> int:
     for row, defined in zip(table, ~np.isnan(grid.entropy)):
         cells = row.tolist()
         rows.append(_csv_cells(cells) if defined else _csv_cells(cells[:n_law]) + undefined)
-    _emit("\n".join(rows), config.out_path)
+    _emit("\n".join(rows), args.out)
     return 0
 
 
@@ -233,8 +212,8 @@ def _skipped(reason: str) -> dict:
     return {"skipped": True, "reason": reason}
 
 
-def cmd_verify(config: RunConfig) -> int:
-    model = _load_model(config)
+def cmd_verify(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
     try:
         law = stationary.stationary_law(model)
         cls = law.classification
@@ -247,8 +226,8 @@ def cmd_verify(config: RunConfig) -> int:
         reason = "no stationary law (sweeping model)"
         for name in ("fdr", "epr_vs_hdr_mc", "two_time_symmetry", "green_kubo"):
             sections[name] = _skipped(reason)
-        report = {"pass": True, "sections": sections, "seed": config.seed}
-        _emit(canonical_json(report), config.out_path)
+        report = {"pass": True, "sections": sections, "seed": args.seed}
+        _emit(canonical_json(report), args.out)
         return 0
 
     reversible = cls.verdict is Verdict.REVERSIBLE
@@ -265,12 +244,12 @@ def cmd_verify(config: RunConfig) -> int:
 
     stats, hdr = estimators.stationary_statistics(
         law,
-        dt=config.dt,
-        steps=config.steps,
-        n_paths=config.paths,
-        seed=config.seed,
-        lags=config.tau_list,
-        burn_in=config.burn_in,
+        dt=args.dt,
+        steps=args.steps,
+        n_paths=args.paths,
+        seed=args.seed,
+        lags=args.tau,
+        burn_in=args.burn_in,
     )
     epr = law.epr
     if reversible:
@@ -297,19 +276,19 @@ def cmd_verify(config: RunConfig) -> int:
         "pass": bool(rev.verdict_reversible == reversible),
     }
 
-    cond_steps = max(1, int(round(max(config.tau_list) / config.dt)))
+    cond_steps = max(1, int(round(max(args.tau) / args.dt)))
     cond_batch = sampler.sample_batch(
         model,
-        dt=config.dt,
+        dt=args.dt,
         steps=cond_steps,
-        n_paths=config.paths,
-        seed=config.seed + 1,
+        n_paths=args.paths,
+        seed=(args.seed + 1) % 2**64,
         x0=np.ones(model.n),
     )
     gk = estimators.greenkubo_check(
         cond_batch,
         model,
-        config.tau_list,
+        args.tau,
         stats=stats,
         law=law,
     )
@@ -325,58 +304,68 @@ def cmd_verify(config: RunConfig) -> int:
     report = {
         "pass": overall,
         "sections": sections,
-        "seed": config.seed,
+        "seed": args.seed,
         "budget": {
-            "dt": config.dt,
-            "steps": config.steps,
-            "paths": config.paths,
-            "burn_in": config.burn_in,
-            "tau_list": list(config.tau_list),
+            "dt": args.dt,
+            "steps": args.steps,
+            "paths": args.paths,
+            "burn_in": args.burn_in,
+            "tau_list": list(args.tau),
         },
     }
-    _emit(canonical_json(report), config.out_path)
+    _emit(canonical_json(report), args.out)
     return 0 if overall else 4
 
 
-def _add_model_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("model", help="path to the model JSON file ({'B': [[..]], 'Gamma': [[..]]})")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so main reports them as validation
+    errors (exit 1); subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ouirrev",
         description="Classify, analyze, simulate, and statistically verify "
         "linear stochastic systems dx/dt = -B x + Gamma xi(t).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    taus = "0.1,0.5,1.0"
+
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    p = sub.add_parser("classify", help="stability/reversibility verdict", formatter_class=fmt)
-    _add_model_arg(p)
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, formatter_class=fmt)
+        p.set_defaults(run=run)
+        p.add_argument("model", help="path to the model JSON file ({'B': [[..]], 'Gamma': [[..]]})")
+        return p
+
+    def budget(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=_seed, default=0, help="master RNG seed (uint64)")
+        p.add_argument("--dt", type=float, default=0.01, help="time step")
+        p.add_argument("--steps", type=int, default=10_000, help="steps per path")
+        p.add_argument("--paths", type=int, default=200, help="number of paths")
+
+    p = command("classify", cmd_classify, "stability/reversibility verdict")
     p.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
-    p.add_argument("--out", default=None, help="write the report to this file instead of stdout")
+    p.add_argument("--out", help="write the report to this file instead of stdout")
 
-    p = sub.add_parser("analyze", help="stationary law and thermodynamics", formatter_class=fmt)
-    _add_model_arg(p)
+    p = command("analyze", cmd_analyze, "stationary law and thermodynamics")
     p.add_argument(
-        "--tau",
-        default=",".join(str(v) for v in DEFAULT_TAUS),
-        help="comma-separated lags for the two-time covariance",
+        "--tau", type=_floats, default=taus, help="comma-separated lags for the two-time covariance"
     )
-    p.add_argument("--out", default=None, help="write the JSON report to this file")
+    p.add_argument("--out", help="write the JSON report to this file")
 
-    p = sub.add_parser("simulate", help="sample trajectories to CSV files", formatter_class=fmt)
-    _add_model_arg(p)
+    p = command("simulate", cmd_simulate, "sample trajectories to CSV files")
     p.add_argument("--out", required=True, help="output path prefix; files get suffix _p<k>.csv")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master RNG seed (uint64)")
-    p.add_argument("--dt", type=float, default=DEFAULT_DT, help="time step")
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="steps per path")
-    p.add_argument("--paths", type=int, default=DEFAULT_PATHS, help="number of paths")
-    p.add_argument("--x0", default=None, help="comma-separated start point (default: origin)")
+    budget(p)
+    p.add_argument("--x0", type=_floats, help="comma-separated start point (default: origin)")
     p.add_argument(
         "--stationary",
         action="store_true",
-        help="draw each path's start from the stationary law",
+        help="draw each path's start from the stationary law (overrides --x0)",
     )
     p.add_argument(
         "--method",
@@ -385,71 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact transition sampling or Euler-Maruyama reference",
     )
 
-    p = sub.add_parser("transient", help="time-dependent law as a CSV series", formatter_class=fmt)
-    _add_model_arg(p)
-    p.add_argument("--x0", default=None, help="comma-separated start point (default: origin)")
+    p = command("transient", cmd_transient, "time-dependent law as a CSV series")
+    p.add_argument("--x0", type=_floats, help="comma-separated start point (default: origin)")
     p.add_argument("--t-max", type=float, default=2.0, help="last grid time")
     p.add_argument("--t-step", type=float, default=0.1, help="grid spacing")
-    p.add_argument("--out", default=None, help="write the CSV to this file instead of stdout")
+    p.add_argument("--out", help="write the CSV to this file instead of stdout")
 
-    p = sub.add_parser("verify", help="Monte Carlo vs. analytic check suite", formatter_class=fmt)
-    _add_model_arg(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master RNG seed (uint64)")
-    p.add_argument("--dt", type=float, default=DEFAULT_DT, help="time step")
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="steps per path")
-    p.add_argument("--paths", type=int, default=DEFAULT_PATHS, help="number of paths")
-    p.add_argument("--burn-in", type=float, default=DEFAULT_BURN_IN, help="discarded warmup time")
+    p = command("verify", cmd_verify, "Monte Carlo vs. analytic check suite")
+    budget(p)
+    p.add_argument("--burn-in", type=float, default=10.0, help="discarded warmup time")
     p.add_argument(
-        "--tau",
-        default=",".join(str(v) for v in DEFAULT_TAUS),
-        help="comma-separated lags / checkpoint times",
+        "--tau", type=_floats, default=taus, help="comma-separated lags / checkpoint times"
     )
-    p.add_argument("--out", default=None, help="write the JSON report to this file")
+    p.add_argument("--out", help="write the JSON report to this file")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs: dict = {"model_path": args.model}
-    if hasattr(args, "seed"):
-        if not (0 <= args.seed < 2**64):
-            raise ValueError("--seed must fit in an unsigned 64-bit integer")
-        kwargs["seed"] = args.seed
-    for name in ("dt", "steps", "paths", "method"):
-        if hasattr(args, name):
-            kwargs[name] = getattr(args, name)
-    if hasattr(args, "burn_in"):
-        kwargs["burn_in"] = args.burn_in
-    if getattr(args, "tau", None) is not None:
-        kwargs["tau_list"] = _parse_floats(args.tau, "--tau")
-    if getattr(args, "out", None) is not None:
-        kwargs["out_path"] = args.out
-    if getattr(args, "json", False):
-        kwargs["json_output"] = True
-    if getattr(args, "x0", None) is not None:
-        kwargs["x0"] = _parse_floats(args.x0, "--x0")
-    if getattr(args, "stationary", False):
-        kwargs["stationary_start"] = True
-    if hasattr(args, "t_max"):
-        kwargs["t_max"] = args.t_max
-        kwargs["t_step"] = args.t_step
-    return RunConfig(**kwargs)
-
-
-_COMMANDS = {
-    "classify": cmd_classify,
-    "analyze": cmd_analyze,
-    "simulate": cmd_simulate,
-    "transient": cmd_transient,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        return _COMMANDS[args.command](config)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -226,7 +226,7 @@ def path_statistics(batch: TrajectoryBatch, lags, burn_in: float = 0.0) -> PathS
     steps = batch.n_steps
     k0, lags, ells = _statistics_plan(batch.dt, steps, lags, burn_in)
     if batch.n_paths < 2:
-        raise InsufficientDataError("no admissible time pairs after burn-in at this lag")
+        raise InsufficientDataError("need at least 2 paths")
     acc = _LagSums(ells, k0, steps, batch.dim, batch.n_paths)
     for k in range(0, steps + 1, _SUPER_BLOCK):
         part = slice(k, k + _SUPER_BLOCK)

@@ -345,14 +345,13 @@ def _consume_chunk(job: _Job, steps: int, make_consumer, bounds: tuple[int, int]
     return consumer.result()
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit value, else OU_IRREV_THREADS, else 1 (serial).
+def resolve_workers() -> int:
+    """Worker count: OU_IRREV_THREADS, else 1 (serial).
 
     0 also means serial; there is no automatic choice.
     """
-    if workers is None:
-        raw = os.environ.get("OU_IRREV_THREADS", "").strip()
-        workers = int(raw) if raw else 0
+    raw = os.environ.get("OU_IRREV_THREADS", "").strip()
+    workers = int(raw) if raw else 0
     if workers < 0:
         raise ValueError(f"worker count must be >= 0, got {workers}")
     return max(workers, 1)
@@ -403,16 +402,16 @@ def sample_batch(
     x0=None,
     law: StationaryLaw | None = None,
     method: str = "exact",
-    workers: int | None = None,
 ) -> TrajectoryBatch:
     """Sample an ensemble of paths with per-path streams derived from seed.
 
     Starts are either a shared point x0 (the origin when neither is given)
     or, when law is given, independent stationary draws; giving both is a
-    ValueError. Results are byte-identical for any worker count.
+    ValueError. Results are byte-identical for any worker count
+    (resolve_workers).
     """
     job = _prepare(model, dt, steps, n_paths, seed, x0, law, method)
-    n_workers = resolve_workers(workers)
+    n_workers = resolve_workers()
     bounds = _chunk_bounds(n_paths, (steps + 1) * model.n, n_workers)
     states = np.empty((n_paths, steps + 1, model.n))
     heat = np.empty((n_paths, steps + 1))

@@ -473,3 +473,41 @@ class TestParserContract:
 
     def test_bad_seed_rejected(self, model_file, capsys):
         assert main(["verify", model_file(ROT), "--seed", "-1"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "{model}", "--steps", "abc"],
+            ["verify", "{model}", "--seed", "-1"],
+            ["verify", "{model}", "--seed", "18446744073709551616"],
+            ["verify", "{model}", "--tau", "0.1,x"],
+            ["transient", "{model}", "--t-step", "abc"],
+            ["bogus", "{model}"],
+            [],
+        ],
+        ids=[
+            "steps", "seed-negative", "seed-2**64", "tau", "t-step", "unknown-command", "no-command"
+        ],
+    )
+    def test_usage_error_exit_1(self, argv, model_file, capsys):
+        path = model_file(ROT)
+        assert main([path if a == "{model}" else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        flags = [a for a in argv if a.startswith("--")]
+        assert all(flag in captured.err for flag in flags)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "verify" in capsys.readouterr().out
+
+    def test_max_seed_accepted(self, model_file, capsys):
+        seed = 2**64 - 1
+        argv = ["verify", model_file(ROT), "--paths", "20", "--steps", "500", "--burn-in", "1"]
+        code, report = run_json(capsys, [*argv, "--seed", str(seed)])
+        assert code in (0, 4)
+        assert report["seed"] == seed

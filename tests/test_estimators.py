@@ -282,6 +282,9 @@ class TestLagProducts:
             path_statistics(batch, [0.013])
         with pytest.raises(ValueError, match="exceeds"):
             path_statistics(batch, [1e9])
+        one_path = sample_batch(rotational_model(1.0), dt=0.02, steps=50, n_paths=1, seed=100)
+        with pytest.raises(InsufficientDataError, match="at least 2 paths"):
+            path_statistics(one_path, [0.1])
 
 
 def _sin_model(n: int):

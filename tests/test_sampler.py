@@ -208,12 +208,14 @@ class TestBatchDeterminism:
             assert np.array_equal(batch.states[k], traj.states)
             assert np.array_equal(batch.heat[k], traj.heat)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
         m = rotational_model(1.0)
         law = stationary_law(m)
-        ref = sample_batch(m, dt=0.01, steps=200, n_paths=13, seed=7, law=law, workers=1)
-        for workers in (2, 5):
-            alt = sample_batch(m, dt=0.01, steps=200, n_paths=13, seed=7, law=law, workers=workers)
+        monkeypatch.setenv("OU_IRREV_THREADS", "1")
+        ref = sample_batch(m, dt=0.01, steps=200, n_paths=13, seed=7, law=law)
+        for workers in ("2", "5"):
+            monkeypatch.setenv("OU_IRREV_THREADS", workers)
+            alt = sample_batch(m, dt=0.01, steps=200, n_paths=13, seed=7, law=law)
             assert np.array_equal(ref.states, alt.states)
             assert np.array_equal(ref.heat, alt.heat)
 
@@ -240,21 +242,18 @@ class TestBatchDeterminism:
 
 
 class TestWorkerResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("OU_IRREV_THREADS", "7")
-        assert resolve_workers(2) == 2
-
     def test_env_and_auto(self, monkeypatch):
         monkeypatch.setenv("OU_IRREV_THREADS", "3")
-        assert resolve_workers(None) == 3
+        assert resolve_workers() == 3
         monkeypatch.setenv("OU_IRREV_THREADS", "0")
-        assert resolve_workers(None) == 1
+        assert resolve_workers() == 1
         monkeypatch.delenv("OU_IRREV_THREADS")
-        assert resolve_workers(None) == 1
+        assert resolve_workers() == 1
 
-    def test_negative_rejected(self):
+    def test_negative_rejected(self, monkeypatch):
+        monkeypatch.setenv("OU_IRREV_THREADS", "-1")
         with pytest.raises(ValueError):
-            resolve_workers(-1)
+            resolve_workers()
 
 
 def _irreversible_16() -> LinearModel:
