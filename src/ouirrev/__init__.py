@@ -24,18 +24,8 @@ from .exceptions import (
     UndefinedEntropyError,
 )
 from .linalg import Spectrum, chol_spd, eig, expm, gram_integral, is_spd, solve_lyapunov, sym_defect
-from .model import Classification, LinearModel, Verdict, build_model, classify, drift
-from .sampler import (
-    ExactStepper,
-    Trajectory,
-    TrajectoryBatch,
-    euler_maruyama_path,
-    make_exact_stepper,
-    path_stream,
-    sample_batch,
-    sample_path,
-    sample_stationary_start,
-)
+from .model import Classification, LinearModel, Verdict, build_model, classify
+from .sampler import TrajectoryBatch, path_stream, sample_batch
 from .stationary import (
     ForceFlux,
     StationaryLaw,
@@ -60,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Classification",
     "DegenerateModelError",
-    "ExactStepper",
     "ForceFlux",
     "GaussianState",
     "InsufficientDataError",
@@ -74,17 +63,14 @@ __all__ = [
     "Spectrum",
     "StationaryLaw",
     "ThermoSnapshot",
-    "Trajectory",
     "TrajectoryBatch",
     "UndefinedEntropyError",
     "Verdict",
     "build_model",
     "chol_spd",
     "classify",
-    "drift",
     "eig",
     "entropy",
-    "euler_maruyama_path",
     "expm",
     "force_flux",
     "free_energy",
@@ -93,15 +79,12 @@ __all__ = [
     "hdr_estimate",
     "instantaneous_rates",
     "is_spd",
-    "make_exact_stepper",
     "path_statistics",
     "path_stream",
     "potential",
     "propagate",
     "reversibility_test",
     "sample_batch",
-    "sample_path",
-    "sample_stationary_start",
     "solve_lyapunov",
     "stationary_density",
     "stationary_law",

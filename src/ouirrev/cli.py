@@ -71,6 +71,15 @@ def _floats(text: str) -> tuple[float, ...]:
     return values
 
 
+def _lags(text: str) -> tuple[float, ...]:
+    """verify's --tau converter: at least two lags, which the two-time
+    symmetry test compares."""
+    lags = _floats(text)
+    if len(lags) < 2:
+        raise argparse.ArgumentTypeError(f"must list at least two lags, got {text!r}")
+    return lags
+
+
 def _load_model(path: str) -> LinearModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -144,15 +153,15 @@ def _csv_cells(values) -> str:
     return ",".join(map(repr, values))
 
 
-def _write_trajectory_csv(path: str, traj: sampler.Trajectory) -> None:
-    n = traj.states.shape[1]
+def _write_trajectory_csv(path: str, dt: float, states: np.ndarray, heat: np.ndarray) -> None:
+    """One path as CSV rows t, x1 .. xn, W: states (steps + 1, n), heat (steps + 1,)."""
+    n = states.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",W"
-    dt = float(traj.dt)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         # One tolist() per row: converting the whole path at once would hold
         # a Python float object for every cell of the path at the same time.
-        for k, (row, w) in enumerate(zip(traj.states, traj.heat)):
+        for k, (row, w) in enumerate(zip(states, heat)):
             fh.write(f"{k * dt!r},{_csv_cells(row.tolist())},{float(w)!r}\n")
 
 
@@ -170,7 +179,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         method=args.method,
     )
     for k in range(batch.n_paths):
-        _write_trajectory_csv(f"{args.out}_p{k}.csv", batch.path(k))
+        _write_trajectory_csv(f"{args.out}_p{k}.csv", batch.dt, batch.states[k], batch.heat[k])
     return 0
 
 
@@ -333,6 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     taus = "0.1,0.5,1.0"
+    # argparse reads "-1,0" after a space as an option, not as a value.
+    x0_help = (
+        "comma-separated start point (default: origin); a list that starts with a "
+        "negative number needs the --x0=-1,0 form"
+    )
 
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
@@ -354,14 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("analyze", cmd_analyze, "stationary law and thermodynamics")
     p.add_argument(
-        "--tau", type=_floats, default=taus, help="comma-separated lags for the two-time covariance"
+        "--tau",
+        type=_floats,
+        default=taus,
+        help="comma-separated lags for the two-time covariance; a list that starts with a "
+        "negative number needs the --tau=-1,1 form",
     )
     p.add_argument("--out", help="write the JSON report to this file")
 
     p = command("simulate", cmd_simulate, "sample trajectories to CSV files")
     p.add_argument("--out", required=True, help="output path prefix; files get suffix _p<k>.csv")
     budget(p)
-    p.add_argument("--x0", type=_floats, help="comma-separated start point (default: origin)")
+    p.add_argument("--x0", type=_floats, help=x0_help)
     p.add_argument(
         "--stationary",
         action="store_true",
@@ -375,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("transient", cmd_transient, "time-dependent law as a CSV series")
-    p.add_argument("--x0", type=_floats, help="comma-separated start point (default: origin)")
+    p.add_argument("--x0", type=_floats, help=x0_help)
     p.add_argument("--t-max", type=float, default=2.0, help="last grid time")
     p.add_argument("--t-step", type=float, default=0.1, help="grid spacing")
     p.add_argument("--out", help="write the CSV to this file instead of stdout")
@@ -384,7 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     budget(p)
     p.add_argument("--burn-in", type=float, default=10.0, help="discarded warmup time")
     p.add_argument(
-        "--tau", type=_floats, default=taus, help="comma-separated lags / checkpoint times"
+        "--tau",
+        type=_lags,
+        default=taus,
+        help="comma-separated lags / checkpoint times, at least two (the two-time symmetry "
+        "test compares them)",
     )
     p.add_argument("--out", help="write the JSON report to this file")
     return parser

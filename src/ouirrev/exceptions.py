@@ -33,7 +33,7 @@ class UndefinedEntropyError(ValueError):
 
 
 class InsufficientDataError(ValueError):
-    """Trajectory batch does not carry enough samples for the estimator."""
+    """A batch of paths does not carry enough samples for the estimator."""
 
 
 class NumericalFailureError(RuntimeError):

@@ -84,14 +84,6 @@ def build_model(B, Gamma) -> LinearModel:
     return LinearModel(n=n, B=b, Gamma=g, A=a)
 
 
-def drift(model: LinearModel, x) -> np.ndarray:
-    """Drift field b(x) = -B x."""
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (model.n,):
-        raise ValueError(f"state must have shape ({model.n},), got {xv.shape}")
-    return -(model.B @ xv)
-
-
 def classify(model: LinearModel) -> Classification:
     """Classify the model by the spectrum of B and the symmetry of A^{-1} B.
 

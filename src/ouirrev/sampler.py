@@ -1,25 +1,30 @@
-"""Trajectory generation: exact one-step transition sampling, an
+"""Path generation: exact one-step transition sampling, an
 Euler-Maruyama reference integrator, and on-path accumulation of the heat
 dissipation functional.
+
+Two entry points share one integrator, one per result layout: sample_batch
+stores every path in path-major arrays, and stream_batch hands each block of
+steps to a caller's consumer and keeps nothing else. A single path is a batch
+of one.
 
 Reproducibility contract
 ------------------------
 Every path owns a private counter-based RNG stream: numpy's Philox generator
 keyed by (master seed, path index), with Gaussian variates drawn through
 numpy's ziggurat sampler (``Generator.standard_normal``). A path is therefore
-a pure function of (model, x0, dt, steps, master seed, path index) - bit for
-bit, independent of how many paths run, in which order, or across how many
-worker processes.
+a pure function of (model, start, dt, steps, master seed, path index) - bit
+for bit, independent of how many paths run, in which order, or across how
+many worker processes.
 
 To keep that guarantee, nothing after the draws enters a BLAS call whose
 result could depend on batch shape. Each m @ x is expanded in column-broadcast
 form, out = m[:, 0] x_0, then out += m[:, j] x_j for j = 1 .. n-1: n
 elementwise calls vectorized across the paths, each output element the same
-fixed sequence of roundings for any batch shape. One integrator serves every
-entry point. It draws each path's normals _SUPER_BLOCK steps at a time, does
-the noise transform, recursion and heat sums in blocks of _TIME_BLOCK steps,
-and hands each finished block to a consumer, so temporaries do not grow with
-the run. sample_batch's consumer copies the blocks into path-major arrays;
+fixed sequence of roundings for any batch shape. The integrator draws each
+path's normals _SUPER_BLOCK steps at a time, does the noise transform,
+recursion and heat sums in blocks of _TIME_BLOCK steps, and hands each
+finished block to a consumer, so temporaries do not grow with the run.
+sample_batch's consumer copies the blocks into path-major arrays;
 stream_batch lets a caller keep only what it needs (estimators accumulate
 per-path lag products this way). Blocking changes no bits: the draws continue
 each path's stream, every term is per step, and the cumulative heat of a block
@@ -74,26 +79,6 @@ def path_stream(seed: int, index: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One sampled path: states x_k and cumulative heat W_k (W_0 = 0)."""
-
-    dt: float
-    states: np.ndarray  # (steps + 1, n)
-    heat: np.ndarray  # (steps + 1,)
-    seed: tuple[int, int] | None  # (master seed, path index) when stream-derived
-
-
-@dataclass(frozen=True, eq=False)
-class ExactStepper:
-    """One-step law of the exact transition: x' | x ~ N(Phi x, Sigma_dt)."""
-
-    dt: float
-    Phi: np.ndarray
-    Sigma_dt: np.ndarray
-    chol: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class TrajectoryBatch:
     """Ensemble of paths sharing (model, dt, master seed); path-major arrays."""
 
@@ -102,7 +87,6 @@ class TrajectoryBatch:
     states: np.ndarray  # (n_paths, steps + 1, n)
     heat: np.ndarray  # (n_paths, steps + 1)
     stationary_start: bool
-    method: str
 
     @property
     def n_paths(self) -> int:
@@ -116,15 +100,6 @@ class TrajectoryBatch:
     def dim(self) -> int:
         return self.states.shape[2]
 
-    @property
-    def t_final(self) -> float:
-        return self.n_steps * self.dt
-
-    def path(self, k: int) -> Trajectory:
-        return Trajectory(
-            dt=self.dt, states=self.states[k], heat=self.heat[k], seed=(self.seed, k)
-        )
-
 
 def _colmatvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m @ x over axis -2 of x, whose last axis indexes paths, as n
@@ -137,33 +112,12 @@ def _colmatvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_exact_stepper(model: LinearModel, dt: float) -> ExactStepper:
-    """Precompute Phi = e^{-B dt} and Sigma_dt with its Cholesky factor."""
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
-    phi = linalg.expm(-model.B * dt)
-    sigma = linalg.gram_integral(model.B, model.A, dt)
-    chol = linalg.chol_spd(sigma)
-    return ExactStepper(dt=dt, Phi=phi, Sigma_dt=sigma, chol=chol)
-
-
 def _validate_grid(dt: float, steps: int) -> None:
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise ValueError(f"steps must be a positive integer, got {steps}")
     dt = float(dt)
     if not math.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-
-
-def _validate_run(model: LinearModel, x0, dt: float, steps: int) -> np.ndarray:
-    xv = np.asarray(x0, dtype=float)
-    if xv.shape != (model.n,):
-        raise ValueError(f"initial state must have shape ({model.n},), got {xv.shape}")
-    if not np.all(np.isfinite(xv)):
-        raise ValueError("initial state contains non-finite entries")
-    _validate_grid(dt, steps)
-    return xv
 
 
 class _Update(NamedTuple):
@@ -178,12 +132,15 @@ class _Update(NamedTuple):
 
 
 def _update(model: LinearModel, dt: float, method: str) -> _Update:
+    """The step update of method; exact uses Phi = e^{-B dt} and the one-step
+    covariance Sigma_dt = int_0^dt e^{-B s} A e^{-B^T s} ds."""
+    dt = float(dt)
     if method == "exact":
-        stepper = make_exact_stepper(model, dt)
-        drift, noise_mat = stepper.Phi, stepper.chol
+        drift = linalg.expm(-model.B * dt)
+        noise_mat = linalg.chol_spd(linalg.gram_integral(model.B, model.A, dt))
     else:
         drift, noise_mat = model.B, model.Gamma
-    return _Update(method, float(dt), drift, noise_mat, np.linalg.solve(model.A, model.B))
+    return _Update(method, dt, drift, noise_mat, np.linalg.solve(model.A, model.B))
 
 
 def _integrate(streams, start: np.ndarray, update: _Update, steps: int, consumer) -> None:
@@ -262,52 +219,6 @@ class _Layout:
         return self.states, self.heat
 
 
-def _single_path(model, x0, dt, steps, rng, seed_record, method: str) -> Trajectory:
-    """One path whose increments are the next steps x n normals of rng."""
-    xv = _validate_run(model, x0, dt, steps)
-    update = _update(model, dt, method)
-    out = _Layout.allocate(steps, model.n, 1)
-    _integrate([rng], xv[:, None], update, steps, out)
-    return Trajectory(dt=update.dt, states=out.states[0], heat=out.heat[0], seed=seed_record)
-
-
-def sample_path(
-    model: LinearModel,
-    x0,
-    dt: float,
-    steps: int,
-    rng: np.random.Generator,
-    *,
-    seed_record: tuple[int, int] | None = None,
-) -> Trajectory:
-    """Sample one path with the exact transition law.
-
-    The stream supplies steps x n standard normals in order; heat is
-    accumulated with the Stratonovich midpoint rule.
-    """
-    return _single_path(model, x0, dt, steps, rng, seed_record, "exact")
-
-
-def euler_maruyama_path(
-    model: LinearModel,
-    x0,
-    dt: float,
-    steps: int,
-    rng: np.random.Generator,
-    *,
-    seed_record: tuple[int, int] | None = None,
-) -> Trajectory:
-    """Reference Euler-Maruyama integrator x' = x - B x dt + Gamma sqrt(dt) z,
-    exposing the discretization bias the exact sampler avoids."""
-    return _single_path(model, x0, dt, steps, rng, seed_record, "euler")
-
-
-def sample_stationary_start(law: StationaryLaw, rng: np.random.Generator) -> np.ndarray:
-    """A draw from the stationary law N(0, Xi) via its Cholesky factor."""
-    z = rng.standard_normal((law.model.n, 1))
-    return _colmatvec(law.chol_Xi, z)[:, 0]
-
-
 class _Job(NamedTuple):
     """What every chunk of a batch shares: master seed, shared start (used
     when chol_xi is None), stationary-start factor, and the step update."""
@@ -321,9 +232,9 @@ class _Job(NamedTuple):
 def _generate(job: _Job, lo: int, hi: int, steps: int, consumer) -> None:
     """Generate paths lo .. hi-1 of a batch into consumer.
 
-    Per path p the stream is consumed as the single-path API does: an
-    optional standard_normal(n) block for a stationary start, then the
-    normals of the increments in step order.
+    Path p's stream supplies, in order, a standard_normal(n) block for a
+    stationary start (only when chol_xi is set), then the normals of the
+    increments in step order; p alone fixes its bits, not lo or hi.
     """
     streams = [path_stream(job.seed, p) for p in range(lo, hi)]
     if job.chol_xi is None:
@@ -366,10 +277,14 @@ def _prepare(model, dt, steps, n_paths, seed, x0, law, method) -> _Job:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if x0 is not None and law is not None:
         raise ValueError("give either x0 or law, not both")
+    start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
+    if start.shape != (model.n,):
+        raise ValueError(f"initial state must have shape ({model.n},), got {start.shape}")
+    if not np.all(np.isfinite(start)):
+        raise ValueError("initial state contains non-finite entries")
+    _validate_grid(dt, steps)
     chol_xi = None if law is None else law.chol_Xi
-    start = np.zeros(model.n) if x0 is None else x0
-    start_vec = _validate_run(model, start, dt, steps)
-    return _Job(int(seed), start_vec, chol_xi, _update(model, dt, method))
+    return _Job(int(seed), start, chol_xi, _update(model, dt, method))
 
 
 def _chunk_bounds(n_paths: int, path_elements: int, n_workers: int) -> list[tuple[int, int]]:
@@ -423,7 +338,7 @@ def sample_batch(
     else:
         for lo, hi in bounds:
             _generate(job, lo, hi, steps, _Layout(states[lo:hi], heat[lo:hi]))
-    return TrajectoryBatch(float(dt), int(seed), states, heat, law is not None, method)
+    return TrajectoryBatch(float(dt), int(seed), states, heat, law is not None)
 
 
 def stream_batch(

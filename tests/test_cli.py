@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ouirrev import cli, estimators, linalg, transient
+from ouirrev import cli, estimators, linalg, sampler, transient
 from ouirrev.cli import build_parser, canonical_json, main
 from ouirrev.model import classify
 
@@ -192,6 +192,13 @@ class TestTransientCommand:
         cov_cols = row0[3:7]
         assert all(float(c) == 0.0 for c in cov_cols)
         assert row0[header.index("entropy") :] == [""] * 5
+
+    def test_negative_x0_with_equals_form(self, model_file, capsys):
+        # "--x0 -1,0" reads as an option; "--x0=-1,0" passes the value
+        assert main(["transient", model_file(ROT), "--x0=-1,0", "--t-max", "0.2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("t,mean_1,mean_2,")
+        assert [float(c) for c in lines[1].split(",")[1:3]] == [-1.0, 0.0]
 
     def test_free_energy_column_absent_for_irreversible(self, model_file, capsys):
         assert main(["transient", model_file(ROT), "--x0", "1,0", "--t-max", "0.2"]) == 0
@@ -481,12 +488,20 @@ class TestParserContract:
             ["verify", "{model}", "--seed", "-1"],
             ["verify", "{model}", "--seed", "18446744073709551616"],
             ["verify", "{model}", "--tau", "0.1,x"],
+            ["verify", "{model}", "--tau", "0.5"],
             ["transient", "{model}", "--t-step", "abc"],
             ["bogus", "{model}"],
             [],
         ],
         ids=[
-            "steps", "seed-negative", "seed-2**64", "tau", "t-step", "unknown-command", "no-command"
+            "steps",
+            "seed-negative",
+            "seed-2**64",
+            "tau",
+            "tau-one-lag",
+            "t-step",
+            "unknown-command",
+            "no-command",
         ],
     )
     def test_usage_error_exit_1(self, argv, model_file, capsys):
@@ -498,6 +513,25 @@ class TestParserContract:
         assert captured.err.startswith("error: ")
         flags = [a for a in argv if a.startswith("--")]
         assert all(flag in captured.err for flag in flags)
+
+    def test_one_lag_rejected_before_sampling(self, model_file, monkeypatch, capsys):
+        class Sampled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Sampled
+
+        # verify reaches the stream through the name estimators imported
+        monkeypatch.setattr(sampler, "stream_batch", refuse)
+        monkeypatch.setattr(estimators, "stream_batch", refuse)
+        path = model_file(ROT)
+        with pytest.raises(Sampled):
+            main(["verify", path, "--tau", "0.5,1.0"])
+        assert main(["verify", path, "--tau", "0.5"]) == 1
+        assert "--tau" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "at least two" in " ".join(capsys.readouterr().out.split())
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

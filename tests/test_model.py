@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ouirrev.exceptions import ModelValidationError
-from ouirrev.model import Verdict, build_model, classify, drift, model_from_dict, model_to_dict
+from ouirrev.model import Verdict, build_model, classify, model_from_dict, model_to_dict
 
 from conftest import random_reversible_model, rotational_model
 
@@ -97,24 +97,6 @@ class TestClassify:
             cls = classify(m)
             assert cls.verdict is Verdict.REVERSIBLE
             assert np.max(np.abs(cls.spectrum_B.eigenvalues.imag)) <= 1e-8
-
-
-class TestDrift:
-    def test_zero(self):
-        m = rotational_model(1.0)
-        assert np.array_equal(drift(m, np.zeros(2)), np.zeros(2))
-
-    def test_identity_drift(self):
-        m = build_model(np.eye(2), np.eye(2))
-        assert np.array_equal(drift(m, [1.0, 2.0]), [-1.0, -2.0])
-
-    def test_rotational_direction(self):
-        m = rotational_model(0.7)
-        assert np.allclose(drift(m, [1.0, 0.0]), [-1.0, 0.7], atol=1e-15)
-
-    def test_dimension_check(self):
-        with pytest.raises(ValueError):
-            drift(rotational_model(1.0), [1.0, 2.0, 3.0])
 
 
 class TestModelJson:

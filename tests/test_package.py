@@ -13,7 +13,7 @@ def test_public_names_resolve():
 
 
 def test_removed_names_gone():
-    from ouirrev import estimators, stationary
+    from ouirrev import estimators, model, sampler, stationary
 
     for module, name in [
         (stationary, "entropy_production_rate"),
@@ -23,10 +23,22 @@ def test_removed_names_gone():
         (estimators, "empirical_moments"),
         (estimators, "MomentEstimate"),
         (estimators, "MIN_EFFECTIVE_SAMPLES"),
+        (sampler, "sample_path"),
+        (sampler, "euler_maruyama_path"),
+        (sampler, "_single_path"),
+        (sampler, "sample_stationary_start"),
+        (sampler, "ExactStepper"),
+        (sampler, "make_exact_stepper"),
+        (sampler, "Trajectory"),
+        (sampler, "_validate_run"),
+        (model, "drift"),
     ]:
         assert not hasattr(module, name)
         assert not hasattr(ouirrev, name)
         assert name not in ouirrev.__all__
+    for name in ("path", "t_final", "method"):
+        assert name not in dir(sampler.TrajectoryBatch)
+        assert name not in sampler.TrajectoryBatch.__dataclass_fields__
 
 
 def test_cli_import_skips_process_pool():

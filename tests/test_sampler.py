@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from ouirrev import linalg
 from ouirrev.model import LinearModel, build_model
 from ouirrev.sampler import (
     _TIME_BLOCK,
     _colmatvec,
-    euler_maruyama_path,
-    make_exact_stepper,
+    _generate,
+    _Layout,
+    _prepare,
+    _update,
     path_stream,
     resolve_workers,
     sample_batch,
-    sample_path,
-    sample_stationary_start,
 )
 from ouirrev.stationary import stationary_law
 from ouirrev.transient import potential, propagate
@@ -22,30 +23,44 @@ from ouirrev.transient import potential, propagate
 from conftest import rotational_model
 
 
-class TestExactStepper:
+def _exact_step(m: LinearModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Phi and Sigma_dt = L L^T of the exact update the sampler integrates."""
+    update = _update(m, dt, "exact")
+    return update.drift, update.noise_mat @ update.noise_mat.T
+
+
+class TestExactUpdate:
     def test_scalar_values(self):
-        stepper = make_exact_stepper(build_model([[1.0]], [[1.0]]), 0.1)
-        assert stepper.Phi[0, 0] == pytest.approx(math.exp(-0.1), rel=1e-12)
-        assert stepper.Sigma_dt[0, 0] == pytest.approx((1 - math.exp(-0.2)) / 2, rel=1e-12)
+        m = build_model([[1.0]], [[1.0]])
+        phi, sigma = _exact_step(m, 0.1)
+        assert phi[0, 0] == pytest.approx(math.exp(-0.1), rel=1e-12)
+        assert sigma[0, 0] == pytest.approx((1 - math.exp(-0.2)) / 2, rel=1e-12)
+
+    def test_factors_from_linalg(self):
+        m = rotational_model(0.7)
+        update = _update(m, 0.1, "exact")
+        assert np.array_equal(update.drift, linalg.expm(-m.B * 0.1))
+        sigma = linalg.gram_integral(m.B, m.A, 0.1)
+        assert np.array_equal(update.noise_mat, linalg.chol_spd(sigma))
 
     def test_small_dt_expansion(self):
         m = rotational_model(1.0)
         dt = 1e-5
-        stepper = make_exact_stepper(m, dt)
-        assert np.max(np.abs(stepper.Phi - np.eye(2))) < 2 * dt
-        assert np.max(np.abs(stepper.Sigma_dt / dt - m.A)) < 2 * dt
+        phi, sigma = _exact_step(m, dt)
+        assert np.max(np.abs(phi - np.eye(2))) < 2 * dt
+        assert np.max(np.abs(sigma / dt - m.A)) < 2 * dt
 
     def test_half_step_composition(self):
         m = rotational_model(0.7)
-        full = make_exact_stepper(m, 0.2)
-        half = make_exact_stepper(m, 0.1)
-        assert np.max(np.abs(full.Phi - half.Phi @ half.Phi)) < 1e-12
-        sigma = half.Phi @ half.Sigma_dt @ half.Phi.T + half.Sigma_dt
-        assert np.max(np.abs(full.Sigma_dt - sigma)) < 1e-12
+        phi_full, sigma_full = _exact_step(m, 0.2)
+        phi, sigma_half = _exact_step(m, 0.1)
+        assert np.max(np.abs(phi_full - phi @ phi)) < 1e-12
+        sigma = phi @ sigma_half @ phi.T + sigma_half
+        assert np.max(np.abs(sigma_full - sigma)) < 1e-12
 
     def test_invalid_dt(self):
-        with pytest.raises(ValueError):
-            make_exact_stepper(rotational_model(1.0), 0.0)
+        with pytest.raises(ValueError, match="dt"):
+            sample_batch(rotational_model(1.0), dt=0.0, steps=10, n_paths=1, seed=0)
 
 
 class TestMarginalIdentity:
@@ -53,12 +68,12 @@ class TestMarginalIdentity:
         # deterministic moment identity; no sampling involved
         m = rotational_model(0.9)
         dt, k_max = 0.05, 64
-        stepper = make_exact_stepper(m, dt)
+        phi, sigma = _exact_step(m, dt)
         x0 = np.array([1.5, -0.5])
         mean, cov = x0.copy(), np.zeros((2, 2))
         for k in range(1, k_max + 1):
-            mean = stepper.Phi @ mean
-            cov = stepper.Phi @ cov @ stepper.Phi.T + stepper.Sigma_dt
+            mean = phi @ mean
+            cov = phi @ cov @ phi.T + sigma
             ref = propagate(m, x0, k * dt)
             assert np.max(np.abs(mean - ref.mean)) < 1e-12
             assert np.max(np.abs(cov - ref.cov)) < 1e-12
@@ -66,26 +81,27 @@ class TestMarginalIdentity:
     def test_step_size_invariance(self):
         # (dt, 2N) and (2dt, N) give the same marginal law at common times
         m = rotational_model(1.3)
-        fine = make_exact_stepper(m, 0.05)
-        coarse = make_exact_stepper(m, 0.1)
-        assert np.max(np.abs(coarse.Phi - fine.Phi @ fine.Phi)) < 1e-13
-        sigma = fine.Phi @ fine.Sigma_dt @ fine.Phi.T + fine.Sigma_dt
-        assert np.max(np.abs(coarse.Sigma_dt - sigma)) < 1e-13
+        phi_fine, sigma_fine = _exact_step(m, 0.05)
+        phi_coarse, sigma_coarse = _exact_step(m, 0.1)
+        assert np.max(np.abs(phi_coarse - phi_fine @ phi_fine)) < 1e-13
+        sigma = phi_fine @ sigma_fine @ phi_fine.T + sigma_fine
+        assert np.max(np.abs(sigma_coarse - sigma)) < 1e-13
 
 
 class TestSamplePath:
     def test_reproducible_bit_for_bit(self):
         m = rotational_model(1.0)
-        a = sample_path(m, [1.0, 0.0], 0.01, 200, path_stream(5, 0))
-        b = sample_path(m, [1.0, 0.0], 0.01, 200, path_stream(5, 0))
+        a = sample_batch(m, 0.01, 200, n_paths=1, seed=5, x0=[1.0, 0.0])
+        b = sample_batch(m, 0.01, 200, n_paths=1, seed=5, x0=[1.0, 0.0])
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.heat, b.heat)
 
     def test_heat_starts_at_zero_and_lengths(self):
         m = rotational_model(1.0)
-        traj = sample_path(m, [0.0, 0.0], 0.01, 50, path_stream(1, 0))
-        assert traj.heat[0] == 0.0
-        assert traj.heat.shape[0] == traj.states.shape[0] == 51
+        batch = sample_batch(m, 0.01, 50, n_paths=1, seed=1)
+        assert batch.heat[0, 0] == 0.0
+        assert batch.heat.shape == (1, 51)
+        assert batch.states.shape == (1, 51, 2)
 
     def test_ensemble_matches_analytic_moments(self):
         m = rotational_model(1.0)
@@ -104,42 +120,46 @@ class TestSamplePath:
         # midpoint rule is exact on quadratic potentials, path by path
         law = stationary_law(reversible_2d)
         batch = sample_batch(reversible_2d, dt=0.01, steps=2000, n_paths=20, seed=3, law=law)
-        for k in range(batch.n_paths):
-            traj = batch.path(k)
-            u0 = potential(reversible_2d, traj.states[0])
-            u_end = potential(reversible_2d, traj.states[-1])
-            assert abs(traj.heat[-1] + u_end - u0) <= 1e-10 * (1 + abs(u0))
+        for states, heat in zip(batch.states, batch.heat):
+            u0 = potential(reversible_2d, states[0])
+            u_end = potential(reversible_2d, states[-1])
+            assert abs(heat[-1] + u_end - u0) <= 1e-10 * (1 + abs(u0))
 
     def test_single_step_small_dt(self):
         m = rotational_model(1.0)
         x0 = [1.0, 0.0]
         for dt in (1e-4, 1e-6):
-            traj = sample_path(m, x0, dt, 1, path_stream(9, 0))
-            assert np.max(np.abs(traj.states[1] - x0)) < 50 * math.sqrt(dt)
-            assert abs(traj.heat[1]) < 50 * math.sqrt(dt)
+            batch = sample_batch(m, dt, 1, n_paths=1, seed=9, x0=x0)
+            assert np.max(np.abs(batch.states[0, 1] - x0)) < 50 * math.sqrt(dt)
+            assert abs(batch.heat[0, 1]) < 50 * math.sqrt(dt)
 
     def test_batched_start_rejected(self):
-        # one path has one start; a stack of starts is not silently broadcast
+        # x0 is one shared start; a stack of starts is not silently broadcast
         m = rotational_model(1.0)
-        for integrate in (sample_path, euler_maruyama_path):
-            with pytest.raises(ValueError):
-                integrate(m, [[1.0, 0.0], [0.0, 1.0]], 0.01, 10, path_stream(0, 0))
+        for method in ("exact", "euler"):
+            with pytest.raises(ValueError, match="initial state"):
+                sample_batch(
+                    m, 0.01, 10, n_paths=1, seed=0, x0=[[1.0, 0.0], [0.0, 1.0]], method=method
+                )
 
     def test_invalid_arguments(self):
         m = rotational_model(1.0)
         with pytest.raises(ValueError):
-            sample_path(m, [1.0], 0.01, 10, path_stream(0, 0))
+            sample_batch(m, 0.01, 10, n_paths=1, seed=0, x0=[1.0])
         with pytest.raises(ValueError):
-            sample_path(m, [1.0, 0.0], -0.01, 10, path_stream(0, 0))
+            sample_batch(m, 0.01, 10, n_paths=1, seed=0, x0=[1.0, math.nan])
         with pytest.raises(ValueError):
-            sample_path(m, [1.0, 0.0], 0.01, 0, path_stream(0, 0))
+            sample_batch(m, -0.01, 10, n_paths=1, seed=0, x0=[1.0, 0.0])
+        with pytest.raises(ValueError):
+            sample_batch(m, 0.01, 0, n_paths=1, seed=0, x0=[1.0, 0.0])
 
 
 class TestStationaryStart:
     def test_draw_covariance(self):
-        law = stationary_law(rotational_model(1.0))
-        rng = path_stream(21, 0)
-        draws = np.array([sample_stationary_start(law, rng) for _ in range(100_000)])
+        # the starts of 100 000 independent paths, one draw per path stream
+        m = rotational_model(1.0)
+        law = stationary_law(m)
+        draws = sample_batch(m, 0.01, 1, n_paths=100_000, seed=21, law=law).states[:, 0]
         se_mean = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0)) <= 4 * se_mean)
         prods = draws[:, :, None] * draws[:, None, :]
@@ -147,10 +167,15 @@ class TestStationaryStart:
         assert np.all(np.abs(prods.mean(axis=0) - law.Xi) <= 4 * se)
 
     def test_reproducible(self):
-        law = stationary_law(rotational_model(1.0))
-        a = sample_stationary_start(law, path_stream(2, 0))
-        b = sample_stationary_start(law, path_stream(2, 0))
+        # path p starts at chol(Xi) z with z the first n normals of its stream
+        m = rotational_model(1.0)
+        law = stationary_law(m)
+        a = sample_batch(m, 0.01, 1, n_paths=3, seed=2, law=law).states[:, 0]
+        b = sample_batch(m, 0.01, 1, n_paths=3, seed=2, law=law).states[:, 0]
         assert np.array_equal(a, b)
+        for p in range(3):
+            z = path_stream(2, p).standard_normal((m.n, 1))
+            assert np.array_equal(a[p], _colmatvec(law.chol_Xi, z)[:, 0])
 
     def test_x0_with_law_rejected(self):
         # a shared start and stationary draws are exclusive; neither wins silently
@@ -192,21 +217,24 @@ class TestEulerMaruyama:
     def test_zero_noise_limit_is_explicit_euler(self):
         m = build_model([[1.0, 0.5], [-0.5, 1.0]], 1e-5 * np.eye(2))
         dt, steps = 0.01, 100
-        traj = euler_maruyama_path(m, [1.0, 1.0], dt, steps, path_stream(0, 0))
+        batch = sample_batch(m, dt, steps, n_paths=1, seed=0, x0=[1.0, 1.0], method="euler")
         x = np.array([1.0, 1.0])
         for _ in range(steps):
             x = x - dt * (m.B @ x)
-        assert np.max(np.abs(traj.states[-1] - x)) < 1e-4
+        assert np.max(np.abs(batch.states[0, -1] - x)) < 1e-4
 
 
 class TestBatchDeterminism:
-    def test_batch_equals_single_paths(self):
+    def test_batch_equals_one_path_chunks(self):
+        # path k of one chunk of 5 paths is the same bits as path k generated alone
         m = rotational_model(1.0)
         batch = sample_batch(m, dt=0.01, steps=100, n_paths=5, seed=101, x0=[1.0, 0.0])
+        job = _prepare(m, 0.01, 100, 5, 101, [1.0, 0.0], None, "exact")
         for k in range(5):
-            traj = sample_path(m, [1.0, 0.0], 0.01, 100, path_stream(101, k))
-            assert np.array_equal(batch.states[k], traj.states)
-            assert np.array_equal(batch.heat[k], traj.heat)
+            alone = _Layout.allocate(100, m.n, 1)
+            _generate(job, k, k + 1, 100, alone)
+            assert np.array_equal(batch.states[k], alone.states[0])
+            assert np.array_equal(batch.heat[k], alone.heat[0])
 
     def test_worker_count_invariance(self, monkeypatch):
         m = rotational_model(1.0)
@@ -230,13 +258,13 @@ class TestBatchDeterminism:
         m = rotational_model(1.0)
         law = stationary_law(m)
         batch = sample_batch(m, dt=0.01, steps=10_000, n_paths=200, seed=31, law=law)
-        rates = (batch.heat[:, -1] - batch.heat[:, 0]) / batch.t_final
+        rates = (batch.heat[:, -1] - batch.heat[:, 0]) / (batch.n_steps * batch.dt)
         assert float(rates.mean()) == pytest.approx(2.0, rel=0.05)
 
     def test_reversible_long_run_heat_rate_near_zero(self, reversible_2d):
         law = stationary_law(reversible_2d)
         batch = sample_batch(reversible_2d, dt=0.01, steps=5000, n_paths=100, seed=37, law=law)
-        rates = (batch.heat[:, -1] - batch.heat[:, 0]) / batch.t_final
+        rates = (batch.heat[:, -1] - batch.heat[:, 0]) / (batch.n_steps * batch.dt)
         se = rates.std(ddof=1) / math.sqrt(batch.n_paths)
         assert abs(rates.mean()) <= 3 * se
 
@@ -267,8 +295,10 @@ def _irreversible_16() -> LinearModel:
 
 _PIN_MODELS = {"rot2": lambda: rotational_model(1.0), "irr16": _irreversible_16}
 
-# (case, model, entry point, method, start, steps). With 128-step time blocks,
-# 129 and 257 end one step into a new block and 1000 ends in a ragged block.
+# (case, model, what is digested, method, start, steps). "batch" digests all of
+# sample_batch(n_paths=3); "path" digests path 1 of sample_batch(n_paths=2)
+# alone, a path that is not first in its chunk. With 128-step time blocks, 129
+# and 257 end one step into a new block and 1000 ends in a ragged block.
 _PIN_CASES = [
     ("rot2-batch-exact-law-1", "rot2", "batch", "exact", "law", 1),
     ("rot2-batch-exact-law-257", "rot2", "batch", "exact", "law", 257),
@@ -310,24 +340,23 @@ def _pin_digest(model_name, entry, method, start, steps) -> str:
     m = _PIN_MODELS[model_name]()
     x0 = np.linspace(1.0, -0.5, m.n)
     dt = 0.01
-    if entry == "batch":
-        kwargs = {"law": stationary_law(m)} if start == "law" else {"x0": x0}
-        out = sample_batch(m, dt, steps, n_paths=3, seed=2024, method=method, **kwargs)
-    else:
-        integrate = sample_path if method == "exact" else euler_maruyama_path
-        out = integrate(m, x0, dt, steps, path_stream(2024, 1))
-    return hashlib.sha256(out.states.tobytes() + out.heat.tobytes()).hexdigest()
+    kwargs = {"law": stationary_law(m)} if start == "law" else {"x0": x0}
+    n_paths = 3 if entry == "batch" else 2
+    out = sample_batch(m, dt, steps, n_paths=n_paths, seed=2024, method=method, **kwargs)
+    states, heat = (out.states, out.heat) if entry == "batch" else (out.states[1], out.heat[1])
+    return hashlib.sha256(states.tobytes() + heat.tobytes()).hexdigest()
 
 
 class TestBitPin:
-    """Pins the exact output bits of every sampler entry point.
+    """Pins the exact output bits of sample_batch: whole batches, and single
+    paths (path 1 of a two-path batch) with shared starts.
 
     The reruns and worker-count checks in TestBatchDeterminism cannot see a
     change that alters bits the same way everywhere; these SHA-256 digests of
-    states.tobytes() + heat.tobytes() can. They assume numpy's Philox bit
-    generator and ziggurat standard_normal streams as of numpy 2.4.6, and
-    IEEE double arithmetic; a numpy release that changes either stream
-    changes them legitimately.
+    states.tobytes() + heat.tobytes() (of the batch, or of the one path) can.
+    They assume numpy's Philox bit generator and ziggurat standard_normal
+    streams as of numpy 2.4.6, and IEEE double arithmetic; a numpy release
+    that changes either stream changes them legitimately.
     """
 
     @pytest.mark.parametrize("case", _PIN_CASES, ids=[c[0] for c in _PIN_CASES])
