@@ -8,8 +8,6 @@ verification of the analytic predictions.
 from .estimators import (
     PathStatistics,
     greenkubo_check,
-    hdr_estimate,
-    path_statistics,
     reversibility_test,
     stationary_statistics,
 )
@@ -76,10 +74,8 @@ __all__ = [
     "free_energy",
     "gram_integral",
     "greenkubo_check",
-    "hdr_estimate",
     "instantaneous_rates",
     "is_spd",
-    "path_statistics",
     "path_stream",
     "potential",
     "propagate",

@@ -72,11 +72,11 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _lags(text: str) -> tuple[float, ...]:
-    """verify's --tau converter: at least two lags, which the two-time
-    symmetry test compares."""
+    """verify's --tau converter: at least two distinct lags, which the
+    two-time symmetry test compares."""
     lags = _floats(text)
-    if len(lags) < 2:
-        raise argparse.ArgumentTypeError(f"must list at least two lags, got {text!r}")
+    if len(set(lags)) < 2:
+        raise argparse.ArgumentTypeError(f"must list at least two distinct lags, got {text!r}")
     return lags
 
 
@@ -294,13 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=(args.seed + 1) % 2**64,
         x0=np.ones(model.n),
     )
-    gk = estimators.greenkubo_check(
-        cond_batch,
-        model,
-        args.tau,
-        stats=stats,
-        law=law,
-    )
+    gk = estimators.greenkubo_check(cond_batch, law, stats)
     gk_pass = gk.max_abs_z <= GREEN_KUBO_Z_MAX and gk.max_abs_z_two_time <= GREEN_KUBO_Z_MAX
     sections["green_kubo"] = {
         "max_abs_z_conditional_mean": gk.max_abs_z,
@@ -405,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tau",
         type=_lags,
         default=taus,
-        help="comma-separated lags / checkpoint times, at least two (the two-time symmetry "
-        "test compares them)",
+        help="comma-separated lags / checkpoint times, at least two distinct (the two-time "
+        "symmetry test compares them)",
     )
     p.add_argument("--out", help="write the JSON report to this file")
     return parser

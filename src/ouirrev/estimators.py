@@ -5,16 +5,14 @@ conditional-mean regression (Onsager/Green-Kubo) check.
 Both two-time estimators (the reversibility test and the R(t, 0) half of the
 Green-Kubo check) read one PathStatistics value: the per-path lag products
 x(t + lag) x(t)^T, so a verify run forms each lag's products once.
-PathStatistics comes from one accumulator (_LagSums), a consumer of the
-sampler's time blocks. stationary_statistics hands it the blocks while the
-paths are generated (sampler.stream_batch), so no state array is kept: only
-per-path sums, a window of the last max(lag) states, and the heat at burn-in
-and at T, from which the heat rate is read by the same formula as
-hdr_estimate. path_statistics feeds a stored batch's states through the same
-accumulator. Each lag's products are summed per super-block of
-sampler._SUPER_BLOCK consecutive later times (aligned to t = 0), then added in
-time order, so the sums depend only on each path's states: the same bits from
-either entry point, for any path count, chunking or worker count.
+stationary_statistics is the one producer of PathStatistics and of the heat
+rate (HdrEstimate). It hands an accumulator (_LagSums) the sampler's time
+blocks while the paths are generated (sampler.stream_batch), so no state
+array is kept: only per-path sums, a window of the last max(lag) states, and
+the heat at burn-in and at T. Each lag's products are summed per super-block
+of sampler._SUPER_BLOCK consecutive later times (aligned to t = 0), then
+added in time order, so the sums depend only on each path's states: the same
+bits for any path count, chunking or worker count.
 
 All estimators are deterministic functions of (batch, parameters): bootstrap
 resampling draws from a reserved stream derived from the batch's master seed,
@@ -34,7 +32,6 @@ import numpy as np
 
 from . import linalg
 from .exceptions import InsufficientDataError
-from .model import LinearModel
 from .sampler import (
     _SUPER_BLOCK,
     BOOTSTRAP_STREAM,
@@ -73,35 +70,21 @@ class HdrEstimate:
 class GreenKuboResult:
     max_abs_z: float  # conditional-mean decay, worst componentwise z-score
     max_deviation: float  # worst ||mean(t) - e^{-Bt} x0|| / (1 + ||x0||)
-    max_abs_z_two_time: float | None  # R(t,0) vs e^{-Bt} Xi, worst entry z
-    checkpoints: tuple[float, ...]
+    max_abs_z_two_time: float  # R(t,0) vs e^{-Bt} Xi, worst entry z
 
 
 @dataclass(frozen=True, eq=False)
 class PathStatistics:
     """Per-path two-time products of one stationary batch after burn-in.
 
-    lag_products maps each distinct lag to the per-path time averages of
-    x(t + lag) x(t)^T, shape (n_paths, n, n); lags keeps the lags as
-    requested (order and repeats). seed is the batch's master seed, from
-    which the bootstrap stream is derived.
+    lag_products maps each distinct lag, in first-request order, to the
+    per-path time averages of x(t + lag) x(t)^T, shape (n_paths, n, n). seed
+    is the batch's master seed, from which the bootstrap stream is derived.
     """
 
-    lags: tuple[float, ...]
     lag_products: dict[float, np.ndarray]
     n_paths: int
     seed: int
-
-
-def _burn_index(dt: float, steps: int, burn_in: float) -> int:
-    if burn_in < 0:
-        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
-    k0 = int(math.ceil(burn_in / dt - 1e-9))
-    if k0 > steps:
-        raise InsufficientDataError(
-            f"burn-in {burn_in} discards the whole trajectory (span {steps * dt})"
-        )
-    return k0
 
 
 def _lag_steps(dt: float, steps: int, lag: float) -> int:
@@ -140,7 +123,7 @@ class _LagSums:
     to j = 0) are formed by one _lag_products call on a path-major window
     that also keeps the last max(ell) states of the previous super-blocks,
     then added to the running sum in time order. The sums therefore depend
-    only on each path's states, not on how the states were fed or on which
+    only on each path's states, not on the sampler's time blocks or on which
     other paths share the chunk.
     """
 
@@ -187,53 +170,6 @@ class _LagSums:
         return self.sums, self.heat
 
 
-def _statistics_plan(dt: float, steps: int, lags, burn_in: float):
-    """Validated (k0, lags, distinct lags in steps)."""
-    k0 = _burn_index(dt, steps, burn_in)
-    lags = tuple(float(v) for v in lags)
-    distinct = dict.fromkeys(lags)
-    ells = tuple(_lag_steps(dt, steps, lag) for lag in distinct)
-    if any(k0 + ell > steps for ell in ells):
-        raise InsufficientDataError("no admissible time pairs after burn-in at this lag")
-    return k0, lags, ells
-
-
-def _path_statistics(lags, ells, k0, steps, sums, seed) -> PathStatistics:
-    products: dict[float, np.ndarray] = {}
-    for lag, ell, total in zip(dict.fromkeys(lags), ells, sums):
-        per_path = total / (steps + 1 - k0 - ell)
-        per_path.setflags(write=False)  # shared by every estimator that reads stats
-        products[lag] = per_path
-    return PathStatistics(lags=lags, lag_products=products, n_paths=sums.shape[1], seed=seed)
-
-
-def path_statistics(batch: TrajectoryBatch, lags, burn_in: float = 0.0) -> PathStatistics:
-    """Per-path averages of x(t + lag) x(t)^T for each lag, after burn-in.
-
-    Each distinct lag is computed once; repeated lags share one entry. The
-    batch's states pass through the same accumulator as a streamed run
-    (stationary_statistics), so both give the same bits for the same paths.
-
-    Raises
-    ------
-    ValueError
-        On a negative burn-in, or a lag that is negative, off the dt grid or
-        not shorter than the trajectory.
-    InsufficientDataError
-        If burn-in discards the whole trajectory, a lag leaves no time pairs,
-        or the batch has fewer than two paths.
-    """
-    steps = batch.n_steps
-    k0, lags, ells = _statistics_plan(batch.dt, steps, lags, burn_in)
-    if batch.n_paths < 2:
-        raise InsufficientDataError("need at least 2 paths")
-    acc = _LagSums(ells, k0, steps, batch.dim, batch.n_paths)
-    for k in range(0, steps + 1, _SUPER_BLOCK):
-        part = slice(k, k + _SUPER_BLOCK)
-        acc(k, batch.states[:, part].transpose(1, 2, 0), batch.heat[:, part].T)
-    return _path_statistics(lags, ells, k0, steps, acc.sums, batch.seed)
-
-
 def stationary_statistics(
     law: StationaryLaw,
     dt: float,
@@ -243,17 +179,42 @@ def stationary_statistics(
     lags,
     burn_in: float = 0.0,
 ) -> tuple[PathStatistics, HdrEstimate]:
-    """path_statistics and hdr_estimate of sample_batch(law.model, dt, steps,
-    n_paths, seed, law=law), computed while the paths are generated: no
-    state array is kept, only per-path lag sums, a window of the last
-    max(lag) states and the heat at burn-in and at T. The results are the
-    same bits as the two estimators applied to the stored batch.
+    """Per-path lag products and heat rate of sample_batch(law.model, dt,
+    steps, n_paths, seed, law=law) after burn-in, computed while the paths
+    are generated: no state array is kept, only per-path lag sums, a window
+    of the last max(lag) states and the heat at burn-in and at T.
 
-    Raises as sample_batch, path_statistics and hdr_estimate do, before any
-    path is drawn.
+    The lag products are the per-path averages of x(t + lag) x(t)^T for each
+    distinct lag (a repeated lag is computed once). The heat rate is, per
+    path, (W(T) - W(burn_in)) / (T - burn_in), averaged over paths (exact
+    summation), with its standard error over paths.
+
+    Raises
+    ------
+    ValueError
+        As sample_batch does; on a negative burn-in, an empty lag list, or a
+        lag that is negative, off the dt grid or not shorter than the
+        trajectory.
+    InsufficientDataError
+        If burn-in discards the whole trajectory, a lag leaves no time pairs,
+        or fewer than two paths are asked for.
+
+    Every check runs before any path is drawn.
     """
     _validate_grid(dt, steps)
-    k0, lags, ells = _statistics_plan(dt, steps, lags, burn_in)
+    if burn_in < 0:
+        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
+    k0 = int(math.ceil(burn_in / dt - 1e-9))
+    if k0 > steps:
+        raise InsufficientDataError(
+            f"burn-in {burn_in} discards the whole trajectory (span {steps * dt})"
+        )
+    distinct = tuple(dict.fromkeys(float(v) for v in lags))
+    if not distinct:
+        raise ValueError("need at least one lag")
+    ells = tuple(_lag_steps(dt, steps, lag) for lag in distinct)
+    if any(k0 + ell > steps for ell in ells):
+        raise InsufficientDataError("no admissible time pairs after burn-in at this lag")
     span = (steps - k0) * dt
     if span <= 0.0 or n_paths < 2:
         raise InsufficientDataError("need at least 2 paths and a nonempty window after burn-in")
@@ -261,8 +222,19 @@ def stationary_statistics(
     parts = stream_batch(law, dt, steps, n_paths, seed, make)
     sums = np.concatenate([part[0] for part in parts], axis=1)
     heat = np.concatenate([part[1] for part in parts])
-    stats = _path_statistics(lags, ells, k0, steps, sums, int(seed))
-    return stats, _heat_rate(heat[:, 0], heat[:, 1], span)
+    products: dict[float, np.ndarray] = {}
+    for lag, ell, total in zip(distinct, ells, sums):
+        per_path = total / (steps + 1 - k0 - ell)
+        per_path.setflags(write=False)  # shared by every estimator that reads stats
+        products[lag] = per_path
+    rates = (heat[:, 1] - heat[:, 0]) / span
+    count = len(rates)
+    hdr = HdrEstimate(
+        value=math.fsum(rates.tolist()) / count,
+        stderr=float(rates.std(ddof=1)) / math.sqrt(count),
+        n_paths=count,
+    )
+    return PathStatistics(lag_products=products, n_paths=count, seed=int(seed)), hdr
 
 
 def _bootstrap_indices(stats: PathStatistics, n_resamples: int) -> np.ndarray:
@@ -284,16 +256,16 @@ def reversibility_test(
     bootstrap accounts for the multiplicity over lags, which keeps the
     false-positive rate at the threshold calibrated. Above the threshold the
     verdict is irreversible; below it the data are consistent with
-    reversibility (the test cannot prove it). The lags are those of stats.
+    reversibility (the test cannot prove it). The lags are those of stats;
+    it needs at least two.
     """
-    if len(stats.lags) < 2:
-        raise ValueError("need at least two lags")
+    if len(stats.lag_products) < 2:
+        raise ValueError("need at least two distinct lags")
     resamples = _bootstrap_indices(stats, BOOTSTRAP_RESAMPLES)
     obs_norms: list[float] = []
     boot_norms: list[np.ndarray] = []
     per_lag: dict[float, float] = {}
-    for lag in stats.lags:
-        per_path = stats.lag_products[lag]
+    for lag, per_path in stats.lag_products.items():
         asym = per_path - per_path.transpose(0, 2, 1)
         observed = asym.mean(axis=0)
         # Resample means a chunk of resamples at a time: asym[resamples] whole
@@ -327,85 +299,42 @@ def reversibility_test(
     )
 
 
-def _heat_rate(w_start: np.ndarray, w_end: np.ndarray, span: float) -> HdrEstimate:
-    """Per-path rates (w_end - w_start) / span, averaged over paths (exact
-    summation), standard error over paths."""
-    rates = (w_end - w_start) / span
-    value = math.fsum(rates.tolist()) / len(rates)
-    stderr = float(rates.std(ddof=1)) / math.sqrt(len(rates))
-    return HdrEstimate(value=value, stderr=stderr, n_paths=len(rates))
-
-
-def hdr_estimate(batch: TrajectoryBatch, burn_in: float = 0.0) -> HdrEstimate:
-    """Stationary heat dissipation rate from cumulative heat: per path
-    (W(T) - W(burn_in)) / (T - burn_in), averaged over paths (exact
-    summation), standard error over paths."""
-    k0 = _burn_index(batch.dt, batch.n_steps, burn_in)
-    span = (batch.n_steps - k0) * batch.dt
-    if span <= 0.0 or batch.n_paths < 2:
-        raise InsufficientDataError("need at least 2 paths and a nonempty window after burn-in")
-    return _heat_rate(batch.heat[:, k0], batch.heat[:, -1], span)
-
-
 def greenkubo_check(
-    cond_batch: TrajectoryBatch,
-    model: LinearModel,
-    checkpoints,
-    *,
-    stats: PathStatistics | None = None,
-    law: StationaryLaw | None = None,
+    cond_batch: TrajectoryBatch, law: StationaryLaw, stats: PathStatistics
 ) -> GreenKuboResult:
-    """Conditional-mean regression check: the ensemble mean from a shared x0
-    must decay as e^{-B t} x0, and (when the stationary batch's path
-    statistics and the law are given) the stationary R(t, 0) must match
-    e^{-B t} Xi - the same time dependence. stats must hold every checkpoint
-    as a lag.
+    """Conditional-mean regression check at the lags of stats: the ensemble
+    mean from a shared x0 must decay as e^{-B t} x0, and the stationary
+    R(t, 0) of stats must match e^{-B t} Xi - the same time dependence.
 
     Deviations are reported as worst componentwise z-scores against
     path-ensemble standard errors.
     """
-    if cond_batch.stationary_start:
-        raise ValueError("conditional batch must start from a shared point, not stationary draws")
     if cond_batch.n_paths < 2:
         raise InsufficientDataError("need at least 2 conditional paths")
     x0 = cond_batch.states[0, 0, :]
     if not all(np.array_equal(cond_batch.states[p, 0, :], x0) for p in range(cond_batch.n_paths)):
         raise ValueError("conditional batch paths do not share x0")
-    checkpoints = tuple(float(t) for t in checkpoints)
     max_z = 0.0
     max_dev = 0.0
+    max_z_two_time = 0.0
     scale = 1.0 + float(np.linalg.norm(x0))
     root_p = math.sqrt(cond_batch.n_paths)
-    phis = []  # e^{-B t} per checkpoint, for both targets
-    for t in checkpoints:
+    root_q = math.sqrt(stats.n_paths)
+    for t, per_path in stats.lag_products.items():
         k = int(round(t / cond_batch.dt))
         if abs(k * cond_batch.dt - t) > 1e-9 * max(1.0, t) or k > cond_batch.n_steps:
             raise ValueError(f"checkpoint {t} not on the trajectory grid")
         snap = cond_batch.states[:, k, :]
-        phis.append(linalg.expm(-model.B * t))
-        target = phis[-1] @ x0
+        phi = linalg.expm(-law.model.B * t)  # e^{-B t}, for both targets
+        target = phi @ x0
         se = snap.std(axis=0, ddof=1) / root_p
         z = np.abs(snap.mean(axis=0) - target) / np.maximum(se, 1e-300)
         max_z = max(max_z, float(z.max()))
         max_dev = max(max_dev, float(np.linalg.norm(snap.mean(axis=0) - target)) / scale)
-    max_z_two_time = None
-    if stats is not None:
-        if law is None:
-            raise ValueError("two-time comparison needs the stationary law")
-        missing = [t for t in checkpoints if t not in stats.lag_products]
-        if missing:
-            raise ValueError(f"checkpoints {missing} are not lags of the path statistics")
-        max_z_two_time = 0.0
-        root_q = math.sqrt(stats.n_paths)
-        for t, phi in zip(checkpoints, phis):
-            per_path = stats.lag_products[t]
-            target = phi @ law.Xi
-            se = per_path.std(axis=0, ddof=1) / root_q
-            z = np.abs(per_path.mean(axis=0) - target) / np.maximum(se, 1e-300)
-            max_z_two_time = max(max_z_two_time, float(z.max()))
+        target = phi @ law.Xi
+        se = per_path.std(axis=0, ddof=1) / root_q
+        z = np.abs(per_path.mean(axis=0) - target) / np.maximum(se, 1e-300)
+        max_z_two_time = max(max_z_two_time, float(z.max()))
     return GreenKuboResult(
-        max_abs_z=max_z,
-        max_deviation=max_dev,
-        max_abs_z_two_time=max_z_two_time,
-        checkpoints=checkpoints,
+        max_abs_z=max_z, max_deviation=max_dev, max_abs_z_two_time=max_z_two_time
     )

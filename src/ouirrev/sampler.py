@@ -83,10 +83,8 @@ class TrajectoryBatch:
     """Ensemble of paths sharing (model, dt, master seed); path-major arrays."""
 
     dt: float
-    seed: int
     states: np.ndarray  # (n_paths, steps + 1, n)
     heat: np.ndarray  # (n_paths, steps + 1)
-    stationary_start: bool
 
     @property
     def n_paths(self) -> int:
@@ -95,10 +93,6 @@ class TrajectoryBatch:
     @property
     def n_steps(self) -> int:
         return self.states.shape[1] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[2]
 
 
 def _colmatvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -338,7 +332,7 @@ def sample_batch(
     else:
         for lo, hi in bounds:
             _generate(job, lo, hi, steps, _Layout(states[lo:hi], heat[lo:hi]))
-    return TrajectoryBatch(float(dt), int(seed), states, heat, law is not None)
+    return TrajectoryBatch(float(dt), states, heat)
 
 
 def stream_batch(

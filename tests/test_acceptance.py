@@ -14,7 +14,7 @@ import pytest
 
 from ouirrev import linalg
 from ouirrev.cli import main
-from ouirrev.estimators import greenkubo_check, hdr_estimate, path_statistics, reversibility_test
+from ouirrev.estimators import greenkubo_check, reversibility_test, stationary_statistics
 from ouirrev.exceptions import NoStationaryLawError
 from ouirrev.model import Verdict, build_model, classify
 from ouirrev.sampler import sample_batch
@@ -42,18 +42,22 @@ def rev_model():
     return build_model([[2.0, 1.0], [1.0, 2.0]], np.eye(2))
 
 
-@pytest.fixture(scope="module")
-def rot_batch_default():
-    m = rotational_model(1.0)
-    law = stationary_law(m)
-    return m, law, sample_batch(m, dt=0.01, steps=10_000, n_paths=200, seed=1001, law=law)
+# Master seeds of the default-budget stationary runs (dt 0.01, 10 000 steps,
+# 200 paths) of the rotational model at omega = 1 and of rev_model.
+ROT_SEED, REV_SEED = 1001, 1002
+
+
+def default_run(law, seed: int, lags, burn_in: float):
+    """Path statistics and heat rate of a default-budget stationary run."""
+    return stationary_statistics(law, 0.01, 10_000, 200, seed, lags, burn_in)
 
 
 @pytest.fixture(scope="module")
 def rev_batch_default(rev_model):
+    """The reversible default run, stored, for criteria that read its paths."""
     law = stationary_law(rev_model)
     return rev_model, law, sample_batch(
-        rev_model, dt=0.01, steps=10_000, n_paths=200, seed=1002, law=law
+        rev_model, dt=0.01, steps=10_000, n_paths=200, seed=REV_SEED, law=law
     )
 
 
@@ -90,9 +94,8 @@ def test_criterion_1_reversible_equivalence_suite():
     report(1, "reversible equivalence suite (20 random models)", failures)
 
 
-def test_criterion_2_rotational_family(rot_batch_default):
+def test_criterion_2_rotational_family():
     failures = []
-    _, law1, batch1 = rot_batch_default
     for omega in (0.5, 1.0, 2.0):
         start = time.time()
         m = rotational_model(omega)
@@ -118,11 +121,7 @@ def test_criterion_2_rotational_family(rot_batch_default):
             abs(law.fdr_strong_residual - expected_strong) <= 1e-9,
             f"omega={omega}: strong residual {law.fdr_strong_residual!r}",
         )
-        if omega == 1.0:
-            batch = batch1
-        else:
-            batch = sample_batch(m, dt=0.01, steps=10_000, n_paths=200, seed=1001, law=law)
-        hdr = hdr_estimate(batch, burn_in=0.0)
+        _, hdr = default_run(law, ROT_SEED, (0.0,), burn_in=0.0)
         rel = abs(hdr.value - law.epr) / law.epr
         check(failures, rel <= 0.05, f"omega={omega}: MC hdr off by {100 * rel:.1f}%")
         elapsed = time.time() - start
@@ -169,16 +168,17 @@ def test_criterion_4_exact_sampler_fidelity(rev_model):
     report(4, "exact-sampler ensemble fidelity (10^4 paths vs exact law)", failures)
 
 
-def test_criterion_5_green_kubo(rot_batch_default, rev_batch_default):
+def test_criterion_5_green_kubo(rev_model):
     failures = []
     checkpoints = (0.1, 0.5, 1.0)
-    for label, (m, law, batch) in (
-        ("irreversible", rot_batch_default),
-        ("reversible", rev_batch_default),
+    for label, m, seed in (
+        ("irreversible", rotational_model(1.0), ROT_SEED),
+        ("reversible", rev_model, REV_SEED),
     ):
+        law = stationary_law(m)
         cond = sample_batch(m, dt=0.01, steps=100, n_paths=2000, seed=99, x0=[1.0, 1.0])
-        stats = path_statistics(batch, checkpoints, burn_in=10.0)
-        res = greenkubo_check(cond, m, checkpoints, stats=stats, law=law)
+        stats, _ = default_run(law, seed, checkpoints, burn_in=10.0)
+        res = greenkubo_check(cond, law, stats)
         check(
             failures,
             res.max_abs_z <= 4.0,
@@ -249,21 +249,20 @@ def test_criterion_8_reversibility_test_calibration(rev_model):
     # false-positive calibration on reversible models (light budget; the
     # test's size does not depend on the budget)
     other = build_model(np.diag([1.0, 3.0]), np.diag([1.0, 1.3]))
-    laws = {id(rev_model): stationary_law(rev_model), id(other): stationary_law(other)}
+    laws = (stationary_law(rev_model), stationary_law(other))
     false_positives = 0
     for s in range(50):
-        m = rev_model if s % 2 == 0 else other
-        batch = sample_batch(m, dt=0.01, steps=3000, n_paths=100, seed=1000 + s, law=laws[id(m)])
-        if not reversibility_test(path_statistics(batch, lags, burn_in=0.0)).verdict_reversible:
+        law = laws[s % 2]
+        stats, _ = stationary_statistics(law, 0.01, 3000, 100, 1000 + s, lags, burn_in=0.0)
+        if not reversibility_test(stats).verdict_reversible:
             false_positives += 1
     check(failures, false_positives <= 2, f"{false_positives}/50 false irreversible verdicts")
     # detection power at the default budget
-    m = rotational_model(1.0)
-    law = stationary_law(m)
+    law = stationary_law(rotational_model(1.0))
     detected = 0
     for s in range(50):
-        batch = sample_batch(m, dt=0.01, steps=10_000, n_paths=200, seed=3000 + s, law=law)
-        if not reversibility_test(path_statistics(batch, lags, burn_in=10.0)).verdict_reversible:
+        stats, _ = default_run(law, 3000 + s, lags, burn_in=10.0)
+        if not reversibility_test(stats).verdict_reversible:
             detected += 1
     check(failures, detected >= 48, f"only {detected}/50 rotational runs detected")
     report(8, "reversibility test calibration (<=5% FP, >=95% detection)", failures)

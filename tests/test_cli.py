@@ -527,8 +527,9 @@ class TestParserContract:
         path = model_file(ROT)
         with pytest.raises(Sampled):
             main(["verify", path, "--tau", "0.5,1.0"])
-        assert main(["verify", path, "--tau", "0.5"]) == 1
-        assert "--tau" in capsys.readouterr().err
+        for tau in ("0.5", "0.5,0.5"):
+            assert main(["verify", path, "--tau", tau]) == 1
+            assert "--tau" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             main(["verify", "--help"])
         assert "at least two" in " ".join(capsys.readouterr().out.split())

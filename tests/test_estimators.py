@@ -9,8 +9,6 @@ from ouirrev import estimators, linalg, sampler
 from ouirrev.estimators import (
     PathStatistics,
     greenkubo_check,
-    hdr_estimate,
-    path_statistics,
     reversibility_test,
     stationary_statistics,
 )
@@ -21,139 +19,136 @@ from ouirrev.stationary import stationary_law, two_time_covariance
 
 from conftest import rotational_model
 
-
-@pytest.fixture(scope="module")
-def rot_batch():
-    m = rotational_model(1.0)
-    law = stationary_law(m)
-    return m, law, sample_batch(m, dt=0.02, steps=2500, n_paths=100, seed=100, law=law)
+# Master seeds of the shared stationary runs (dt 0.02, 2500 steps, 100 paths).
+ROT_SEED, REV_SEED = 100, 200
 
 
 @pytest.fixture(scope="module")
-def rev_batch():
-    m = build_model([[2.0, 1.0], [1.0, 2.0]], np.eye(2))
-    law = stationary_law(m)
-    return m, law, sample_batch(m, dt=0.02, steps=2500, n_paths=100, seed=200, law=law)
+def rot_law():
+    return stationary_law(rotational_model(1.0))
 
 
-def _lag_mean_and_se(batch, lag: float):
+@pytest.fixture(scope="module")
+def rev_law():
+    return stationary_law(build_model([[2.0, 1.0], [1.0, 2.0]], np.eye(2)))
+
+
+def _run_stats(law, seed, lags, burn_in=0.0):
+    """Path statistics and heat rate of the shared stationary run at seed."""
+    return stationary_statistics(law, 0.02, 2500, 100, seed, lags, burn_in)
+
+
+@pytest.fixture(scope="module")
+def rot_batch(rot_law):
+    """The rotational run's paths, stored, for tests that read the states."""
+    return sample_batch(rot_law.model, 0.02, 2500, 100, ROT_SEED, law=rot_law)
+
+
+def _lag_mean_and_se(stats, lag: float):
     """Ensemble mean of the per-path lag products and its standard error."""
-    per_path = path_statistics(batch, (lag,)).lag_products[lag]
-    return per_path.mean(axis=0), per_path.std(axis=0, ddof=1) / math.sqrt(batch.n_paths)
+    per_path = stats.lag_products[lag]
+    return per_path.mean(axis=0), per_path.std(axis=0, ddof=1) / math.sqrt(stats.n_paths)
 
 
 class TestEmpiricalMoments:
-    def test_rotational_moments(self, rot_batch):
-        _, law, batch = rot_batch
-        per_path_mean = batch.states.mean(axis=1)
-        se_mean = per_path_mean.std(axis=0, ddof=1) / math.sqrt(batch.n_paths)
+    def test_rotational_moments(self, rot_law, rot_batch):
+        per_path_mean = rot_batch.states.mean(axis=1)
+        se_mean = per_path_mean.std(axis=0, ddof=1) / math.sqrt(rot_batch.n_paths)
         assert np.all(np.abs(per_path_mean.mean(axis=0)) <= 4 * se_mean)
-        xi_hat, se_xi = _lag_mean_and_se(batch, 0.0)
-        assert np.all(np.abs(xi_hat - law.Xi) <= 4 * se_xi)
+        stats, _ = _run_stats(rot_law, ROT_SEED, (0.0,))
+        xi_hat, se_xi = _lag_mean_and_se(stats, 0.0)
+        assert np.all(np.abs(xi_hat - rot_law.Xi) <= 4 * se_xi)
 
     def test_scalar_variance(self):
-        m = build_model([[1.0]], [[1.0]])
-        law = stationary_law(m)
-        batch = sample_batch(m, dt=0.02, steps=2500, n_paths=100, seed=5, law=law)
-        xi_hat, se_xi = _lag_mean_and_se(batch, 0.0)
+        law = stationary_law(build_model([[1.0]], [[1.0]]))
+        stats, _ = stationary_statistics(law, 0.02, 2500, 100, 5, (0.0,))
+        xi_hat, se_xi = _lag_mean_and_se(stats, 0.0)
         assert abs(xi_hat[0, 0] - 0.5) <= 4 * se_xi[0, 0]
 
 
 class TestEmpiricalTwoTime:
-    def test_zero_lag_matches_xi_hat(self, rot_batch):
-        _, _, batch = rot_batch
-        r0 = path_statistics(batch, (0.0,)).lag_products[0.0].mean(axis=0)
-        samples = batch.n_paths * (batch.n_steps + 1)
-        xi_hat = np.einsum("pti,ptj->ij", batch.states, batch.states) / samples
+    def test_zero_lag_matches_xi_hat(self, rot_law, rot_batch):
+        r0 = _run_stats(rot_law, ROT_SEED, (0.0,))[0].lag_products[0.0].mean(axis=0)
+        samples = rot_batch.n_paths * (rot_batch.n_steps + 1)
+        xi_hat = np.einsum("pti,ptj->ij", rot_batch.states, rot_batch.states) / samples
         assert np.max(np.abs(r0 - xi_hat)) < 1e-12
 
-    def test_rotational_asymmetry_detected(self, rot_batch):
-        _, law, batch = rot_batch
-        r = path_statistics(batch, (0.5,)).lag_products[0.5].mean(axis=0)
-        target = two_time_covariance(law, 0.5)
+    def test_rotational_asymmetry_detected(self, rot_law):
+        r = _run_stats(rot_law, ROT_SEED, (0.5,))[0].lag_products[0.5].mean(axis=0)
+        target = two_time_covariance(rot_law, 0.5)
         assert np.max(np.abs(r - target)) < 0.05
         # asymmetric part e^{-tau} sin(tau) is far above the noise floor
         asym = r - r.T
         assert abs(asym[0, 1]) > 0.1
 
-    def test_lag_validation(self, rot_batch):
-        _, _, batch = rot_batch
+    def test_lag_validation(self, rot_law):
         with pytest.raises(ValueError):
-            path_statistics(batch, (0.013,))
+            _run_stats(rot_law, ROT_SEED, (0.013,))
         with pytest.raises(ValueError):
-            path_statistics(batch, (1e9,))
+            _run_stats(rot_law, ROT_SEED, (1e9,))
 
 
 class TestReversibilityTest:
-    def test_reversible_accepted(self, rev_batch):
-        _, _, batch = rev_batch
-        res = reversibility_test(path_statistics(batch, [0.1, 0.5, 1.0]))
+    def test_reversible_accepted(self, rev_law):
+        res = reversibility_test(_run_stats(rev_law, REV_SEED, [0.1, 0.5, 1.0])[0])
         assert res.verdict_reversible
 
-    def test_rotational_rejected_strongly(self, rot_batch):
-        _, _, batch = rot_batch
-        res = reversibility_test(path_statistics(batch, [0.1, 0.5, 1.0]))
+    def test_rotational_rejected_strongly(self, rot_law):
+        res = reversibility_test(_run_stats(rot_law, ROT_SEED, [0.1, 0.5, 1.0])[0])
         assert not res.verdict_reversible
         assert res.statistic > 5 * res.threshold
 
     def test_omega_zero_boundary_is_reversible(self):
-        m = build_model(np.eye(2), np.eye(2))
-        law = stationary_law(m)
-        batch = sample_batch(m, dt=0.02, steps=2000, n_paths=80, seed=300, law=law)
-        assert reversibility_test(path_statistics(batch, [0.1, 0.5])).verdict_reversible
+        law = stationary_law(build_model(np.eye(2), np.eye(2)))
+        stats, _ = stationary_statistics(law, 0.02, 2000, 80, 300, [0.1, 0.5])
+        assert reversibility_test(stats).verdict_reversible
 
-    def test_needs_two_lags(self, rot_batch):
-        _, _, batch = rot_batch
-        with pytest.raises(ValueError):
-            reversibility_test(path_statistics(batch, [0.5]))
+    def test_needs_two_lags(self, rot_law):
+        # a repeated lag is one lag
+        stats, _ = _run_stats(rot_law, ROT_SEED, [0.5, 0.5])
+        with pytest.raises(ValueError, match="two distinct lags"):
+            reversibility_test(stats)
 
-    def test_deterministic_rerun(self, rot_batch):
-        _, _, batch = rot_batch
-        a = reversibility_test(path_statistics(batch, [0.1, 0.5, 1.0]))
-        b = reversibility_test(path_statistics(batch, [0.1, 0.5, 1.0]))
+    def test_deterministic_rerun(self, rot_law):
+        a = reversibility_test(_run_stats(rot_law, ROT_SEED, [0.1, 0.5, 1.0])[0])
+        b = reversibility_test(_run_stats(rot_law, ROT_SEED, [0.1, 0.5, 1.0])[0])
         assert a.statistic == b.statistic
         assert a.per_lag == b.per_lag
 
 
 class TestHdrEstimate:
-    def test_rotational_value(self):
-        m = rotational_model(1.0)
-        law = stationary_law(m)
-        batch = sample_batch(m, dt=0.01, steps=10_000, n_paths=200, seed=400, law=law)
-        est = hdr_estimate(batch, burn_in=0.0)
+    def test_rotational_value(self, rot_law):
+        _, est = stationary_statistics(rot_law, 0.01, 10_000, 200, 400, (0.0,), burn_in=0.0)
         assert est.value == pytest.approx(2.0, rel=0.05)
         assert est.stderr > 0
 
-    def test_reversible_centered_at_zero(self, rev_batch):
-        _, _, batch = rev_batch
-        est = hdr_estimate(batch, burn_in=0.0)
+    def test_reversible_centered_at_zero(self, rev_law):
+        _, est = _run_stats(rev_law, REV_SEED, (0.0,), burn_in=0.0)
         assert abs(est.value) <= 3 * est.stderr
 
-    def test_deterministic(self, rot_batch):
-        _, _, batch = rot_batch
-        assert hdr_estimate(batch, 0.0).value == hdr_estimate(batch, 0.0).value
+    def test_deterministic(self, rot_law):
+        a = _run_stats(rot_law, ROT_SEED, (0.0,))[1]
+        b = _run_stats(rot_law, ROT_SEED, (0.0,))[1]
+        assert a.value == b.value
 
-    def test_burn_in_too_long(self, rot_batch):
-        _, _, batch = rot_batch
+    def test_burn_in_too_long(self, rot_law):
         with pytest.raises(InsufficientDataError):
-            hdr_estimate(batch, burn_in=1e6)
+            _run_stats(rot_law, ROT_SEED, (0.0,), burn_in=1e6)
 
 
 class TestGreenKubo:
-    def test_conditional_decay_both_classes(self, rot_batch, rev_batch):
-        for m, law, batch in (rot_batch, rev_batch):
-            cond = sample_batch(m, dt=0.02, steps=50, n_paths=2000, seed=500, x0=[1.0, 1.0])
-            checkpoints = [0.2, 0.5, 1.0]
-            stats = path_statistics(batch, checkpoints, burn_in=0.0)
-            res = greenkubo_check(cond, m, checkpoints, stats=stats, law=law)
+    def test_conditional_decay_both_classes(self, rot_law, rev_law):
+        for law, seed in ((rot_law, ROT_SEED), (rev_law, REV_SEED)):
+            cond = sample_batch(law.model, dt=0.02, steps=50, n_paths=2000, seed=500, x0=[1.0, 1.0])
+            stats, _ = _run_stats(law, seed, [0.2, 0.5, 1.0], burn_in=0.0)
+            res = greenkubo_check(cond, law, stats)
             assert res.max_abs_z <= 4.0
             assert res.max_abs_z_two_time <= 4.0
 
-    def test_one_expm_per_checkpoint(self, rot_batch, monkeypatch):
-        m, law, batch = rot_batch
-        cond = sample_batch(m, dt=0.02, steps=50, n_paths=20, seed=500, x0=[1.0, 1.0])
+    def test_one_expm_per_checkpoint(self, rot_law, monkeypatch):
+        cond = sample_batch(rot_law.model, dt=0.02, steps=50, n_paths=20, seed=500, x0=[1.0, 1.0])
         checkpoints = [0.2, 0.5, 1.0]
-        stats = path_statistics(batch, checkpoints, burn_in=0.0)
+        stats, _ = _run_stats(rot_law, ROT_SEED, checkpoints, burn_in=0.0)
         calls = []
         kernel = linalg.expm
 
@@ -162,69 +157,60 @@ class TestGreenKubo:
             return kernel(a)
 
         monkeypatch.setattr(linalg, "expm", counting)
-        greenkubo_check(cond, m, checkpoints, stats=stats, law=law)
+        greenkubo_check(cond, rot_law, stats)
         assert len(calls) == len(checkpoints)
 
     def test_zero_start_stays_zero(self, rot1):
         cond = sample_batch(rot1, dt=0.02, steps=50, n_paths=2000, seed=600, x0=[0.0, 0.0])
-        res = greenkubo_check(cond, rot1, [0.2, 1.0])
+        law = stationary_law(rot1)
+        stats, _ = stationary_statistics(law, 0.02, 100, 2, 1, [0.2, 1.0])
+        res = greenkubo_check(cond, law, stats)
         assert res.max_abs_z <= 4.0
         assert res.max_deviation < 0.05
 
-    def test_rejects_stationary_start_batch(self, rot_batch):
-        m, _, batch = rot_batch
-        with pytest.raises(ValueError):
-            greenkubo_check(batch, m, [0.2])
+    def test_rejects_stationary_start_batch(self, rot_law, rot_batch):
+        stats, _ = stationary_statistics(rot_law, 0.02, 100, 2, 1, [0.2, 0.5])
+        with pytest.raises(ValueError, match="do not share x0"):
+            greenkubo_check(rot_batch, rot_law, stats)
 
 
 class TestConsistency:
     def test_error_scales_like_root_n(self):
         # slope of log error vs log paths over 4x doublings within [0.3, 0.7]
-        m = rotational_model(1.0)
-        law = stationary_law(m)
+        law = stationary_law(rotational_model(1.0))
         sizes = (25, 50, 100, 200)
         errors = []
         for n_paths in sizes:
             sq = 0.0
             for rep in range(8):
-                batch = sample_batch(
-                    m, dt=0.02, steps=1000, n_paths=n_paths, seed=10_000 + 17 * rep, law=law
+                stats, _ = stationary_statistics(
+                    law, 0.02, 1000, n_paths, 10_000 + 17 * rep, (0.0,)
                 )
-                xi_hat = path_statistics(batch, (0.0,)).lag_products[0.0].mean(axis=0)
+                xi_hat = stats.lag_products[0.0].mean(axis=0)
                 sq += float(np.linalg.norm(xi_hat - law.Xi)) ** 2
             errors.append(math.sqrt(sq / 8))
         slope, _ = np.polyfit(np.log(sizes), np.log(errors), 1)
         assert -0.7 <= slope <= -0.3
 
-    def test_path_statistics_bundle(self, rot_batch):
-        m, law, batch = rot_batch
-        cond = sample_batch(m, dt=0.02, steps=50, n_paths=500, seed=700, x0=[1.0, 1.0])
+    def test_path_statistics_bundle(self, rot_law):
+        cond = sample_batch(rot_law.model, dt=0.02, steps=50, n_paths=500, seed=700, x0=[1.0, 1.0])
         lags = [0.1, 0.5, 1.0]
-        stats = path_statistics(batch, lags, burn_in=0.0)
-        assert stats.n_paths == batch.n_paths
-        assert stats.seed == batch.seed
-        assert set(stats.lag_products) == set(lags)
+        stats, _ = _run_stats(rot_law, ROT_SEED, lags, burn_in=0.0)
+        assert stats.n_paths == 100
+        assert stats.seed == ROT_SEED
+        assert list(stats.lag_products) == lags
         for lag in lags:
-            assert stats.lag_products[lag].shape == (batch.n_paths, 2, 2)
-            alone = path_statistics(batch, (lag,)).lag_products[lag]
+            assert stats.lag_products[lag].shape == (100, 2, 2)
+            alone = _run_stats(rot_law, ROT_SEED, (lag,))[0].lag_products[lag]
             assert np.array_equal(stats.lag_products[lag].mean(axis=0), alone.mean(axis=0))
         assert not reversibility_test(stats).verdict_reversible
-        gk = greenkubo_check(cond, m, lags, stats=stats, law=law)
+        gk = greenkubo_check(cond, rot_law, stats)
         assert math.isfinite(gk.max_deviation)
 
-    def test_repeated_lag_computed_once(self, rot_batch):
-        _, _, batch = rot_batch
-        stats = path_statistics(batch, [0.5, 0.1, 0.5])
-        assert stats.lags == (0.5, 0.1, 0.5)
+    def test_repeated_lag_computed_once(self, rot_law):
+        stats, _ = _run_stats(rot_law, ROT_SEED, [0.5, 0.1, 0.5])
         assert list(stats.lag_products) == [0.5, 0.1]
         assert not stats.lag_products[0.5].flags.writeable
-
-    def test_greenkubo_needs_checkpoint_lags(self, rot_batch):
-        m, law, batch = rot_batch
-        cond = sample_batch(m, dt=0.02, steps=50, n_paths=10, seed=701, x0=[1.0, 1.0])
-        stats = path_statistics(batch, [0.1, 0.5])
-        with pytest.raises(ValueError, match="not lags"):
-            greenkubo_check(cond, m, [0.1, 1.0], stats=stats, law=law)
 
 
 def _einsum_oracle(later, earlier):
@@ -260,10 +246,10 @@ class TestLagProducts:
                     estimators._lag_products(later, earlier), _einsum_oracle(later, earlier)
                 ), (n, k0, ell)
 
-    def test_path_statistics_matches_oracle(self, rot_batch):
-        _, _, batch = rot_batch
+    def test_path_statistics_matches_oracle(self, rot_law, rot_batch):
+        batch = rot_batch
         k0, ell = 50, 25  # burn-in 1.0 and lag 0.5 at dt = 0.02
-        stats = path_statistics(batch, [0.5], burn_in=1.0)
+        stats, _ = _run_stats(rot_law, ROT_SEED, [0.5], burn_in=1.0)
         expected = _superblock_oracle(batch.states, k0, ell)
         assert np.array_equal(stats.lag_products[0.5], expected)
         later = batch.states[:, k0 + ell :, :]
@@ -272,19 +258,17 @@ class TestLagProducts:
         rel = np.linalg.norm(stats.lag_products[0.5] - whole) / np.linalg.norm(whole)
         assert rel <= 1e-12
 
-    def test_validation(self, rot_batch):
-        _, _, batch = rot_batch
+    def test_validation(self, rot_law):
         with pytest.raises(ValueError, match="burn-in"):
-            path_statistics(batch, [0.1], burn_in=-1.0)
+            _run_stats(rot_law, ROT_SEED, [0.1], burn_in=-1.0)
         with pytest.raises(InsufficientDataError):
-            path_statistics(batch, [0.1], burn_in=1e6)
+            _run_stats(rot_law, ROT_SEED, [0.1], burn_in=1e6)
         with pytest.raises(ValueError, match="multiple of dt"):
-            path_statistics(batch, [0.013])
+            _run_stats(rot_law, ROT_SEED, [0.013])
         with pytest.raises(ValueError, match="exceeds"):
-            path_statistics(batch, [1e9])
-        one_path = sample_batch(rotational_model(1.0), dt=0.02, steps=50, n_paths=1, seed=100)
+            _run_stats(rot_law, ROT_SEED, [1e9])
         with pytest.raises(InsufficientDataError, match="at least 2 paths"):
-            path_statistics(one_path, [0.1])
+            stationary_statistics(rot_law, 0.02, 50, 1, ROT_SEED, [0.1])
 
 
 def _sin_model(n: int):
@@ -309,7 +293,8 @@ _STREAM_CASES = [
 
 class TestStreamedStatistics:
     """stationary_statistics accumulates while it samples; it must give the
-    same bits as path_statistics and hdr_estimate on the stored batch."""
+    same bits as the oracles applied to the stored batch of the same paths:
+    _superblock_oracle for the lag products, and the heat-rate formula."""
 
     @pytest.mark.parametrize("n", [1, 2, 16])
     @pytest.mark.parametrize("case", _STREAM_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
@@ -320,22 +305,26 @@ class TestStreamedStatistics:
         law = stationary_law(m)
         lags = tuple(ell * dt for ell in ells)
         batch = sample_batch(m, dt, steps, n_paths, seed, law=law)
-        ref = path_statistics(batch, lags, burn_in=k0 * dt)
-        ref_hdr = hdr_estimate(batch, burn_in=k0 * dt)
+        refs = [_superblock_oracle(batch.states, k0, ell) for ell in ells]
+        rates = (batch.heat[:, -1] - batch.heat[:, k0]) / ((steps - k0) * dt)
+        ref_hdr = (
+            math.fsum(rates.tolist()) / n_paths,
+            float(rates.std(ddof=1)) / math.sqrt(n_paths),
+        )
         # chunks of 2 paths: the last chunk holds one
         monkeypatch.setattr(sampler, "_CHUNK_ELEMENT_BUDGET", 4 * min(steps, _SUPER_BLOCK) * n)
         stats, hdr = stationary_statistics(law, dt, steps, n_paths, seed, lags, k0 * dt)
-        for lag in lags:
-            assert np.array_equal(stats.lag_products[lag], ref.lag_products[lag]), lag
-        assert (hdr.value, hdr.stderr) == (ref_hdr.value, ref_hdr.stderr)
+        for lag, ref in zip(lags, refs):
+            assert np.array_equal(stats.lag_products[lag], ref), lag
+        assert (hdr.value, hdr.stderr) == ref_hdr
         make = functools.partial(estimators._LagSums, ells, k0, steps, n)
         parts = sampler.stream_batch(law, dt, steps, n_paths, seed, make)
         assert len(parts) == 3
         heat = np.concatenate([part[1] for part in parts])
         assert np.array_equal(heat, batch.heat[:, [k0, -1]])
         sums = np.concatenate([part[0] for part in parts], axis=1)
-        for total, lag, ell in zip(sums, lags, ells):
-            assert np.array_equal(total / (steps + 1 - k0 - ell), ref.lag_products[lag])
+        for total, ell, ref in zip(sums, ells, refs):
+            assert np.array_equal(total / (steps + 1 - k0 - ell), ref)
 
     def test_worker_count_invariance(self, monkeypatch):
         law = stationary_law(rotational_model(1.0))
@@ -344,7 +333,7 @@ class TestStreamedStatistics:
         serial, serial_hdr = stationary_statistics(*args)
         monkeypatch.setenv("OU_IRREV_THREADS", "2")
         pooled, pooled_hdr = stationary_statistics(*args)
-        for lag in serial.lags:
+        for lag in serial.lag_products:
             assert np.array_equal(serial.lag_products[lag], pooled.lag_products[lag])
         assert (serial_hdr.value, serial_hdr.stderr) == (pooled_hdr.value, pooled_hdr.stderr)
 
@@ -368,12 +357,14 @@ class TestStreamedStatistics:
                 stationary_statistics(law, dt, 100, 4, 1, (0.1,))
         with pytest.raises(ValueError, match="steps must be"):
             stationary_statistics(law, 0.01, 0, 4, 1, (0.0,))
+        with pytest.raises(ValueError, match="at least one lag"):
+            stationary_statistics(law, 0.01, 100, 4, 1, ())
 
 
 def _random_stats(n: int, n_paths: int) -> PathStatistics:
     rng = np.random.default_rng(n)
     products = {lag: rng.standard_normal((n_paths, n, n)) for lag in (0.1, 0.5)}
-    return PathStatistics(lags=(0.1, 0.5), lag_products=products, n_paths=n_paths, seed=5)
+    return PathStatistics(lag_products=products, n_paths=n_paths, seed=5)
 
 
 class TestBootstrapChunks:

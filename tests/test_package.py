@@ -23,6 +23,10 @@ def test_removed_names_gone():
         (estimators, "empirical_moments"),
         (estimators, "MomentEstimate"),
         (estimators, "MIN_EFFECTIVE_SAMPLES"),
+        (estimators, "path_statistics"),
+        (estimators, "hdr_estimate"),
+        (estimators, "_path_statistics"),
+        (estimators, "_heat_rate"),
         (sampler, "sample_path"),
         (sampler, "euler_maruyama_path"),
         (sampler, "_single_path"),
@@ -36,9 +40,10 @@ def test_removed_names_gone():
         assert not hasattr(module, name)
         assert not hasattr(ouirrev, name)
         assert name not in ouirrev.__all__
-    for name in ("path", "t_final", "method"):
+    for name in ("path", "t_final", "method", "seed", "dim", "stationary_start"):
         assert name not in dir(sampler.TrajectoryBatch)
         assert name not in sampler.TrajectoryBatch.__dataclass_fields__
+    assert "lags" not in estimators.PathStatistics.__dataclass_fields__
 
 
 def test_cli_import_skips_process_pool():
