@@ -11,25 +11,42 @@ Reproducibility contract
 ------------------------
 Every path owns a private counter-based RNG stream: numpy's Philox generator
 keyed by (master seed, path index), with Gaussian variates drawn through
-numpy's ziggurat sampler (``Generator.standard_normal``). A path is therefore
-a pure function of (model, start, dt, steps, master seed, path index) - bit
-for bit, independent of how many paths run, in which order, or across how
-many worker processes.
+numpy's ziggurat sampler (``Generator.standard_normal``). For a given
+numpy/BLAS build, a path is therefore a pure function of (model, start, dt,
+steps, master seed, path index) - bit for bit, independent of how many paths
+run, how they are chunked, in which order, or across how many worker
+processes or BLAS threads.
 
-To keep that guarantee, nothing after the draws enters a BLAS call whose
-result could depend on batch shape. Each m @ x is expanded in column-broadcast
-form, out = m[:, 0] x_0, then out += m[:, j] x_j for j = 1 .. n-1: n
-elementwise calls vectorized across the paths, each output element the same
-fixed sequence of roundings for any batch shape. The integrator draws each
-path's normals _SUPER_BLOCK steps at a time, does the noise transform,
-recursion and heat sums in blocks of _TIME_BLOCK steps, and hands each
-finished block to a consumer, so temporaries do not grow with the run.
-sample_batch's consumer copies the blocks into path-major arrays;
-stream_batch lets a caller keep only what it needs (estimators accumulate
-per-path lag products this way). Blocking changes no bits: the draws continue
-each path's stream, every term is per step, and the cumulative heat of a block
-is a cumsum that starts from the carried W, the same left-to-right sum as one
-cumsum over all steps.
+After the draws, every matrix product runs in BLAS on fixed-shape tiles.
+Path p sits in column p mod _TILE of a tile of _TILE = 64 paths; chunks of
+paths start on tile edges and the last tile is padded with zero columns. The
+noise transform, each step of the recursion, the heat product S x_mid and the
+stationary-start transform are each one stacked np.matmul of (n, n) @
+(..., n, _TILE): a stack of GEMMs of one shape, whatever the batch. A GEMM
+column's bits depend on the GEMM's shape, not on the other columns, and the
+shape never changes, so neither do a path's bits. (OpenBLAS multiplies a
+product of a few columns with other kernels and other roundings, which is why
+the last tile is padded rather than cut to the batch.) One and two BLAS
+threads give the tile GEMMs the same bits. The elementwise steps (adding the
+noise, the midpoint, the dot product with dx summed over components in fixed
+order, the cumulative heat) are per path.
+
+The integrator draws each path's normals _SUPER_BLOCK steps at a time, does
+the noise transform, recursion and heat sums in blocks of _TIME_BLOCK steps
+in preallocated tile buffers, and hands each finished block to a consumer, so
+temporaries do not grow with the run. sample_batch's consumer copies the
+blocks into path-major arrays; stream_batch lets a caller keep only what it
+needs (estimators accumulate per-path lag products this way). Blocking
+changes no bits: the draws continue each path's stream, every term is per
+step, and the cumulative heat of a block is a cumsum that starts from the
+carried W, the same left-to-right sum as one cumsum over all steps.
+
+The inputs of the sampler are outside this contract. The step matrices come
+from linalg.expm (which multiplies with @ and calls solve), so they follow the
+BLAS build. The stationary-start factor comes from the Lyapunov solve, an LU
+of the n^2 x n^2 Kronecker system that OpenBLAS factors in parallel at larger
+n: its last bits differ between one BLAS thread and several (measured at
+n = 16 and 32, not at n = 8; 2, 3 and 4 threads agree).
 
 Heat increments use the Stratonovich midpoint rule,
 dW = 2 (A^{-1} b(x_mid)) . dx with x_mid the chord midpoint. With
@@ -56,9 +73,14 @@ from . import linalg
 from .model import LinearModel
 from .stationary import StationaryLaw
 
-# Path-chunk size cap: bounds the arrays a pool worker returns and, with
-# _TIME_BLOCK, the temporaries of the vectorized recursion.
+# Path-chunk size cap (a chunk holds at least one tile): bounds the arrays a
+# pool worker returns and, with _TIME_BLOCK, the temporaries of the recursion.
 _CHUNK_ELEMENT_BUDGET = 5_000_000
+
+# Paths per BLAS tile. Every matrix product is a stack of (n, n) @ (n, _TILE)
+# GEMMs, one shape for any batch, and path p sits in column p mod _TILE, so
+# its bits do not depend on how many paths or tiles share the call.
+_TILE = 64
 
 # Time steps per pass of the noise transform, recursion and heat
 # accumulation, so their temporaries do not grow with the run length.
@@ -95,17 +117,6 @@ class TrajectoryBatch:
         return self.states.shape[1] - 1
 
 
-def _colmatvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x over axis -2 of x, whose last axis indexes paths, as n
-    column-broadcast multiply-adds m[:, j] * x[..., j, :] in fixed j order:
-    every output element is the same sequence of roundings for any batch
-    shape."""
-    out = m[:, 0:1] * x[..., 0:1, :]
-    for j in range(1, m.shape[1]):
-        out += m[:, j : j + 1] * x[..., j : j + 1, :]
-    return out
-
-
 def _validate_grid(dt: float, steps: int) -> None:
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise ValueError(f"steps must be a positive integer, got {steps}")
@@ -137,59 +148,85 @@ def _update(model: LinearModel, dt: float, method: str) -> _Update:
     return _Update(method, dt, drift, noise_mat, np.linalg.solve(model.A, model.B))
 
 
-def _integrate(streams, start: np.ndarray, update: _Update, steps: int, consumer) -> None:
+def _tile_matmul(m: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """out = m @ x per tile: x and out are (..., n, tiles, _TILE) views of
+    path-on-last-axis buffers, multiplied as a stack of (n, n) @ (n, _TILE)
+    GEMMs, one fixed shape for any batch."""
+    np.matmul(m, x.swapaxes(-3, -2), out=out.swapaxes(-3, -2))
+
+
+def _integrate(
+    streams, start: np.ndarray, cols: slice, update: _Update, steps: int, consumer
+) -> None:
     """Advance the paths of one chunk by steps and hand every finished time
     block to consumer(k, states, heat).
 
     streams holds one generator per path, positioned after any start draw;
-    start is (n, paths). Each path's normals are drawn _SUPER_BLOCK steps at a
-    time. Inside a block of _TIME_BLOCK steps the work is time-major with
-    paths on the last axis, so that every numpy call runs along the batch.
-    consumer receives states (L, n, paths) and heat (L, paths) at the global
-    indices k .. k + L - 1: first index 0 (the starts, W = 0), then each time
-    block in order. The arrays are reused, so it must copy what it keeps.
+    start is (n, tiles, _TILE), its flattened columns cols holding the paths
+    and the other columns zero. Each path's normals are drawn _SUPER_BLOCK
+    steps at a time. Inside a block of _TIME_BLOCK steps the work is
+    time-major with paths on the last axis, every matrix product a stack of
+    per-tile GEMMs. consumer receives states (L, n, paths) and heat (L, paths)
+    at the global indices k .. k + L - 1: first index 0 (the starts, W = 0),
+    then each time block in order. The arrays are reused, so it must copy what
+    it keeps.
     """
-    n, count = start.shape
+    n, tiles, _ = start.shape
+    width = tiles * _TILE
     euler, dt = update.method == "euler", update.dt
-    draws = np.empty((count, min(_SUPER_BLOCK, steps), n))
-    block = np.empty((min(_TIME_BLOCK, steps) + 1, n, count))
-    z = np.empty(block[1:].shape)
-    wsum = np.zeros((block.shape[0], count))
+    rows = min(_TIME_BLOCK, steps)
+    # A spare step per path keeps the rows from being a power of two apart
+    # (see the copy below).
+    draws = np.empty((len(streams), min(_SUPER_BLOCK, steps) + 1, n))
+    block = np.empty((rows + 1, n, tiles, _TILE))
+    z = np.zeros((rows, n, tiles, _TILE))  # the padding columns stay zero
+    noise, mid, prod = (np.empty(z.shape) for _ in range(3))
+    fx = np.empty((tiles, n, _TILE))
+    wsum = np.zeros((rows + 1, tiles, _TILE))
+    # Flat (time, n, paths) views for the copies and the consumer.
+    states, heat = block.reshape(rows + 1, n, width), wsum.reshape(rows + 1, width)
+    zflat = z.reshape(rows, n, width)
     block[0] = start
-    consumer(0, block[:1], wsum[:1])
+    block_t = block.swapaxes(1, 2)  # (time, tiles, n, _TILE) GEMM operands
+    consumer(0, states[:1, :, cols], heat[:1, cols])
     for s0 in range(0, steps, _SUPER_BLOCK):
         span = min(_SUPER_BLOCK, steps - s0)
         for c, stream in enumerate(streams):
             stream.standard_normal(out=draws[c, :span])
         for r in range(0, span, _TIME_BLOCK):
             b = min(_TIME_BLOCK, span - r)
-            # Copy the block's draws time-major in one strided pass: the
-            # transform reads them n times, and n strided passes over rows a
-            # power of two apart contend for the same cache sets.
-            z[:b] = draws[:, r : r + b].transpose(1, 2, 0)
-            noise = _colmatvec(update.noise_mat, z[:b])
+            # Copy the block's draws time-major in one strided pass, which
+            # reads the same step of every path at once: rows a power of two
+            # apart would map to the same cache sets and evict each other.
+            zflat[:b, :, cols] = draws[:, r : r + b].transpose(1, 2, 0)
+            _tile_matmul(update.noise_mat, z[:b], noise[:b])
             if euler:
-                noise *= math.sqrt(dt)
+                noise[:b] *= math.sqrt(dt)
             for k in range(b):
-                x = block[k]
-                fx = _colmatvec(update.drift, x)
-                np.add(x - dt * fx if euler else fx, noise[k], out=block[k + 1])
+                if euler:
+                    np.matmul(update.drift, block_t[k], out=fx)
+                    fx *= dt
+                    np.subtract(block_t[k], fx, out=block_t[k + 1])
+                else:
+                    np.matmul(update.drift, block_t[k], out=block_t[k + 1])
+                block[k + 1] += noise[k]
             # Midpoint increments dW = -2 (S x_mid) . dx.
-            cur = block[: b + 1]
-            mid = cur[1:] + cur[:-1]
-            mid *= 0.5
-            prod = _colmatvec(update.s_mat, mid)
-            prod *= cur[1:] - cur[:-1]
+            cur, nxt = block[:b], block[1 : b + 1]
+            np.add(nxt, cur, out=mid[:b])
+            mid[:b] *= 0.5
+            _tile_matmul(update.s_mat, mid[:b], prod[:b])
+            np.subtract(nxt, cur, out=mid[:b])  # mid now holds dx
+            prod[:b] *= mid[:b]
             w = wsum[: b + 1]
-            w[1:] = prod[:, 0]
+            w[1:] = prod[:b, 0]
             for i in range(1, n):
-                w[1:] += prod[:, i]
+                w[1:] += prod[:b, i]
             w[1:] *= -2.0
             # Cumsum from the carried W; the first block starts at dW_1 itself,
             # as one cumsum over all steps would (0.0 + -0.0 is +0.0).
             first = 1 if s0 + r == 0 else 0
             np.cumsum(w[first:], axis=0, out=w[first:])
-            consumer(s0 + r + 1, cur[1:], w[1:])
+            consumer(s0 + r + 1, states[1 : b + 1, :, cols], heat[1 : b + 1, cols])
             block[0] = block[b]
             wsum[0] = w[b]
 
@@ -228,17 +265,24 @@ def _generate(job: _Job, lo: int, hi: int, steps: int, consumer) -> None:
 
     Path p's stream supplies, in order, a standard_normal(n) block for a
     stationary start (only when chol_xi is set), then the normals of the
-    increments in step order; p alone fixes its bits, not lo or hi.
+    increments in step order. The chunk's first tile starts at path
+    lo - lo % _TILE, so p sits in tile column p mod _TILE: p alone fixes its
+    bits, not lo or hi.
     """
     streams = [path_stream(job.seed, p) for p in range(lo, hi)]
+    n, off = job.x0.shape[0], lo % _TILE
+    cols = slice(off, off + hi - lo)
+    start = np.zeros((n, -(-cols.stop // _TILE), _TILE))
     if job.chol_xi is None:
-        start = np.repeat(job.x0[:, None], hi - lo, axis=1)
+        start.reshape(n, -1)[:, cols] = job.x0[:, None]
     else:
-        draws = np.empty((hi - lo, job.x0.shape[0]))
+        draws = np.empty((hi - lo, n))
         for c, stream in enumerate(streams):
             stream.standard_normal(out=draws[c])
-        start = _colmatvec(job.chol_xi, draws.T)
-    _integrate(streams, start, job.update, steps, consumer)
+        z = np.zeros(start.shape)
+        z.reshape(n, -1)[:, cols] = draws.T
+        _tile_matmul(job.chol_xi, z, start)
+    _integrate(streams, start, cols, job.update, steps, consumer)
 
 
 def _consume_chunk(job: _Job, steps: int, make_consumer, bounds: tuple[int, int]):
@@ -282,11 +326,12 @@ def _prepare(model, dt, steps, n_paths, seed, x0, law, method) -> _Job:
 
 
 def _chunk_bounds(n_paths: int, path_elements: int, n_workers: int) -> list[tuple[int, int]]:
-    """Consecutive path ranges of at most _CHUNK_ELEMENT_BUDGET elements per
-    chunk (path_elements per path), split across n_workers when above 1."""
-    chunk = max(1, _CHUNK_ELEMENT_BUDGET // path_elements)
-    if n_workers > 1:
-        chunk = min(chunk, max(1, math.ceil(n_paths / n_workers)))
+    """Consecutive path ranges of whole _TILE-path tiles, except the last, so
+    that only the batch's last tile is padded: at most _CHUNK_ELEMENT_BUDGET
+    elements per chunk (path_elements per path) but at least one tile, and
+    split across n_workers when above 1."""
+    per_worker = _TILE * -(-n_paths // (n_workers * _TILE))
+    chunk = _TILE * max(1, min(_CHUNK_ELEMENT_BUDGET // path_elements, per_worker) // _TILE)
     return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
 
 

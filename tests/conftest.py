@@ -9,6 +9,13 @@ def rotational_model(omega: float) -> LinearModel:
     return build_model([[1.0, omega], [-omega, 1.0]], np.eye(2))
 
 
+def sin_model(n: int) -> LinearModel:
+    """B = D + 0.5 sin(i - j) with D = diag(1, 1.25, ...), Gamma = I: stable,
+    irreversible for n >= 2, from closed-form entries."""
+    i, j = np.indices((n, n))
+    return build_model(np.diag(1.0 + 0.25 * np.arange(n)) + 0.5 * np.sin(i - j), np.eye(n))
+
+
 def random_reversible_model(rng: np.random.Generator, n: int) -> LinearModel:
     """B = A K with K random SPD and Gamma random nonsingular, so A^{-1} B = K.
 

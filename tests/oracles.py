@@ -3,7 +3,7 @@
 These deliberately take different computational routes from the package:
 characteristic-polynomial roots instead of QR iteration, quadrature instead
 of trace formulas, scipy's Bartels-Stewart solver instead of the Kronecker
-solve.
+solve, elementwise products instead of the sampler's BLAS tiles.
 """
 
 import numpy as np
@@ -96,3 +96,40 @@ def gaussian_kl(mean0, cov0, mean1, cov1) -> float:
         - n
         + float(np.linalg.slogdet(cov1)[1] - np.linalg.slogdet(cov0)[1])
     )
+
+
+def colmatvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x over axis -2 of x, whose last axis indexes paths, as n
+    column-broadcast multiply-adds m[:, j] * x[..., j, :] in fixed j order:
+    no BLAS call, so every output element is the same sequence of roundings
+    for any batch shape."""
+    out = m[:, 0:1] * x[..., 0:1, :]
+    for j in range(1, m.shape[1]):
+        out += m[:, j : j + 1] * x[..., j : j + 1, :]
+    return out
+
+
+def integrate_paths(update, starts: np.ndarray, normals: np.ndarray):
+    """Reference integrator: states (paths, steps + 1, n) and heat
+    (paths, steps + 1) of the sampler's update (exact or euler) from starts
+    (n, paths) and normals (paths, steps, n), one step at a time through
+    colmatvec, the heat a running sum of the midpoint increments
+    -2 (S x_mid) . dx."""
+    n, count = starts.shape
+    steps = normals.shape[1]
+    states = np.empty((steps + 1, n, count))
+    heat = np.zeros((steps + 1, count))
+    states[0] = starts
+    euler = update.method == "euler"
+    for k in range(steps):
+        x, z = states[k], normals[:, k].T
+        noise = colmatvec(update.noise_mat, z)
+        if euler:
+            noise *= np.sqrt(update.dt)
+            states[k + 1] = x - update.dt * colmatvec(update.drift, x) + noise
+        else:
+            states[k + 1] = colmatvec(update.drift, x) + noise
+        mid = 0.5 * (states[k + 1] + x)
+        dw = (colmatvec(update.s_mat, mid) * (states[k + 1] - x)).sum(axis=0)
+        heat[k + 1] = heat[k] - 2.0 * dw
+    return states.transpose(2, 0, 1), heat.T

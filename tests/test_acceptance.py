@@ -278,7 +278,7 @@ def test_criterion_9_simulate_determinism(tmp_path, monkeypatch):
         "simulate",
         str(model_path),
         "--paths",
-        "5",
+        "70",
         "--steps",
         "500",
         "--seed",
@@ -289,8 +289,9 @@ def test_criterion_9_simulate_determinism(tmp_path, monkeypatch):
     def run(tag: str, threads: str) -> list[bytes]:
         monkeypatch.setenv("OU_IRREV_THREADS", threads)
         assert main(args + ["--out", str(tmp_path / tag)]) == 0
-        return [(tmp_path / f"{tag}_p{k}.csv").read_bytes() for k in range(5)]
+        return [(tmp_path / f"{tag}_p{k}.csv").read_bytes() for k in range(70)]
 
+    # 70 paths, so that 3 workers split them into a tile of 64 and a chunk of 6
     serial_a = run("a", "1")
     serial_b = run("b", "1")
     pooled = run("c", "3")

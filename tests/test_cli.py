@@ -277,8 +277,8 @@ _CSV_PIN_CASES = {
     "euler-stationary": ["--method", "euler", "--stationary"],
 }
 _CSV_PIN_DIGESTS = {
-    "exact-x0": "fbd193bcff5ba2c24258369bdb3884204d76b0ada7a284a58ad8e693feefc215",
-    "exact-stationary": "d83d655e3fc1a683a18db1a6860fa63a8e566fd4b54d95998fa92793df503e09",
+    "exact-x0": "8fde6921da524a6aee7d1b092b6bd2e627156712a94753612dff567fca06efef",
+    "exact-stationary": "0768c10942164eb6f20c5872b51e5914dc12df292f853f0fc414575210bb27c2",
     "euler-x0": "19b2ff7cba07bc95f21bfb79583a174ac8826799eaae612bb541b47fe98d48d8",
     "euler-stationary": "6855cc1d046edcc27d21267590a322efeab2ea2a19753f197a9481da90ed3c13",
 }
@@ -308,8 +308,8 @@ _VERIFY_PIN_CASES = {
     "ring8": (ring_model(8), "2"),
 }
 _VERIFY_PIN_DIGESTS = {
-    "rot2": "fea2c7f7446950e54493746a72f606d16d1ac20ce1117b47edbcb450af7d6154",
-    "ring8": "d1e020a3c318a739742904659c4af7399e16008ee43e06d2f0c6f6ba5c93d3e3",
+    "rot2": "f8f4652b09ba6b40215c71fd93b11c4f4a40abe1225c70ec02d511627fca14d3",
+    "ring8": "ffb2a3b4abbe1e2aec9dbe285d450d314586a0ea022c86b6cbd450552e66177d",
 }
 
 
@@ -420,7 +420,8 @@ class TestVerifyCommand:
         assert len(eig_calls) == 1
 
     def test_worker_count_invariance(self, model_file, capsys, monkeypatch):
-        argv = ["verify", model_file(ROT), *_VERIFY_PIN_ARGS, "--seed", "7"]
+        # 70 paths: two workers get a tile of 64 and a chunk of 6
+        argv = ["verify", model_file(ROT), *_VERIFY_PIN_ARGS, "--paths", "70", "--seed", "7"]
         monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
         main(argv)
         serial = capsys.readouterr().out

@@ -17,7 +17,7 @@ from ouirrev.model import build_model
 from ouirrev.sampler import _SUPER_BLOCK, sample_batch
 from ouirrev.stationary import stationary_law, two_time_covariance
 
-from conftest import rotational_model
+from conftest import rotational_model, sin_model
 
 # Master seeds of the shared stationary runs (dt 0.02, 2500 steps, 100 paths).
 ROT_SEED, REV_SEED = 100, 200
@@ -271,13 +271,6 @@ class TestLagProducts:
             stationary_statistics(rot_law, 0.02, 50, 1, ROT_SEED, [0.1])
 
 
-def _sin_model(n: int):
-    """B = D + 0.5 sin(i - j) with D = diag(1, 1.25, ...), Gamma = I: stable,
-    irreversible for n >= 2, from closed-form entries."""
-    i, j = np.indices((n, n))
-    return build_model(np.diag(1.0 + 0.25 * np.arange(n)) + 0.5 * np.sin(i - j), np.eye(n))
-
-
 # (steps, burn-in index, lags in steps) around the super-block edges: one step;
 # exactly one super-block; one super-block + 1 with the burn-in on the edge; a
 # lag whose first pair straddles the edge; a ragged last super-block with the
@@ -300,8 +293,8 @@ class TestStreamedStatistics:
     @pytest.mark.parametrize("case", _STREAM_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
     def test_equals_stored_batch(self, n, case, monkeypatch):
         steps, k0, ells = case
-        dt, n_paths, seed = 0.01, 5, 11
-        m = _sin_model(n)
+        dt, n_paths, seed = 0.01, 65, 11
+        m = sin_model(n)
         law = stationary_law(m)
         lags = tuple(ell * dt for ell in ells)
         batch = sample_batch(m, dt, steps, n_paths, seed, law=law)
@@ -311,7 +304,7 @@ class TestStreamedStatistics:
             math.fsum(rates.tolist()) / n_paths,
             float(rates.std(ddof=1)) / math.sqrt(n_paths),
         )
-        # chunks of 2 paths: the last chunk holds one
+        # a budget of 2 paths per chunk: whole tiles of 64, the last holds one
         monkeypatch.setattr(sampler, "_CHUNK_ELEMENT_BUDGET", 4 * min(steps, _SUPER_BLOCK) * n)
         stats, hdr = stationary_statistics(law, dt, steps, n_paths, seed, lags, k0 * dt)
         for lag, ref in zip(lags, refs):
@@ -319,7 +312,7 @@ class TestStreamedStatistics:
         assert (hdr.value, hdr.stderr) == ref_hdr
         make = functools.partial(estimators._LagSums, ells, k0, steps, n)
         parts = sampler.stream_batch(law, dt, steps, n_paths, seed, make)
-        assert len(parts) == 3
+        assert len(parts) == 2
         heat = np.concatenate([part[1] for part in parts])
         assert np.array_equal(heat, batch.heat[:, [k0, -1]])
         sums = np.concatenate([part[0] for part in parts], axis=1)
@@ -328,7 +321,8 @@ class TestStreamedStatistics:
 
     def test_worker_count_invariance(self, monkeypatch):
         law = stationary_law(rotational_model(1.0))
-        args = (law, 0.01, 1500, 6, 21, (0.1, 0.5, 1.0), 2.0)
+        # 70 paths: two workers get a tile of 64 and a chunk of 6
+        args = (law, 0.01, 1500, 70, 21, (0.1, 0.5, 1.0), 2.0)
         monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
         serial, serial_hdr = stationary_statistics(*args)
         monkeypatch.setenv("OU_IRREV_THREADS", "2")

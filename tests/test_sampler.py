@@ -1,14 +1,16 @@
+import functools
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from ouirrev import linalg
+from ouirrev import linalg, sampler
+from ouirrev.estimators import _LagSums
 from ouirrev.model import LinearModel, build_model
 from ouirrev.sampler import (
+    _TILE,
     _TIME_BLOCK,
-    _colmatvec,
     _generate,
     _Layout,
     _prepare,
@@ -16,11 +18,13 @@ from ouirrev.sampler import (
     path_stream,
     resolve_workers,
     sample_batch,
+    stream_batch,
 )
 from ouirrev.stationary import stationary_law
 from ouirrev.transient import potential, propagate
 
-from conftest import rotational_model
+from conftest import rotational_model, sin_model
+from oracles import colmatvec, integrate_paths
 
 
 def _exact_step(m: LinearModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +178,9 @@ class TestStationaryStart:
         b = sample_batch(m, 0.01, 1, n_paths=3, seed=2, law=law).states[:, 0]
         assert np.array_equal(a, b)
         for p in range(3):
-            z = path_stream(2, p).standard_normal((m.n, 1))
-            assert np.array_equal(a[p], _colmatvec(law.chol_Xi, z)[:, 0])
+            tile = np.zeros((m.n, _TILE))  # one (n, n) @ (n, _TILE) GEMM, p in column p
+            tile[:, p] = path_stream(2, p).standard_normal(m.n)
+            assert np.array_equal(a[p], (law.chol_Xi @ tile)[:, p])
 
     def test_x0_with_law_rejected(self):
         # a shared start and stationary draws are exclusive; neither wins silently
@@ -237,13 +242,14 @@ class TestBatchDeterminism:
             assert np.array_equal(batch.heat[k], alone.heat[0])
 
     def test_worker_count_invariance(self, monkeypatch):
+        # 130 paths: 2 and 5 workers split them into 2 and 3 tile-aligned chunks
         m = rotational_model(1.0)
         law = stationary_law(m)
         monkeypatch.setenv("OU_IRREV_THREADS", "1")
-        ref = sample_batch(m, dt=0.01, steps=200, n_paths=13, seed=7, law=law)
+        ref = sample_batch(m, dt=0.01, steps=200, n_paths=130, seed=7, law=law)
         for workers in ("2", "5"):
             monkeypatch.setenv("OU_IRREV_THREADS", workers)
-            alt = sample_batch(m, dt=0.01, steps=200, n_paths=13, seed=7, law=law)
+            alt = sample_batch(m, dt=0.01, steps=200, n_paths=130, seed=7, law=law)
             assert np.array_equal(ref.states, alt.states)
             assert np.array_equal(ref.heat, alt.heat)
 
@@ -269,6 +275,101 @@ class TestBatchDeterminism:
         assert abs(rates.mean()) <= 3 * se
 
 
+# (n, method, start): the tile tests run each at 130 paths (two full tiles and
+# two paths in a third) over one time block and two steps into the next.
+_TILE_CASES = [(2, "exact", "law"), (16, "exact", "law"), (16, "euler", "x0"), (3, "euler", "law")]
+_TILE_STEPS = _TIME_BLOCK + 2
+
+
+def _case_id(case) -> str:
+    return "-".join(map(str, case))
+
+
+def _tile_batch(n, method, start, n_paths):
+    m = sin_model(n)
+    kwargs = {"law": stationary_law(m)} if start == "law" else {"x0": np.linspace(1.0, -0.5, n)}
+    return sample_batch(m, 0.01, _TILE_STEPS, n_paths, 41, method=method, **kwargs)
+
+
+def _assert_same_paths(batch, ref):
+    assert np.array_equal(batch.states, ref.states[: batch.n_paths])
+    assert np.array_equal(batch.heat, ref.heat[: batch.n_paths])
+
+
+class TestTileBoundaries:
+    """A path's bits do not depend on where tiles and chunks of the batch
+    end: path counts on both sides of a tile edge, chunk budgets that would
+    end mid-tile, worker counts, and paths generated alone."""
+
+    @pytest.mark.parametrize("case", _TILE_CASES, ids=_case_id)
+    def test_path_count(self, case):
+        ref = _tile_batch(*case, 130)
+        for count in (1, 63, 64, 65):
+            _assert_same_paths(_tile_batch(*case, count), ref)
+
+    @pytest.mark.parametrize("case", _TILE_CASES, ids=_case_id)
+    def test_chunking_and_workers(self, case, monkeypatch):
+        n = case[0]
+        monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
+        ref = _tile_batch(*case, 130)
+        path_elements = (_TILE_STEPS + 1) * n
+        for paths_per_budget in (40, 100):  # a budget chunk would end mid-tile
+            monkeypatch.setattr(sampler, "_CHUNK_ELEMENT_BUDGET", paths_per_budget * path_elements)
+            for workers in ("1", "2", "5"):
+                monkeypatch.setenv("OU_IRREV_THREADS", workers)
+                bounds = sampler._chunk_bounds(130, path_elements, int(workers))
+                assert len(bounds) > 1 and all(lo % _TILE == 0 for lo, _ in bounds)
+                _assert_same_paths(_tile_batch(*case, 130), ref)
+
+    @pytest.mark.parametrize("case", _TILE_CASES, ids=_case_id)
+    def test_single_paths(self, case):
+        n, method, start = case
+        ref = _tile_batch(*case, 130)
+        m = sin_model(n)
+        x0, law = (None, stationary_law(m)) if start == "law" else (np.linspace(1.0, -0.5, n), None)
+        job = _prepare(m, 0.01, _TILE_STEPS, 130, 41, x0, law, method)
+        for k in (0, 63, 64, 129):
+            alone = _Layout.allocate(_TILE_STEPS, n, 1)
+            _generate(job, k, k + 1, _TILE_STEPS, alone)
+            assert np.array_equal(alone.states[0], ref.states[k])
+            assert np.array_equal(alone.heat[0], ref.heat[k])
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_stream_chunking_and_workers(self, n, monkeypatch):
+        law = stationary_law(sin_model(n))
+        ells, k0, steps = (0, 3, 150), 20, 2 * _TIME_BLOCK + 5
+        make = functools.partial(_LagSums, ells, k0, steps, n)
+
+        def run():
+            parts = stream_batch(law, 0.01, steps, 130, 43, make)
+            sums = np.concatenate([part[0] for part in parts], axis=1)
+            return sums, np.concatenate([part[1] for part in parts]), len(parts)
+
+        monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
+        ref_sums, ref_heat, chunks = run()
+        assert chunks == 1
+        for paths_per_budget in (40, 100):
+            monkeypatch.setattr(
+                sampler, "_CHUNK_ELEMENT_BUDGET", paths_per_budget * 2 * steps * n
+            )
+            for workers in ("1", "2", "5"):
+                monkeypatch.setenv("OU_IRREV_THREADS", workers)
+                sums, heat, chunks = run()
+                assert chunks > 1
+                assert np.array_equal(sums, ref_sums)
+                assert np.array_equal(heat, ref_heat)
+
+    def test_chunk_bounds(self):
+        # whole tiles per chunk, at least one, the budget and worker split
+        # rounded to tiles; only the last chunk is short
+        assert sampler._chunk_bounds(130, 1, 1) == [(0, 130)]
+        assert sampler._chunk_bounds(130, 1, 2) == [(0, 128), (128, 130)]
+        assert sampler._chunk_bounds(130, 1, 5) == [(0, 64), (64, 128), (128, 130)]
+        budget = sampler._CHUNK_ELEMENT_BUDGET
+        assert sampler._chunk_bounds(130, budget // 100, 1) == [(0, 64), (64, 128), (128, 130)]
+        assert sampler._chunk_bounds(3, budget, 1) == [(0, 3)]  # one tile above the budget
+
+
 class TestWorkerResolution:
     def test_env_and_auto(self, monkeypatch):
         monkeypatch.setenv("OU_IRREV_THREADS", "3")
@@ -284,16 +385,10 @@ class TestWorkerResolution:
             resolve_workers()
 
 
-def _irreversible_16() -> LinearModel:
-    """Stable irreversible n=16 drift B = D + W (D diagonal, W antisymmetric),
-    Gamma = I, built from closed-form entries so only the sampler's bits vary."""
-    n = 16
-    i, j = np.indices((n, n))
-    b = np.diag(1.0 + 0.25 * np.arange(n)) + 0.5 * np.sin(i - j)
-    return build_model(b, np.eye(n))
-
-
-_PIN_MODELS = {"rot2": lambda: rotational_model(1.0), "irr16": _irreversible_16}
+# irr16 is the stable irreversible drift B = D + W (D diagonal, W
+# antisymmetric), Gamma = I, from closed-form entries so only the sampler's
+# bits vary.
+_PIN_MODELS = {"rot2": lambda: rotational_model(1.0), "irr16": lambda: sin_model(16)}
 
 # (case, model, what is digested, method, start, steps). "batch" digests all of
 # sample_batch(n_paths=3); "path" digests path 1 of sample_batch(n_paths=2)
@@ -318,21 +413,21 @@ _PIN_CASES = [
 ]
 
 _PIN_DIGESTS = {
-    "rot2-batch-exact-law-1": "e252e838c1cc05bfb5f8407aeb3f29de12436c587eaa088b5f8ade447e9c75c4",
-    "rot2-batch-exact-law-257": "19e9370609c22f73149c319c45242a9d396a521d19d15abeb9f7d757b9d44f20",
-    "rot2-batch-exact-x0-1000": "0a27085aa392d075b97d577a039807ff994a92acd2cbad9141d055367f2217af",
+    "rot2-batch-exact-law-1": "c04fc0e14f1c0fe8d8057e1ff4f03a3ab8b9451f43e0435330b0aee91d6a2582",
+    "rot2-batch-exact-law-257": "c020ef7b4cdef769ea7a9ca234de40302b6ee566d09bbfb463dc44b07ae5be55",
+    "rot2-batch-exact-x0-1000": "d869cc7698e2d2b5424b59c8f1188362e40176b9bf93d6bb8ba499045b346652",
     "rot2-batch-euler-law-129": "57f160a1ba4e887e6d2372805c9878d768340e9f181567fcdac7f4fe7a09267a",
     "rot2-batch-euler-x0-1000": "6d2ccc3173fa27ff86590b1d5a7021c5af9e640a4ba3f09cd953482b4e07dbb5",
-    "irr16-batch-exact-law-257": "60a883231134291db6b752ad7f45e5af0d869938e1c6d22fba6e08a025fad49d",
-    "irr16-batch-exact-x0-1": "beb912d7ec709a07444e77b0cc6d99b3e685d2e24e20655404c9e13984fd629b",
-    "irr16-batch-exact-x0-1000": "fbb6d047e60434ff1a5aaa1d5b95d70533beab1858e2862e94c765e7b3963185",
-    "irr16-batch-euler-law-1000": "30f8252f2e7b8009996feec175350e8e6380211d6dc2ab8c6abe09a71cd4e5a1",
-    "irr16-batch-euler-x0-129": "1c023a2310239e9db717de61939919f89a7ce050b18d63358b81d5203250a092",
+    "irr16-batch-exact-law-257": "4064d7e12cc30ed72a7910f9a73b54f3a94b33c33e3e94b5d195da7e3b93f3eb",
+    "irr16-batch-exact-x0-1": "4e3bb4f7e7a2077d6549e79f714e0c5ed477b29969c25c392cad52e18805cc48",
+    "irr16-batch-exact-x0-1000": "b552b4f59b98a186dca9e1fb6cd81a60decb9a564944c245368c757d5673ccc8",
+    "irr16-batch-euler-law-1000": "ea6eedbd7268d58d860867da5248da2eb51b51d5b27d20486f29d03efb8ebfd4",
+    "irr16-batch-euler-x0-129": "3940aa6172140e4b78bca92628b6781ff7a411e59c6e49ac8b9c038ef412b5e5",
     "rot2-path-exact-x0-1": "35e0bba43daf938c92542502e072642f1d3a645bed4ced18ec29978f80561d7d",
-    "rot2-path-exact-x0-257": "a3cf0dcccf59546dadbd61bac3b86212f8eadd110117cc1b311f4846c649b691",
+    "rot2-path-exact-x0-257": "fec050a28572c9b6b9541ba01cd900c63515f8ccb5101f8767f42dc5893d199d",
     "rot2-path-euler-x0-1000": "f0619fc5ff9710a796a1c706eb2c878ae98e63367e7c461a39b4fb127890b1c3",
-    "irr16-path-exact-x0-129": "8b0e0416c517f5d09055a29604247b9a0e742196d269e2888f6fee5eac9aa8b1",
-    "irr16-path-euler-x0-257": "db51c3a22e679ebc2bc3048dabd5b51b352b137c1ced4f2ad7d5708b76b4d78a",
+    "irr16-path-exact-x0-129": "ac1ab95a616d7362659d231708c4a82b65f56f7d3c7f71f3d4969b2bcf7b7851",
+    "irr16-path-euler-x0-257": "7a9fbd8d3c476c181772acdb1650bf52d0479238d267a891cc22099e7279d921",
 }
 
 
@@ -351,12 +446,17 @@ class TestBitPin:
     """Pins the exact output bits of sample_batch: whole batches, and single
     paths (path 1 of a two-path batch) with shared starts.
 
-    The reruns and worker-count checks in TestBatchDeterminism cannot see a
-    change that alters bits the same way everywhere; these SHA-256 digests of
-    states.tobytes() + heat.tobytes() (of the batch, or of the one path) can.
-    They assume numpy's Philox bit generator and ziggurat standard_normal
-    streams as of numpy 2.4.6, and IEEE double arithmetic; a numpy release
-    that changes either stream changes them legitimately.
+    The reruns and worker-count checks in TestBatchDeterminism and
+    TestTileBoundaries cannot see a change that alters bits the same way
+    everywhere; these SHA-256 digests of states.tobytes() + heat.tobytes() (of
+    the batch, or of the one path) can. They assume numpy's Philox bit
+    generator and ziggurat standard_normal streams as of numpy 2.4.6, and the
+    roundings of the (n, n) @ (n, 64) GEMMs of the BLAS it was built with
+    (scipy-openblas 0.3.31); a numpy release that changes either stream, or a
+    BLAS whose GEMM kernels round differently, changes them legitimately. The
+    irr16 stationary starts also carry the bits of the n = 16 Lyapunov solve,
+    whose threaded LU rounds differently with one OpenBLAS thread than with
+    several (2, 3 and 4 agree); they were recorded with two threads.
     """
 
     @pytest.mark.parametrize("case", _PIN_CASES, ids=[c[0] for c in _PIN_CASES])
@@ -370,22 +470,23 @@ class TestBitPin:
         assert any(s > _TIME_BLOCK + 1 and s % _TIME_BLOCK for s in steps)  # a ragged last block
 
 
-class TestColMatVec:
-    """The column-broadcast product is the same per path whatever the batch."""
+class TestReferenceIntegrator:
+    """The tiled GEMMs agree with the BLAS-free oracle integrator of
+    tests/oracles.py on every state and heat value, to 1e-12 of each array's
+    largest magnitude."""
 
+    @pytest.mark.parametrize("method", ["exact", "euler"])
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
-    def test_batch_shape_independence(self, n):
-        rng = np.random.default_rng(n)
-        m = rng.standard_normal((n, n))
-        x = rng.standard_normal((5, n, 7))  # (time, component, path)
-        batched = _colmatvec(m, x)
-        assert batched.shape == x.shape
-        per_vector = np.stack(
-            [
-                np.stack([_colmatvec(m, x[t, :, p : p + 1])[:, 0] for p in range(x.shape[2])], -1)
-                for t in range(x.shape[0])
-            ]
+    def test_matches_oracle(self, n, method):
+        m = sin_model(n)
+        law = stationary_law(m)
+        steps, n_paths, seed = 300, 3, 17
+        batch = sample_batch(m, 0.01, steps, n_paths, seed, law=law, method=method)
+        streams = [path_stream(seed, p) for p in range(n_paths)]
+        z0 = np.stack([s.standard_normal(n) for s in streams], axis=1)
+        normals = np.stack([s.standard_normal((steps, n)) for s in streams])
+        states, heat = integrate_paths(
+            _update(m, 0.01, method), colmatvec(law.chol_Xi, z0), normals
         )
-        assert np.array_equal(batched, per_vector)
-        assert np.array_equal(batched[0], _colmatvec(m, x[0]))
-        assert np.max(np.abs(batched - m @ x)) <= 1e-12
+        for got, ref in ((batch.states, states), (batch.heat, heat)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
