@@ -11,8 +11,18 @@ blocks while the paths are generated (sampler.stream_batch), so no state
 array is kept: only per-path sums, a window of the last max(lag) states, and
 the heat at burn-in and at T. Each lag's products are summed per super-block
 of sampler._SUPER_BLOCK consecutive later times (aligned to t = 0), then
-added in time order, so the sums depend only on each path's states: the same
-bits for any path count, chunking or worker count.
+added in time order.
+
+Both per-path reductions run in BLAS GEMMs whose shapes the run's parameters
+fix. Each super-block's lag products are (n x T) @ (T x n) products per path
+(a stacked matmul, which numpy runs as one BLAS call per path; at lag 0 it
+takes BLAS's A A^T route, syrk), and T is fixed by the burn-in, lag,
+trajectory length and super-block alone. So a path's sums depend only on its
+own states: the same bits for any path count, chunking or worker count. The
+bootstrap resample means of each lag are the (resamples x paths) @
+(paths x n^2) product of the resample-count matrix with the per-path
+asymmetries. Every summed axis is cut into pieces of at most _GEMM_DEPTH, so
+both give the same bits with one or two BLAS threads.
 
 All estimators are deterministic functions of (batch, parameters): bootstrap
 resampling draws from a reserved stream derived from the batch's master seed,
@@ -43,8 +53,8 @@ from .sampler import (
 from .stationary import StationaryLaw
 
 BOOTSTRAP_RESAMPLES = 200
-# Doubles of resampled per-path asymmetries held at once by reversibility_test.
-_BOOTSTRAP_ELEMENT_BUDGET = 1 << 20
+# Longest summed axis of one estimator GEMM (time rows or paths); see _gemm.
+_GEMM_DEPTH = 256
 # Studentized asymmetry above this is declared irreversible; below it the
 # verdict is "consistent with reversible" (failure to reject, not proof).
 REVERSIBILITY_THRESHOLD = 3.0
@@ -99,19 +109,34 @@ def _lag_steps(dt: float, steps: int, lag: float) -> int:
     return rounded
 
 
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b (stacked or not) in BLAS, with the summed axis cut into pieces of
+    at most _GEMM_DEPTH that are added in order.
+
+    With a longer summed axis, OpenBLAS can give other last bits on two
+    threads than on one: on 0.3.31 (AVX-512 kernels) the n = 32 lag GEMMs of
+    most depths from 977 to 1022 time rows did, and the bootstrap GEMMs over
+    most path counts above 384; no depth up to 384 did in any shape
+    measured. Pieces of at most _GEMM_DEPTH keep every estimator bit the
+    same with one or two BLAS threads.
+    """
+    out = np.matmul(a[..., :_GEMM_DEPTH], b[..., :_GEMM_DEPTH, :])
+    for lo in range(_GEMM_DEPTH, a.shape[-1], _GEMM_DEPTH):
+        out += np.matmul(a[..., lo : lo + _GEMM_DEPTH], b[..., lo : lo + _GEMM_DEPTH, :])
+    return out
+
+
 def _lag_products(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     """Sum over t of later[p, t, i] * earlier[p, t, j]; shape (paths, n, n).
 
-    One two-operand contraction per row i, on path-major views of the states
-    (no copy). It gives the same sums, bit for bit, as a single einsum over all
-    (i, j) at once, and is faster than it (measured at n = 2 and n = 16); the
-    tests keep that einsum as the oracle.
+    (n x T) @ (T x n) BLAS GEMMs per path (T cut as in _gemm), on path-major
+    views of the states (no copy); when later and earlier are the same view
+    (lag 0) BLAS forms A A^T (syrk) and the result is exactly symmetric.
+    numpy calls BLAS once per path, so each path's products are the same bits
+    whatever other paths share the stack. They agree with the einsum over t
+    to rounding; the tests keep that einsum as the accuracy oracle.
     """
-    n = later.shape[2]
-    out = np.empty((later.shape[0], n, n))
-    for i in range(n):
-        out[:, i, :] = np.einsum("pt,ptj->pj", later[:, :, i], earlier)
-    return out
+    return _gemm(later.swapaxes(1, 2), earlier)
 
 
 class _LagSums:
@@ -120,11 +145,12 @@ class _LagSums:
     j = k0 + ell .. steps, and the heat W at k0 and at steps.
 
     The products of each super-block of _SUPER_BLOCK consecutive j (aligned
-    to j = 0) are formed by one _lag_products call on a path-major window
-    that also keeps the last max(ell) states of the previous super-blocks,
-    then added to the running sum in time order. The sums therefore depend
-    only on each path's states, not on the sampler's time blocks or on which
-    other paths share the chunk.
+    to j = 0) are formed by one _lag_products call (GEMMs per path, whose
+    shapes depend only on k0, ell, steps and the super-block) on a path-major
+    window that also keeps the last max(ell) states of the previous
+    super-blocks, then added to the running sum in time order. The sums
+    therefore depend only on each path's states, not on the sampler's time
+    blocks or on which other paths share the chunk.
     """
 
     def __init__(self, ells: tuple[int, ...], k0: int, steps: int, n: int, count: int):
@@ -261,21 +287,22 @@ def reversibility_test(
     """
     if len(stats.lag_products) < 2:
         raise ValueError("need at least two distinct lags")
+    n_paths = stats.n_paths
     resamples = _bootstrap_indices(stats, BOOTSTRAP_RESAMPLES)
+    # counts[r, p]: how often resample r drew path p, so that each lag's
+    # resample means are one GEMM with the per-path asymmetries.
+    counts = np.zeros((len(resamples), n_paths))
+    np.add.at(counts, (np.arange(len(resamples))[:, None], resamples), 1.0)
     obs_norms: list[float] = []
     boot_norms: list[np.ndarray] = []
     per_lag: dict[float, float] = {}
     for lag, per_path in stats.lag_products.items():
-        asym = per_path - per_path.transpose(0, 2, 1)
+        asym = (per_path - per_path.transpose(0, 2, 1)).reshape(n_paths, -1)
         observed = asym.mean(axis=0)
-        # Resample means a chunk of resamples at a time: asym[resamples] whole
-        # would hold resamples x paths x n^2 doubles.
-        step = max(1, _BOOTSTRAP_ELEMENT_BUDGET // asym.size)
-        boot = np.concatenate(
-            [asym[resamples[r : r + step]].mean(axis=1) for r in range(0, len(resamples), step)]
-        )
+        boot = _gemm(counts, asym)
+        boot /= n_paths
         boot -= observed
-        norms = np.linalg.norm(boot, axis=(1, 2))
+        norms = np.linalg.norm(boot, axis=1)
         spread = float(norms.std(ddof=1))
         if spread <= 0.0:
             raise InsufficientDataError("degenerate bootstrap spread; too little data")

@@ -308,8 +308,8 @@ _VERIFY_PIN_CASES = {
     "ring8": (ring_model(8), "2"),
 }
 _VERIFY_PIN_DIGESTS = {
-    "rot2": "f8f4652b09ba6b40215c71fd93b11c4f4a40abe1225c70ec02d511627fca14d3",
-    "ring8": "ffb2a3b4abbe1e2aec9dbe285d450d314586a0ea022c86b6cbd450552e66177d",
+    "rot2": "740fba92c4e8f8e4a1ed90ed3d44e2ffc7595170a6eb87f682fa8ccbdc25dde3",
+    "ring8": "0ab8ee3f90169308cc01b2463e51f6cdcf59eba8a3fc257b14137bfd2a96452a",
 }
 
 

@@ -1,6 +1,10 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from ouirrev.model import build_model
 from ouirrev.sampler import _SUPER_BLOCK, sample_batch
 from ouirrev.stationary import stationary_law, two_time_covariance
 
+import oracles
 from conftest import rotational_model, sin_model
 
 # Master seeds of the shared stationary runs (dt 0.02, 2500 steps, 100 paths).
@@ -213,25 +218,37 @@ class TestConsistency:
         assert not stats.lag_products[0.5].flags.writeable
 
 
-def _einsum_oracle(later, earlier):
-    return np.einsum("pti,ptj->pij", later, earlier)
-
-
 def _superblock_oracle(states, k0, ell):
-    """Per-path mean of x(j) x(j - ell)^T over j = k0 + ell .. steps, the
-    einsum of each super-block of _SUPER_BLOCK consecutive j (aligned to
-    j = 0) added in time order."""
+    """Per-path mean of x(j) x(j - ell)^T over j = k0 + ell .. steps: the
+    package's kernel on each super-block of _SUPER_BLOCK consecutive j
+    (aligned to j = 0), added in time order, all on the stored paths."""
     steps = states.shape[1] - 1
     total = np.zeros((states.shape[0], states.shape[2], states.shape[2]))
     for base in range(0, steps + 1, _SUPER_BLOCK):
         lo, hi = max(base, k0 + ell), min(base + _SUPER_BLOCK, steps + 1)
         if lo < hi:
-            total += _einsum_oracle(states[:, lo:hi], states[:, lo - ell : hi - ell])
+            total += estimators._lag_products(states[:, lo:hi], states[:, lo - ell : hi - ell])
     return total / (steps + 1 - k0 - ell)
 
 
+def _with_blas_threads(code: str, threads: int) -> str:
+    """stdout of code run in a fresh interpreter with that many OpenBLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = str(Path(estimators.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def _assert_close_per_path(got, ref, rtol=1e-12):
+    """Every entry within rtol of its path's largest reference magnitude."""
+    scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(got - ref) <= rtol * scale)
+
+
 class TestLagProducts:
-    """The row-wise kernel against the single-expression einsum it replaced."""
+    """The per-path GEMM kernel: within 1e-12 of the einsum oracle, and the
+    same bits for a path whatever other paths share its stack."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
     def test_equal_to_einsum(self, n):
@@ -242,9 +259,25 @@ class TestLagProducts:
             for ell in (0, 1, 250):
                 later = states[:, k0 + ell :, :]
                 earlier = states[:, k0 : steps + 1 - ell, :]
-                assert np.array_equal(
-                    estimators._lag_products(later, earlier), _einsum_oracle(later, earlier)
-                ), (n, k0, ell)
+                got = estimators._lag_products(later, earlier)
+                _assert_close_per_path(got, oracles.lag_products(later, earlier))
+                if ell == 0:  # the A A^T route
+                    assert np.array_equal(got, got.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
+    def test_stack_size_invariance(self, n):
+        # window layout of _LagSums: lag 0 passes one view twice (syrk), a
+        # positive lag two overlapping views of the same window (gemm)
+        rng = np.random.default_rng(100 + n)
+        window = rng.standard_normal((65, 250 + _SUPER_BLOCK, n))
+        for ell, length in ((0, _SUPER_BLOCK), (0, 7), (1, _SUPER_BLOCK), (250, 300)):
+            later = window[:, 250 : 250 + length]
+            earlier = window[:, 250 - ell : 250 - ell + length]
+            alone = [estimators._lag_products(later[p : p + 1], earlier[p : p + 1])[0] for p in range(65)]
+            for count in (1, 63, 64, 65):
+                stacked = estimators._lag_products(later[:count], earlier[:count])
+                for p in range(count):
+                    assert np.array_equal(stacked[p], alone[p]), (ell, length, count, p)
 
     def test_path_statistics_matches_oracle(self, rot_law, rot_batch):
         batch = rot_batch
@@ -254,9 +287,21 @@ class TestLagProducts:
         assert np.array_equal(stats.lag_products[0.5], expected)
         later = batch.states[:, k0 + ell :, :]
         earlier = batch.states[:, k0 : batch.n_steps + 1 - ell, :]
-        whole = _einsum_oracle(later, earlier) / earlier.shape[1]
+        whole = oracles.lag_products(later, earlier) / earlier.shape[1]
         rel = np.linalg.norm(stats.lag_products[0.5] - whole) / np.linalg.norm(whole)
         assert rel <= 1e-12
+
+    def test_blas_thread_invariance(self):
+        # n = 32 with up to a whole super-block of time rows: the deepest
+        # GEMMs a verify run forms
+        code = (
+            "import hashlib, numpy as np; from ouirrev import estimators\n"
+            "w = np.random.default_rng(0).standard_normal((2, 1100, 32))\n"
+            "out = [estimators._lag_products(w[:, 50 : 50 + t], w[:, 50 - ell : 50 - ell + t])\n"
+            "       for t in (300, 1000, 1024) for ell in (0, 1)]\n"
+            "print(hashlib.sha256(b''.join(a.tobytes() for a in out)).hexdigest())"
+        )
+        assert _with_blas_threads(code, 1) == _with_blas_threads(code, 2)
 
     def test_validation(self, rot_law):
         with pytest.raises(ValueError, match="burn-in"):
@@ -361,19 +406,35 @@ def _random_stats(n: int, n_paths: int) -> PathStatistics:
     return PathStatistics(lag_products=products, n_paths=n_paths, seed=5)
 
 
-class TestBootstrapChunks:
-    """reversibility_test averages resamples a chunk at a time; the chunks
-    change no bits and bound the memory. (At n = 1 the asymmetry is zero.)"""
+class TestBootstrapGemm:
+    """reversibility_test forms each lag's resample means as one GEMM of the
+    resample-count matrix with the per-path asymmetries."""
 
-    @pytest.mark.parametrize("n", [2, 16, 32])
-    def test_chunks_change_no_bits(self, n, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
+    def test_matches_fancy_index_oracle(self, n):
         stats = _random_stats(n, 200)
-        results = []
-        for budget in (10**12, 3 * 200 * n * n + 1, 1):  # whole, 3 resamples, 1 resample
-            monkeypatch.setattr(estimators, "_BOOTSTRAP_ELEMENT_BUDGET", budget)
-            res = reversibility_test(stats)
-            results.append((res.statistic, res.per_lag))
-        assert results[1] == results[0] and results[2] == results[0]
+        if n == 1:  # a 1 x 1 product is its own transpose: no asymmetry
+            with pytest.raises(InsufficientDataError, match="degenerate"):
+                reversibility_test(stats)
+            return
+        res = reversibility_test(stats)
+        resamples = estimators._bootstrap_indices(stats, estimators.BOOTSTRAP_RESAMPLES)
+        statistic, per_lag = oracles.bootstrap_asymmetry(stats.lag_products, resamples)
+        assert res.statistic == pytest.approx(statistic, rel=1e-12, abs=0.0)
+        assert list(res.per_lag) == list(per_lag)
+        for lag, z in per_lag.items():
+            assert res.per_lag[lag] == pytest.approx(z, rel=1e-12, abs=0.0)
+
+    def test_blas_thread_invariance(self):
+        # 500 paths: more than one GEMM depth of paths
+        code = (
+            "import numpy as np; from ouirrev.estimators import PathStatistics, reversibility_test\n"
+            "rng = np.random.default_rng(1)\n"
+            "products = {lag: rng.standard_normal((500, 16, 16)) for lag in (0.1, 0.5)}\n"
+            "res = reversibility_test(PathStatistics(lag_products=products, n_paths=500, seed=5))\n"
+            "print(repr((res.statistic, res.per_lag)))"
+        )
+        assert _with_blas_threads(code, 1) == _with_blas_threads(code, 2)
 
     def test_peak_memory_n32(self):
         # Resampling all 200 resamples at once held 200 x 200 x 32 x 32
