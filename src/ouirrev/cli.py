@@ -11,9 +11,9 @@ a flag value that does not convert, an unknown command), 2 numerical failure,
 Every command is deterministic given (model file, flags, seed). CSV numbers
 use the shortest round-trip representation of doubles; JSON reports are
 canonical (sorted keys) and re-serialize to identical bytes after parsing.
-The environment variable OU_IRREV_THREADS sets the worker count for path
-generation (0, 1 or absent = serial); outputs are byte-identical across
-worker counts.
+The environment variable OU_IRREV_THREADS sets the number of worker threads
+for path generation (0, 1 or absent = serial); outputs are byte-identical
+across worker counts.
 """
 
 from __future__ import annotations
@@ -60,12 +60,20 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    """--tau and --x0 converter: comma-separated numbers."""
+def _finite(text: str) -> float:
+    """--burn-in converter, and each number of _floats: a finite number."""
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expects a finite number, got {text!r}")
+    return value
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    """--tau and --x0 converter: comma-separated finite numbers."""
+    values = tuple(_finite(tok) for tok in text.split(",") if tok.strip() != "")
     if not values:
         raise argparse.ArgumentTypeError("must list at least one number")
     return values
@@ -190,6 +198,8 @@ def cmd_transient(args: argparse.Namespace) -> int:
         raise ValueError(f"--x0 must have {model.n} components")
     if not (0 < args.t_step < math.inf and 0 <= args.t_max < math.inf):
         raise ValueError("transient grid requires finite --t-step > 0 and --t-max >= 0")
+    if args.t_max / args.t_step == math.inf:
+        raise ValueError("transient grid --t-max / --t-step overflows")
     factors = transient.rate_factors(model)
     reversible = factors.classification.verdict is Verdict.REVERSIBLE
     n = model.n
@@ -394,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", cmd_verify, "Monte Carlo vs. analytic check suite")
     budget(p)
-    p.add_argument("--burn-in", type=float, default=10.0, help="discarded warmup time")
+    p.add_argument("--burn-in", type=_finite, default=10.0, help="discarded warmup time")
     p.add_argument(
         "--tau",
         type=_lags,

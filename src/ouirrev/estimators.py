@@ -34,7 +34,6 @@ the path level.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -99,6 +98,8 @@ class PathStatistics:
 
 def _lag_steps(dt: float, steps: int, lag: float) -> int:
     ratio = lag / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"lag {lag} over dt {dt} is not a finite step count")
     rounded = int(round(ratio))
     if abs(ratio - rounded) > 1e-6 * max(1.0, abs(ratio)):
         raise ValueError(f"lag {lag} is not a multiple of dt {dt}")
@@ -181,7 +182,7 @@ class _LagSums:
 
     def _flush(self, base: int, end: int) -> None:
         """Add the products of later indices base .. end, then keep the last
-        hist states as the next super-block's history."""
+        hist states as the next super-block's history, or free the window."""
         stop = self.hist + end - base + 1
         for sums, ell in zip(self.sums, self.ells):
             first = max(base, self.k0 + ell)
@@ -189,11 +190,10 @@ class _LagSums:
                 at = self.hist + first - base
                 earlier = self.window[:, at - ell : stop - ell]
                 sums += _lag_products(self.window[:, at:stop], earlier)
-        if self.hist and end < self.steps:
+        if end == self.steps:  # later chunks of the batch may still run
+            self.window = None
+        elif self.hist:
             self.window[:, : self.hist] = self.window[:, _SUPER_BLOCK : _SUPER_BLOCK + self.hist]
-
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.sums, self.heat
 
 
 def stationary_statistics(
@@ -218,9 +218,9 @@ def stationary_statistics(
     Raises
     ------
     ValueError
-        As sample_batch does; on a negative burn-in, an empty lag list, or a
-        lag that is negative, off the dt grid or not shorter than the
-        trajectory.
+        As sample_batch does; on a negative or NaN burn-in, an empty lag
+        list, or a lag that is negative, off the dt grid, not a finite number
+        of steps or not shorter than the trajectory.
     InsufficientDataError
         If burn-in discards the whole trajectory, a lag leaves no time pairs,
         or fewer than two paths are asked for.
@@ -228,13 +228,13 @@ def stationary_statistics(
     Every check runs before any path is drawn.
     """
     _validate_grid(dt, steps)
-    if burn_in < 0:
+    if not burn_in >= 0:
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
-    k0 = int(math.ceil(burn_in / dt - 1e-9))
-    if k0 > steps:
+    if burn_in / dt - 1e-9 > steps:  # checked before ceil: the ratio may be inf
         raise InsufficientDataError(
             f"burn-in {burn_in} discards the whole trajectory (span {steps * dt})"
         )
+    k0 = int(math.ceil(burn_in / dt - 1e-9))
     distinct = tuple(dict.fromkeys(float(v) for v in lags))
     if not distinct:
         raise ValueError("need at least one lag")
@@ -244,10 +244,11 @@ def stationary_statistics(
     span = (steps - k0) * dt
     if span <= 0.0 or n_paths < 2:
         raise InsufficientDataError("need at least 2 paths and a nonempty window after burn-in")
-    make = functools.partial(_LagSums, ells, k0, steps, law.model.n)
-    parts = stream_batch(law, dt, steps, n_paths, seed, make)
-    sums = np.concatenate([part[0] for part in parts], axis=1)
-    heat = np.concatenate([part[1] for part in parts])
+    parts = stream_batch(
+        law, dt, steps, n_paths, seed, lambda count: _LagSums(ells, k0, steps, law.model.n, count)
+    )
+    sums = np.concatenate([part.sums for part in parts], axis=1)
+    heat = np.concatenate([part.heat for part in parts])
     products: dict[float, np.ndarray] = {}
     for lag, ell, total in zip(distinct, ells, sums):
         per_path = total / (steps + 1 - k0 - ell)
@@ -339,7 +340,7 @@ def greenkubo_check(
     if cond_batch.n_paths < 2:
         raise InsufficientDataError("need at least 2 conditional paths")
     x0 = cond_batch.states[0, 0, :]
-    if not all(np.array_equal(cond_batch.states[p, 0, :], x0) for p in range(cond_batch.n_paths)):
+    if not (cond_batch.states[:, 0, :] == x0).all():
         raise ValueError("conditional batch paths do not share x0")
     max_z = 0.0
     max_dev = 0.0

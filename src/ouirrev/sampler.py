@@ -5,7 +5,8 @@ dissipation functional.
 Two entry points share one integrator, one per result layout: sample_batch
 stores every path in path-major arrays, and stream_batch hands each block of
 steps to a caller's consumer and keeps nothing else. A single path is a batch
-of one.
+of one. Both run chunks of paths, each into its own consumer, in this thread
+or, with several workers (resolve_workers), on worker threads.
 
 Reproducibility contract
 ------------------------
@@ -15,7 +16,7 @@ numpy's ziggurat sampler (``Generator.standard_normal``). For a given
 numpy/BLAS build, a path is therefore a pure function of (model, start, dt,
 steps, master seed, path index) - bit for bit, independent of how many paths
 run, how they are chunked, in which order, or across how many worker
-processes or BLAS threads.
+threads or BLAS threads.
 
 After the draws, every matrix product runs in BLAS on fixed-shape tiles.
 Path p sits in column p mod _TILE of a tile of _TILE = 64 paths; chunks of
@@ -61,7 +62,6 @@ epr = 2.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -73,8 +73,8 @@ from . import linalg
 from .model import LinearModel
 from .stationary import StationaryLaw
 
-# Path-chunk size cap (a chunk holds at least one tile): bounds the arrays a
-# pool worker returns and, with _TIME_BLOCK, the temporaries of the recursion.
+# Path-chunk size cap (a chunk holds at least one tile): bounds a chunk's
+# buffers and, with _TIME_BLOCK, the temporaries of the recursion.
 _CHUNK_ELEMENT_BUDGET = 5_000_000
 
 # Paths per BLAS tile. Every matrix product is a stack of (n, n) @ (n, _TILE)
@@ -238,16 +238,9 @@ class _Layout:
     def __init__(self, states: np.ndarray, heat: np.ndarray):
         self.states, self.heat = states, heat
 
-    @classmethod
-    def allocate(cls, steps: int, n: int, count: int) -> _Layout:
-        return cls(np.empty((count, steps + 1, n)), np.empty((count, steps + 1)))
-
     def __call__(self, k: int, states: np.ndarray, heat: np.ndarray) -> None:
         self.states[:, k : k + len(states)] = states.transpose(2, 0, 1)
         self.heat[:, k : k + len(heat)] = heat.T
-
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.states, self.heat
 
 
 class _Job(NamedTuple):
@@ -260,8 +253,8 @@ class _Job(NamedTuple):
     update: _Update
 
 
-def _generate(job: _Job, lo: int, hi: int, steps: int, consumer) -> None:
-    """Generate paths lo .. hi-1 of a batch into consumer.
+def _generate(job: _Job, lo: int, hi: int, steps: int, consumer):
+    """Generate paths lo .. hi-1 of a batch into consumer, and return it.
 
     Path p's stream supplies, in order, a standard_normal(n) block for a
     stationary start (only when chol_xi is set), then the normals of the
@@ -283,15 +276,7 @@ def _generate(job: _Job, lo: int, hi: int, steps: int, consumer) -> None:
         z.reshape(n, -1)[:, cols] = draws.T
         _tile_matmul(job.chol_xi, z, start)
     _integrate(streams, start, cols, job.update, steps, consumer)
-
-
-def _consume_chunk(job: _Job, steps: int, make_consumer, bounds: tuple[int, int]):
-    """Process-pool entry: run paths lo .. hi-1 into make_consumer(hi - lo)
-    and return its result()."""
-    lo, hi = bounds
-    consumer = make_consumer(hi - lo)
-    _generate(job, lo, hi, steps, consumer)
-    return consumer.result()
+    return consumer
 
 
 def resolve_workers() -> int:
@@ -335,15 +320,25 @@ def _chunk_bounds(n_paths: int, path_elements: int, n_workers: int) -> list[tupl
     return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
 
 
-def _map_chunks(work, bounds: list[tuple[int, int]], n_workers: int) -> list:
-    """[work(b) for b in bounds], in a process pool when there are several
-    workers and several chunks."""
-    if n_workers > 1 and len(bounds) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # not imported by serial runs
+def _map_chunks(job: _Job, steps: int, n_paths: int, path_elements: int, consumer_for) -> list:
+    """Generate each chunk (lo, hi) of _chunk_bounds into consumer_for(lo, hi)
+    and return the consumers in path order: on up to resolve_workers() threads
+    when there are several workers and several chunks, else in this thread.
+    Chunks own disjoint paths, streams and buffers, so the bits are those of a
+    serial run; numpy releases the interpreter lock in the draws and the GEMMs.
+    """
+    n_workers = resolve_workers()
+    bounds = _chunk_bounds(n_paths, path_elements, n_workers)
 
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(bounds))) as pool:
+    def work(chunk: tuple[int, int]):
+        return _generate(job, *chunk, steps, consumer_for(*chunk))
+
+    if n_workers > 1 and len(bounds) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not imported by serial runs
+
+        with ThreadPoolExecutor(max_workers=min(n_workers, len(bounds))) as pool:
             return list(pool.map(work, bounds))
-    return [work(b) for b in bounds]
+    return [work(chunk) for chunk in bounds]
 
 
 def sample_batch(
@@ -365,18 +360,12 @@ def sample_batch(
     (resolve_workers).
     """
     job = _prepare(model, dt, steps, n_paths, seed, x0, law, method)
-    n_workers = resolve_workers()
-    bounds = _chunk_bounds(n_paths, (steps + 1) * model.n, n_workers)
     states = np.empty((n_paths, steps + 1, model.n))
     heat = np.empty((n_paths, steps + 1))
-    if n_workers > 1 and len(bounds) > 1:
-        make = functools.partial(_Layout.allocate, int(steps), model.n)
-        work = functools.partial(_consume_chunk, job, int(steps), make)
-        for (lo, hi), part in zip(bounds, _map_chunks(work, bounds, n_workers)):
-            states[lo:hi], heat[lo:hi] = part
-    else:
-        for lo, hi in bounds:
-            _generate(job, lo, hi, steps, _Layout(states[lo:hi], heat[lo:hi]))
+    _map_chunks(
+        job, steps, n_paths, (steps + 1) * model.n,
+        lambda lo, hi: _Layout(states[lo:hi], heat[lo:hi]),
+    )
     return TrajectoryBatch(float(dt), states, heat)
 
 
@@ -385,16 +374,14 @@ def stream_batch(
 ) -> list:
     """Run the paths of sample_batch(law.model, dt, steps, n_paths, seed,
     law=law) without keeping them: each chunk of paths hands its time blocks
-    to make_consumer(chunk_size) (see _integrate), and the list of every
-    chunk's consumer.result(), in path order, is returned. The worker count is
-    resolve_workers(); make_consumer must pickle when it is above 1. The paths
-    are the same bits as sample_batch's, so a consumer that sums per path in a
-    fixed time order gives the same sums for any path count, chunking or
-    worker count.
+    to make_consumer(chunk_size) (see _integrate), and the chunks' consumers
+    are returned in path order. The worker count is resolve_workers(); with
+    several workers the chunks run on threads, so consumers must share no
+    mutable state. The paths are the same bits as sample_batch's, so a
+    consumer that sums per path in a fixed time order gives the same sums for
+    any path count, chunking or worker count.
     """
     job = _prepare(law.model, dt, steps, n_paths, seed, None, law, "exact")
-    n_workers = resolve_workers()
     # Per path: a super-block of draws, and a consumer window of about as much.
-    bounds = _chunk_bounds(n_paths, 2 * min(steps, _SUPER_BLOCK) * law.model.n, n_workers)
-    work = functools.partial(_consume_chunk, job, int(steps), make_consumer)
-    return _map_chunks(work, bounds, n_workers)
+    path_elements = 2 * min(steps, _SUPER_BLOCK) * law.model.n
+    return _map_chunks(job, steps, n_paths, path_elements, lambda lo, hi: make_consumer(hi - lo))

@@ -268,6 +268,14 @@ class TestTransientCommand:
         assert main(["transient", model_file(ROT), "--t-max", t_max]) == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_grid_overflow_exit_1(self, model_file, capsys):
+        # t_max / t_step is inf: the row count overflows before any work
+        argv = ["transient", model_file(ROT), "--t-max", "1e300", "--t-step", "1e-300"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows" in err
+
 
 _CSV_PIN_ARGS = ["--paths", "2", "--steps", "300", "--seed", "13"]
 _CSV_PIN_CASES = {
@@ -429,6 +437,19 @@ class TestVerifyCommand:
         main(argv)
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize(
+        "extra, match",
+        [(["--dt", "1e-320"], "burn-in"), (["--dt", "1e-320", "--burn-in", "0"], "lag")],
+        ids=["burn-in-steps", "lag-steps"],
+    )
+    def test_step_count_overflow_exit_1(self, extra, match, model_file, capsys):
+        # burn_in / dt or lag / dt is inf: rejected before it is rounded
+        assert main(["verify", model_file(ROT), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert match in captured.err
+
     def test_default_budget_memory(self, model_file, capsys):
         # The stored batch alone held 200 x 10 001 x (2 + 1) doubles (48 MB);
         # the stream keeps per-path sums and one super-block per path.
@@ -493,6 +514,11 @@ class TestParserContract:
             ["transient", "{model}", "--t-step", "abc"],
             ["bogus", "{model}"],
             [],
+            ["transient", "{model}", "--x0", "nan,0"],
+            ["transient", "{model}", "--x0", "inf,0"],
+            ["verify", "{model}", "--tau", "0.1,inf"],
+            ["verify", "{model}", "--burn-in", "inf"],
+            ["verify", "{model}", "--burn-in", "nan"],
         ],
         ids=[
             "steps",
@@ -503,6 +529,11 @@ class TestParserContract:
             "t-step",
             "unknown-command",
             "no-command",
+            "x0-nan",
+            "x0-inf",
+            "tau-inf",
+            "burn-in-inf",
+            "burn-in-nan",
         ],
     )
     def test_usage_error_exit_1(self, argv, model_file, capsys):

@@ -358,9 +358,9 @@ class TestStreamedStatistics:
         make = functools.partial(estimators._LagSums, ells, k0, steps, n)
         parts = sampler.stream_batch(law, dt, steps, n_paths, seed, make)
         assert len(parts) == 2
-        heat = np.concatenate([part[1] for part in parts])
+        heat = np.concatenate([part.heat for part in parts])
         assert np.array_equal(heat, batch.heat[:, [k0, -1]])
-        sums = np.concatenate([part[0] for part in parts], axis=1)
+        sums = np.concatenate([part.sums for part in parts], axis=1)
         for total, ell, ref in zip(sums, ells, refs):
             assert np.array_equal(total / (steps + 1 - k0 - ell), ref)
 
@@ -398,6 +398,28 @@ class TestStreamedStatistics:
             stationary_statistics(law, 0.01, 0, 4, 1, (0.0,))
         with pytest.raises(ValueError, match="at least one lag"):
             stationary_statistics(law, 0.01, 100, 4, 1, ())
+
+    @pytest.mark.parametrize(
+        "dt, lags, burn_in, error, match",
+        [
+            (0.01, (0.1, 0.5), math.inf, InsufficientDataError, "discards"),
+            (0.01, (0.1, 0.5), math.nan, ValueError, "burn-in"),
+            (0.01, (0.1, math.inf), 0.0, ValueError, "lag inf"),
+            (1e-320, (0.1, 0.5), 10.0, InsufficientDataError, "discards"),
+            (1e-320, (0.1, 0.5), 0.0, ValueError, "lag 0.1"),
+        ],
+        ids=["burn-in-inf", "burn-in-nan", "lag-inf", "burn-in-over-dt", "lag-over-dt"],
+    )
+    def test_step_count_overflow_rejected(self, dt, lags, burn_in, error, match, monkeypatch):
+        # burn_in / dt or lag / dt is inf or nan: an error before rounding
+        law = stationary_law(rotational_model(1.0))
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before validating")
+
+        monkeypatch.setattr(estimators, "stream_batch", no_sampling)
+        with pytest.raises(error, match=match):
+            stationary_statistics(law, dt, 100, 4, 1, lags, burn_in)
 
 
 def _random_stats(n: int, n_paths: int) -> PathStatistics:

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ class TestBatchDeterminism:
         batch = sample_batch(m, dt=0.01, steps=100, n_paths=5, seed=101, x0=[1.0, 0.0])
         job = _prepare(m, 0.01, 100, 5, 101, [1.0, 0.0], None, "exact")
         for k in range(5):
-            alone = _Layout.allocate(100, m.n, 1)
+            alone = _Layout(np.empty((1, 101, m.n)), np.empty((1, 101)))
             _generate(job, k, k + 1, 100, alone)
             assert np.array_equal(batch.states[k], alone.states[0])
             assert np.array_equal(batch.heat[k], alone.heat[0])
@@ -247,11 +248,17 @@ class TestBatchDeterminism:
         law = stationary_law(m)
         monkeypatch.setenv("OU_IRREV_THREADS", "1")
         ref = sample_batch(m, dt=0.01, steps=200, n_paths=130, seed=7, law=law)
-        for workers in ("2", "5"):
-            monkeypatch.setenv("OU_IRREV_THREADS", workers)
-            alt = sample_batch(m, dt=0.01, steps=200, n_paths=130, seed=7, law=law)
-            assert np.array_equal(ref.states, alt.states)
-            assert np.array_equal(ref.heat, alt.heat)
+        # More workers than cores, switching threads as often as possible.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in ("2", "5"):
+                monkeypatch.setenv("OU_IRREV_THREADS", workers)
+                alt = sample_batch(m, dt=0.01, steps=200, n_paths=130, seed=7, law=law)
+                assert np.array_equal(ref.states, alt.states)
+                assert np.array_equal(ref.heat, alt.heat)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_path_count_invariance(self):
         # path k is the same whether 3 or 30 paths are generated
@@ -329,7 +336,7 @@ class TestTileBoundaries:
         x0, law = (None, stationary_law(m)) if start == "law" else (np.linspace(1.0, -0.5, n), None)
         job = _prepare(m, 0.01, _TILE_STEPS, 130, 41, x0, law, method)
         for k in (0, 63, 64, 129):
-            alone = _Layout.allocate(_TILE_STEPS, n, 1)
+            alone = _Layout(np.empty((1, _TILE_STEPS + 1, n)), np.empty((1, _TILE_STEPS + 1)))
             _generate(job, k, k + 1, _TILE_STEPS, alone)
             assert np.array_equal(alone.states[0], ref.states[k])
             assert np.array_equal(alone.heat[0], ref.heat[k])
@@ -342,8 +349,8 @@ class TestTileBoundaries:
 
         def run():
             parts = stream_batch(law, 0.01, steps, 130, 43, make)
-            sums = np.concatenate([part[0] for part in parts], axis=1)
-            return sums, np.concatenate([part[1] for part in parts]), len(parts)
+            sums = np.concatenate([part.sums for part in parts], axis=1)
+            return sums, np.concatenate([part.heat for part in parts]), len(parts)
 
         monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
         ref_sums, ref_heat, chunks = run()
