@@ -152,25 +152,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _csv_cells(values) -> str:
-    """Comma-joined shortest round-trip reprs of Python floats.
-
-    Callers pass ndarray.tolist() output: repr of a Python float gives the
-    same digits as _fmt without a numpy scalar per cell.
-    """
-    return ",".join(map(repr, values))
-
-
 def _write_trajectory_csv(path: str, dt: float, states: np.ndarray, heat: np.ndarray) -> None:
     """One path as CSV rows t, x1 .. xn, W: states (steps + 1, n), heat (steps + 1,)."""
+    from . import _csvfmt  # imported by the CSV commands only
+
     n = states.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",W"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        # One tolist() per row: converting the whole path at once would hold
-        # a Python float object for every cell of the path at the same time.
-        for k, (row, w) in enumerate(zip(states, heat)):
-            fh.write(f"{k * dt!r},{_csv_cells(row.tolist())},{float(w)!r}\n")
+    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",W\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for chunk in _csvfmt.rows([np.arange(len(heat)) * dt, states, heat]):
+            fh.write(chunk)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -192,6 +183,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_transient(args: argparse.Namespace) -> int:
+    from . import _csvfmt  # imported by the CSV commands only
+
     model = _load_model(args.model)
     x0 = np.zeros(model.n) if args.x0 is None else np.asarray(args.x0, dtype=float)
     if x0.shape != (model.n,):
@@ -209,21 +202,18 @@ def cmd_transient(args: argparse.Namespace) -> int:
     header += ["entropy", "epr_t", "hdr_t", "entropy_rate"]
     if reversible:
         header.append("free_energy")
-    n_law = 1 + n + n * n
-    # Point mass at t = 0: entropy and rates are undefined, not -inf.
-    undefined = "," * (len(header) - n_law)
-    rows = [",".join(header)]
     n_rows = int(math.floor(args.t_max / args.t_step + 1e-9)) + 1
     states = transient.propagate_grid(model, x0, args.t_step, n_rows)
     grid = factors.grid_rates(states)
-    columns = [grid.entropy, grid.epr_t, grid.hdr_t, grid.entropy_rate]
+    columns = [states.t, states.mean, states.cov.reshape(n_rows, -1)]
+    columns += [grid.entropy, grid.epr_t, grid.hdr_t, grid.entropy_rate]
     if reversible:
         columns.append(grid.free_energy)
-    table = np.column_stack([states.t, states.mean, states.cov.reshape(n_rows, -1), *columns])
-    for row, defined in zip(table, ~np.isnan(grid.entropy)):
-        cells = row.tolist()
-        rows.append(_csv_cells(cells) if defined else _csv_cells(cells[:n_law]) + undefined)
-    _emit("\n".join(rows), args.out)
+    # Point mass at t = 0: entropy and rates are undefined (empty), not -inf.
+    blank = np.zeros((n_rows, len(header)), dtype=bool)
+    blank[np.isnan(grid.entropy), 1 + n + n * n :] = True
+    body = b"".join(_csvfmt.rows(columns, blank)).decode("ascii")
+    _emit(",".join(header) + "\n" + body.removesuffix("\n"), args.out)
     return 0
 
 

@@ -32,15 +32,19 @@ threads give the tile GEMMs the same bits. The elementwise steps (adding the
 noise, the midpoint, the dot product with dx summed over components in fixed
 order, the cumulative heat) are per path.
 
-The integrator draws each path's normals _SUPER_BLOCK steps at a time, does
-the noise transform, recursion and heat sums in blocks of _TIME_BLOCK steps
-in preallocated tile buffers, and hands each finished block to a consumer, so
-temporaries do not grow with the run. sample_batch's consumer copies the
-blocks into path-major arrays; stream_batch lets a caller keep only what it
-needs (estimators accumulate per-path lag products this way). Blocking
-changes no bits: the draws continue each path's stream, every term is per
-step, and the cumulative heat of a block is a cumsum that starts from the
-carried W, the same left-to-right sum as one cumsum over all steps.
+The integrator draws each path's normals a span of steps at a time, does the
+noise transform, recursion and heat sums in blocks of time steps in
+preallocated tile buffers, and hands each finished block to a consumer, so
+temporaries do not grow with the run. _blocking sizes both from n and the
+chunk width: a tile buffer holds at most _TIME_BLOCK steps and about
+_BLOCK_ELEMENTS doubles, and a span is whole blocks of about _SPAN_NORMALS
+normals per path, so the buffers grow with neither n nor the chunk.
+sample_batch's consumer copies the blocks into path-major arrays;
+stream_batch lets a caller keep only what it needs (estimators accumulate
+per-path lag products this way). Blocking changes no bits: the draws continue
+each path's stream, every term is per step, and the cumulative heat of a
+block is a cumsum that starts from the carried W, the same left-to-right sum
+as one cumsum over all steps.
 
 The inputs of the sampler are outside this contract. The step matrices come
 from linalg.expm (which multiplies with @ and calls solve), so they follow the
@@ -74,7 +78,7 @@ from .model import LinearModel
 from .stationary import StationaryLaw
 
 # Path-chunk size cap (a chunk holds at least one tile): bounds a chunk's
-# buffers and, with _TIME_BLOCK, the temporaries of the recursion.
+# share of the result or of the consumers' windows.
 _CHUNK_ELEMENT_BUDGET = 5_000_000
 
 # Paths per BLAS tile. Every matrix product is a stack of (n, n) @ (n, _TILE)
@@ -82,12 +86,19 @@ _CHUNK_ELEMENT_BUDGET = 5_000_000
 # its bits do not depend on how many paths or tiles share the call.
 _TILE = 64
 
-# Time steps per pass of the noise transform, recursion and heat
-# accumulation, so their temporaries do not grow with the run length.
+# Most time steps per pass of the noise transform, recursion and heat
+# accumulation, and about the most doubles in each of its tile buffers (time
+# steps x n x chunk width), so their temporaries grow with neither the run
+# length nor n nor the chunk (_blocking).
 _TIME_BLOCK = 128
+_BLOCK_ELEMENTS = 65_536
 
-# Time steps of normals drawn per path at a time, a multiple of _TIME_BLOCK.
-# Summation order of streamed per-path sums follows the same global blocks.
+# About the normals drawn per path in one standard_normal call (_blocking).
+_SPAN_NORMALS = 2048
+
+# Time steps per block of the estimators' streamed per-path lag sums, whose
+# summation order follows these global blocks; stream_batch sizes its chunks
+# for a consumer window of this many steps per path.
 _SUPER_BLOCK = 1024
 
 # Stream index reserved for estimator bootstraps; never a path index.
@@ -155,6 +166,17 @@ def _tile_matmul(m: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
     np.matmul(m, x.swapaxes(-3, -2), out=out.swapaxes(-3, -2))
 
 
+def _blocking(n: int, width: int, steps: int) -> tuple[int, int]:
+    """(rows, span) for a chunk of width path columns: time steps per block of
+    the recursion, at most _TIME_BLOCK and about _BLOCK_ELEMENTS // (n width),
+    and steps of normals drawn per path at a time, whole blocks of about
+    _SPAN_NORMALS normals; neither longer than the run. Both stay 128 and 1024
+    at n = 2 on one to four tiles."""
+    rows = max(1, min(_TIME_BLOCK, _BLOCK_ELEMENTS // (n * width)))
+    span = rows * max(1, _SPAN_NORMALS // (n * rows))
+    return min(rows, steps), min(span, steps)
+
+
 def _integrate(
     streams, start: np.ndarray, cols: slice, update: _Update, steps: int, consumer
 ) -> None:
@@ -163,21 +185,21 @@ def _integrate(
 
     streams holds one generator per path, positioned after any start draw;
     start is (n, tiles, _TILE), its flattened columns cols holding the paths
-    and the other columns zero. Each path's normals are drawn _SUPER_BLOCK
-    steps at a time. Inside a block of _TIME_BLOCK steps the work is
-    time-major with paths on the last axis, every matrix product a stack of
-    per-tile GEMMs. consumer receives states (L, n, paths) and heat (L, paths)
-    at the global indices k .. k + L - 1: first index 0 (the starts, W = 0),
-    then each time block in order. The arrays are reused, so it must copy what
-    it keeps.
+    and the other columns zero. Each path's normals are drawn a span of steps
+    at a time, and each span runs in blocks of rows steps (_blocking). Inside
+    a block the work is time-major with paths on the last axis, every matrix
+    product a stack of per-tile GEMMs. consumer receives states (L, n, paths)
+    and heat (L, paths) at the global indices k .. k + L - 1: first index 0
+    (the starts, W = 0), then each time block in order. The arrays are reused,
+    so it must copy what it keeps.
     """
     n, tiles, _ = start.shape
     width = tiles * _TILE
     euler, dt = update.method == "euler", update.dt
-    rows = min(_TIME_BLOCK, steps)
+    rows, span_max = _blocking(n, width, steps)
     # A spare step per path keeps the rows from being a power of two apart
     # (see the copy below).
-    draws = np.empty((len(streams), min(_SUPER_BLOCK, steps) + 1, n))
+    draws = np.empty((len(streams), span_max + 1, n))
     block = np.empty((rows + 1, n, tiles, _TILE))
     z = np.zeros((rows, n, tiles, _TILE))  # the padding columns stay zero
     noise, mid, prod = (np.empty(z.shape) for _ in range(3))
@@ -188,13 +210,17 @@ def _integrate(
     zflat = z.reshape(rows, n, width)
     block[0] = start
     block_t = block.swapaxes(1, 2)  # (time, tiles, n, _TILE) GEMM operands
+    # The recursion's per-step views, made once: x_k and x_{k+1} as GEMM
+    # operands, x_{k+1} and the noise of step k.
+    steps_views = list(zip(block_t[:-1], block_t[1:], block[1:], noise))
+    matmul, add, subtract = np.matmul, np.add, np.subtract
     consumer(0, states[:1, :, cols], heat[:1, cols])
-    for s0 in range(0, steps, _SUPER_BLOCK):
-        span = min(_SUPER_BLOCK, steps - s0)
+    for s0 in range(0, steps, span_max):
+        span = min(span_max, steps - s0)
         for c, stream in enumerate(streams):
             stream.standard_normal(out=draws[c, :span])
-        for r in range(0, span, _TIME_BLOCK):
-            b = min(_TIME_BLOCK, span - r)
+        for r in range(0, span, rows):
+            b = min(rows, span - r)
             # Copy the block's draws time-major in one strided pass, which
             # reads the same step of every path at once: rows a power of two
             # apart would map to the same cache sets and evict each other.
@@ -202,14 +228,14 @@ def _integrate(
             _tile_matmul(update.noise_mat, z[:b], noise[:b])
             if euler:
                 noise[:b] *= math.sqrt(dt)
-            for k in range(b):
+            for x_t, y_t, y, e in steps_views[:b]:
                 if euler:
-                    np.matmul(update.drift, block_t[k], out=fx)
+                    matmul(update.drift, x_t, out=fx)
                     fx *= dt
-                    np.subtract(block_t[k], fx, out=block_t[k + 1])
+                    subtract(x_t, fx, out=y_t)
                 else:
-                    np.matmul(update.drift, block_t[k], out=block_t[k + 1])
-                block[k + 1] += noise[k]
+                    matmul(update.drift, x_t, out=y_t)
+                add(y, e, out=y)
             # Midpoint increments dW = -2 (S x_mid) . dx.
             cur, nxt = block[:b], block[1 : b + 1]
             np.add(nxt, cur, out=mid[:b])
@@ -382,6 +408,7 @@ def stream_batch(
     any path count, chunking or worker count.
     """
     job = _prepare(law.model, dt, steps, n_paths, seed, None, law, "exact")
-    # Per path: a super-block of draws, and a consumer window of about as much.
+    # Per path: about two consumer windows of up to _SUPER_BLOCK states (the
+    # estimators keep one per path, after its lag history).
     path_elements = 2 * min(steps, _SUPER_BLOCK) * law.model.n
     return _map_chunks(job, steps, n_paths, path_elements, lambda lo, hi: make_consumer(hi - lo))

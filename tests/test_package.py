@@ -13,7 +13,7 @@ def test_public_names_resolve():
 
 
 def test_removed_names_gone():
-    from ouirrev import estimators, model, sampler, stationary
+    from ouirrev import cli, estimators, model, sampler, stationary
 
     for module, name in [
         (stationary, "entropy_production_rate"),
@@ -37,6 +37,7 @@ def test_removed_names_gone():
         (sampler, "_validate_run"),
         (sampler, "_consume_chunk"),
         (model, "drift"),
+        (cli, "_csv_cells"),
     ]:
         assert not hasattr(module, name)
         assert not hasattr(ouirrev, name)
@@ -67,6 +68,13 @@ def test_cli_import_skips_process_pool():
         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
     assert _run_python(code).strip() == "[]"
+
+
+def test_cli_import_skips_csv_formatter():
+    # The CSV formatter is imported, and its tables built, by the first CSV
+    # write: not by commands that write none, nor by importing the CLI.
+    code = "import sys, ouirrev.cli; print('ouirrev._csvfmt' in sys.modules)"
+    assert _run_python(code).strip() == "False"
 
 
 def test_worker_threads_start_no_processes():

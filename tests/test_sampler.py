@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ouirrev.model import LinearModel, build_model
 from ouirrev.sampler import (
     _TILE,
     _TIME_BLOCK,
+    _blocking,
     _generate,
     _Layout,
     _prepare,
@@ -366,6 +368,31 @@ class TestTileBoundaries:
                 assert np.array_equal(sums, ref_sums)
                 assert np.array_equal(heat, ref_heat)
 
+    def test_stream_buffers_sized_by_elements(self):
+        # n = 16 on one 64-path tile over 2000 steps, keeping nothing: 64-step
+        # blocks and 128-step draw spans peak at about 3.7 MiB (five tile
+        # buffers of 64 x 16 x 64 doubles, 64 x 129 x 16 normals); 128-step
+        # blocks and 1024-step draws peaked at about 13 MiB.
+        law = stationary_law(sin_model(16))
+        assert _blocking(16, _TILE, 2000) == (64, 128)
+        tracemalloc.start()
+        try:
+            stream_batch(law, 0.01, 2000, _TILE, 5, lambda count: lambda k, states, heat: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+    def test_blocking(self):
+        # At n = 2 on up to four tiles, the blocks and spans of a fixed count
+        # of steps; larger n or chunks get shorter blocks, never shorter runs.
+        for tiles in (1, 4):
+            assert _blocking(2, tiles * _TILE, 10_000) == (_TIME_BLOCK, 1024)
+        assert _blocking(32, _TILE, 10_000) == (32, 64)
+        assert _blocking(32, 4 * _TILE, 10_000) == (8, 64)
+        assert _blocking(16, _TILE, 100) == (64, 100)
+        assert _blocking(2, _TILE, 1) == (1, 1)
+
     def test_chunk_bounds(self):
         # whole tiles per chunk, at least one, the budget and worker split
         # rounded to tiles; only the last chunk is short
@@ -399,8 +426,9 @@ _PIN_MODELS = {"rot2": lambda: rotational_model(1.0), "irr16": lambda: sin_model
 
 # (case, model, what is digested, method, start, steps). "batch" digests all of
 # sample_batch(n_paths=3); "path" digests path 1 of sample_batch(n_paths=2)
-# alone, a path that is not first in its chunk. With 128-step time blocks, 129
-# and 257 end one step into a new block and 1000 ends in a ragged block.
+# alone, a path that is not first in its chunk. With the 128-step time blocks
+# of rot2 and the 64-step ones of irr16 (_blocking), 129 and 257 end one step
+# into a new block and 1000 ends in a ragged block.
 _PIN_CASES = [
     ("rot2-batch-exact-law-1", "rot2", "batch", "exact", "law", 1),
     ("rot2-batch-exact-law-257", "rot2", "batch", "exact", "law", 257),
@@ -472,9 +500,14 @@ class TestBitPin:
         assert _pin_digest(*args) == _PIN_DIGESTS[name]
 
     def test_cases_cover_time_block_edges(self):
-        steps = {case[-1] for case in _PIN_CASES}
-        assert 1 in steps and _TIME_BLOCK + 1 in steps
-        assert any(s > _TIME_BLOCK + 1 and s % _TIME_BLOCK for s in steps)  # a ragged last block
+        # Per model, at the time blocks its one-tile pin batches run in: one
+        # step, one step into a new block, and a ragged last block.
+        for name, model in _PIN_MODELS.items():
+            steps = {case[-1] for case in _PIN_CASES if case[1] == name}
+            rows = _blocking(model().n, _TILE, max(steps))[0]
+            assert 1 in steps
+            assert any(s > rows and s % rows == 1 for s in steps)
+            assert any(s > rows + 1 and s % rows > 1 for s in steps)
 
 
 class TestReferenceIntegrator:
