@@ -4,11 +4,13 @@ Python's repr of a float is the shortest decimal that reads back as the same
 double (the closest such decimal when several have that length), laid out in
 fixed notation when the decimal exponent decpt (value = 0.d1d2... * 10**decpt)
 satisfies -4 < decpt <= 16, else as d.ddde+XX. Calling repr once per cell
-costs about a microsecond; rows() instead selects the digits of a whole block
-of cells at once with Schubfach (R. Giulietti, "The Schubfach way to render
-doubles", 2020), which needs only 64-bit integer arithmetic and so runs on
-numpy uint64 arrays, and lays the text out with a few scatters into one byte
-buffer.
+costs about a microsecond; rows() and table() instead select the digits of a
+whole block of cells at once with Schubfach (R. Giulietti, "The Schubfach way
+to render doubles", 2020), which needs only 64-bit integer arithmetic and so
+runs on numpy uint64 arrays, and lay the text out with a few scatters into
+one byte buffer. rows() yields a table's text a few thousand cells at a time;
+table() formats a block in one pass and returns where each row ends, so that
+a caller can cut any run of rows out of the text.
 
 Schubfach's shortening step removes at most one digit, which is enough for
 every normal double but not for the shortest subnormals (it would write
@@ -178,9 +180,10 @@ def _places(first: int, count: int) -> np.ndarray:
 _PLACES = (_places(-2, 8), _places(6, 8), _places(14, 4))
 
 
-def _format(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> bytes:
+def _format(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> tuple[bytes, np.ndarray]:
     """The text of cells x (each zero or normal where not blank), each
-    followed by its separator byte; blank cells are written empty."""
+    followed by its separator byte, and the offset of each separator; blank
+    cells are written empty."""
     bits = x.view(_U)
     neg = ((bits >> _U(63)) == 1) & ~blank
     zero = ((bits & _M63) == 0) | blank
@@ -241,7 +244,7 @@ def _format(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> bytes:
         buf[last - 1] = _ZERO + expo // 10 % 10
         wide = expo >= 100
         buf[last[wide] - 2] = _ZERO + expo[wide] // 100
-    return buf.tobytes()
+    return buf.tobytes(), end
 
 
 def _needs_repr(x: np.ndarray, empty: np.ndarray) -> bool:
@@ -250,10 +253,20 @@ def _needs_repr(x: np.ndarray, empty: np.ndarray) -> bool:
     return bool(np.any(((biased == 0x7FF) | ((biased == 0) & (x != 0))) & ~empty))
 
 
-def _format_repr(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> bytes:
-    """The same text as _format, one repr per cell."""
+def _format_repr(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The same as _format, one repr per cell."""
     cells = ["" if b else repr(v) for v, b in zip(x.tolist(), blank.tolist())]
-    return "".join(c + chr(s) for c, s in zip(cells, seps.tolist())).encode("ascii")
+    end = np.cumsum([len(c) + 1 for c in cells]) - 1
+    return "".join(c + chr(s) for c, s in zip(cells, seps.tolist())).encode("ascii"), end
+
+
+def _cells(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """_format's text and separator offsets, by repr when a cell that is not
+    blank is subnormal or not finite; blank cells of x are zeroed."""
+    if _needs_repr(x, blank):
+        return _format_repr(x, seps, blank)
+    x[blank] = 0.0
+    return _format(x, seps, blank)
 
 
 def rows(columns, blank: np.ndarray | None = None):
@@ -266,14 +279,25 @@ def rows(columns, blank: np.ndarray | None = None):
     n_rows = len(columns[0])
     n_cols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     step = max(1, _BLOCK_CELLS // n_cols)
-    seps = np.full((step, n_cols), ord(","), dtype=np.uint8)
-    seps[:, -1] = ord("\n")
+    seps = _separators(step, n_cols)
     for r in range(0, n_rows, step):
         x = np.column_stack([c[r : r + step] for c in columns]).ravel()
         empty = np.zeros(len(x), bool) if blank is None else blank[r : r + step].ravel()
-        sep = seps.ravel()[: len(x)]
-        if _needs_repr(x, empty):
-            yield _format_repr(x, sep, empty)
-        else:
-            x[empty] = 0.0
-            yield _format(x, sep, empty)
+        yield _cells(x, seps[: len(x)], empty)[0]
+
+
+def table(x: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The CSV text of the rows of a 2-D array of doubles, as rows() writes
+    them, in one pass; and the offset just past each row's newline, so that
+    any run of rows can be cut out of the text."""
+    n_rows, n_cols = x.shape
+    text, end = _cells(x.ravel(), _separators(n_rows, n_cols), np.zeros(x.size, bool))
+    return text, end[n_cols - 1 :: n_cols] + 1
+
+
+def _separators(n_rows: int, n_cols: int) -> np.ndarray:
+    """The separator bytes of n_rows rows of n_cols cells, flat: commas, and a
+    newline after each row's last cell."""
+    seps = np.full((n_rows, n_cols), ord(","), dtype=np.uint8)
+    seps[:, -1] = ord("\n")
+    return seps.ravel()

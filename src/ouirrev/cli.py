@@ -152,33 +152,90 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_trajectory_csv(path: str, dt: float, states: np.ndarray, heat: np.ndarray) -> None:
-    """One path as CSV rows t, x1 .. xn, W: states (steps + 1, n), heat (steps + 1,)."""
-    from . import _csvfmt  # imported by the CSV commands only
+# Most paths per chunk of simulate, rounded down to whole sampler tiles (at
+# least one): each path of a running chunk holds one open file.
+_CSV_CHUNK_PATHS = 64
+# About the most cells per formatter call of simulate's CSV writer.
+_CSV_CALL_CELLS = 8192
 
-    n = states.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",W\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for chunk in _csvfmt.rows([np.arange(len(heat)) * dt, states, heat]):
-            fh.write(chunk)
+
+class _CsvWriter:
+    """simulate's consumer for paths lo .. hi-1 of a run of steps: opens their
+    files, appends each time block's rows t, x1 .. xn, W to them as it
+    arrives, and closes them with the last block."""
+
+    def __init__(self, prefix: str, lo: int, hi: int, n: int, dt: float, steps: int):
+        from . import _csvfmt  # imported by the CSV commands only
+
+        self.table, self.dt, self.rows = _csvfmt.table, dt, steps + 1
+        # glibc gives freed memory at the top of the heap back to the system
+        # once it exceeds a trim threshold, which it raises to twice the
+        # largest mmapped block freed so far. Freeing one unused 2 MiB block
+        # keeps a formatter call's temporaries (about 1 MB) on the heap;
+        # otherwise every call faults most of them in again.
+        np.empty(2**18)
+        header = ("t," + ",".join(f"x{i + 1}" for i in range(n)) + ",W\n").encode("ascii")
+        self.files = []
+        try:
+            for k in range(lo, hi):
+                self.files.append(open(f"{prefix}_p{k}.csv", "wb"))
+                self.files[-1].write(header)
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        for fh in self.files:
+            fh.close()
+
+    def __call__(self, k: int, states: np.ndarray, heat: np.ndarray) -> None:
+        """states (L, n, paths) and heat (L, paths) at indices k .. k + L - 1:
+        one formatter call per group of paths, each path's rows cut out of
+        the group's text."""
+        length, n, paths = states.shape
+        t = np.arange(k, k + length) * self.dt
+        calls = -(-length * (n + 2) * paths // _CSV_CALL_CELLS)
+        group = -(-paths // calls)
+        for g in range(0, paths, group):
+            files = self.files[g : g + group]
+            cells = np.empty((len(files), length, n + 2))
+            cells[:, :, 0] = t
+            cells[:, :, 1:-1] = states[:, :, g : g + group].transpose(2, 0, 1)
+            cells[:, :, -1] = heat[:, g : g + group].T
+            text, ends = self.table(cells.reshape(-1, n + 2))
+            text, start = memoryview(text), 0
+            for fh, end in zip(files, ends[length - 1 :: length].tolist()):
+                fh.write(text[start:end])
+                start = end
+        if k + length == self.rows:
+            self.close()
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     law = stationary.stationary_law(model) if args.stationary else None
-    batch = sampler.sample_batch(
-        model,
-        dt=args.dt,
-        steps=args.steps,
-        n_paths=args.paths,
-        seed=args.seed,
-        x0=None if args.stationary else args.x0,
-        law=law,
-        method=args.method,
-    )
-    for k in range(batch.n_paths):
-        _write_trajectory_csv(f"{args.out}_p{k}.csv", batch.dt, batch.states[k], batch.heat[k])
+    writers = []
+
+    def writer(lo: int, hi: int) -> _CsvWriter:
+        writers.append(_CsvWriter(args.out, lo, hi, model.n, args.dt, args.steps))
+        return writers[-1]
+
+    try:
+        sampler.stream_batch(
+            model,
+            args.dt,
+            args.steps,
+            args.paths,
+            args.seed,
+            writer,
+            chunk_paths=_CSV_CHUNK_PATHS,
+            x0=None if args.stationary else args.x0,
+            law=law,
+            method=args.method,
+        )
+    finally:  # each writer closes its files with its last block, unless a chunk failed
+        for w in writers:
+            w.close()
     return 0
 
 

@@ -10,7 +10,7 @@ rate (HdrEstimate). It hands an accumulator (_LagSums) the sampler's time
 blocks while the paths are generated (sampler.stream_batch), so no state
 array is kept: only per-path sums, a window of the last max(lag) states, and
 the heat at burn-in and at T. Each lag's products are summed per super-block
-of sampler._SUPER_BLOCK consecutive later times (aligned to t = 0), then
+of _SUPER_BLOCK consecutive later times (aligned to t = 0), then
 added in time order.
 
 Both per-path reductions run in BLAS GEMMs whose shapes the run's parameters
@@ -42,9 +42,9 @@ import numpy as np
 from . import linalg
 from .exceptions import InsufficientDataError
 from .sampler import (
-    _SUPER_BLOCK,
     BOOTSTRAP_STREAM,
     TrajectoryBatch,
+    _budget_paths,
     _validate_grid,
     path_stream,
     stream_batch,
@@ -57,6 +57,9 @@ _GEMM_DEPTH = 256
 # Studentized asymmetry above this is declared irreversible; below it the
 # verdict is "consistent with reversible" (failure to reject, not proof).
 REVERSIBILITY_THRESHOLD = 3.0
+# Time steps per block of the streamed per-path lag sums, whose summation
+# order follows these global blocks.
+_SUPER_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,8 +247,14 @@ def stationary_statistics(
     span = (steps - k0) * dt
     if span <= 0.0 or n_paths < 2:
         raise InsufficientDataError("need at least 2 paths and a nonempty window after burn-in")
+    n = law.model.n
     parts = stream_batch(
-        law, dt, steps, n_paths, seed, lambda count: _LagSums(ells, k0, steps, law.model.n, count)
+        law.model, dt, steps, n_paths, seed,
+        lambda lo, hi: _LagSums(ells, k0, steps, n, hi - lo),
+        # Per path: about two windows of up to _SUPER_BLOCK states (one after
+        # its lag history).
+        chunk_paths=_budget_paths(2 * min(steps, _SUPER_BLOCK) * n),
+        law=law,
     )
     sums = np.concatenate([part.sums for part in parts], axis=1)
     heat = np.concatenate([part.heat for part in parts])

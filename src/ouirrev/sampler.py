@@ -2,11 +2,14 @@
 Euler-Maruyama reference integrator, and on-path accumulation of the heat
 dissipation functional.
 
-Two entry points share one integrator, one per result layout: sample_batch
-stores every path in path-major arrays, and stream_batch hands each block of
-steps to a caller's consumer and keeps nothing else. A single path is a batch
-of one. Both run chunks of paths, each into its own consumer, in this thread
-or, with several workers (resolve_workers), on worker threads.
+One entry point drives the integrator: stream_batch runs a batch in chunks
+of paths, in this thread or, with several workers (resolve_workers), on
+worker threads, and hands each chunk's time blocks to a consumer that the
+caller makes for the chunk's path range; it keeps nothing else. sample_batch
+is stream_batch with a consumer that copies the blocks into path-major
+arrays. The estimators sum per-path lag products from the blocks, and the
+CLI's simulate writes them as CSV rows, so neither stores a batch. A single
+path is a batch of one.
 
 Reproducibility contract
 ------------------------
@@ -39,12 +42,9 @@ temporaries do not grow with the run. _blocking sizes both from n and the
 chunk width: a tile buffer holds at most _TIME_BLOCK steps and about
 _BLOCK_ELEMENTS doubles, and a span is whole blocks of about _SPAN_NORMALS
 normals per path, so the buffers grow with neither n nor the chunk.
-sample_batch's consumer copies the blocks into path-major arrays;
-stream_batch lets a caller keep only what it needs (estimators accumulate
-per-path lag products this way). Blocking changes no bits: the draws continue
-each path's stream, every term is per step, and the cumulative heat of a
-block is a cumsum that starts from the carried W, the same left-to-right sum
-as one cumsum over all steps.
+Blocking changes no bits: the draws continue each path's stream, every term
+is per step, and the cumulative heat of a block is a cumsum that starts from
+the carried W, the same left-to-right sum as one cumsum over all steps.
 
 The inputs of the sampler are outside this contract. The step matrices come
 from linalg.expm (which multiplies with @ and calls solve), so they follow the
@@ -77,8 +77,8 @@ from . import linalg
 from .model import LinearModel
 from .stationary import StationaryLaw
 
-# Path-chunk size cap (a chunk holds at least one tile): bounds a chunk's
-# share of the result or of the consumers' windows.
+# Most doubles that the consumers of one chunk keep (_budget_paths): bounds
+# a chunk's share of sample_batch's result or of the estimators' windows.
 _CHUNK_ELEMENT_BUDGET = 5_000_000
 
 # Paths per BLAS tile. Every matrix product is a stack of (n, n) @ (n, _TILE)
@@ -95,11 +95,6 @@ _BLOCK_ELEMENTS = 65_536
 
 # About the normals drawn per path in one standard_normal call (_blocking).
 _SPAN_NORMALS = 2048
-
-# Time steps per block of the estimators' streamed per-path lag sums, whose
-# summation order follows these global blocks; stream_batch sizes its chunks
-# for a consumer window of this many steps per path.
-_SUPER_BLOCK = 1024
 
 # Stream index reserved for estimator bootstraps; never a path index.
 BOOTSTRAP_STREAM = 2**64 - 1
@@ -317,11 +312,15 @@ def resolve_workers() -> int:
     return max(workers, 1)
 
 
+def _validate_paths(n_paths: int) -> None:
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
+
+
 def _prepare(model, dt, steps, n_paths, seed, x0, law, method) -> _Job:
     if method not in ("exact", "euler"):
         raise ValueError(f"unknown method {method!r}")
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
-        raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
+    _validate_paths(n_paths)
     if not (0 <= int(seed) < 2**64):
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if x0 is not None and law is not None:
@@ -336,32 +335,64 @@ def _prepare(model, dt, steps, n_paths, seed, x0, law, method) -> _Job:
     return _Job(int(seed), start, chol_xi, _update(model, dt, method))
 
 
-def _chunk_bounds(n_paths: int, path_elements: int, n_workers: int) -> list[tuple[int, int]]:
+def _budget_paths(path_elements: int) -> int:
+    """Paths per chunk whose consumers keep path_elements doubles per path
+    within _CHUNK_ELEMENT_BUDGET (at least one)."""
+    return max(1, _CHUNK_ELEMENT_BUDGET // path_elements)
+
+
+def _chunk_bounds(n_paths: int, chunk_paths: int, n_workers: int) -> list[tuple[int, int]]:
     """Consecutive path ranges of whole _TILE-path tiles, except the last, so
-    that only the batch's last tile is padded: at most _CHUNK_ELEMENT_BUDGET
-    elements per chunk (path_elements per path) but at least one tile, and
-    split across n_workers when above 1."""
+    that only the batch's last tile is padded: at most chunk_paths paths per
+    chunk but at least one tile, and split across n_workers when above 1."""
     per_worker = _TILE * -(-n_paths // (n_workers * _TILE))
-    chunk = _TILE * max(1, min(_CHUNK_ELEMENT_BUDGET // path_elements, per_worker) // _TILE)
+    chunk = _TILE * max(1, min(chunk_paths, per_worker) // _TILE)
     return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
 
 
-def _map_chunks(job: _Job, steps: int, n_paths: int, path_elements: int, consumer_for) -> list:
-    """Generate each chunk (lo, hi) of _chunk_bounds into consumer_for(lo, hi)
-    and return the consumers in path order: on up to resolve_workers() threads
-    when there are several workers and several chunks, else in this thread.
-    Chunks own disjoint paths, streams and buffers, so the bits are those of a
-    serial run; numpy releases the interpreter lock in the draws and the GEMMs.
+def stream_batch(
+    model: LinearModel,
+    dt: float,
+    steps: int,
+    n_paths: int,
+    seed: int,
+    make_consumer,
+    *,
+    chunk_paths: int,
+    x0=None,
+    law: StationaryLaw | None = None,
+    method: str = "exact",
+) -> list:
+    """Generate n_paths paths with per-path streams derived from seed, keeping
+    none of them, and return the chunks' consumers in path order.
+
+    Starts are either a shared point x0 (the origin when neither is given)
+    or, when law is given, independent stationary draws; giving both is a
+    ValueError. method is "exact" (transition sampling) or "euler".
+
+    The paths run in chunks of at most chunk_paths, rounded down to whole
+    _TILE-path tiles but at least one (_chunk_bounds). Each chunk of paths
+    lo .. hi-1 hands its time blocks to consumer = make_consumer(lo, hi)
+    (see _integrate), made just before the chunk's first path is drawn;
+    every argument is checked before any consumer is made. The worker count
+    is resolve_workers(); with several workers the chunks run on threads, so
+    consumers must share no mutable state. The paths are the same bits for
+    any chunking or worker count, so a consumer that sums per path in a fixed
+    time order gives the same sums whatever they are.
     """
+    job = _prepare(model, dt, steps, n_paths, seed, x0, law, method)
     n_workers = resolve_workers()
-    bounds = _chunk_bounds(n_paths, path_elements, n_workers)
+    bounds = _chunk_bounds(n_paths, chunk_paths, n_workers)
 
     def work(chunk: tuple[int, int]):
-        return _generate(job, *chunk, steps, consumer_for(*chunk))
+        return _generate(job, *chunk, steps, make_consumer(*chunk))
 
     if n_workers > 1 and len(bounds) > 1:
         from concurrent.futures import ThreadPoolExecutor  # not imported by serial runs
 
+        # Chunks own disjoint paths, streams and buffers, so the bits are
+        # those of a serial run; numpy releases the interpreter lock in the
+        # draws and the GEMMs.
         with ThreadPoolExecutor(max_workers=min(n_workers, len(bounds))) as pool:
             return list(pool.map(work, bounds))
     return [work(chunk) for chunk in bounds]
@@ -378,37 +409,17 @@ def sample_batch(
     law: StationaryLaw | None = None,
     method: str = "exact",
 ) -> TrajectoryBatch:
-    """Sample an ensemble of paths with per-path streams derived from seed.
-
-    Starts are either a shared point x0 (the origin when neither is given)
-    or, when law is given, independent stationary draws; giving both is a
-    ValueError. Results are byte-identical for any worker count
+    """The paths of stream_batch with the same arguments, stored in
+    path-major arrays. Results are byte-identical for any worker count
     (resolve_workers).
     """
-    job = _prepare(model, dt, steps, n_paths, seed, x0, law, method)
+    _validate_grid(dt, steps)  # before the arrays are sized
+    _validate_paths(n_paths)
     states = np.empty((n_paths, steps + 1, model.n))
     heat = np.empty((n_paths, steps + 1))
-    _map_chunks(
-        job, steps, n_paths, (steps + 1) * model.n,
+    stream_batch(
+        model, dt, steps, n_paths, seed,
         lambda lo, hi: _Layout(states[lo:hi], heat[lo:hi]),
+        chunk_paths=_budget_paths((steps + 1) * model.n), x0=x0, law=law, method=method,
     )
     return TrajectoryBatch(float(dt), states, heat)
-
-
-def stream_batch(
-    law: StationaryLaw, dt: float, steps: int, n_paths: int, seed: int, make_consumer
-) -> list:
-    """Run the paths of sample_batch(law.model, dt, steps, n_paths, seed,
-    law=law) without keeping them: each chunk of paths hands its time blocks
-    to make_consumer(chunk_size) (see _integrate), and the chunks' consumers
-    are returned in path order. The worker count is resolve_workers(); with
-    several workers the chunks run on threads, so consumers must share no
-    mutable state. The paths are the same bits as sample_batch's, so a
-    consumer that sums per path in a fixed time order gives the same sums for
-    any path count, chunking or worker count.
-    """
-    job = _prepare(law.model, dt, steps, n_paths, seed, None, law, "exact")
-    # Per path: about two consumer windows of up to _SUPER_BLOCK states (the
-    # estimators keep one per path, after its lag history).
-    path_elements = 2 * min(steps, _SUPER_BLOCK) * law.model.n
-    return _map_chunks(job, steps, n_paths, path_elements, lambda lo, hi: make_consumer(hi - lo))

@@ -4,7 +4,8 @@ These deliberately take different computational routes from the package:
 characteristic-polynomial roots instead of QR iteration, quadrature instead
 of trace formulas, scipy's Bartels-Stewart solver instead of the Kronecker
 solve, elementwise products instead of the sampler's BLAS tiles, einsum
-and fancy indexing instead of the estimators' GEMMs.
+and fancy indexing instead of the estimators' GEMMs, a stored batch written
+path by path instead of simulate's streamed CSV files.
 """
 
 import numpy as np
@@ -157,3 +158,19 @@ def bootstrap_asymmetry(lag_products: dict, resamples: np.ndarray):
     boot_max = np.max(boot_norms, axis=0)
     statistic = (max(obs_norms) - float(boot_max.mean())) / float(boot_max.std(ddof=1))
     return statistic, per_lag
+
+
+def simulate_files(model, dt, steps, n_paths, seed, *, x0=None, law=None, method="exact"):
+    """The bytes of each of simulate's CSV files, written from the stored
+    batch: sample_batch, then per path its header and _csvfmt.rows of the
+    columns t, x1 .. xn, W."""
+    from ouirrev import _csvfmt
+    from ouirrev.sampler import sample_batch
+
+    batch = sample_batch(model, dt, steps, n_paths, seed, x0=x0, law=law, method=method)
+    header = ("t," + ",".join(f"x{i + 1}" for i in range(model.n)) + ",W\n").encode("ascii")
+    t = np.arange(steps + 1) * batch.dt
+    return [
+        header + b"".join(_csvfmt.rows([t, batch.states[k], batch.heat[k]]))
+        for k in range(n_paths)
+    ]

@@ -9,8 +9,10 @@ import pytest
 
 from ouirrev import cli, estimators, linalg, sampler, transient
 from ouirrev.cli import build_parser, canonical_json, main
-from ouirrev.model import classify
+from ouirrev.model import classify, model_from_dict
+from ouirrev.stationary import stationary_law
 
+import oracles
 from conftest import ring_model
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_defaults.json"
@@ -20,6 +22,7 @@ REV = {"B": [[2.0, 1.0], [1.0, 2.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 SWEEP = {"B": [[-1.0, 0.0], [0.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 SCALAR = {"B": [[1.0]], "Gamma": [[1.0]]}
 SWEEP_1D = {"B": [[-1.0]], "Gamma": [[1.0]]}
+SWEEP_FAST = {"B": [[-20.0, 0.0], [0.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 
 
 @pytest.fixture
@@ -163,22 +166,136 @@ class TestSimulateCommand:
             rates.append(float(last[-1]) / float(last[0]))
         assert np.mean(rates) == pytest.approx(2.0, rel=0.15)
 
-    def test_unwritable_output_exit_3(self, model_file, capsys):
-        assert (
-            main(
-                [
-                    "simulate",
-                    model_file(ROT),
-                    "--paths",
-                    "1",
-                    "--steps",
-                    "2",
-                    "--out",
-                    "/nonexistent_dir/x",
-                ]
-            )
-            == 3
+    def test_unwritable_output_exit_3(self, model_file, capsys, monkeypatch):
+        # The first chunk's files are opened before any of its paths is drawn.
+        def refuse(*args):
+            raise AssertionError("sampled before opening the output files")
+
+        monkeypatch.setattr(sampler, "_generate", refuse)
+        argv = ["simulate", model_file(ROT), "--paths", "1", "--steps", "2"]
+        assert main(argv + ["--out", "/nonexistent_dir/x"]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+# Streamed-writer cases: (model, paths, flags, the oracle's arguments). Each
+# runs 300 steps, which is not a whole number of 128-step time blocks.
+_STREAM_CASES = {
+    # one tile per chunk: three chunks, the last holding two paths
+    "chunks": (ROT, 130, ["--x0", "2,-1"], {"x0": [2.0, -1.0]}),
+    # t cells such as 3 * 0.1 = 0.30000000000000004
+    "dt": (ROT, 2, ["--dt", "0.1"], {"dt": 0.1}),
+    "euler-stationary": (ROT, 3, ["--method", "euler", "--stationary"], {"method": "euler"}),
+    # the heat overflows at step 178: inf and nan cells from the second time
+    # block on, which the formatter writes by repr
+    "sweep-inf": (SWEEP_FAST, 2, ["--dt", "0.1"], {"dt": 0.1}),
+}
+
+
+class TestSimulateStream:
+    """simulate writes each time block's rows as the sampler hands them over:
+    the same bytes as the stored batch written path by path, with memory and
+    open files that do not grow with the batch."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+    def test_matches_stored_writer(self, case, model_file, tmp_path, monkeypatch):
+        payload, n_paths, flags, kwargs = _STREAM_CASES[case]
+        model = model_from_dict(payload)
+        if "--stationary" in flags:
+            kwargs = dict(kwargs, law=stationary_law(model))
+        want = oracles.simulate_files(
+            model, kwargs.pop("dt", 0.01), 300, n_paths, 13, **kwargs
         )
+        chunks = []
+        stream = sampler.stream_batch
+
+        def counting(*args, **kwargs):
+            parts = stream(*args, **kwargs)
+            chunks.append(len(parts))
+            return parts
+
+        monkeypatch.setattr(sampler, "stream_batch", counting)
+        monkeypatch.setattr(cli, "_CSV_CHUNK_PATHS", 1)  # rounded up to one tile
+        argv = ["simulate", model_file(payload), "--paths", str(n_paths), "--steps", "300"]
+        assert main([*argv, "--seed", "13", *flags, "--out", str(tmp_path / "s")]) == 0
+        assert chunks == [-(-n_paths // sampler._TILE)]
+        got = [(tmp_path / f"s_p{k}.csv").read_bytes() for k in range(n_paths)]
+        for k in range(n_paths):
+            assert got[k] == want[k], k
+        if case == "dt":
+            assert b"\n0.30000000000000004," in got[0]
+        if case == "sweep-inf":
+            rows = got[0].splitlines()
+            assert b"inf" in rows[-1] and not any(b"inf" in row for row in rows[: 2 + 128])
+
+    def test_worker_count_invariance(self, model_file, tmp_path, monkeypatch):
+        # 70 paths: two workers get a tile of 64 and a chunk of 6
+        argv = ["simulate", model_file(ROT), "--paths", "70", "--steps", "300", "--stationary"]
+        monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
+        assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+        monkeypatch.setenv("OU_IRREV_THREADS", "2")
+        assert main(argv + ["--out", str(tmp_path / "threads")]) == 0
+        for k in range(70):
+            serial = (tmp_path / f"serial_p{k}.csv").read_bytes()
+            assert (tmp_path / f"threads_p{k}.csv").read_bytes() == serial, k
+
+    def test_memory_independent_of_steps(self, model_file, tmp_path):
+        # The stored batch alone would hold 20 x 20 001 x (2 + 1) doubles
+        # (9.6 MB); the stream keeps one chunk's sampler buffers and one
+        # formatter call's temporaries.
+        argv = ["simulate", model_file(ROT), "--paths", "20", "--steps", "20000"]
+        bound = 6 * 2**20
+        assert bound < 20 * 20_001 * 3 * 8
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(tmp_path / "m")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """The files the CLI opens, and the most open at once (last entry)."""
+        files, peak = [], [0]
+
+        def counting_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            files.append(fh)
+            peak[0] = max(peak[0], sum(not f.closed for f in files))
+            return fh
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        return files, peak
+
+    def test_open_files_bounded(self, model_file, tmp_path, monkeypatch, opened):
+        # 150 paths in chunks of one tile: at most 64 files open at once,
+        # each closed with its chunk's last time block.
+        files, peak = opened
+        monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
+        argv = ["simulate", model_file(ROT), "--paths", "150", "--steps", "5"]
+        assert main(argv + ["--out", str(tmp_path / "f")]) == 0
+        assert len(files) == 1 + 150  # the model file, then one per path
+        assert peak[0] == cli._CSV_CHUNK_PATHS < 150
+        assert all(fh.closed for fh in files)
+
+    def test_write_failure_closes_files(self, model_file, tmp_path, monkeypatch, opened, capsys):
+        # The second chunk (6 of 70 paths) fails on its first block of steps,
+        # after its files are open: exit 3, and every file is closed.
+        files, _ = opened
+        write = cli._CsvWriter.__call__
+
+        def failing(self, k, states, heat):
+            if k > 0 and len(self.files) < sampler._TILE:
+                raise OSError("No space left on device")
+            write(self, k, states, heat)
+
+        monkeypatch.setattr(cli._CsvWriter, "__call__", failing)
+        argv = ["simulate", model_file(ROT), "--paths", "70", "--steps", "300"]
+        assert main(argv + ["--out", str(tmp_path / "w")]) == 3
+        assert "No space left" in capsys.readouterr().err
+        assert len(files) == 1 + 70
+        assert all(fh.closed for fh in files)
 
 
 class TestTransientCommand:

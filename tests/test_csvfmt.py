@@ -97,6 +97,18 @@ class TestReprFallback:
         assert b"".join(_csvfmt.rows([x])) == b"5e-324,5e-323,1.5e-323,2.5e-323,-4.94e-322\n"
 
 
+@pytest.mark.parametrize("special", [None, math.inf, 5e-323], ids=["fast", "inf", "subnormal"])
+def test_table_row_ends(special):
+    # One pass over the whole table, the fast path or repr: the same text as
+    # rows(), and each row's end just past its newline.
+    x = np.random.default_rng(9).standard_normal((700, 4))
+    if special is not None:
+        x[350, 2] = special
+    text, ends = _csvfmt.table(x.copy())
+    assert text == b"".join(_csvfmt.rows([x]))
+    assert ends.tolist() == [i + 1 for i, c in enumerate(text) if c == ord("\n")]
+
+
 def test_tables_shared_and_read_only():
     assert _csvfmt._tables() is _csvfmt._tables()
     for table in _csvfmt._tables():

@@ -1,4 +1,3 @@
-import functools
 import math
 import os
 import subprocess
@@ -11,6 +10,7 @@ import pytest
 
 from ouirrev import estimators, linalg, sampler
 from ouirrev.estimators import (
+    _SUPER_BLOCK,
     PathStatistics,
     greenkubo_check,
     reversibility_test,
@@ -18,7 +18,7 @@ from ouirrev.estimators import (
 )
 from ouirrev.exceptions import InsufficientDataError
 from ouirrev.model import build_model
-from ouirrev.sampler import _SUPER_BLOCK, sample_batch
+from ouirrev.sampler import sample_batch
 from ouirrev.stationary import stationary_law, two_time_covariance
 
 import oracles
@@ -355,8 +355,12 @@ class TestStreamedStatistics:
         for lag, ref in zip(lags, refs):
             assert np.array_equal(stats.lag_products[lag], ref), lag
         assert (hdr.value, hdr.stderr) == ref_hdr
-        make = functools.partial(estimators._LagSums, ells, k0, steps, n)
-        parts = sampler.stream_batch(law, dt, steps, n_paths, seed, make)
+        parts = sampler.stream_batch(
+            m, dt, steps, n_paths, seed,
+            lambda lo, hi: estimators._LagSums(ells, k0, steps, n, hi - lo),
+            chunk_paths=2,
+            law=law,
+        )
         assert len(parts) == 2
         heat = np.concatenate([part.heat for part in parts])
         assert np.array_equal(heat, batch.heat[:, [k0, -1]])

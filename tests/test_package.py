@@ -87,9 +87,9 @@ from ouirrev.model import build_model
 from ouirrev.stationary import stationary_law
 
 law = stationary_law(build_model([[1.0, 1.0], [-1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]))
-assert len(sampler._chunk_bounds(130, 101 * 2, 2)) == 2
+assert len(sampler._chunk_bounds(130, sampler._budget_paths(101 * 2), 2)) == 2
 sampler.sample_batch(law.model, 0.01, 100, 130, 3, law=law)
-assert len(sampler._chunk_bounds(70, 2 * 100 * 2, 2)) == 2
+assert len(sampler._chunk_bounds(70, sampler._budget_paths(2 * 100 * 2), 2)) == 2
 estimators.stationary_statistics(law, 0.01, 100, 70, 3, (0.1, 0.5))
 print(sorted(m for m in ("concurrent.futures.thread", "multiprocessing") if m in sys.modules))
 """

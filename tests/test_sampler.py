@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 import sys
@@ -326,7 +325,8 @@ class TestTileBoundaries:
             monkeypatch.setattr(sampler, "_CHUNK_ELEMENT_BUDGET", paths_per_budget * path_elements)
             for workers in ("1", "2", "5"):
                 monkeypatch.setenv("OU_IRREV_THREADS", workers)
-                bounds = sampler._chunk_bounds(130, path_elements, int(workers))
+                chunk_paths = sampler._budget_paths(path_elements)
+                bounds = sampler._chunk_bounds(130, chunk_paths, int(workers))
                 assert len(bounds) > 1 and all(lo % _TILE == 0 for lo, _ in bounds)
                 _assert_same_paths(_tile_batch(*case, 130), ref)
 
@@ -347,23 +347,24 @@ class TestTileBoundaries:
     def test_stream_chunking_and_workers(self, n, monkeypatch):
         law = stationary_law(sin_model(n))
         ells, k0, steps = (0, 3, 150), 20, 2 * _TIME_BLOCK + 5
-        make = functools.partial(_LagSums, ells, k0, steps, n)
 
-        def run():
-            parts = stream_batch(law, 0.01, steps, 130, 43, make)
+        def run(chunk_paths):
+            parts = stream_batch(
+                law.model, 0.01, steps, 130, 43,
+                lambda lo, hi: _LagSums(ells, k0, steps, n, hi - lo),
+                chunk_paths=chunk_paths,
+                law=law,
+            )
             sums = np.concatenate([part.sums for part in parts], axis=1)
             return sums, np.concatenate([part.heat for part in parts]), len(parts)
 
         monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
-        ref_sums, ref_heat, chunks = run()
+        ref_sums, ref_heat, chunks = run(3 * _TILE)
         assert chunks == 1
-        for paths_per_budget in (40, 100):
-            monkeypatch.setattr(
-                sampler, "_CHUNK_ELEMENT_BUDGET", paths_per_budget * 2 * steps * n
-            )
+        for chunk_paths in (40, 100):  # a chunk would end mid-tile
             for workers in ("1", "2", "5"):
                 monkeypatch.setenv("OU_IRREV_THREADS", workers)
-                sums, heat, chunks = run()
+                sums, heat, chunks = run(chunk_paths)
                 assert chunks > 1
                 assert np.array_equal(sums, ref_sums)
                 assert np.array_equal(heat, ref_heat)
@@ -377,7 +378,10 @@ class TestTileBoundaries:
         assert _blocking(16, _TILE, 2000) == (64, 128)
         tracemalloc.start()
         try:
-            stream_batch(law, 0.01, 2000, _TILE, 5, lambda count: lambda k, states, heat: None)
+            stream_batch(
+                law.model, 0.01, 2000, _TILE, 5, lambda lo, hi: lambda k, states, heat: None,
+                chunk_paths=_TILE, law=law,
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,14 +398,16 @@ class TestTileBoundaries:
         assert _blocking(2, _TILE, 1) == (1, 1)
 
     def test_chunk_bounds(self):
-        # whole tiles per chunk, at least one, the budget and worker split
+        # whole tiles per chunk, at least one, the cap and worker split
         # rounded to tiles; only the last chunk is short
-        assert sampler._chunk_bounds(130, 1, 1) == [(0, 130)]
-        assert sampler._chunk_bounds(130, 1, 2) == [(0, 128), (128, 130)]
-        assert sampler._chunk_bounds(130, 1, 5) == [(0, 64), (64, 128), (128, 130)]
+        assert sampler._chunk_bounds(130, 1000, 1) == [(0, 130)]
+        assert sampler._chunk_bounds(130, 1000, 2) == [(0, 128), (128, 130)]
+        assert sampler._chunk_bounds(130, 1000, 5) == [(0, 64), (64, 128), (128, 130)]
+        assert sampler._chunk_bounds(130, 100, 1) == [(0, 64), (64, 128), (128, 130)]
+        assert sampler._chunk_bounds(3, 1, 1) == [(0, 3)]  # one tile above the cap
         budget = sampler._CHUNK_ELEMENT_BUDGET
-        assert sampler._chunk_bounds(130, budget // 100, 1) == [(0, 64), (64, 128), (128, 130)]
-        assert sampler._chunk_bounds(3, budget, 1) == [(0, 3)]  # one tile above the budget
+        assert sampler._budget_paths(budget // 100) == 100
+        assert sampler._budget_paths(2 * budget) == 1
 
 
 class TestWorkerResolution:
