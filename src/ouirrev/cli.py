@@ -162,12 +162,13 @@ _CSV_CALL_CELLS = 8192
 class _CsvWriter:
     """simulate's consumer for paths lo .. hi-1 of a run of steps: opens their
     files, appends each time block's rows t, x1 .. xn, W to them as it
-    arrives, and closes them with the last block."""
+    arrives, and closes them with the last block. A block holding a path that
+    overflows (a non-finite state or heat) raises NumericalFailureError."""
 
     def __init__(self, prefix: str, lo: int, hi: int, n: int, dt: float, steps: int):
         from . import _csvfmt  # imported by the CSV commands only
 
-        self.table, self.dt, self.rows = _csvfmt.table, dt, steps + 1
+        self.table, self.lo, self.dt, self.rows = _csvfmt.table, lo, dt, steps + 1
         # glibc gives freed memory at the top of the heap back to the system
         # once it exceeds a trim threshold, which it raises to twice the
         # largest mmapped block freed so far. Freeing one unused 2 MiB block
@@ -193,6 +194,12 @@ class _CsvWriter:
         one formatter call per group of paths, each path's rows cut out of
         the group's text."""
         length, n, paths = states.shape
+        finite = np.isfinite(states).all(axis=1) & np.isfinite(heat)
+        if not finite.all():
+            step, path = map(int, np.argwhere(~finite)[0])
+            raise NumericalFailureError(
+                f"path {self.lo + path} overflows at t = {(k + step) * self.dt!r}"
+            )
         t = np.arange(k, k + length) * self.dt
         calls = -(-length * (n + 2) * paths // _CSV_CALL_CELLS)
         group = -(-paths // calls)

@@ -1,10 +1,10 @@
 """Dense real-matrix kernels: eigenvalues, matrix exponential, Lyapunov solves,
 Gram integrals of exponentials, SPD factorization, symmetry diagnostics.
 
-chol_spd and is_spd also accept a stack (..., n, n) of matrices. The stack is
-factored by one column loop vectorized over its leading axes, and each factor
-has the same bits as the factor of that matrix alone; the transient rates of
-a whole time grid rest on this.
+chol_spd and is_spd also accept a stack (..., n, n) of matrices, factored by
+LAPACK potrf (np.linalg.cholesky's gufunc) one matrix at a time in one call;
+each factor has the same bits as the factor of that matrix alone, which the
+transient rates of a whole time grid rest on.
 
 Eigenvalues come from LAPACK through np.linalg.eigvals, and the Lyapunov solve
 is one LU solve of the Kronecker system; the rest is numpy array arithmetic.
@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import DegenerateModelError, NotPositiveDefiniteError, NumericalFailureError
 
@@ -225,11 +226,8 @@ def gram_integral(b, a, t: float) -> np.ndarray:
 
 def _chol_stack(s) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors of s, shape (n, n) or (..., n, n), and the per-matrix
-    pass mask (True where every pivot clears the floor).
-
-    The column loop runs once over the whole stack; each matrix sees the same
-    operations, in the same order, as if it were factored alone. A matrix
-    whose pivot at column j fails gets NaN from column j on.
+    pass mask (True where every pivot clears the floor). A matrix that fails
+    gets an all-NaN factor.
 
     Raises
     ------
@@ -239,28 +237,21 @@ def _chol_stack(s) -> tuple[np.ndarray, np.ndarray]:
     a = _as_square(s, stack=True)
     if np.any(_sym_defects(a) > TOL_SYM):
         raise ValueError("input to chol_spd must be symmetric")
-    n = a.shape[-1]
-    a3 = a.reshape(-1, n, n)
-    floor = PD_FLOOR_SCALE * (1.0 + np.max(np.diagonal(a3, axis1=1, axis2=2), axis=1))
-    low = np.zeros_like(a3)
-    # A failed pivot stays NaN, and every later pivot of its matrix reads it.
-    low[:, range(n), range(n)] = np.nan
-    for j in range(n):
-        lj = low[:, j, :j]
-        d = a3[:, j, j] - (lj[:, None, :] @ lj[:, :, None])[:, 0, 0]
-        np.sqrt(d, out=low[:, j, j], where=d > floor)
-        if j + 1 < n:
-            upd = (low[:, j + 1 :, :j] @ lj[:, :, None])[:, :, 0]
-            low[:, j + 1 :, j] = (a3[:, j + 1 :, j] - upd) / low[:, j, j, None]
-    ok = ~np.isnan(low[:, n - 1, n - 1])
-    return low.reshape(a.shape), ok.reshape(a.shape[:-2])
+    floor = PD_FLOOR_SCALE * (1.0 + np.max(np.diagonal(a, axis1=-2, axis2=-1), axis=-1))
+    # np.linalg.cholesky's private gufunc gives NaN per rejected matrix, not one raise per stack.
+    with np.errstate(invalid="ignore"):
+        low = _umath_linalg.cholesky_lo(a, signature="d->d")
+        pivots = np.diagonal(low, axis1=-2, axis2=-1)
+        ok = np.all(pivots * pivots > floor[..., None], axis=-1)
+    low[~ok] = np.nan
+    return low, ok
 
 
 def chol_spd(s) -> np.ndarray:
-    """Lower-triangular Cholesky factor L with L L^T = s.
+    """Lower-triangular Cholesky factor L with L L^T = s, from LAPACK potrf.
 
     s is one matrix (n, n) or a stack (..., n, n); a stack is factored in one
-    pass and each of its factors equals, bit for bit, the factor of that
+    call and each of its factors equals, bit for bit, the factor of that
     matrix alone.
 
     Raises
@@ -268,22 +259,21 @@ def chol_spd(s) -> np.ndarray:
     ValueError
         If s is not symmetric within TOL_SYM (argument error).
     NotPositiveDefiniteError
-        If any pivot falls at or below the floor 1e-12 * (1 + max diagonal)
-        of its matrix.
+        If potrf rejects a matrix or a pivot L_jj**2 of its factor is at or
+        below 1e-12 * (1 + max diagonal) of it; names the first in a stack.
     """
     low, ok = _chol_stack(s)
     if not ok.all():
         first = np.unravel_index(int(np.argmin(ok)), ok.shape)
-        j = int(np.argmax(np.isnan(np.diagonal(low[first]))))
         where = f" of matrix {', '.join(map(str, first))}" if ok.ndim else ""
         raise NotPositiveDefiniteError(
-            f"pivot at column {j}{where} at or below floor 1e-12 * (1 + max diagonal)"
+            f"Cholesky pivot{where} at or below floor 1e-12 * (1 + max diagonal)"
         )
     return low
 
 
 def is_spd(s) -> bool | np.ndarray:
-    """Whether s is symmetric positive definite (all Cholesky pivots above
-    floor): a bool for one matrix, a bool array for a stack (..., n, n)."""
+    """Whether s is symmetric positive definite by chol_spd's test: a bool for
+    one matrix, a bool array for a stack (..., n, n)."""
     ok = _chol_stack(s)[1]
     return bool(ok) if ok.ndim == 0 else ok

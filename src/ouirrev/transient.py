@@ -32,8 +32,8 @@ stationary law also evaluates at (0, Xi). The factors that depend only on the
 model (the classification with its A^{-1} B, B^T A^{-1} B, tr B and the
 potential matrix) are computed once by rate_factors and reused for every state.
 
-The rates of a whole grid are evaluated in one pass: one stacked Cholesky
-factorization for the entropies, one batched solve for the inverse
+The rates of a whole grid are evaluated in one pass: one LAPACK Cholesky call
+over the stack for the entropies, one batched solve for the inverse
 covariances, and every trace and quadratic form in batched matmul form. Each
 row has the same bits as the evaluation of that state alone, because the
 single-state entry points (entropy, free_energy, instantaneous_rates,
@@ -177,7 +177,7 @@ def _quad(mean: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _entropies(cov: np.ndarray) -> np.ndarray:
     """Entropy of a covariance (n, n) or of each in a stack (..., n, n); NaN
-    where a Cholesky pivot fails the floor (NaN propagates from its factor)."""
+    where the covariance fails chol_spd's test (its factor is all NaN)."""
     low = linalg._chol_stack(cov)[0]
     n = cov.shape[-1]
     half_logdet = np.sum(np.log(np.diagonal(low, axis1=-2, axis2=-1)), axis=-1)

@@ -185,8 +185,8 @@ _STREAM_CASES = {
     # t cells such as 3 * 0.1 = 0.30000000000000004
     "dt": (ROT, 2, ["--dt", "0.1"], {"dt": 0.1}),
     "euler-stationary": (ROT, 3, ["--method", "euler", "--stationary"], {"method": "euler"}),
-    # the heat overflows at step 178: inf and nan cells from the second time
-    # block on, which the formatter writes by repr
+    # the heat overflows at step 178: a numerical failure (exit 2) at the
+    # second time block, after the first block's rows are written
     "sweep-inf": (SWEEP_FAST, 2, ["--dt", "0.1"], {"dt": 0.1}),
 }
 
@@ -198,7 +198,7 @@ class TestSimulateStream:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
-    def test_matches_stored_writer(self, case, model_file, tmp_path, monkeypatch):
+    def test_matches_stored_writer(self, case, model_file, tmp_path, monkeypatch, opened, capsys):
         payload, n_paths, flags, kwargs = _STREAM_CASES[case]
         model = model_from_dict(payload)
         if "--stationary" in flags:
@@ -217,16 +217,24 @@ class TestSimulateStream:
         monkeypatch.setattr(sampler, "stream_batch", counting)
         monkeypatch.setattr(cli, "_CSV_CHUNK_PATHS", 1)  # rounded up to one tile
         argv = ["simulate", model_file(payload), "--paths", str(n_paths), "--steps", "300"]
-        assert main([*argv, "--seed", "13", *flags, "--out", str(tmp_path / "s")]) == 0
-        assert chunks == [-(-n_paths // sampler._TILE)]
+        code = main([*argv, "--seed", "13", *flags, "--out", str(tmp_path / "s")])
+        files, _ = opened
+        assert len(files) == 1 + n_paths and all(fh.closed for fh in files)
+        if case == "sweep-inf":
+            # the header, the start row and the first time block's 128 steps
+            assert code == 2
+            assert "numerical failure: path " in capsys.readouterr().err
+            written = [b"".join(w.splitlines(keepends=True)[: 2 + 128]) for w in want]
+            assert b"inf" not in written[0] and b"inf" in want[0][len(written[0]) :]
+            want = written
+        else:
+            assert code == 0
+            assert chunks == [-(-n_paths // sampler._TILE)]
         got = [(tmp_path / f"s_p{k}.csv").read_bytes() for k in range(n_paths)]
         for k in range(n_paths):
             assert got[k] == want[k], k
         if case == "dt":
             assert b"\n0.30000000000000004," in got[0]
-        if case == "sweep-inf":
-            rows = got[0].splitlines()
-            assert b"inf" in rows[-1] and not any(b"inf" in row for row in rows[: 2 + 128])
 
     def test_worker_count_invariance(self, model_file, tmp_path, monkeypatch):
         # 70 paths: two workers get a tile of 64 and a chunk of 6
@@ -434,7 +442,7 @@ _VERIFY_PIN_CASES = {
 }
 _VERIFY_PIN_DIGESTS = {
     "rot2": "740fba92c4e8f8e4a1ed90ed3d44e2ffc7595170a6eb87f682fa8ccbdc25dde3",
-    "ring8": "0ab8ee3f90169308cc01b2463e51f6cdcf59eba8a3fc257b14137bfd2a96452a",
+    "ring8": "b560854e3168482f5eae29e3baf7f2a91be2972c65b9dbb7c3aa8b57abd4b0d1",
 }
 
 
@@ -465,8 +473,8 @@ _TRANSIENT_PIN_CASES = {
 }
 _TRANSIENT_PIN_DIGESTS = {
     "rot2": "d5150541bcd9af604f4e851fe5ea07c6780d4e3d53f035c93c94f8e4d927f4f7",
-    "rev2": "d57d9b46ea85ae794fd191dde25951f2ee2b8ce33ea0486718cfd7e00385ccf6",
-    "ring8": "59fabae44389b56a59e35cc77bd3801c8220db41bb9c99169c340e44fa8f6f1a",
+    "rev2": "bd130aef61c490125bef8674308f9775fb56573dca65d1eb56daed6fd02f9c09",
+    "ring8": "195c8d2e465326b692417179837e67c529e505dc67fb4d2c4251a85628f366c8",
     "rot2-faint": "8a2268111d0e38ebd237d51e4d94029bd3ad19e2614887816bb1793cd6ad38c4",
 }
 

@@ -271,7 +271,9 @@ class TestCholesky:
 
 
 def _chol_reference(s: np.ndarray) -> np.ndarray:
-    """The per-matrix column loop in its original operation order."""
+    """The per-matrix column loop that chol_spd ran before it called LAPACK:
+    an oracle to 1e-13 of the factor's largest entry, not to the bit, since
+    potrf orders its sums differently."""
     n = s.shape[0]
     low = np.zeros((n, n))
     for j in range(n):
@@ -295,18 +297,33 @@ class TestCholeskyStack:
         lows = linalg.chol_spd(stack)
         assert lows.shape == stack.shape
         for s, low in zip(stack, lows):
-            assert np.array_equal(low, _chol_reference(s))
+            ref = _chol_reference(s)
+            assert np.max(np.abs(low - ref)) <= 1e-13 * np.max(np.abs(ref))
             assert np.array_equal(low, linalg.chol_spd(s))
             assert np.array_equal(low, linalg.chol_spd(s[None])[0])
         assert np.array_equal(linalg.chol_spd(stack.reshape(3, 4, n, n)), lows.reshape(3, 4, n, n))
         assert linalg.is_spd(stack).all()
 
     def test_member_below_floor(self):
-        stack = _spd_stack(3, 5)
-        stack[2] = np.diag([1.0, 1e-14, 2.0])
-        with pytest.raises(NotPositiveDefiniteError, match="matrix 2"):
-            linalg.chol_spd(stack)
-        assert linalg.is_spd(stack).tolist() == [True, True, False, True, True]
+        # Each member fails in a different way: a positive pivot below the
+        # floor, the point mass of a transient grid's t = 0 row (which potrf
+        # rejects), an indefinite matrix, and a pivot exactly at the floor.
+        members = [
+            np.diag([1.0, 1e-14, 2.0]),
+            np.zeros((3, 3)),
+            np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.diag([1.0, linalg.PD_FLOOR_SCALE * (1.0 + 2.0), 2.0]),
+        ]
+        for member in members:
+            stack = _spd_stack(3, 5)
+            stack[2] = member
+            with pytest.raises(NotPositiveDefiniteError, match="matrix 2"):
+                linalg.chol_spd(stack)
+            assert linalg.is_spd(stack).tolist() == [True, True, False, True, True]
+            lows = linalg._chol_stack(stack)[0]
+            assert np.isnan(lows[2]).all()
+            for k in (0, 1, 3, 4):
+                assert np.array_equal(lows[k], linalg.chol_spd(stack[k]))
 
     def test_asymmetric_member_rejected(self):
         stack = _spd_stack(3, 5)

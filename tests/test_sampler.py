@@ -459,10 +459,10 @@ _PIN_DIGESTS = {
     "rot2-batch-exact-x0-1000": "d869cc7698e2d2b5424b59c8f1188362e40176b9bf93d6bb8ba499045b346652",
     "rot2-batch-euler-law-129": "57f160a1ba4e887e6d2372805c9878d768340e9f181567fcdac7f4fe7a09267a",
     "rot2-batch-euler-x0-1000": "6d2ccc3173fa27ff86590b1d5a7021c5af9e640a4ba3f09cd953482b4e07dbb5",
-    "irr16-batch-exact-law-257": "4064d7e12cc30ed72a7910f9a73b54f3a94b33c33e3e94b5d195da7e3b93f3eb",
+    "irr16-batch-exact-law-257": "81723883942f4e4b196e06b1851ebb21a463984874271b3fcab3e9fa0f74aab1",
     "irr16-batch-exact-x0-1": "4e3bb4f7e7a2077d6549e79f714e0c5ed477b29969c25c392cad52e18805cc48",
-    "irr16-batch-exact-x0-1000": "b552b4f59b98a186dca9e1fb6cd81a60decb9a564944c245368c757d5673ccc8",
-    "irr16-batch-euler-law-1000": "ea6eedbd7268d58d860867da5248da2eb51b51d5b27d20486f29d03efb8ebfd4",
+    "irr16-batch-exact-x0-1000": "7841cba81a2b4ddaf486827753a7fe9ee35cfbd87e68e9fd37e478c5fd37ede1",
+    "irr16-batch-euler-law-1000": "8f48e4e8fc9e39d1ca84021a9b3187df7582a1b6c05298ad7d14c5b19a1435c4",
     "irr16-batch-euler-x0-129": "3940aa6172140e4b78bca92628b6781ff7a411e59c6e49ac8b9c038ef412b5e5",
     "rot2-path-exact-x0-1": "35e0bba43daf938c92542502e072642f1d3a645bed4ced18ec29978f80561d7d",
     "rot2-path-exact-x0-257": "fec050a28572c9b6b9541ba01cd900c63515f8ccb5101f8767f42dc5893d199d",
