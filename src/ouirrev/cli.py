@@ -80,9 +80,12 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _lags(text: str) -> tuple[float, ...]:
-    """verify's --tau converter: at least two distinct lags, which the
-    two-time symmetry test compares."""
+    """verify's --tau converter: at least two distinct positive lags, which
+    the two-time symmetry test compares. At lag 0 the statistic is exactly
+    symmetric, so its bootstrap spread is 0 at any budget."""
     lags = _floats(text)
+    if min(lags) <= 0.0:
+        raise argparse.ArgumentTypeError(f"lags must be positive, got {text!r}")
     if len(set(lags)) < 2:
         raise argparse.ArgumentTypeError(f"must list at least two distinct lags, got {text!r}")
     return lags
@@ -463,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tau",
         type=_lags,
         default=taus,
-        help="comma-separated lags / checkpoint times, at least two distinct (the two-time "
-        "symmetry test compares them)",
+        help="comma-separated positive lags / checkpoint times, at least two distinct (the "
+        "two-time symmetry test compares them)",
     )
     p.add_argument("--out", help="write the JSON report to this file")
     return parser

@@ -10,7 +10,8 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class DegenerateModelError(ValueError):
-    """Lyapunov system is singular (an eigenvalue pair of B sums to ~0)."""
+    """Lyapunov solve failed: B is not stable (an eigenvalue with real part
+    <= 0), or the solution misses its residual bound."""
 
 
 class NoStationaryLawError(ValueError):

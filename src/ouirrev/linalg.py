@@ -6,8 +6,10 @@ LAPACK potrf (np.linalg.cholesky's gufunc) one matrix at a time in one call;
 each factor has the same bits as the factor of that matrix alone, which the
 transient rates of a whole time grid rest on.
 
-Eigenvalues come from LAPACK through np.linalg.eigvals, and the Lyapunov solve
-is one LU solve of the Kronecker system; the rest is numpy array arithmetic.
+Eigenvalues come from LAPACK through np.linalg.eigvals. The Lyapunov solve is
+the matrix-sign-function iteration on n x n matrices (inverses, determinants
+and products), whose bits do not depend on the BLAS thread count at n <= 32;
+the rest is numpy array arithmetic.
 Everything is pure: no shared mutable state, safe for concurrent use.
 Intended scale is dense matrices with n <= 32.
 """
@@ -28,6 +30,10 @@ TOL_SYM = 1e-9
 TOL_LYAP = 1e-9
 PD_FLOOR_SCALE = 1e-12
 MAX_DIM = 32
+# Sign iteration: stop on a relative change of Z (Frobenius) at most _SIGN_TOL;
+# convergence is quadratic, so Z is then within rounding of its limit.
+_SIGN_TOL = 1e-10
+_SIGN_MAX_ITER = 100
 
 # Diagonal Pade coefficients of order 6 for the matrix exponential.
 _PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0)
@@ -136,18 +142,59 @@ def expm(m) -> np.ndarray:
     return f
 
 
-def solve_lyapunov(b, a) -> np.ndarray:
-    """Solve b X + X b^T = a for symmetric a by Kronecker vectorization.
-
-    The n^2 x n^2 dense system (I (x) b + b (x) I) vec(X) = vec(a) is solved
-    by LU with partial pivoting; O(n^6) work is acceptable at n <= 32. The
-    result is symmetrized and its residual checked.
+def _sign_solve(bm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with bm X + X bm^T = rhs, from the scaled sign-function iteration
+    Z <- (c Z + Z^{-1}/c) / 2, Y <- (c Y + Z^{-1} Y Z^{-T}/c) / 2 started at
+    Z = -bm, Y = rhs, with the determinant scaling c = |det Z|^{-1/n}
+    (Roberts 1971, Byers 1987). Z tends to sign(-bm), which is -I exactly
+    when bm is stable, and Y to 2 X. Y is symmetrized at every step.
 
     Raises
     ------
     DegenerateModelError
-        If the Kronecker system is singular or near-singular (an eigenvalue
-        pair of b sums to ~0).
+        If Z becomes singular (an eigenvalue of bm on the imaginary axis) or
+        does not reach -I within _SIGN_MAX_ITER steps (bm not stable).
+    """
+    n = bm.shape[0]
+    z, y = -bm, rhs
+    for _ in range(_SIGN_MAX_ITER):
+        sign, logdet = np.linalg.slogdet(z)
+        if sign == 0.0:
+            raise DegenerateModelError(
+                "Lyapunov sign iteration singular (an eigenvalue of b on the imaginary axis)"
+            )
+        z_inv = np.linalg.inv(z)
+        c = math.exp(-logdet / n)
+        z_next = 0.5 * (c * z + z_inv / c)
+        y = 0.5 * (c * y + z_inv @ y @ z_inv.T / c)
+        y = 0.5 * (y + y.T)
+        change = float(np.linalg.norm(z_next - z))
+        z = z_next
+        if change <= _SIGN_TOL * float(np.linalg.norm(z)):
+            break
+    if not float(np.linalg.norm(z + np.eye(n))) <= _SIGN_TOL:  # NaN fails too
+        raise DegenerateModelError(
+            "Lyapunov sign iteration did not reach -I: b is not stable "
+            "(an eigenvalue has real part <= 0)"
+        )
+    return 0.5 * y
+
+
+def solve_lyapunov(b, a) -> np.ndarray:
+    """Solve b X + X b^T = a for symmetric a and stable b (every eigenvalue
+    of b with positive real part).
+
+    The scaled matrix-sign-function iteration (_sign_solve) solves it with
+    n x n inverses, determinants and products only, then solves once more
+    with the symmetrized residual as right-hand side and adds that
+    correction. The result is symmetric and its residual is checked. A b
+    with an eigenvalue of zero or negative real part is rejected even where
+    the equation has a solution.
+
+    Raises
+    ------
+    DegenerateModelError
+        If b is not stable, or the residual exceeds TOL_LYAP (1 + ||a||_F).
     """
     bm = _as_square(b, "b")
     am = _as_square(a, "a")
@@ -158,14 +205,9 @@ def solve_lyapunov(b, a) -> np.ndarray:
         raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
     if sym_defect(am) > TOL_SYM:
         raise ValueError("right-hand side a must be symmetric")
-    ident = np.eye(n)
-    kron = np.kron(ident, bm) + np.kron(bm, ident)
-    try:
-        vec = np.linalg.solve(kron, am.reshape(-1, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateModelError("Lyapunov system singular (eigenvalue pair sums to 0)") from exc
-    xi = vec.reshape((n, n), order="F")
-    xi = 0.5 * (xi + xi.T)
+    xi = _sign_solve(bm, am)
+    r = am - (bm @ xi + xi @ bm.T)
+    xi = xi + _sign_solve(bm, 0.5 * (r + r.T))
     residual = float(np.linalg.norm(bm @ xi + xi @ bm.T - am))
     if residual > TOL_LYAP * (1.0 + float(np.linalg.norm(am))):
         raise DegenerateModelError(

@@ -46,12 +46,11 @@ Blocking changes no bits: the draws continue each path's stream, every term
 is per step, and the cumulative heat of a block is a cumsum that starts from
 the carried W, the same left-to-right sum as one cumsum over all steps.
 
-The inputs of the sampler are outside this contract. The step matrices come
-from linalg.expm (which multiplies with @ and calls solve), so they follow the
-BLAS build. The stationary-start factor comes from the Lyapunov solve, an LU
-of the n^2 x n^2 Kronecker system that OpenBLAS factors in parallel at larger
-n: its last bits differ between one BLAS thread and several (measured at
-n = 16 and 32, not at n = 8; 2, 3 and 4 threads agree).
+The step matrices come from linalg.expm (which multiplies with @ and calls
+solve), so they follow the BLAS build. The stationary-start factor comes from
+the Lyapunov solve, the sign-function iteration on n x n matrices, whose bits
+are the same with one and two BLAS threads; stationary starts are inside the
+contract.
 
 Heat increments use the Stratonovich midpoint rule,
 dW = 2 (A^{-1} b(x_mid)) . dx with x_mid the chord midpoint. With

@@ -25,10 +25,6 @@ from .exceptions import NoStationaryLawError
 from .model import Classification, LinearModel, Verdict
 from .transient import rate_factors
 
-# Threshold separating "zero epr" from genuinely positive epr: well above
-# accumulated 1e-10-level linear-algebra noise, far below physical values.
-EPS_EPR = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class StationaryLaw:

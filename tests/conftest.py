@@ -1,7 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ouirrev
 from ouirrev.model import LinearModel, build_model
+
+
+def with_blas_threads(code: str, threads: int) -> str:
+    """stdout of code run in a fresh interpreter with that many OpenBLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = str(Path(ouirrev.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
 
 
 def rotational_model(omega: float) -> LinearModel:

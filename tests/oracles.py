@@ -2,7 +2,7 @@
 
 These deliberately take different computational routes from the package:
 characteristic-polynomial roots instead of QR iteration, quadrature instead
-of trace formulas, scipy's Bartels-Stewart solver instead of the Kronecker
+of trace formulas, scipy's Bartels-Stewart solver instead of the sign-function
 solve, elementwise products instead of the sampler's BLAS tiles, einsum
 and fancy indexing instead of the estimators' GEMMs, a stored batch written
 path by path instead of simulate's streamed CSV files.

@@ -411,9 +411,9 @@ _CSV_PIN_CASES = {
 }
 _CSV_PIN_DIGESTS = {
     "exact-x0": "8fde6921da524a6aee7d1b092b6bd2e627156712a94753612dff567fca06efef",
-    "exact-stationary": "0768c10942164eb6f20c5872b51e5914dc12df292f853f0fc414575210bb27c2",
+    "exact-stationary": "2b8042665eb3fb2941017aa5a5254b3879054d0975b97266cae538f019c95cc0",
     "euler-x0": "19b2ff7cba07bc95f21bfb79583a174ac8826799eaae612bb541b47fe98d48d8",
-    "euler-stationary": "6855cc1d046edcc27d21267590a322efeab2ea2a19753f197a9481da90ed3c13",
+    "euler-stationary": "2eeb8c524a21d276dda6d8e68ad66b9e66306c696dfcc74832b5e4b5a9dfa458",
 }
 
 
@@ -441,8 +441,8 @@ _VERIFY_PIN_CASES = {
     "ring8": (ring_model(8), "2"),
 }
 _VERIFY_PIN_DIGESTS = {
-    "rot2": "740fba92c4e8f8e4a1ed90ed3d44e2ffc7595170a6eb87f682fa8ccbdc25dde3",
-    "ring8": "b560854e3168482f5eae29e3baf7f2a91be2972c65b9dbb7c3aa8b57abd4b0d1",
+    "rot2": "9512624704486298aeea1fff99e82f755a9539fa11505291af3f29f767e8acf3",
+    "ring8": "3050b0de110dfcd891cdad3f4835786729d73104fdedf08a6079abff51580b84",
 }
 
 
@@ -644,6 +644,7 @@ class TestParserContract:
             ["verify", "{model}", "--tau", "0.1,inf"],
             ["verify", "{model}", "--burn-in", "inf"],
             ["verify", "{model}", "--burn-in", "nan"],
+            ["verify", "{model}", "--tau", "0,0.5,1.0"],
         ],
         ids=[
             "steps",
@@ -659,6 +660,7 @@ class TestParserContract:
             "tau-inf",
             "burn-in-inf",
             "burn-in-nan",
+            "tau-zero-lag",
         ],
     )
     def test_usage_error_exit_1(self, argv, model_file, capsys):
@@ -684,7 +686,7 @@ class TestParserContract:
         path = model_file(ROT)
         with pytest.raises(Sampled):
             main(["verify", path, "--tau", "0.5,1.0"])
-        for tau in ("0.5", "0.5,0.5"):
+        for tau in ("0.5", "0.5,0.5", "0,0.5"):
             assert main(["verify", path, "--tau", tau]) == 1
             assert "--tau" in capsys.readouterr().err
         with pytest.raises(SystemExit):

@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +18,7 @@ from ouirrev.sampler import sample_batch
 from ouirrev.stationary import stationary_law, two_time_covariance
 
 import oracles
-from conftest import rotational_model, sin_model
+from conftest import rotational_model, sin_model, with_blas_threads
 
 # Master seeds of the shared stationary runs (dt 0.02, 2500 steps, 100 paths).
 ROT_SEED, REV_SEED = 100, 200
@@ -231,15 +227,6 @@ def _superblock_oracle(states, k0, ell):
     return total / (steps + 1 - k0 - ell)
 
 
-def _with_blas_threads(code: str, threads: int) -> str:
-    """stdout of code run in a fresh interpreter with that many OpenBLAS threads."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
-    env["PYTHONPATH"] = str(Path(estimators.__file__).parents[1])
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-
-
 def _assert_close_per_path(got, ref, rtol=1e-12):
     """Every entry within rtol of its path's largest reference magnitude."""
     scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
@@ -301,7 +288,7 @@ class TestLagProducts:
             "       for t in (300, 1000, 1024) for ell in (0, 1)]\n"
             "print(hashlib.sha256(b''.join(a.tobytes() for a in out)).hexdigest())"
         )
-        assert _with_blas_threads(code, 1) == _with_blas_threads(code, 2)
+        assert with_blas_threads(code, 1) == with_blas_threads(code, 2)
 
     def test_validation(self, rot_law):
         with pytest.raises(ValueError, match="burn-in"):
@@ -460,7 +447,7 @@ class TestBootstrapGemm:
             "res = reversibility_test(PathStatistics(lag_products=products, n_paths=500, seed=5))\n"
             "print(repr((res.statistic, res.per_lag)))"
         )
-        assert _with_blas_threads(code, 1) == _with_blas_threads(code, 2)
+        assert with_blas_threads(code, 1) == with_blas_threads(code, 2)
 
     def test_peak_memory_n32(self):
         # Resampling all 200 resamples at once held 200 x 200 x 32 x 32

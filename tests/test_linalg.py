@@ -7,7 +7,7 @@ import scipy.linalg
 from ouirrev import linalg
 from ouirrev.exceptions import DegenerateModelError, NotPositiveDefiniteError, NumericalFailureError
 
-from conftest import ring_model
+from conftest import ring_model, with_blas_threads
 from oracles import companion_eigvals, gram_quadrature, match_spectra
 
 
@@ -162,10 +162,44 @@ class TestSolveLyapunov:
             res = np.linalg.norm(b @ xi + xi @ b.T - a)
             assert res <= linalg.TOL_LYAP * (1 + np.linalg.norm(a))
 
+    # Spread spectrum; large right-hand side; eigenvalues 1e-8 +- i, next to
+    # the imaginary axis, where the first sign step cancels and only the
+    # refinement step meets the residual bound. Each has the closed form xi.
+    @pytest.mark.parametrize(
+        "b, a, xi",
+        [
+            (np.diag([1e-6, 1.0, 1e3]), np.eye(3), np.diag([5e5, 0.5, 5e-4])),
+            (np.array([[1.0, 1.0], [-1.0, 1.0]]), 1e10 * np.eye(2), 5e9 * np.eye(2)),
+            (np.array([[1e-8, 1.0], [-1.0, 1e-8]]), np.eye(2), 5e7 * np.eye(2)),
+        ],
+        ids=["spread", "large-rhs", "near-axis"],
+    )
+    def test_hard_cases(self, b, a, xi):
+        got = linalg.solve_lyapunov(b, a)
+        assert np.max(np.abs(got - xi)) <= 1e-14 * np.max(np.abs(xi))
+        res = np.linalg.norm(b @ got + got @ b.T - a)
+        assert res <= linalg.TOL_LYAP * (1 + np.linalg.norm(a))
+
     def test_degenerate_pair_raises(self):
-        # eigenvalues +1 and -1 sum to zero: singular Kronecker system
+        # eigenvalues +1 and -1 sum to zero: no solution, and b is not stable
         with pytest.raises(DegenerateModelError):
             linalg.solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+
+    def test_anti_stable_drift_raises(self):
+        # solvable (xi = diag(-1/2, -1/4)) but outside the stable domain
+        with pytest.raises(DegenerateModelError, match="not stable"):
+            linalg.solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
+
+    def test_same_bits_on_one_and_two_blas_threads(self):
+        code = (
+            "import hashlib, numpy as np\n"
+            "from ouirrev import linalg\n"
+            "for n in (16, 32):\n"
+            "    i, j = np.indices((n, n))\n"
+            "    b = np.diag(1.0 + 0.25 * np.arange(n)) + 0.5 * np.sin(i - j)\n"
+            "    print(hashlib.sha256(linalg.solve_lyapunov(b, np.eye(n)).tobytes()).hexdigest())"
+        )
+        assert with_blas_threads(code, 1) == with_blas_threads(code, 2)
 
     def test_asymmetric_rhs_rejected(self):
         with pytest.raises(ValueError):

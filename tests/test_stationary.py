@@ -7,7 +7,6 @@ from ouirrev import linalg
 from ouirrev.exceptions import NoStationaryLawError
 from ouirrev.model import Verdict, build_model, classify
 from ouirrev.stationary import (
-    EPS_EPR,
     force_flux,
     stationary_density,
     stationary_law,
@@ -251,6 +250,6 @@ class TestReversibilityTrichotomy:
                 continue
             law = stationary_law(m)
             strong_zero = law.fdr_strong_residual <= 1e-8
-            epr_zero = law.epr <= EPS_EPR
+            epr_zero = law.epr <= 1e-8
             assert strong_zero == (verdict is Verdict.REVERSIBLE)
             assert epr_zero == (verdict is Verdict.REVERSIBLE)
