@@ -23,7 +23,7 @@ from .exceptions import (
 )
 from .linalg import Spectrum, chol_spd, eig, expm, gram_integral, is_spd, solve_lyapunov, sym_defect
 from .model import Classification, LinearModel, Verdict, build_model, classify
-from .sampler import TrajectoryBatch, path_stream, sample_batch
+from .sampler import path_stream, stream_batch
 from .stationary import (
     ForceFlux,
     StationaryLaw,
@@ -61,7 +61,6 @@ __all__ = [
     "Spectrum",
     "StationaryLaw",
     "ThermoSnapshot",
-    "TrajectoryBatch",
     "UndefinedEntropyError",
     "Verdict",
     "build_model",
@@ -80,11 +79,11 @@ __all__ = [
     "potential",
     "propagate",
     "reversibility_test",
-    "sample_batch",
     "solve_lyapunov",
     "stationary_density",
     "stationary_law",
     "stationary_statistics",
+    "stream_batch",
     "sym_defect",
     "transition_density",
     "two_time_covariance",

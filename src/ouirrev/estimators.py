@@ -11,7 +11,9 @@ blocks while the paths are generated (sampler.stream_batch), so no state
 array is kept: only per-path sums, a window of the last max(lag) states, and
 the heat at burn-in and at T. Each lag's products are summed per super-block
 of _SUPER_BLOCK consecutive later times (aligned to t = 0), then
-added in time order.
+added in time order. greenkubo_check draws its conditional paths from a
+shared start the same way, keeping only each path's state at the lags
+(_LagStates), so no estimator stores a batch.
 
 Both per-path reductions run in BLAS GEMMs whose shapes the run's parameters
 fix. Each super-block's lag products are (n x T) @ (T x n) products per path
@@ -24,8 +26,8 @@ bootstrap resample means of each lag are the (resamples x paths) @
 asymmetries. Every summed axis is cut into pieces of at most _GEMM_DEPTH, so
 both give the same bits with one or two BLAS threads.
 
-All estimators are deterministic functions of (batch, parameters): bootstrap
-resampling draws from a reserved stream derived from the batch's master seed,
+All estimators are deterministic functions of (master seed, parameters):
+bootstrap resampling draws from a reserved stream derived from the master seed,
 and cross-path reductions run in path order (heat totals through exact
 summation), so reruns and different generation worker counts give identical
 output. Paths are i.i.d., so standard errors and bootstrap bands resample at
@@ -43,7 +45,6 @@ from . import linalg
 from .exceptions import InsufficientDataError
 from .sampler import (
     BOOTSTRAP_STREAM,
-    TrajectoryBatch,
     _budget_paths,
     _validate_grid,
     path_stream,
@@ -68,14 +69,12 @@ class ReversibilityResult:
     threshold: float
     verdict_reversible: bool
     per_lag: dict[float, float]
-    note: str
 
 
 @dataclass(frozen=True, eq=False)
 class HdrEstimate:
     value: float
     stderr: float
-    n_paths: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +98,8 @@ class PathStatistics:
     seed: int
 
 
-def _lag_steps(dt: float, steps: int, lag: float) -> int:
+def _lag_steps(dt: float, lag: float, steps: int | None = None) -> int:
+    """The number of dt steps in lag, below steps when steps is given."""
     ratio = lag / dt
     if not math.isfinite(ratio):
         raise ValueError(f"lag {lag} over dt {dt} is not a finite step count")
@@ -108,7 +108,7 @@ def _lag_steps(dt: float, steps: int, lag: float) -> int:
         raise ValueError(f"lag {lag} is not a multiple of dt {dt}")
     if rounded < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
-    if rounded >= steps:
+    if steps is not None and rounded >= steps:
         raise ValueError(f"lag {lag} exceeds trajectory span {steps * dt}")
     return rounded
 
@@ -208,10 +208,11 @@ def stationary_statistics(
     lags,
     burn_in: float = 0.0,
 ) -> tuple[PathStatistics, HdrEstimate]:
-    """Per-path lag products and heat rate of sample_batch(law.model, dt,
-    steps, n_paths, seed, law=law) after burn-in, computed while the paths
-    are generated: no state array is kept, only per-path lag sums, a window
-    of the last max(lag) states and the heat at burn-in and at T.
+    """Per-path lag products and heat rate of the n_paths stationary paths
+    of sampler.stream_batch(law.model, dt, steps, n_paths, seed, ...,
+    law=law) after burn-in, computed while the paths are generated: no state
+    array is kept, only per-path lag sums, a window of the last max(lag)
+    states and the heat at burn-in and at T.
 
     The lag products are the per-path averages of x(t + lag) x(t)^T for each
     distinct lag (a repeated lag is computed once). The heat rate is, per
@@ -221,7 +222,7 @@ def stationary_statistics(
     Raises
     ------
     ValueError
-        As sample_batch does; on a negative or NaN burn-in, an empty lag
+        As sampler.stream_batch does; on a negative or NaN burn-in, an empty lag
         list, or a lag that is negative, off the dt grid, not a finite number
         of steps or not shorter than the trajectory.
     InsufficientDataError
@@ -241,7 +242,7 @@ def stationary_statistics(
     distinct = tuple(dict.fromkeys(float(v) for v in lags))
     if not distinct:
         raise ValueError("need at least one lag")
-    ells = tuple(_lag_steps(dt, steps, lag) for lag in distinct)
+    ells = tuple(_lag_steps(dt, lag, steps) for lag in distinct)
     if any(k0 + ell > steps for ell in ells):
         raise InsufficientDataError("no admissible time pairs after burn-in at this lag")
     span = (steps - k0) * dt
@@ -268,7 +269,6 @@ def stationary_statistics(
     hdr = HdrEstimate(
         value=math.fsum(rates.tolist()) / count,
         stderr=float(rates.std(ddof=1)) / math.sqrt(count),
-        n_paths=count,
     )
     return PathStatistics(lag_products=products, n_paths=count, seed=int(seed)), hdr
 
@@ -321,47 +321,71 @@ def reversibility_test(
         per_lag[lag] = (obs_norms[-1] - float(norms.mean())) / spread
     boot_max = np.max(np.column_stack(boot_norms), axis=1)
     statistic = (max(obs_norms) - float(boot_max.mean())) / float(boot_max.std(ddof=1))
-    reversible = statistic <= threshold
-    note = (
-        "failure to reject reversibility (asymmetry within noise)"
-        if reversible
-        else "two-time covariance asymmetry exceeds noise level"
-    )
     return ReversibilityResult(
         statistic=statistic,
         threshold=threshold,
-        verdict_reversible=reversible,
+        verdict_reversible=statistic <= threshold,
         per_lag=per_lag,
-        note=note,
     )
 
 
-def greenkubo_check(
-    cond_batch: TrajectoryBatch, law: StationaryLaw, stats: PathStatistics
-) -> GreenKuboResult:
-    """Conditional-mean regression check at the lags of stats: the ensemble
-    mean from a shared x0 must decay as e^{-B t} x0, and the stationary
-    R(t, 0) of stats must match e^{-B t} Xi - the same time dependence.
+class _LagStates:
+    """Consumer of a chunk of paths: their states at the step indices ells,
+    one contiguous (paths, n) array per index."""
 
-    Deviations are reported as worst componentwise z-scores against
+    def __init__(self, ells: list[int], n: int, count: int):
+        self.ells = ells
+        self.states = np.empty((len(ells), count, n))
+
+    def __call__(self, k: int, states: np.ndarray, heat: np.ndarray) -> None:
+        for kept, ell in zip(self.states, self.ells):
+            if k <= ell < k + len(states):
+                kept[...] = states[ell - k].T
+
+
+def greenkubo_check(
+    law: StationaryLaw, stats: PathStatistics, dt: float, n_paths: int, seed: int, x0
+) -> GreenKuboResult:
+    """Conditional-mean regression check at the lags of stats: the mean of
+    n_paths paths from the shared start x0 must decay as e^{-B t} x0, and the
+    stationary R(t, 0) of stats must match e^{-B t} Xi - the same time
+    dependence.
+
+    The paths are drawn with master seed seed (sampler.stream_batch), run
+    exactly as long as the longest lag, and only their states at the lags
+    are kept. Deviations are reported as worst componentwise z-scores against
     path-ensemble standard errors.
+
+    Raises
+    ------
+    ValueError
+        As sampler.stream_batch does, or on a lag that is negative, off the
+        dt grid or not a finite number of steps.
+    InsufficientDataError
+        If fewer than two paths are asked for.
+
+    Every check runs before any path is drawn.
     """
-    if cond_batch.n_paths < 2:
+    _validate_grid(dt, 1)  # dt alone: the run is as long as the longest lag
+    if n_paths < 2:
         raise InsufficientDataError("need at least 2 conditional paths")
-    x0 = cond_batch.states[0, 0, :]
-    if not (cond_batch.states[:, 0, :] == x0).all():
-        raise ValueError("conditional batch paths do not share x0")
+    ells = [_lag_steps(dt, lag) for lag in stats.lag_products]
+    n = law.model.n
+    parts = stream_batch(
+        law.model, dt, max(1, max(ells)), n_paths, seed,
+        lambda lo, hi: _LagStates(ells, n, hi - lo),
+        chunk_paths=_budget_paths(len(ells) * n),
+        x0=x0,
+    )
+    snaps = np.concatenate([part.states for part in parts], axis=1)
+    x0 = np.asarray(x0, dtype=float)
     max_z = 0.0
     max_dev = 0.0
     max_z_two_time = 0.0
     scale = 1.0 + float(np.linalg.norm(x0))
-    root_p = math.sqrt(cond_batch.n_paths)
+    root_p = math.sqrt(n_paths)
     root_q = math.sqrt(stats.n_paths)
-    for t, per_path in stats.lag_products.items():
-        k = int(round(t / cond_batch.dt))
-        if abs(k * cond_batch.dt - t) > 1e-9 * max(1.0, t) or k > cond_batch.n_steps:
-            raise ValueError(f"checkpoint {t} not on the trajectory grid")
-        snap = cond_batch.states[:, k, :]
+    for (t, per_path), snap in zip(stats.lag_products.items(), snaps):
         phi = linalg.expm(-law.model.B * t)  # e^{-B t}, for both targets
         target = phi @ x0
         se = snap.std(axis=0, ddof=1) / root_p

@@ -5,11 +5,10 @@ dissipation functional.
 One entry point drives the integrator: stream_batch runs a batch in chunks
 of paths, in this thread or, with several workers (resolve_workers), on
 worker threads, and hands each chunk's time blocks to a consumer that the
-caller makes for the chunk's path range; it keeps nothing else. sample_batch
-is stream_batch with a consumer that copies the blocks into path-major
-arrays. The estimators sum per-path lag products from the blocks, and the
-CLI's simulate writes them as CSV rows, so neither stores a batch. A single
-path is a batch of one.
+caller makes for the chunk's path range; it keeps nothing else. The
+estimators sum per-path lag products from the blocks or keep the states at
+the lags, and the CLI's simulate writes them as CSV rows, so nothing stores
+a batch. A single path is a batch of one.
 
 Reproducibility contract
 ------------------------
@@ -67,7 +66,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +75,7 @@ from .model import LinearModel
 from .stationary import StationaryLaw
 
 # Most doubles that the consumers of one chunk keep (_budget_paths): bounds
-# a chunk's share of sample_batch's result or of the estimators' windows.
+# a chunk's share of the estimators' windows and kept states.
 _CHUNK_ELEMENT_BUDGET = 5_000_000
 
 # Paths per BLAS tile. Every matrix product is a stack of (n, n) @ (n, _TILE)
@@ -103,23 +101,6 @@ def path_stream(seed: int, index: int) -> np.random.Generator:
     """Independent RNG stream for one path: Philox keyed by (seed, index)."""
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True, eq=False)
-class TrajectoryBatch:
-    """Ensemble of paths sharing (model, dt, master seed); path-major arrays."""
-
-    dt: float
-    states: np.ndarray  # (n_paths, steps + 1, n)
-    heat: np.ndarray  # (n_paths, steps + 1)
-
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[1] - 1
 
 
 def _validate_grid(dt: float, steps: int) -> None:
@@ -251,18 +232,6 @@ def _integrate(
             wsum[0] = w[b]
 
 
-class _Layout:
-    """sample_batch's consumer: copies each block into path-major states
-    (paths, steps + 1, n) and heat (paths, steps + 1)."""
-
-    def __init__(self, states: np.ndarray, heat: np.ndarray):
-        self.states, self.heat = states, heat
-
-    def __call__(self, k: int, states: np.ndarray, heat: np.ndarray) -> None:
-        self.states[:, k : k + len(states)] = states.transpose(2, 0, 1)
-        self.heat[:, k : k + len(heat)] = heat.T
-
-
 class _Job(NamedTuple):
     """What every chunk of a batch shares: master seed, shared start (used
     when chol_xi is None), stationary-start factor, and the step update."""
@@ -311,15 +280,11 @@ def resolve_workers() -> int:
     return max(workers, 1)
 
 
-def _validate_paths(n_paths: int) -> None:
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
-        raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
-
-
 def _prepare(model, dt, steps, n_paths, seed, x0, law, method) -> _Job:
     if method not in ("exact", "euler"):
         raise ValueError(f"unknown method {method!r}")
-    _validate_paths(n_paths)
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
     if not (0 <= int(seed) < 2**64):
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if x0 is not None and law is not None:
@@ -396,29 +361,3 @@ def stream_batch(
             return list(pool.map(work, bounds))
     return [work(chunk) for chunk in bounds]
 
-
-def sample_batch(
-    model: LinearModel,
-    dt: float,
-    steps: int,
-    n_paths: int,
-    seed: int,
-    *,
-    x0=None,
-    law: StationaryLaw | None = None,
-    method: str = "exact",
-) -> TrajectoryBatch:
-    """The paths of stream_batch with the same arguments, stored in
-    path-major arrays. Results are byte-identical for any worker count
-    (resolve_workers).
-    """
-    _validate_grid(dt, steps)  # before the arrays are sized
-    _validate_paths(n_paths)
-    states = np.empty((n_paths, steps + 1, model.n))
-    heat = np.empty((n_paths, steps + 1))
-    stream_batch(
-        model, dt, steps, n_paths, seed,
-        lambda lo, hi: _Layout(states[lo:hi], heat[lo:hi]),
-        chunk_paths=_budget_paths((steps + 1) * model.n), x0=x0, law=law, method=method,
-    )
-    return TrajectoryBatch(float(dt), states, heat)

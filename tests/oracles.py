@@ -5,12 +5,61 @@ characteristic-polynomial roots instead of QR iteration, quadrature instead
 of trace formulas, scipy's Bartels-Stewart solver instead of the sign-function
 solve, elementwise products instead of the sampler's BLAS tiles, einsum
 and fancy indexing instead of the estimators' GEMMs, a stored batch written
-path by path instead of simulate's streamed CSV files.
+path by path instead of simulate's streamed CSV files. The stored batch
+itself (sample_batch) is the sampler's paths in path-major arrays: the
+reference layout that the tests read states and heat from, where the package
+keeps only what each consumer needs of the streamed time blocks.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad_vec
+
+from ouirrev import sampler
+
+
+@dataclass(frozen=True, eq=False)
+class TrajectoryBatch:
+    """Ensemble of paths sharing (model, dt, master seed); path-major arrays."""
+
+    dt: float
+    states: np.ndarray  # (n_paths, steps + 1, n)
+    heat: np.ndarray  # (n_paths, steps + 1)
+
+    @property
+    def n_paths(self) -> int:
+        return self.states.shape[0]
+
+    @property
+    def n_steps(self) -> int:
+        return self.states.shape[1] - 1
+
+
+class Layout:
+    """sample_batch's consumer: copies each block into path-major states
+    (paths, steps + 1, n) and heat (paths, steps + 1)."""
+
+    def __init__(self, states: np.ndarray, heat: np.ndarray):
+        self.states, self.heat = states, heat
+
+    def __call__(self, k: int, states: np.ndarray, heat: np.ndarray) -> None:
+        self.states[:, k : k + len(states)] = states.transpose(2, 0, 1)
+        self.heat[:, k : k + len(heat)] = heat.T
+
+
+def sample_batch(model, dt, steps, n_paths, seed, *, x0=None, law=None, method="exact"):
+    """The paths of sampler.stream_batch with the same arguments, stored in
+    path-major arrays, in chunks of the sampler's element budget."""
+    states = np.empty((n_paths, steps + 1, model.n))
+    heat = np.empty((n_paths, steps + 1))
+    sampler.stream_batch(
+        model, dt, steps, n_paths, seed,
+        lambda lo, hi: Layout(states[lo:hi], heat[lo:hi]),
+        chunk_paths=sampler._budget_paths((steps + 1) * model.n), x0=x0, law=law, method=method,
+    )
+    return TrajectoryBatch(float(dt), states, heat)
 
 
 def charpoly_coeffs(m: np.ndarray) -> np.ndarray:
@@ -165,7 +214,6 @@ def simulate_files(model, dt, steps, n_paths, seed, *, x0=None, law=None, method
     batch: sample_batch, then per path its header and _csvfmt.rows of the
     columns t, x1 .. xn, W."""
     from ouirrev import _csvfmt
-    from ouirrev.sampler import sample_batch
 
     batch = sample_batch(model, dt, steps, n_paths, seed, x0=x0, law=law, method=method)
     header = ("t," + ",".join(f"x{i + 1}" for i in range(model.n)) + ",W\n").encode("ascii")

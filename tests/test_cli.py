@@ -575,6 +575,15 @@ class TestVerifyCommand:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert match in captured.err
 
+    def test_lag_near_grid_writes_report(self, model_file, capsys):
+        # 0.100000005 / 0.01 is within 1e-6 of 10 steps: a lag on the grid for
+        # the stationary statistics and for the Green-Kubo check alike.
+        argv = ["verify", model_file(ROT), "--tau", "0.100000005,0.5"]
+        code, report = run_json(capsys, argv)
+        assert code in (0, 4)
+        assert report["budget"]["tau_list"] == [0.100000005, 0.5]
+        assert "max_abs_z_conditional_mean" in report["sections"]["green_kubo"]
+
     def test_default_budget_memory(self, model_file, capsys):
         # The stored batch alone held 200 x 10 001 x (2 + 1) doubles (48 MB);
         # the stream keeps per-path sums and one super-block per path.

@@ -14,11 +14,11 @@ from ouirrev.estimators import (
 )
 from ouirrev.exceptions import InsufficientDataError
 from ouirrev.model import build_model
-from ouirrev.sampler import sample_batch
 from ouirrev.stationary import stationary_law, two_time_covariance
 
 import oracles
 from conftest import rotational_model, sin_model, with_blas_threads
+from oracles import sample_batch
 
 # Master seeds of the shared stationary runs (dt 0.02, 2500 steps, 100 paths).
 ROT_SEED, REV_SEED = 100, 200
@@ -140,39 +140,77 @@ class TestHdrEstimate:
 class TestGreenKubo:
     def test_conditional_decay_both_classes(self, rot_law, rev_law):
         for law, seed in ((rot_law, ROT_SEED), (rev_law, REV_SEED)):
-            cond = sample_batch(law.model, dt=0.02, steps=50, n_paths=2000, seed=500, x0=[1.0, 1.0])
             stats, _ = _run_stats(law, seed, [0.2, 0.5, 1.0], burn_in=0.0)
-            res = greenkubo_check(cond, law, stats)
+            res = greenkubo_check(law, stats, dt=0.02, n_paths=2000, seed=500, x0=[1.0, 1.0])
             assert res.max_abs_z <= 4.0
             assert res.max_abs_z_two_time <= 4.0
 
     def test_one_expm_per_checkpoint(self, rot_law, monkeypatch):
-        cond = sample_batch(rot_law.model, dt=0.02, steps=50, n_paths=20, seed=500, x0=[1.0, 1.0])
         checkpoints = [0.2, 0.5, 1.0]
         stats, _ = _run_stats(rot_law, ROT_SEED, checkpoints, burn_in=0.0)
-        calls = []
-        kernel = linalg.expm
+        calls, in_update = [], []
+        kernel, update = linalg.expm, sampler._update
 
         def counting(a):
-            calls.append(a)
+            if not in_update:  # not the sampler's step matrices
+                calls.append(a)
             return kernel(a)
 
+        def flagged(*args):
+            in_update.append(True)
+            try:
+                return update(*args)
+            finally:
+                in_update.pop()
+
         monkeypatch.setattr(linalg, "expm", counting)
-        greenkubo_check(cond, rot_law, stats)
+        monkeypatch.setattr(sampler, "_update", flagged)
+        greenkubo_check(rot_law, stats, dt=0.02, n_paths=20, seed=500, x0=[1.0, 1.0])
         assert len(calls) == len(checkpoints)
+        for a, t in zip(calls, checkpoints):
+            assert np.array_equal(a, -rot_law.model.B * t)
 
     def test_zero_start_stays_zero(self, rot1):
-        cond = sample_batch(rot1, dt=0.02, steps=50, n_paths=2000, seed=600, x0=[0.0, 0.0])
         law = stationary_law(rot1)
         stats, _ = stationary_statistics(law, 0.02, 100, 2, 1, [0.2, 1.0])
-        res = greenkubo_check(cond, law, stats)
+        res = greenkubo_check(law, stats, dt=0.02, n_paths=2000, seed=600, x0=[0.0, 0.0])
         assert res.max_abs_z <= 4.0
         assert res.max_deviation < 0.05
 
-    def test_rejects_stationary_start_batch(self, rot_law, rot_batch):
-        stats, _ = stationary_statistics(rot_law, 0.02, 100, 2, 1, [0.2, 0.5])
-        with pytest.raises(ValueError, match="do not share x0"):
-            greenkubo_check(rot_batch, rot_law, stats)
+    def test_equals_stored_batch(self, rot_law, monkeypatch):
+        # The states kept at the lags, in chunks of one tile, are those of
+        # the stored run as long as the longest lag.
+        stats, _ = _run_stats(rot_law, ROT_SEED, [0.5, 0.1, 1.0])
+        x0 = np.array([1.0, -0.5])
+        kept = []
+        stream = estimators.stream_batch
+
+        def keeping(*args, **kwargs):
+            parts = stream(*args, **kwargs)
+            assert len(parts) == 3
+            kept.append(np.concatenate([part.states for part in parts], axis=1))
+            return parts
+
+        monkeypatch.setattr(estimators, "stream_batch", keeping)
+        monkeypatch.setattr(sampler, "_CHUNK_ELEMENT_BUDGET", sampler._TILE * 3 * 2)
+        greenkubo_check(rot_law, stats, dt=0.02, n_paths=130, seed=900, x0=x0)
+        batch = sample_batch(rot_law.model, 0.02, 50, 130, 900, x0=x0)
+        assert np.array_equal(kept[0], batch.states[:, [25, 5, 50]].transpose(1, 0, 2))
+
+    def test_validation_before_sampling(self, rot_law, monkeypatch):
+        stats, _ = _run_stats(rot_law, ROT_SEED, [0.2, 0.5])
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before validating")
+
+        monkeypatch.setattr(estimators, "stream_batch", no_sampling)
+        with pytest.raises(InsufficientDataError, match="at least 2"):
+            greenkubo_check(rot_law, stats, dt=0.02, n_paths=1, seed=1, x0=[1.0, 1.0])
+        for dt in (0.0, -0.02, math.nan):
+            with pytest.raises(ValueError, match="dt must be"):
+                greenkubo_check(rot_law, stats, dt=dt, n_paths=20, seed=1, x0=[1.0, 1.0])
+        with pytest.raises(ValueError, match="multiple of dt"):
+            greenkubo_check(rot_law, stats, dt=0.03, n_paths=20, seed=1, x0=[1.0, 1.0])
 
 
 class TestConsistency:
@@ -194,7 +232,6 @@ class TestConsistency:
         assert -0.7 <= slope <= -0.3
 
     def test_path_statistics_bundle(self, rot_law):
-        cond = sample_batch(rot_law.model, dt=0.02, steps=50, n_paths=500, seed=700, x0=[1.0, 1.0])
         lags = [0.1, 0.5, 1.0]
         stats, _ = _run_stats(rot_law, ROT_SEED, lags, burn_in=0.0)
         assert stats.n_paths == 100
@@ -205,7 +242,7 @@ class TestConsistency:
             alone = _run_stats(rot_law, ROT_SEED, (lag,))[0].lag_products[lag]
             assert np.array_equal(stats.lag_products[lag].mean(axis=0), alone.mean(axis=0))
         assert not reversibility_test(stats).verdict_reversible
-        gk = greenkubo_check(cond, rot_law, stats)
+        gk = greenkubo_check(rot_law, stats, dt=0.02, n_paths=500, seed=700, x0=[1.0, 1.0])
         assert math.isfinite(gk.max_deviation)
 
     def test_repeated_lag_computed_once(self, rot_law):

@@ -36,22 +36,23 @@ def test_removed_names_gone():
         (sampler, "Trajectory"),
         (sampler, "_validate_run"),
         (sampler, "_consume_chunk"),
+        (sampler, "sample_batch"),
+        (sampler, "TrajectoryBatch"),
+        (sampler, "_Layout"),
+        (sampler, "_validate_paths"),
         (model, "drift"),
         (cli, "_csv_cells"),
     ]:
         assert not hasattr(module, name)
         assert not hasattr(ouirrev, name)
         assert name not in ouirrev.__all__
-    for name in ("path", "t_final", "method", "seed", "dim", "stationary_start"):
-        assert name not in dir(sampler.TrajectoryBatch)
-        assert name not in sampler.TrajectoryBatch.__dataclass_fields__
-    assert "lags" not in estimators.PathStatistics.__dataclass_fields__
     for cls, name in [
-        (sampler._Layout, "allocate"),
-        (sampler._Layout, "result"),
-        (estimators._LagSums, "result"),
+        (estimators.PathStatistics, "lags"),
+        (estimators.ReversibilityResult, "note"),
+        (estimators.HdrEstimate, "n_paths"),
     ]:
-        assert not hasattr(cls, name)
+        assert name not in cls.__dataclass_fields__
+    assert not hasattr(estimators._LagSums, "result")
 
 
 def _run_python(code: str, **env) -> str:
@@ -78,8 +79,9 @@ def test_cli_import_skips_csv_formatter():
 
 
 def test_worker_threads_start_no_processes():
-    # Two workers run the chunks of both entry points on threads: a thread
-    # pool is imported, multiprocessing never is.
+    # Two workers run the chunks of stream_batch, called directly and by
+    # stationary_statistics, on threads: a thread pool is imported,
+    # multiprocessing never is.
     code = """
 import sys
 from ouirrev import estimators, sampler
@@ -87,10 +89,23 @@ from ouirrev.model import build_model
 from ouirrev.stationary import stationary_law
 
 law = stationary_law(build_model([[1.0, 1.0], [-1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]))
-assert len(sampler._chunk_bounds(130, sampler._budget_paths(101 * 2), 2)) == 2
-sampler.sample_batch(law.model, 0.01, 100, 130, 3, law=law)
+assert len(sampler._chunk_bounds(130, 1000, 2)) == 2
+sampler.stream_batch(
+    law.model, 0.01, 100, 130, 3, lambda lo, hi: lambda k, states, heat: None,
+    chunk_paths=1000, law=law,
+)
 assert len(sampler._chunk_bounds(70, sampler._budget_paths(2 * 100 * 2), 2)) == 2
 estimators.stationary_statistics(law, 0.01, 100, 70, 3, (0.1, 0.5))
 print(sorted(m for m in ("concurrent.futures.thread", "multiprocessing") if m in sys.modules))
 """
     assert _run_python(code, OU_IRREV_THREADS="2").strip() == "['concurrent.futures.thread']"
+
+
+def test_readme_api_sketch_runs():
+    # The README's Python API sketch, run as written.
+    readme = Path(ouirrev.__file__).parents[2] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Python API sketch", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = _run_python(code).splitlines()
+    assert lines[0] == "Irreversible"
+    assert len(lines) == 5

@@ -14,19 +14,26 @@ from ouirrev.sampler import (
     _TIME_BLOCK,
     _blocking,
     _generate,
-    _Layout,
     _prepare,
     _update,
     path_stream,
     resolve_workers,
-    sample_batch,
     stream_batch,
 )
 from ouirrev.stationary import stationary_law
 from ouirrev.transient import potential, propagate
 
 from conftest import rotational_model, sin_model
-from oracles import colmatvec, integrate_paths
+from oracles import Layout, colmatvec, integrate_paths, sample_batch
+
+
+def _stream(m: LinearModel, dt, steps, n_paths, seed, **kwargs) -> None:
+    """stream_batch into consumers that keep nothing: the argument checks
+    without a stored batch."""
+    stream_batch(
+        m, dt, steps, n_paths, seed, lambda lo, hi: lambda k, states, heat: None,
+        chunk_paths=_TILE, **kwargs,
+    )
 
 
 def _exact_step(m: LinearModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +73,7 @@ class TestExactUpdate:
 
     def test_invalid_dt(self):
         with pytest.raises(ValueError, match="dt"):
-            sample_batch(rotational_model(1.0), dt=0.0, steps=10, n_paths=1, seed=0)
+            _stream(rotational_model(1.0), dt=0.0, steps=10, n_paths=1, seed=0)
 
 
 class TestMarginalIdentity:
@@ -144,20 +151,21 @@ class TestSamplePath:
         m = rotational_model(1.0)
         for method in ("exact", "euler"):
             with pytest.raises(ValueError, match="initial state"):
-                sample_batch(
-                    m, 0.01, 10, n_paths=1, seed=0, x0=[[1.0, 0.0], [0.0, 1.0]], method=method
-                )
+                _stream(m, 0.01, 10, n_paths=1, seed=0, x0=[[1.0, 0.0], [0.0, 1.0]], method=method)
 
     def test_invalid_arguments(self):
         m = rotational_model(1.0)
-        with pytest.raises(ValueError):
-            sample_batch(m, 0.01, 10, n_paths=1, seed=0, x0=[1.0])
-        with pytest.raises(ValueError):
-            sample_batch(m, 0.01, 10, n_paths=1, seed=0, x0=[1.0, math.nan])
-        with pytest.raises(ValueError):
-            sample_batch(m, -0.01, 10, n_paths=1, seed=0, x0=[1.0, 0.0])
-        with pytest.raises(ValueError):
-            sample_batch(m, 0.01, 0, n_paths=1, seed=0, x0=[1.0, 0.0])
+        with pytest.raises(ValueError, match="shape"):
+            _stream(m, 0.01, 10, n_paths=1, seed=0, x0=[1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            _stream(m, 0.01, 10, n_paths=1, seed=0, x0=[1.0, math.nan])
+        with pytest.raises(ValueError, match="dt must be"):
+            _stream(m, -0.01, 10, n_paths=1, seed=0, x0=[1.0, 0.0])
+        with pytest.raises(ValueError, match="steps must be"):
+            _stream(m, 0.01, 0, n_paths=1, seed=0, x0=[1.0, 0.0])
+        for n_paths in (0, -1, 2.0):
+            with pytest.raises(ValueError, match="n_paths must be"):
+                _stream(m, 0.01, 10, n_paths=n_paths, seed=0, x0=[1.0, 0.0])
 
 
 class TestStationaryStart:
@@ -189,7 +197,7 @@ class TestStationaryStart:
         m = rotational_model(1.0)
         law = stationary_law(m)
         with pytest.raises(ValueError, match="not both"):
-            sample_batch(m, dt=0.01, steps=10, n_paths=2, seed=1, x0=[1.0, 0.0], law=law)
+            _stream(m, dt=0.01, steps=10, n_paths=2, seed=1, x0=[1.0, 0.0], law=law)
 
 
 class TestEulerMaruyama:
@@ -238,7 +246,7 @@ class TestBatchDeterminism:
         batch = sample_batch(m, dt=0.01, steps=100, n_paths=5, seed=101, x0=[1.0, 0.0])
         job = _prepare(m, 0.01, 100, 5, 101, [1.0, 0.0], None, "exact")
         for k in range(5):
-            alone = _Layout(np.empty((1, 101, m.n)), np.empty((1, 101)))
+            alone = Layout(np.empty((1, 101, m.n)), np.empty((1, 101)))
             _generate(job, k, k + 1, 100, alone)
             assert np.array_equal(batch.states[k], alone.states[0])
             assert np.array_equal(batch.heat[k], alone.heat[0])
@@ -338,7 +346,7 @@ class TestTileBoundaries:
         x0, law = (None, stationary_law(m)) if start == "law" else (np.linspace(1.0, -0.5, n), None)
         job = _prepare(m, 0.01, _TILE_STEPS, 130, 41, x0, law, method)
         for k in (0, 63, 64, 129):
-            alone = _Layout(np.empty((1, _TILE_STEPS + 1, n)), np.empty((1, _TILE_STEPS + 1)))
+            alone = Layout(np.empty((1, _TILE_STEPS + 1, n)), np.empty((1, _TILE_STEPS + 1)))
             _generate(job, k, k + 1, _TILE_STEPS, alone)
             assert np.array_equal(alone.states[0], ref.states[k])
             assert np.array_equal(alone.heat[0], ref.heat[k])
