@@ -165,20 +165,22 @@ _CSV_CALL_CELLS = 8192
 class _CsvWriter:
     """simulate's consumer for paths lo .. hi-1 of a run of steps: opens their
     files, appends each time block's rows t, x1 .. xn, W to them as it
-    arrives, and closes them with the last block. A block holding a path that
-    overflows (a non-finite state or heat) raises NumericalFailureError."""
+    arrives, with the heat W of sampler._StepHeat, and closes them with the
+    last block. A block holding a path that overflows (a
+    non-finite state or heat) raises NumericalFailureError."""
 
-    def __init__(self, prefix: str, lo: int, hi: int, n: int, dt: float, steps: int):
+    def __init__(self, prefix: str, lo: int, hi: int, model: LinearModel, dt: float, steps: int):
         from . import _csvfmt  # imported by the CSV commands only
 
         self.table, self.lo, self.dt, self.rows = _csvfmt.table, lo, dt, steps + 1
+        self.step_heat = sampler._StepHeat(model, lo, hi)
         # glibc gives freed memory at the top of the heap back to the system
         # once it exceeds a trim threshold, which it raises to twice the
         # largest mmapped block freed so far. Freeing one unused 2 MiB block
         # keeps a formatter call's temporaries (about 1 MB) on the heap;
         # otherwise every call faults most of them in again.
         np.empty(2**18)
-        header = ("t," + ",".join(f"x{i + 1}" for i in range(n)) + ",W\n").encode("ascii")
+        header = ("t," + ",".join(f"x{i + 1}" for i in range(model.n)) + ",W\n").encode("ascii")
         self.files = []
         try:
             for k in range(lo, hi):
@@ -192,11 +194,11 @@ class _CsvWriter:
         for fh in self.files:
             fh.close()
 
-    def __call__(self, k: int, states: np.ndarray, heat: np.ndarray) -> None:
-        """states (L, n, paths) and heat (L, paths) at indices k .. k + L - 1:
-        one formatter call per group of paths, each path's rows cut out of
-        the group's text."""
+    def __call__(self, k: int, states: np.ndarray) -> None:
+        """states (L, n, paths) at indices k .. k + L - 1: one formatter call
+        per group of paths, each path's rows cut out of the group's text."""
         length, n, paths = states.shape
+        heat = self.step_heat(k, states)
         finite = np.isfinite(states).all(axis=1) & np.isfinite(heat)
         if not finite.all():
             step, path = map(int, np.argwhere(~finite)[0])
@@ -227,7 +229,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     writers = []
 
     def writer(lo: int, hi: int) -> _CsvWriter:
-        writers.append(_CsvWriter(args.out, lo, hi, model.n, args.dt, args.steps))
+        writers.append(_CsvWriter(args.out, lo, hi, model, args.dt, args.steps))
         return writers[-1]
 
     try:

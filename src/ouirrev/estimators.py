@@ -7,13 +7,15 @@ Green-Kubo check) read one PathStatistics value: the per-path lag products
 x(t + lag) x(t)^T, so a verify run forms each lag's products once.
 stationary_statistics is the one producer of PathStatistics and of the heat
 rate (HdrEstimate). It hands an accumulator (_LagSums) the sampler's time
-blocks while the paths are generated (sampler.stream_batch), so no state
-array is kept: only per-path sums, a window of the last max(lag) states, and
-the heat at burn-in and at T. Each lag's products are summed per super-block
-of _SUPER_BLOCK consecutive later times (aligned to t = 0), then
-added in time order. greenkubo_check draws its conditional paths from a
-shared start the same way, keeping only each path's state at the lags
-(_LagStates), so no estimator stores a batch.
+blocks of states while the paths are generated (sampler.stream_batch), so no
+state array is kept: only per-path sums, a window of the last max(lag)
+states, and the states at burn-in and at T. Each lag's products are summed
+per super-block of _SUPER_BLOCK consecutive later times (aligned to t = 0),
+then added in time order. The heat is an exact function of the states, so
+the heat rate comes from the lag-one products and the end states
+(_heat_rates), not from a per-step sum. greenkubo_check draws its
+conditional paths from a shared start the same way, keeping only each path's
+state at the lags (_LagStates), so no estimator stores a batch.
 
 Both per-path reductions run in BLAS GEMMs whose shapes the run's parameters
 fix. Each super-block's lag products are (n x T) @ (T x n) products per path
@@ -146,7 +148,8 @@ def _lag_products(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
 class _LagSums:
     """Consumer of a chunk of paths, fed their states in global index order:
     per-path sums of x(j) x(j - ell)^T for each lag ell (in steps) over
-    j = k0 + ell .. steps, and the heat W at k0 and at steps.
+    j = k0 + ell .. steps, and the states at k0 and at steps (ends, shape
+    (2, paths, n)).
 
     The products of each super-block of _SUPER_BLOCK consecutive j (aligned
     to j = 0) are formed by one _lag_products call (GEMMs per path, whose
@@ -162,15 +165,15 @@ class _LagSums:
         self.hist = max(ells)
         self.window = np.empty((count, self.hist + _SUPER_BLOCK, n))
         self.sums = np.zeros((len(ells), count, n, n))
-        self.heat = np.empty((count, 2))
+        self.ends = np.empty((2, count, n))
 
-    def __call__(self, k: int, states: np.ndarray, heat: np.ndarray) -> None:
-        """states (L, n, paths) and heat (L, paths) at indices k .. k + L - 1."""
+    def __call__(self, k: int, states: np.ndarray) -> None:
+        """states (L, n, paths) at indices k .. k + L - 1."""
         last = k + len(states) - 1
         if k <= self.k0 <= last:
-            self.heat[:, 0] = heat[self.k0 - k]
+            self.ends[0] = states[self.k0 - k].T
         if last == self.steps:
-            self.heat[:, 1] = heat[-1]
+            self.ends[1] = states[-1].T
         pos = 0
         while pos < len(states):
             j = k + pos
@@ -199,6 +202,22 @@ class _LagSums:
             self.window[:, : self.hist] = self.window[:, _SUPER_BLOCK : _SUPER_BLOCK + self.hist]
 
 
+def _heat_rates(s_mat, ends, lag_one, span: float, dt: float) -> np.ndarray:
+    """Per-path rates (W(T) - W(k0)) / span of the midpoint heat W
+    (sampler._StepHeat) over span = (T - k0) dt, from the states at k0 and T,
+    ends (2, paths, n), and the per-path mean of x(j) x(j - 1)^T over
+    j = k0 + 1 .. T, lag_one (paths, n, n).
+
+    The heat is a function of the states: with S = s_mat, q(x) = x^T S x and
+    P1 the sum of x(j) x(j - 1)^T, the midpoint increments add up exactly to
+    W(T) - W(k0) = -[q(x(T)) - q(x(k0))] - tr((S - S^T) P1^T). The einsums
+    run numpy's own loops, not BLAS, so a path's rate depends only on its own
+    ends and sums.
+    """
+    q = np.einsum("kpi,ij,kpj->kp", ends, s_mat, ends)
+    return (q[0] - q[1]) / span - np.einsum("pij,ij->p", lag_one, s_mat - s_mat.T) / dt
+
+
 def stationary_statistics(
     law: StationaryLaw,
     dt: float,
@@ -212,12 +231,23 @@ def stationary_statistics(
     of sampler.stream_batch(law.model, dt, steps, n_paths, seed, ...,
     law=law) after burn-in, computed while the paths are generated: no state
     array is kept, only per-path lag sums, a window of the last max(lag)
-    states and the heat at burn-in and at T.
+    states and the states at burn-in and at T.
 
     The lag products are the per-path averages of x(t + lag) x(t)^T for each
     distinct lag (a repeated lag is computed once). The heat rate is, per
-    path, (W(T) - W(burn_in)) / (T - burn_in), averaged over paths (exact
-    summation), with its standard error over paths.
+    path, (W(T) - W(burn_in)) / (T - burn_in) of the Stratonovich midpoint
+    heat W, averaged over paths (exact summation), with its standard error
+    over paths. It is read from the lag-one products, summed alongside the
+    others and shared with a lag of one step, and the states at burn-in and
+    at T (_heat_rates).
+
+    The midpoint rule is exact for a reversible model, whose heat is the drop
+    of the quadratic potential, so the stationary rate is zero like the
+    entropy production rate. For an irreversible model the stationary mean of
+    one increment over a step h is tr((S - S^T) e^{-B h} Xi) with
+    S = A^{-1} B, which falls below epr * h by a relative O(h ||B||): on the
+    rotational model B = [[1, 1], [-1, 1]], Gamma = I at dt = 0.01 the rate
+    is 1.98007 against epr = 2.
 
     Raises
     ------
@@ -248,23 +278,23 @@ def stationary_statistics(
     span = (steps - k0) * dt
     if span <= 0.0 or n_paths < 2:
         raise InsufficientDataError("need at least 2 paths and a nonempty window after burn-in")
+    summed = ells if 1 in ells else (*ells, 1)  # the heat rate reads lag one
     n = law.model.n
     parts = stream_batch(
         law.model, dt, steps, n_paths, seed,
-        lambda lo, hi: _LagSums(ells, k0, steps, n, hi - lo),
+        lambda lo, hi: _LagSums(summed, k0, steps, n, hi - lo),
         # Per path: about two windows of up to _SUPER_BLOCK states (one after
         # its lag history).
         chunk_paths=_budget_paths(2 * min(steps, _SUPER_BLOCK) * n),
         law=law,
     )
     sums = np.concatenate([part.sums for part in parts], axis=1)
-    heat = np.concatenate([part.heat for part in parts])
-    products: dict[float, np.ndarray] = {}
-    for lag, ell, total in zip(distinct, ells, sums):
-        per_path = total / (steps + 1 - k0 - ell)
+    ends = np.concatenate([part.ends for part in parts], axis=1)
+    means = [total / (steps + 1 - k0 - ell) for ell, total in zip(summed, sums)]
+    for per_path in means:
         per_path.setflags(write=False)  # shared by every estimator that reads stats
-        products[lag] = per_path
-    rates = (heat[:, 1] - heat[:, 0]) / span
+    products = dict(zip(distinct, means))  # the requested lags only
+    rates = _heat_rates(law.classification.ainv_b, ends, means[summed.index(1)], span, dt)
     count = len(rates)
     hdr = HdrEstimate(
         value=math.fsum(rates.tolist()) / count,
@@ -337,7 +367,7 @@ class _LagStates:
         self.ells = ells
         self.states = np.empty((len(ells), count, n))
 
-    def __call__(self, k: int, states: np.ndarray, heat: np.ndarray) -> None:
+    def __call__(self, k: int, states: np.ndarray) -> None:
         for kept, ell in zip(self.states, self.ells):
             if k <= ell < k + len(states):
                 kept[...] = states[ell - k].T
@@ -349,7 +379,8 @@ def greenkubo_check(
     """Conditional-mean regression check at the lags of stats: the mean of
     n_paths paths from the shared start x0 must decay as e^{-B t} x0, and the
     stationary R(t, 0) of stats must match e^{-B t} Xi - the same time
-    dependence.
+    dependence. Both targets are taken at t = ell dt, the time of the ell
+    steps that stats and the paths sample at a lag.
 
     The paths are drawn with master seed seed (sampler.stream_batch), run
     exactly as long as the longest lag, and only their states at the lags
@@ -385,8 +416,8 @@ def greenkubo_check(
     scale = 1.0 + float(np.linalg.norm(x0))
     root_p = math.sqrt(n_paths)
     root_q = math.sqrt(stats.n_paths)
-    for (t, per_path), snap in zip(stats.lag_products.items(), snaps):
-        phi = linalg.expm(-law.model.B * t)  # e^{-B t}, for both targets
+    for ell, per_path, snap in zip(ells, stats.lag_products.values(), snaps):
+        phi = linalg.expm(-law.model.B * (ell * dt))  # e^{-B t}, for both targets
         target = phi @ x0
         se = snap.std(axis=0, ddof=1) / root_p
         z = np.abs(snap.mean(axis=0) - target) / np.maximum(se, 1e-300)

@@ -1,14 +1,14 @@
 """Path generation: exact one-step transition sampling, an
-Euler-Maruyama reference integrator, and on-path accumulation of the heat
-dissipation functional.
+Euler-Maruyama reference integrator, and the per-step heat dissipation
+functional of the paths a consumer receives.
 
 One entry point drives the integrator: stream_batch runs a batch in chunks
 of paths, in this thread or, with several workers (resolve_workers), on
-worker threads, and hands each chunk's time blocks to a consumer that the
-caller makes for the chunk's path range; it keeps nothing else. The
+worker threads, and hands each chunk's time blocks of states to a consumer
+that the caller makes for the chunk's path range; it keeps nothing else. The
 estimators sum per-path lag products from the blocks or keep the states at
-the lags, and the CLI's simulate writes them as CSV rows, so nothing stores
-a batch. A single path is a batch of one.
+the lags, and the CLI's simulate writes them as CSV rows with their heat
+(_StepHeat), so nothing stores a batch. A single path is a batch of one.
 
 Reproducibility contract
 ------------------------
@@ -23,43 +23,29 @@ threads or BLAS threads.
 After the draws, every matrix product runs in BLAS on fixed-shape tiles.
 Path p sits in column p mod _TILE of a tile of _TILE = 64 paths; chunks of
 paths start on tile edges and the last tile is padded with zero columns. The
-noise transform, each step of the recursion, the heat product S x_mid and the
-stationary-start transform are each one stacked np.matmul of (n, n) @
-(..., n, _TILE): a stack of GEMMs of one shape, whatever the batch. A GEMM
-column's bits depend on the GEMM's shape, not on the other columns, and the
-shape never changes, so neither do a path's bits. (OpenBLAS multiplies a
-product of a few columns with other kernels and other roundings, which is why
-the last tile is padded rather than cut to the batch.) One and two BLAS
-threads give the tile GEMMs the same bits. The elementwise steps (adding the
-noise, the midpoint, the dot product with dx summed over components in fixed
-order, the cumulative heat) are per path.
+noise transform, each step of the recursion and the stationary-start
+transform are each one stacked np.matmul of (n, n) @ (..., n, _TILE): a
+stack of GEMMs of one shape, whatever the batch. A GEMM column's bits depend
+on the GEMM's shape, not on the other columns, and the shape never changes,
+so neither do a path's bits. (OpenBLAS multiplies a product of a few columns
+with other kernels and other roundings, which is why the last tile is padded
+rather than cut to the batch.) One and two BLAS threads give the tile GEMMs
+the same bits. Adding the noise is per path.
 
 The integrator draws each path's normals a span of steps at a time, does the
-noise transform, recursion and heat sums in blocks of time steps in
-preallocated tile buffers, and hands each finished block to a consumer, so
-temporaries do not grow with the run. _blocking sizes both from n and the
-chunk width: a tile buffer holds at most _TIME_BLOCK steps and about
-_BLOCK_ELEMENTS doubles, and a span is whole blocks of about _SPAN_NORMALS
-normals per path, so the buffers grow with neither n nor the chunk.
-Blocking changes no bits: the draws continue each path's stream, every term
-is per step, and the cumulative heat of a block is a cumsum that starts from
-the carried W, the same left-to-right sum as one cumsum over all steps.
+noise transform and the recursion in blocks of time steps in preallocated
+tile buffers, and hands each finished block to a consumer, so temporaries do
+not grow with the run. _blocking sizes both from n and the chunk width: a
+tile buffer holds at most _TIME_BLOCK steps and about _BLOCK_ELEMENTS
+doubles, and a span is whole blocks of about _SPAN_NORMALS normals per path,
+so the buffers grow with neither n nor the chunk. Blocking changes no bits:
+the draws continue each path's stream and every term is per step.
 
 The step matrices come from linalg.expm (which multiplies with @ and calls
 solve), so they follow the BLAS build. The stationary-start factor comes from
 the Lyapunov solve, the sign-function iteration on n x n matrices, whose bits
 are the same with one and two BLAS threads; stationary starts are inside the
 contract.
-
-Heat increments use the Stratonovich midpoint rule,
-dW = 2 (A^{-1} b(x_mid)) . dx with x_mid the chord midpoint. With
-N = -2 B^T A^{-1}, the stationary mean of one increment over a step h is
-(1/2) tr((N - N^T) e^{-B h} Xi). For a reversible model N is symmetric, the
-mean is zero like the entropy production rate, and each increment is exactly
-the increment of the quadratic potential. For an irreversible model the mean
-falls below epr * h by a relative O(h ||B||): on the rotational model
-B = [[1, 1], [-1, 1]], Gamma = I at dt = 0.01 the rate is 1.98007 against
-epr = 2.
 """
 
 from __future__ import annotations
@@ -83,10 +69,10 @@ _CHUNK_ELEMENT_BUDGET = 5_000_000
 # its bits do not depend on how many paths or tiles share the call.
 _TILE = 64
 
-# Most time steps per pass of the noise transform, recursion and heat
-# accumulation, and about the most doubles in each of its tile buffers (time
-# steps x n x chunk width), so their temporaries grow with neither the run
-# length nor n nor the chunk (_blocking).
+# Most time steps per pass of the noise transform and recursion, and about
+# the most doubles in each of its tile buffers (time steps x n x chunk
+# width), so their temporaries grow with neither the run length nor n nor the
+# chunk (_blocking).
 _TIME_BLOCK = 128
 _BLOCK_ELEMENTS = 65_536
 
@@ -113,13 +99,12 @@ def _validate_grid(dt: float, steps: int) -> None:
 
 class _Update(NamedTuple):
     """Exact x' = Phi x + L z (drift Phi, noise_mat L = chol(Sigma_dt)) or Euler
-    x' = x - dt B x + sqrt(dt) Gamma z (drift B, noise_mat Gamma); S = A^{-1} B."""
+    x' = x - dt B x + sqrt(dt) Gamma z (drift B, noise_mat Gamma)."""
 
     method: str
     dt: float
     drift: np.ndarray
     noise_mat: np.ndarray
-    s_mat: np.ndarray
 
 
 def _update(model: LinearModel, dt: float, method: str) -> _Update:
@@ -131,7 +116,7 @@ def _update(model: LinearModel, dt: float, method: str) -> _Update:
         noise_mat = linalg.chol_spd(linalg.gram_integral(model.B, model.A, dt))
     else:
         drift, noise_mat = model.B, model.Gamma
-    return _Update(method, dt, drift, noise_mat, np.linalg.solve(model.A, model.B))
+    return _Update(method, dt, drift, noise_mat)
 
 
 def _tile_matmul(m: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
@@ -156,7 +141,7 @@ def _integrate(
     streams, start: np.ndarray, cols: slice, update: _Update, steps: int, consumer
 ) -> None:
     """Advance the paths of one chunk by steps and hand every finished time
-    block to consumer(k, states, heat).
+    block to consumer(k, states).
 
     streams holds one generator per path, positioned after any start draw;
     start is (n, tiles, _TILE), its flattened columns cols holding the paths
@@ -164,9 +149,9 @@ def _integrate(
     at a time, and each span runs in blocks of rows steps (_blocking). Inside
     a block the work is time-major with paths on the last axis, every matrix
     product a stack of per-tile GEMMs. consumer receives states (L, n, paths)
-    and heat (L, paths) at the global indices k .. k + L - 1: first index 0
-    (the starts, W = 0), then each time block in order. The arrays are reused,
-    so it must copy what it keeps.
+    at the global indices k .. k + L - 1: first index 0 (the starts), then
+    each time block in order. The array is reused, so it must copy what it
+    keeps.
     """
     n, tiles, _ = start.shape
     width = tiles * _TILE
@@ -177,19 +162,17 @@ def _integrate(
     draws = np.empty((len(streams), span_max + 1, n))
     block = np.empty((rows + 1, n, tiles, _TILE))
     z = np.zeros((rows, n, tiles, _TILE))  # the padding columns stay zero
-    noise, mid, prod = (np.empty(z.shape) for _ in range(3))
+    noise = np.empty(z.shape)
     fx = np.empty((tiles, n, _TILE))
-    wsum = np.zeros((rows + 1, tiles, _TILE))
     # Flat (time, n, paths) views for the copies and the consumer.
-    states, heat = block.reshape(rows + 1, n, width), wsum.reshape(rows + 1, width)
-    zflat = z.reshape(rows, n, width)
+    states, zflat = block.reshape(rows + 1, n, width), z.reshape(rows, n, width)
     block[0] = start
     block_t = block.swapaxes(1, 2)  # (time, tiles, n, _TILE) GEMM operands
     # The recursion's per-step views, made once: x_k and x_{k+1} as GEMM
     # operands, x_{k+1} and the noise of step k.
     steps_views = list(zip(block_t[:-1], block_t[1:], block[1:], noise))
     matmul, add, subtract = np.matmul, np.add, np.subtract
-    consumer(0, states[:1, :, cols], heat[:1, cols])
+    consumer(0, states[:1, :, cols])
     for s0 in range(0, steps, span_max):
         span = min(span_max, steps - s0)
         for c, stream in enumerate(streams):
@@ -211,25 +194,58 @@ def _integrate(
                 else:
                     matmul(update.drift, x_t, out=y_t)
                 add(y, e, out=y)
-            # Midpoint increments dW = -2 (S x_mid) . dx.
-            cur, nxt = block[:b], block[1 : b + 1]
-            np.add(nxt, cur, out=mid[:b])
-            mid[:b] *= 0.5
-            _tile_matmul(update.s_mat, mid[:b], prod[:b])
-            np.subtract(nxt, cur, out=mid[:b])  # mid now holds dx
-            prod[:b] *= mid[:b]
-            w = wsum[: b + 1]
-            w[1:] = prod[:b, 0]
-            for i in range(1, n):
-                w[1:] += prod[:b, i]
-            w[1:] *= -2.0
-            # Cumsum from the carried W; the first block starts at dW_1 itself,
-            # as one cumsum over all steps would (0.0 + -0.0 is +0.0).
-            first = 1 if s0 + r == 0 else 0
-            np.cumsum(w[first:], axis=0, out=w[first:])
-            consumer(s0 + r + 1, states[1 : b + 1, :, cols], heat[1 : b + 1, cols])
+            consumer(s0 + r + 1, states[1 : b + 1, :, cols])
             block[0] = block[b]
-            wsum[0] = w[b]
+
+
+class _StepHeat:
+    """The heat W of paths lo .. hi-1 of a batch of model at every step, for a
+    consumer of stream_batch: called with the starts at k = 0 and then each
+    time block's states (L, n, paths) at indices k .. k + L - 1, in order, it
+    returns W (L, paths) at the same indices, carrying the last state and W
+    across blocks.
+
+    Heat increments use the Stratonovich midpoint rule,
+    dW = -2 (S x_mid) . dx with S = A^{-1} B and x_mid the chord midpoint,
+    from W(0) = 0. For a reversible model S is symmetric and each increment
+    is exactly the increment of the quadratic potential.
+
+    The product S x_mid is a stack of (n, n) @ (n, _TILE) GEMMs on tiles
+    laid out as the sampler's, path p in column p mod _TILE, so its bits are
+    the same for any batch. The midpoint, dx and the dot product, summed
+    over components in fixed order, are elementwise per path. The running
+    sum of a block is a cumsum that starts from the carried W, and the first
+    block's from dW_1 itself, as one cumsum over all steps would (0.0 + -0.0
+    is +0.0). So W is the same bits for any time blocks, chunking or worker
+    count.
+    """
+
+    def __init__(self, model: LinearModel, lo: int, hi: int):
+        off = lo % _TILE
+        self.s_mat, self.cols = np.linalg.solve(model.A, model.B), slice(off, off + hi - lo)
+        self.width = _TILE * -(-self.cols.stop // _TILE)
+
+    def __call__(self, k: int, states: np.ndarray) -> np.ndarray:
+        b, n, count = states.shape
+        x = np.zeros((b + 1, n, self.width))  # the padding columns stay zero
+        x[1:, :, self.cols] = states
+        if k == 0:  # the starts
+            self.x, self.w = x[1], 0.0
+            return np.zeros((b, count))
+        x[0] = self.x
+        mid = (x[1:] + x[:-1]) * 0.5
+        prod, tiled = np.empty(mid.shape), (b, n, -1, _TILE)
+        _tile_matmul(self.s_mat, mid.reshape(tiled), prod.reshape(tiled))
+        prod = prod[:, :, self.cols] * (x[1:] - x[:-1])[:, :, self.cols]
+        w = np.empty((b + 1, count))
+        w[0], w[1:] = self.w, prod[:, 0]
+        for i in range(1, n):
+            w[1:] += prod[:, i]
+        w[1:] *= -2.0
+        first = 1 if k == 1 else 0
+        np.cumsum(w[first:], axis=0, out=w[first:])
+        self.x, self.w = x[-1], w[-1]
+        return w[1:]
 
 
 class _Job(NamedTuple):

@@ -6,9 +6,10 @@ of trace formulas, scipy's Bartels-Stewart solver instead of the sign-function
 solve, elementwise products instead of the sampler's BLAS tiles, einsum
 and fancy indexing instead of the estimators' GEMMs, a stored batch written
 path by path instead of simulate's streamed CSV files. The stored batch
-itself (sample_batch) is the sampler's paths in path-major arrays: the
-reference layout that the tests read states and heat from, where the package
-keeps only what each consumer needs of the streamed time blocks.
+itself (sample_batch) is the sampler's paths in path-major arrays, with the
+per-step heat of sampler._StepHeat: the reference layout that the tests read
+states and heat from, where the package keeps only what each consumer needs
+of the streamed time blocks.
 """
 
 from dataclasses import dataclass
@@ -38,25 +39,28 @@ class TrajectoryBatch:
 
 
 class Layout:
-    """sample_batch's consumer: copies each block into path-major states
-    (paths, steps + 1, n) and heat (paths, steps + 1)."""
+    """sample_batch's consumer for paths lo .. of a batch of model: copies
+    each block into path-major states (paths, steps + 1, n), and its per-step
+    heat (sampler._StepHeat) into heat (paths, steps + 1)."""
 
-    def __init__(self, states: np.ndarray, heat: np.ndarray):
+    def __init__(self, states: np.ndarray, heat: np.ndarray, model, lo: int):
         self.states, self.heat = states, heat
+        self.step_heat = sampler._StepHeat(model, lo, lo + len(states))
 
-    def __call__(self, k: int, states: np.ndarray, heat: np.ndarray) -> None:
+    def __call__(self, k: int, states: np.ndarray) -> None:
         self.states[:, k : k + len(states)] = states.transpose(2, 0, 1)
-        self.heat[:, k : k + len(heat)] = heat.T
+        self.heat[:, k : k + len(states)] = self.step_heat(k, states).T
 
 
 def sample_batch(model, dt, steps, n_paths, seed, *, x0=None, law=None, method="exact"):
-    """The paths of sampler.stream_batch with the same arguments, stored in
-    path-major arrays, in chunks of the sampler's element budget."""
+    """The paths of sampler.stream_batch with the same arguments and their
+    heat, stored in path-major arrays, in chunks of the sampler's element
+    budget."""
     states = np.empty((n_paths, steps + 1, model.n))
     heat = np.empty((n_paths, steps + 1))
     sampler.stream_batch(
         model, dt, steps, n_paths, seed,
-        lambda lo, hi: Layout(states[lo:hi], heat[lo:hi]),
+        lambda lo, hi: Layout(states[lo:hi], heat[lo:hi], model, lo),
         chunk_paths=sampler._budget_paths((steps + 1) * model.n), x0=x0, law=law, method=method,
     )
     return TrajectoryBatch(float(dt), states, heat)
@@ -160,12 +164,12 @@ def colmatvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate_paths(update, starts: np.ndarray, normals: np.ndarray):
+def integrate_paths(update, s_mat: np.ndarray, starts: np.ndarray, normals: np.ndarray):
     """Reference integrator: states (paths, steps + 1, n) and heat
     (paths, steps + 1) of the sampler's update (exact or euler) from starts
     (n, paths) and normals (paths, steps, n), one step at a time through
     colmatvec, the heat a running sum of the midpoint increments
-    -2 (S x_mid) . dx."""
+    -2 (S x_mid) . dx with S = s_mat."""
     n, count = starts.shape
     steps = normals.shape[1]
     states = np.empty((steps + 1, n, count))
@@ -181,7 +185,7 @@ def integrate_paths(update, starts: np.ndarray, normals: np.ndarray):
         else:
             states[k + 1] = colmatvec(update.drift, x) + noise
         mid = 0.5 * (states[k + 1] + x)
-        dw = (colmatvec(update.s_mat, mid) * (states[k + 1] - x)).sum(axis=0)
+        dw = (colmatvec(s_mat, mid) * (states[k + 1] - x)).sum(axis=0)
         heat[k + 1] = heat[k] - 2.0 * dw
     return states.transpose(2, 0, 1), heat.T
 

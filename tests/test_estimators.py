@@ -197,6 +197,16 @@ class TestGreenKubo:
         batch = sample_batch(rot_law.model, 0.02, 50, 130, 900, x0=x0)
         assert np.array_equal(kept[0], batch.states[:, [25, 5, 50]].transpose(1, 0, 2))
 
+    def test_targets_at_sampled_time(self, rot_law):
+        # 0.100000005 is 10 steps of 0.01 within _lag_steps' tolerance: the
+        # paths and lag products sample t = 0.1, and so must both targets.
+        results = []
+        for lags in ((0.100000005, 0.5), (0.1, 0.5)):
+            stats, _ = stationary_statistics(rot_law, 0.01, 200, 20, 6, lags)
+            gk = greenkubo_check(rot_law, stats, dt=0.01, n_paths=20, seed=7, x0=[1.0, 1.0])
+            results.append((gk.max_abs_z, gk.max_deviation, gk.max_abs_z_two_time))
+        assert results[0] == results[1]
+
     def test_validation_before_sampling(self, rot_law, monkeypatch):
         stats, _ = _run_stats(rot_law, ROT_SEED, [0.2, 0.5])
 
@@ -356,7 +366,8 @@ _STREAM_CASES = [
 class TestStreamedStatistics:
     """stationary_statistics accumulates while it samples; it must give the
     same bits as the oracles applied to the stored batch of the same paths:
-    _superblock_oracle for the lag products, and the heat-rate formula."""
+    _superblock_oracle for the lag products, and the heat-rate formula on
+    its lag-one products and the stored states at burn-in and at T."""
 
     @pytest.mark.parametrize("n", [1, 2, 16])
     @pytest.mark.parametrize("case", _STREAM_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
@@ -368,7 +379,10 @@ class TestStreamedStatistics:
         lags = tuple(ell * dt for ell in ells)
         batch = sample_batch(m, dt, steps, n_paths, seed, law=law)
         refs = [_superblock_oracle(batch.states, k0, ell) for ell in ells]
-        rates = (batch.heat[:, -1] - batch.heat[:, k0]) / ((steps - k0) * dt)
+        ends = batch.states[:, [k0, -1]].transpose(1, 0, 2)
+        lag_one = _superblock_oracle(batch.states, k0, 1)
+        span = (steps - k0) * dt
+        rates = estimators._heat_rates(law.classification.ainv_b, ends, lag_one, span, dt)
         ref_hdr = (
             math.fsum(rates.tolist()) / n_paths,
             float(rates.std(ddof=1)) / math.sqrt(n_paths),
@@ -386,8 +400,7 @@ class TestStreamedStatistics:
             law=law,
         )
         assert len(parts) == 2
-        heat = np.concatenate([part.heat for part in parts])
-        assert np.array_equal(heat, batch.heat[:, [k0, -1]])
+        assert np.array_equal(np.concatenate([part.ends for part in parts], axis=1), ends)
         sums = np.concatenate([part.sums for part in parts], axis=1)
         for total, ell, ref in zip(sums, ells, refs):
             assert np.array_equal(total / (steps + 1 - k0 - ell), ref)
@@ -448,6 +461,34 @@ class TestStreamedStatistics:
         monkeypatch.setattr(estimators, "stream_batch", no_sampling)
         with pytest.raises(error, match=match):
             stationary_statistics(law, dt, 100, 4, 1, lags, burn_in)
+
+
+class TestHeatIdentity:
+    """The heat from the end states and the lag-one products (_heat_rates)
+    is the midpoint sum: per path, W(T) - W(k0) within 1e-12 of the largest
+    magnitude of the BLAS-free running sum of oracles.integrate_paths."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [rotational_model(1.0), build_model([[2.0, 1.0], [1.0, 2.0]], np.eye(2)), sin_model(16)],
+        ids=["rot2", "rev2", "irr16"],
+    )
+    def test_matches_midpoint_sum(self, m):
+        law = stationary_law(m)
+        s_mat = law.classification.ainv_b
+        dt, steps, k0, n_paths, seed = 0.01, 600, 100, 5, 13
+        streams = [sampler.path_stream(seed, p) for p in range(n_paths)]
+        z0 = np.stack([s.standard_normal(m.n) for s in streams], axis=1)
+        normals = np.stack([s.standard_normal((steps, m.n)) for s in streams])
+        states, heat = oracles.integrate_paths(
+            sampler._update(m, dt, "exact"), s_mat, oracles.colmatvec(law.chol_Xi, z0), normals
+        )
+        ends = states[:, [k0, -1]].transpose(1, 0, 2)
+        lag_one = oracles.lag_products(states[:, k0 + 1 :], states[:, k0:-1]) / (steps - k0)
+        span = (steps - k0) * dt
+        got = estimators._heat_rates(s_mat, ends, lag_one, span, dt) * span
+        ref = heat[:, -1] - heat[:, k0]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _random_stats(n: int, n_paths: int) -> PathStatistics:

@@ -91,7 +91,7 @@ from ouirrev.stationary import stationary_law
 law = stationary_law(build_model([[1.0, 1.0], [-1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]))
 assert len(sampler._chunk_bounds(130, 1000, 2)) == 2
 sampler.stream_batch(
-    law.model, 0.01, 100, 130, 3, lambda lo, hi: lambda k, states, heat: None,
+    law.model, 0.01, 100, 130, 3, lambda lo, hi: lambda k, states: None,
     chunk_paths=1000, law=law,
 )
 assert len(sampler._chunk_bounds(70, sampler._budget_paths(2 * 100 * 2), 2)) == 2

@@ -31,7 +31,7 @@ def _stream(m: LinearModel, dt, steps, n_paths, seed, **kwargs) -> None:
     """stream_batch into consumers that keep nothing: the argument checks
     without a stored batch."""
     stream_batch(
-        m, dt, steps, n_paths, seed, lambda lo, hi: lambda k, states, heat: None,
+        m, dt, steps, n_paths, seed, lambda lo, hi: lambda k, states: None,
         chunk_paths=_TILE, **kwargs,
     )
 
@@ -246,7 +246,7 @@ class TestBatchDeterminism:
         batch = sample_batch(m, dt=0.01, steps=100, n_paths=5, seed=101, x0=[1.0, 0.0])
         job = _prepare(m, 0.01, 100, 5, 101, [1.0, 0.0], None, "exact")
         for k in range(5):
-            alone = Layout(np.empty((1, 101, m.n)), np.empty((1, 101)))
+            alone = Layout(np.empty((1, 101, m.n)), np.empty((1, 101)), m, k)
             _generate(job, k, k + 1, 100, alone)
             assert np.array_equal(batch.states[k], alone.states[0])
             assert np.array_equal(batch.heat[k], alone.heat[0])
@@ -346,7 +346,7 @@ class TestTileBoundaries:
         x0, law = (None, stationary_law(m)) if start == "law" else (np.linspace(1.0, -0.5, n), None)
         job = _prepare(m, 0.01, _TILE_STEPS, 130, 41, x0, law, method)
         for k in (0, 63, 64, 129):
-            alone = Layout(np.empty((1, _TILE_STEPS + 1, n)), np.empty((1, _TILE_STEPS + 1)))
+            alone = Layout(np.empty((1, _TILE_STEPS + 1, n)), np.empty((1, _TILE_STEPS + 1)), m, k)
             _generate(job, k, k + 1, _TILE_STEPS, alone)
             assert np.array_equal(alone.states[0], ref.states[k])
             assert np.array_equal(alone.heat[0], ref.heat[k])
@@ -364,22 +364,22 @@ class TestTileBoundaries:
                 law=law,
             )
             sums = np.concatenate([part.sums for part in parts], axis=1)
-            return sums, np.concatenate([part.heat for part in parts]), len(parts)
+            return sums, np.concatenate([part.ends for part in parts], axis=1), len(parts)
 
         monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
-        ref_sums, ref_heat, chunks = run(3 * _TILE)
+        ref_sums, ref_ends, chunks = run(3 * _TILE)
         assert chunks == 1
         for chunk_paths in (40, 100):  # a chunk would end mid-tile
             for workers in ("1", "2", "5"):
                 monkeypatch.setenv("OU_IRREV_THREADS", workers)
-                sums, heat, chunks = run(chunk_paths)
+                sums, ends, chunks = run(chunk_paths)
                 assert chunks > 1
                 assert np.array_equal(sums, ref_sums)
-                assert np.array_equal(heat, ref_heat)
+                assert np.array_equal(ends, ref_ends)
 
     def test_stream_buffers_sized_by_elements(self):
         # n = 16 on one 64-path tile over 2000 steps, keeping nothing: 64-step
-        # blocks and 128-step draw spans peak at about 3.7 MiB (five tile
+        # blocks and 128-step draw spans peak at about 2.6 MiB (three tile
         # buffers of 64 x 16 x 64 doubles, 64 x 129 x 16 normals); 128-step
         # blocks and 1024-step draws peaked at about 13 MiB.
         law = stationary_law(sin_model(16))
@@ -387,7 +387,7 @@ class TestTileBoundaries:
         tracemalloc.start()
         try:
             stream_batch(
-                law.model, 0.01, 2000, _TILE, 5, lambda lo, hi: lambda k, states, heat: None,
+                law.model, 0.01, 2000, _TILE, 5, lambda lo, hi: lambda k, states: None,
                 chunk_paths=_TILE, law=law,
             )
             peak = tracemalloc.get_traced_memory()[1]
@@ -416,6 +416,31 @@ class TestTileBoundaries:
         budget = sampler._CHUNK_ELEMENT_BUDGET
         assert sampler._budget_paths(budget // 100) == 100
         assert sampler._budget_paths(2 * budget) == 1
+
+
+class TestStepHeat:
+    """The per-step heat of sampler._StepHeat: the same bits for any time
+    blocks after the starts, from W(0) = 0 and with the first increment as
+    is."""
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_time_block_invariance(self, n):
+        # sample_batch fed it the sampler's 128-step (n = 2) or 64-step blocks
+        m = sin_model(n)
+        batch = sample_batch(m, 0.01, 300, 3, 8, law=stationary_law(m))
+        states = batch.states.transpose(1, 2, 0)
+        for ends in ((1, 301), (1, 2, 301), (1, 5, 301), (1, 8, 136, 301)):
+            step_heat = sampler._StepHeat(m, 0, 3)
+            blocks = [step_heat(lo, states[lo:hi]) for lo, hi in zip((0, *ends), ends)]
+            assert np.array_equal(np.concatenate(blocks).T, batch.heat)
+
+    def test_first_increment_keeps_its_sign(self):
+        # x(1) = x(2) = x(0) and S x_mid > 0: dW_1 = -2 (+0.0) = -0.0, which
+        # W(1) keeps as one cumsum over all steps would (0.0 + -0.0 is +0.0).
+        step_heat = sampler._StepHeat(build_model([[1.0]], [[1.0]]), 0, 1)
+        heat = np.concatenate([step_heat(0, np.ones((1, 1, 1))), step_heat(1, np.ones((2, 1, 1)))])
+        assert heat.tolist() == [[0.0], [0.0], [0.0]]
+        assert np.signbit(heat[:, 0]).tolist() == [False, True, True]
 
 
 class TestWorkerResolution:
@@ -539,7 +564,7 @@ class TestReferenceIntegrator:
         z0 = np.stack([s.standard_normal(n) for s in streams], axis=1)
         normals = np.stack([s.standard_normal((steps, n)) for s in streams])
         states, heat = integrate_paths(
-            _update(m, 0.01, method), colmatvec(law.chol_Xi, z0), normals
+            _update(m, 0.01, method), np.linalg.solve(m.A, m.B), colmatvec(law.chol_Xi, z0), normals
         )
         for got, ref in ((batch.states, states), (batch.heat, heat)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
