@@ -7,16 +7,20 @@ The law at time t started from the point x0 is Gaussian with
     mean(t) = e^{-B t} x0,    cov(t) = integral_0^t e^{-B s} A e^{-B^T s} ds,
 
 valid for any B, including sweeping models. propagate evaluates it at one
-time. On a uniform grid t_k = k h, propagate_grid steps the same law by its
-exact one-step recursion (the Markov property)
+time. On a uniform grid t_k = k h, propagate_grid fills the rows by the
+composition law of the law itself (the Markov property)
 
-    mean <- Phi mean,    cov <- Phi cov Phi^T + Sigma_h,
-    Phi = e^{-B h},      Sigma_h = cov(h),
+    mean(t + s) = Phi(s) mean(t),    cov(t + s) = Phi(s) cov(t) Phi(s)^T + G(s),
+    Phi(s) = e^{-B s},               G(s) = cov(s) from a point start,
 
-so each kernel runs once per grid rather than once per row. The stepped grid
-is deterministic and agrees with per-row propagate to a normwise relative
-1e-9 or better. The grid comes back as one GaussianState whose fields carry a
-leading grid axis.
+doubling s: rows [m, 2m) come from rows [0, m) in one stacked product with
+s = m h, then G(2 m h) and Phi(2 m h) follow from the same law, as in
+linalg.gram_integral. A grid of N rows takes ceil(log2 N) such passes, and the
+kernels run once per grid rather than once per row. The grid is
+deterministic, a row's bits do not depend on how many rows follow it, and
+every row agrees with per-row propagate to a normwise relative 1e-12 (the
+test bound). It comes back as one GaussianState whose fields carry a leading
+grid axis.
 
 Instantaneous rates are Gaussian moment evaluations of the stationary-theory
 integrands at the time-t law (mean mu, covariance C); with
@@ -105,15 +109,18 @@ def propagate_grid(model: LinearModel, x0, t_step: float, n_rows: int) -> Gaussi
     """Laws at t_k = k * t_step for k = 0 .. n_rows - 1, started from the point
     x0, stacked along a leading grid axis: t (N,), mean (N, n), cov (N, n, n).
 
-    Steps mean <- Phi mean, cov <- Phi cov Phi^T + Sigma_h from mean = x0,
-    cov = 0, with Phi and Sigma_h computed once. cov is symmetrized after every
-    step, so rounding cannot accumulate an asymmetry over thousands of steps.
+    Row 0 is mean = x0, cov = 0. With Phi = Phi(m h) and G = G(m h) for
+    m = 1, 2, 4, ..., rows [m, 2m) are mean_{k+m} = Phi mean_k and
+    cov_{k+m} = Phi cov_k Phi^T + G for k in [0, m), the last block cut to the
+    rows that are left. Phi and G are doubled only while a later block needs
+    them, so no overflow comes from work that is thrown away. Every
+    covariance is symmetrized as it is written.
 
     Raises
     ------
     NumericalFailureError
-        As soon as the mean or covariance overflows (sweeping models on long
-        grids).
+        If the mean or covariance of some row overflows (sweeping models on
+        long grids); names the time of the first such row.
     """
     xv = np.asarray(x0, dtype=float)
     if xv.shape != (model.n,):
@@ -124,16 +131,28 @@ def propagate_grid(model: LinearModel, x0, t_step: float, n_rows: int) -> Gaussi
     if n_rows < 1:
         raise ValueError(f"grid needs at least one row, got {n_rows}")
     phi = linalg.expm(-model.B * h)
-    sigma = linalg.gram_integral(model.B, model.A, h)
+    g = linalg.gram_integral(model.B, model.A, h)
     means = np.empty((n_rows, model.n))
     covs = np.empty((n_rows, model.n, model.n))
     means[0], covs[0] = xv, 0.0
+    m = 1
     # Overflow is detected by the finiteness check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_rows):
-            means[k] = phi @ means[k - 1]
-            cov = phi @ covs[k - 1] @ phi.T + sigma
-            covs[k] = 0.5 * (cov + cov.T)
+        while m < n_rows:
+            # Here phi = Phi(m h) and g = G(m h); rows [m, m + r) from rows [0, r).
+            r = min(m, n_rows - m)
+            # einsum, not a GEMM: its per-row sums do not change with r, so a
+            # row's bits do not depend on how many rows follow it.
+            np.einsum("ij,kj->ki", phi, means[:r], out=means[m : m + r])
+            cov = phi @ covs[:r] @ phi.T + g
+            covs[m : m + r] = 0.5 * (cov + cov.swapaxes(-1, -2))
+            m *= 2
+            if m >= n_rows:
+                break
+            # gram_integral's doubling step
+            g = phi @ g @ phi.T + g
+            g = 0.5 * (g + g.T)
+            phi = phi @ phi
     finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
     if not finite.all():
         k = int(np.argmin(finite))

@@ -379,14 +379,22 @@ class TestTransientCommand:
             assert len(calls) == 1
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("payload", [SWEEP_1D, SWEEP], ids=["n1", "n2"])
-    def test_overflow_exit_2(self, payload, model_file, capsys):
+    @pytest.mark.parametrize(
+        "payload, t_max, t_step, t",
+        [
+            (SWEEP_1D, "400", "1", "355.0"),
+            (SWEEP, "400", "1", "355.0"),
+            (SWEEP_FAST, "30", "0.1", "17.900000000000002"),
+        ],
+        ids=["n1", "n2", "n2-fast"],
+    )
+    def test_overflow_exit_2(self, payload, t_max, t_step, t, model_file, capsys):
+        # the message names the first grid row whose law is not finite
         x0 = ",".join(["1"] * len(payload["B"]))
-        argv = ["transient", model_file(payload), "--x0", x0, "--t-max", "400", "--t-step", "1"]
+        argv = ["transient", model_file(payload), "--x0", x0, "--t-max", t_max, "--t-step", t_step]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: ")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err == f"numerical failure: transient law overflows at t = {t}\n"
 
     @pytest.mark.parametrize("t_max", ["inf", "nan"])
     def test_non_finite_grid_exit_1(self, t_max, model_file, capsys):
@@ -475,16 +483,16 @@ _TRANSIENT_PIN_CASES = {
     ),
 }
 _TRANSIENT_PIN_DIGESTS = {
-    "rot2": "d5150541bcd9af604f4e851fe5ea07c6780d4e3d53f035c93c94f8e4d927f4f7",
-    "rev2": "bd130aef61c490125bef8674308f9775fb56573dca65d1eb56daed6fd02f9c09",
-    "ring8": "195c8d2e465326b692417179837e67c529e505dc67fb4d2c4251a85628f366c8",
-    "rot2-faint": "8a2268111d0e38ebd237d51e4d94029bd3ad19e2614887816bb1793cd6ad38c4",
+    "rot2": "c84fd5d214446e05ce27bf8d806ef1cc5684ff23fbd6ff8de4e7ddf2cf026f9e",
+    "rev2": "53d38c590dd246061429778eae727859b671bafb5fb34888465696e827e08e6f",
+    "ring8": "e04fc2f314e618c816f1773524918cf38d15c339c98d168b742d358a1cf3f14b",
+    "rot2-faint": "1e3372ea2f3d4b0e747b1d2bdcca92e61d973ebdf7075647e40ab6d2cd0795d7",
 }
 
 
 class TestTransientCsvPin:
-    """Pins the exact bytes of `transient` CSVs: the stepped law, entropy,
-    rates and (for the reversible model) free energy of every row."""
+    """Pins the exact bytes of `transient` CSVs: the law built by doubling,
+    entropy, rates and (for the reversible model) free energy of every row."""
 
     @pytest.mark.parametrize("case", sorted(_TRANSIENT_PIN_CASES))
     def test_digest(self, case, model_file, capsys):

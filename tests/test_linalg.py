@@ -6,6 +6,8 @@ import scipy.linalg
 
 from ouirrev import linalg
 from ouirrev.exceptions import DegenerateModelError, NotPositiveDefiniteError, NumericalFailureError
+from ouirrev.model import build_model
+from ouirrev.stationary import stationary_law
 
 from conftest import ring_model, with_blas_threads
 from oracles import companion_eigvals, gram_quadrature, match_spectra
@@ -129,6 +131,31 @@ class TestExpm:
             linalg.expm(1e30 * np.eye(2))
 
 
+# The absolute residual bound these closed-form and random solves met before
+# acceptance moved to the backward error; kept here as a check on them.
+LYAP_ABS_RESIDUAL = 1e-9
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def triangular_lyapunov_draw():
+    """150 stable upper-triangular b (strict upper entries N(0, 4), diagonal
+    U(0.01, 3), n from 1 to 32) with a = g g^T + 0.1 I: non-normal b whose
+    solutions are large, indexed in draw order."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(150):
+        n = int(rng.integers(1, 33))
+        b = np.triu(rng.normal(0.0, 2.0, (n, n)), 1) + np.diag(rng.uniform(0.01, 3.0, n))
+        g = rng.standard_normal((n, n))
+        cases.append((b, g @ g.T + 0.1 * np.eye(n)))
+    return cases
+
+
+# Draws 132 (n = 13, min Re eigenvalue 0.148), 9, 43, 22 and 110 (n = 15 to 18):
+# exact to rounding, but over the former bound 1e-9 (1 + ||a||_F) on the residual.
+NON_NORMAL_CASES = [triangular_lyapunov_draw()[i] for i in (132, 9, 43, 22, 110)]
+
+
 class TestSolveLyapunov:
     def test_identity_drift(self):
         a = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -160,7 +187,7 @@ class TestSolveLyapunov:
             xi = linalg.solve_lyapunov(b, a)
             assert linalg.sym_defect(xi) == 0.0
             res = np.linalg.norm(b @ xi + xi @ b.T - a)
-            assert res <= linalg.TOL_LYAP * (1 + np.linalg.norm(a))
+            assert res <= LYAP_ABS_RESIDUAL * (1 + np.linalg.norm(a))
 
     # Spread spectrum; large right-hand side; eigenvalues 1e-8 +- i, next to
     # the imaginary axis, where the first sign step cancels and only the
@@ -178,7 +205,52 @@ class TestSolveLyapunov:
         got = linalg.solve_lyapunov(b, a)
         assert np.max(np.abs(got - xi)) <= 1e-14 * np.max(np.abs(xi))
         res = np.linalg.norm(b @ got + got @ b.T - a)
-        assert res <= linalg.TOL_LYAP * (1 + np.linalg.norm(a))
+        assert res <= LYAP_ABS_RESIDUAL * (1 + np.linalg.norm(a))
+
+    @pytest.mark.parametrize("case", range(len(NON_NORMAL_CASES)))
+    def test_non_normal_drift_accepted(self, case):
+        b, a = NON_NORMAL_CASES[case]
+        n = b.shape[0]
+        model = build_model(b, np.linalg.cholesky(a))
+        xi = stationary_law(model).Xi
+        assert np.linalg.norm(model.B @ xi + xi @ model.B.T - model.A) > 1e-9 * (
+            1 + np.linalg.norm(model.A)
+        )
+        # Both solutions are backward stable, so they agree to what the
+        # condition of the operator X -> b X + X b^T allows.
+        ref = scipy.linalg.solve_continuous_lyapunov(model.B, model.A)
+        op = np.kron(np.eye(n), model.B) + np.kron(model.B, np.eye(n))
+        allowed = np.linalg.cond(op) * 2 * linalg.TOL_LYAP * n * UNIT_ROUNDOFF
+        assert np.linalg.norm(xi - ref) <= allowed * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("scale", [1e-16, 1e-8, 1e-3, 1.0, 7.0, 1e8, 1e16])
+    @pytest.mark.parametrize(
+        "b, a",
+        [
+            NON_NORMAL_CASES[0],
+            (np.array([[1.0, 1.0], [-1.0, 1.0]]), np.eye(2)),
+            (np.diag([1e-6, 1.0, 1e3]), np.eye(3)),
+            (np.array([[1e-8, 1.0], [-1.0, 1e-8]]), np.eye(2)),
+        ],
+        ids=["triangular13", "rot2", "spread", "near-axis"],
+    )
+    def test_acceptance_independent_of_units(self, b, a, scale):
+        # The solve is accepted at every scale of a; the true solution off by
+        # 1e-8 relative is rejected at every scale, also where a is so small
+        # that an absolute residual bound would pass it.
+        xi = linalg.solve_lyapunov(b, scale * a)
+        assert linalg._lyapunov_accepts(b, scale * a, xi)
+        e = np.random.default_rng(41).standard_normal(b.shape)
+        e = (e + e.T) / np.linalg.norm(e + e.T)
+        off = xi + 1e-8 * np.linalg.norm(xi) * e
+        assert not linalg._lyapunov_accepts(b, scale * a, off)
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_solution_rejected(self, value):
+        # with b > 0 entrywise the residual of an all-inf x is inf, not NaN
+        b = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert not linalg._lyapunov_accepts(b, np.eye(2), np.full((2, 2), value))
 
     def test_degenerate_pair_raises(self):
         # eigenvalues +1 and -1 sum to zero: no solution, and b is not stable

@@ -20,11 +20,11 @@ from ouirrev.transient import (
     transition_density,
 )
 
-from conftest import rotational_model, thermo_corpus
+from conftest import ring_model, rotational_model, thermo_corpus
 from oracles import gaussian_kl
 
 FD_STEP = 1e-4
-GRID_RTOL = 1e-9
+GRID_RTOL = 1e-12
 
 
 def irreversible_8d():
@@ -33,6 +33,11 @@ def irreversible_8d():
     g = rng.standard_normal((8, 8))
     w = rng.standard_normal((8, 8))
     return build_model(g @ g.T / 8 + 0.5 * np.eye(8) + (w - w.T), np.eye(8))
+
+
+def ring_8d():
+    ring = ring_model(8)
+    return build_model(ring["B"], ring["Gamma"])
 
 
 def rates_reference(model, state):
@@ -111,6 +116,17 @@ class TestPropagate:
             propagate(build_model([[-1.0]], [[1.0]]), [1.0], 360.0)
 
 
+def assert_rows_match_propagate(grid, model, x0, h):
+    """Every row of a grid within GRID_RTOL (normwise relative) of the law
+    evaluated afresh at its time, with an exactly symmetric covariance."""
+    for k, (t, mean, cov) in enumerate(zip(grid.t, grid.mean, grid.cov)):
+        ref = propagate(model, x0, k * h)
+        assert t == k * h
+        for got, want in ((mean, ref.mean), (cov, ref.cov)):
+            assert np.linalg.norm(got - want) <= GRID_RTOL * np.linalg.norm(want)
+        assert np.array_equal(cov, cov.T)
+
+
 class TestPropagateGrid:
     @pytest.mark.parametrize(
         "model, x0, h, n_rows",
@@ -119,18 +135,30 @@ class TestPropagateGrid:
             (build_model([[2.0, 1.0], [1.0, 2.0]], np.eye(2)), [1.0, -3.0], 0.01, 1001),
             (build_model(np.diag([-1.0, 1.0]), np.eye(2)), [1.0, 1.0], 0.05, 401),
             (irreversible_8d(), np.linspace(-1.0, 1.0, 8), 0.02, 501),
+            (ring_8d(), [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0], 0.01, 201),
         ],
-        ids=["rot2", "reversible2", "sweeping2", "irreversible8"],
+        ids=["rot2", "reversible2", "sweeping2", "irreversible8", "ring8"],
     )
     def test_matches_propagate_every_row(self, model, x0, h, n_rows):
         grid = propagate_grid(model, x0, h, n_rows)
         assert len(grid.t) == n_rows
-        for k, (t, mean, cov) in enumerate(zip(grid.t, grid.mean, grid.cov)):
-            ref = propagate(model, x0, k * h)
-            assert t == k * h
-            for got, want in ((mean, ref.mean), (cov, ref.cov)):
-                assert np.linalg.norm(got - want) <= GRID_RTOL * np.linalg.norm(want)
-            assert np.array_equal(cov, cov.T)
+        assert_rows_match_propagate(grid, model, x0, h)
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize(
+        "model, x0",
+        [(rotational_model(1.0), [2.0, 0.0]), (irreversible_8d(), np.linspace(-1.0, 1.0, 8))],
+        ids=["rot2", "irreversible8"],
+    )
+    def test_lengths_across_doubling_boundaries(self, model, x0, n_rows):
+        # Rows [m, 2m) come from rows [0, m), the last block cut short, so a
+        # grid is the prefix of any longer grid on the same step, bit for bit.
+        grid = propagate_grid(model, x0, 0.05, n_rows)
+        assert grid.mean.shape == (n_rows, model.n) and grid.cov.shape == (n_rows, model.n, model.n)
+        assert_rows_match_propagate(grid, model, x0, 0.05)
+        longer = propagate_grid(model, x0, 0.05, 130)
+        assert np.array_equal(grid.mean, longer.mean[:n_rows])
+        assert np.array_equal(grid.cov, longer.cov[:n_rows])
 
     def test_first_row_is_point_mass(self):
         grid = propagate_grid(rotational_model(1.0), [1.0, 2.0], 0.1, 1)
@@ -140,9 +168,16 @@ class TestPropagateGrid:
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_is_numerical_failure(self):
-        # the one-step kernels are finite; the stepped covariance overflows near t = 355
-        with pytest.raises(NumericalFailureError):
-            propagate_grid(build_model([[-1.0]], [[1.0]]), [1.0], 1.0, 401)
+        # The one-step kernels are finite; the message names the first row
+        # whose law is not finite.
+        for b, h, n_rows, t in [
+            ([[-1.0]], 1.0, 401, "355.0"),
+            (np.diag([-20.0, 1.0]), 0.1, 301, "17.900000000000002"),
+        ]:
+            model = build_model(b, np.eye(len(b)))
+            with pytest.raises(NumericalFailureError) as info:
+                propagate_grid(model, np.ones(model.n), h, n_rows)
+            assert str(info.value) == f"transient law overflows at t = {t}"
 
     @pytest.mark.parametrize("h, n_rows", [(0.0, 3), (-0.1, 3), (math.inf, 3), (0.1, 0)])
     def test_bad_grid_rejected(self, h, n_rows):
