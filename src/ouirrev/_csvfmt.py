@@ -4,13 +4,12 @@ Python's repr of a float is the shortest decimal that reads back as the same
 double (the closest such decimal when several have that length), laid out in
 fixed notation when the decimal exponent decpt (value = 0.d1d2... * 10**decpt)
 satisfies -4 < decpt <= 16, else as d.ddde+XX. Calling repr once per cell
-costs about a microsecond; rows() and table() instead select the digits of a
-whole block of cells at once with Schubfach (R. Giulietti, "The Schubfach way
-to render doubles", 2020), which needs only 64-bit integer arithmetic and so
-runs on numpy uint64 arrays, and lay the text out with a few scatters into
-one byte buffer. rows() yields a table's text a few thousand cells at a time;
-table() formats a block in one pass and returns where each row ends, so that
-a caller can cut any run of rows out of the text.
+costs about a microsecond; table() instead selects the digits of a few
+thousand cells at once with Schubfach (R. Giulietti, "The Schubfach way to
+render doubles", 2020), which needs only 64-bit integer arithmetic and so
+runs on numpy uint64 arrays, and lays the text out with a few scatters into
+one byte buffer. It returns where each row ends, so that a caller can cut
+any run of rows out of the text.
 
 Schubfach's shortening step removes at most one digit, which is enough for
 every normal double but not for the shortest subnormals (it would write
@@ -24,11 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
-# Cells per formatting pass. Each numpy call costs about a microsecond
-# whatever its length, and each pass holds a few dozen arrays of this length
-# (8 bytes a cell) and one of up to 8 digit places a cell: 4096 cells keep
-# that below 1 MB.
-_BLOCK_CELLS = 4096
+# Most cells per formatting pass. A pass makes about 250 numpy calls, each
+# costing about a microsecond whatever its length, and holds a few dozen
+# arrays of this length (8 bytes a cell) and one of up to 8 digit places a
+# cell: 8192 cells peak at 1.37 MB of temporaries (tracemalloc), text
+# included.
+_BLOCK_CELLS = 8192
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
@@ -38,6 +38,13 @@ _K_MIN, _K_MAX = -324, 292
 _ZERO, _DOT, _MINUS, _PLUS, _E = (ord(c) for c in "0.-+e")
 # 10**0 .. 10**19: digit counts by searchsorted, and left-aligning to 18 digits.
 _POW10 = np.array([10**j for j in range(20)], dtype=_U)
+
+# glibc gives freed memory at the top of the heap back to the system once it
+# exceeds a trim threshold, which it raises to twice the largest mmapped
+# block freed so far. Freeing one unused 2 MiB block keeps a pass's
+# temporaries (below 1.4 MB) on the heap; otherwise every pass faults most of
+# them in again.
+np.empty(2**18)
 
 
 @lru_cache(maxsize=None)
@@ -262,37 +269,32 @@ def _format_repr(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> tuple[by
 
 def _cells(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> tuple[bytes, np.ndarray]:
     """_format's text and separator offsets, by repr when a cell that is not
-    blank is subnormal or not finite; blank cells of x are zeroed."""
+    blank is subnormal or not finite."""
     if _needs_repr(x, blank):
         return _format_repr(x, seps, blank)
-    x[blank] = 0.0
     return _format(x, seps, blank)
 
 
-def rows(columns, blank: np.ndarray | None = None):
-    """Yield the CSV text of a table of doubles as ASCII bytes, a few thousand
-    cells at a time: each row's cells as repr writes them, joined by commas
-    and ended by a newline. columns holds the table's columns side by side,
-    each a 1-D array or a 2-D array of several, all with the same rows; cells
-    where blank (rows x columns) is true are written empty."""
-    columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    n_rows = len(columns[0])
-    n_cols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    step = max(1, _BLOCK_CELLS // n_cols)
-    seps = _separators(step, n_cols)
-    for r in range(0, n_rows, step):
-        x = np.column_stack([c[r : r + step] for c in columns]).ravel()
-        empty = np.zeros(len(x), bool) if blank is None else blank[r : r + step].ravel()
-        yield _cells(x, seps[: len(x)], empty)[0]
-
-
-def table(x: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The CSV text of the rows of a 2-D array of doubles, as rows() writes
-    them, in one pass; and the offset just past each row's newline, so that
-    any run of rows can be cut out of the text."""
+def table(x: np.ndarray, blank: np.ndarray | None = None) -> tuple[bytes, np.ndarray]:
+    """The CSV text of the rows of a 2-D array of doubles as ASCII bytes: each
+    row's cells as repr writes them, joined by commas and ended by a newline,
+    cells where blank (the shape of x) is true written empty; and the offset
+    just past each row's newline, so that any run of rows can be cut out of
+    the text. Whole rows are formatted at most _BLOCK_CELLS cells a pass, the
+    passes as even as whole rows allow."""
     n_rows, n_cols = x.shape
-    text, end = _cells(x.ravel(), _separators(n_rows, n_cols), np.zeros(x.size, bool))
-    return text, end[n_cols - 1 :: n_cols] + 1
+    passes = -(-x.size // _BLOCK_CELLS)
+    step = -(-n_rows // passes)
+    seps = _separators(step, n_cols)
+    texts, ends, offset = [], [], 1
+    for r in range(0, n_rows, step):
+        cells = x[r : r + step].ravel()
+        empty = np.zeros(len(cells), bool) if blank is None else blank[r : r + step].ravel()
+        text, end = _cells(cells, seps[: len(cells)], empty)
+        texts.append(text)
+        ends.append(end[n_cols - 1 :: n_cols] + offset)
+        offset += len(text)
+    return b"".join(texts), np.concatenate(ends)
 
 
 def _separators(n_rows: int, n_cols: int) -> np.ndarray:

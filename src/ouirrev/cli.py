@@ -101,11 +101,13 @@ def _load_model(path: str) -> LinearModel:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write text and a newline; print writes them in two calls, so a long
+    text (transient's CSV) is not copied to append the newline."""
     if out_path is None:
-        sys.stdout.write(text + "\n")
+        print(text)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
 
 
 def _classification_dict(cls) -> dict:
@@ -158,8 +160,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # Most paths per chunk of simulate, rounded down to whole sampler tiles (at
 # least one): each path of a running chunk holds one open file.
 _CSV_CHUNK_PATHS = 64
-# About the most cells per formatter call of simulate's CSV writer.
-_CSV_CALL_CELLS = 8192
 
 
 class _CsvWriter:
@@ -174,12 +174,6 @@ class _CsvWriter:
 
         self.table, self.lo, self.dt, self.rows = _csvfmt.table, lo, dt, steps + 1
         self.step_heat = sampler._StepHeat(model, lo, hi)
-        # glibc gives freed memory at the top of the heap back to the system
-        # once it exceeds a trim threshold, which it raises to twice the
-        # largest mmapped block freed so far. Freeing one unused 2 MiB block
-        # keeps a formatter call's temporaries (about 1 MB) on the heap;
-        # otherwise every call faults most of them in again.
-        np.empty(2**18)
         header = ("t," + ",".join(f"x{i + 1}" for i in range(model.n)) + ",W\n").encode("ascii")
         self.files = []
         try:
@@ -196,7 +190,7 @@ class _CsvWriter:
 
     def __call__(self, k: int, states: np.ndarray) -> None:
         """states (L, n, paths) at indices k .. k + L - 1: one formatter call
-        per group of paths, each path's rows cut out of the group's text."""
+        for the block, each path's rows cut out of its text."""
         length, n, paths = states.shape
         heat = self.step_heat(k, states)
         finite = np.isfinite(states).all(axis=1) & np.isfinite(heat)
@@ -205,20 +199,15 @@ class _CsvWriter:
             raise NumericalFailureError(
                 f"path {self.lo + path} overflows at t = {(k + step) * self.dt!r}"
             )
-        t = np.arange(k, k + length) * self.dt
-        calls = -(-length * (n + 2) * paths // _CSV_CALL_CELLS)
-        group = -(-paths // calls)
-        for g in range(0, paths, group):
-            files = self.files[g : g + group]
-            cells = np.empty((len(files), length, n + 2))
-            cells[:, :, 0] = t
-            cells[:, :, 1:-1] = states[:, :, g : g + group].transpose(2, 0, 1)
-            cells[:, :, -1] = heat[:, g : g + group].T
-            text, ends = self.table(cells.reshape(-1, n + 2))
-            text, start = memoryview(text), 0
-            for fh, end in zip(files, ends[length - 1 :: length].tolist()):
-                fh.write(text[start:end])
-                start = end
+        cells = np.empty((paths, length, n + 2))
+        cells[:, :, 0] = np.arange(k, k + length) * self.dt
+        cells[:, :, 1:-1] = states.transpose(2, 0, 1)
+        cells[:, :, -1] = heat.T
+        text, ends = self.table(cells.reshape(-1, n + 2))
+        text, start = memoryview(text), 0
+        for fh, end in zip(self.files, ends[length - 1 :: length].tolist()):
+            fh.write(text[start:end])
+            start = end
         if k + length == self.rows:
             self.close()
 
@@ -281,7 +270,7 @@ def cmd_transient(args: argparse.Namespace) -> int:
     # Point mass at t = 0: entropy and rates are undefined (empty), not -inf.
     blank = np.zeros((n_rows, len(header)), dtype=bool)
     blank[np.isnan(grid.entropy), 1 + n + n * n :] = True
-    body = b"".join(_csvfmt.rows(columns, blank)).decode("ascii")
+    body = _csvfmt.table(np.column_stack(columns), blank)[0].decode("ascii")
     _emit(",".join(header) + "\n" + body.removesuffix("\n"), args.out)
     return 0
 
@@ -485,6 +474,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, NoStationaryLawError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -290,9 +290,12 @@ def resolve_workers() -> int:
     0 also means serial; there is no automatic choice.
     """
     raw = os.environ.get("OU_IRREV_THREADS", "").strip()
-    workers = int(raw) if raw else 0
+    try:
+        workers = int(raw or 0)
+    except ValueError:
+        workers = -1
     if workers < 0:
-        raise ValueError(f"worker count must be >= 0, got {workers}")
+        raise ValueError(f"OU_IRREV_THREADS must be an integer >= 0, got {raw!r}")
     return max(workers, 1)
 
 

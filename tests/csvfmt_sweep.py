@@ -40,7 +40,7 @@ def random_normals(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def first_mismatch(table: np.ndarray) -> tuple[bytes, bytes] | None:
     """(formatter row, repr row) of the first row where they differ, or None."""
-    got = b"".join(_csvfmt.rows([table]))
+    got = _csvfmt.table(table)[0]
     want = repr_rows(table)
     if got == want:
         return None

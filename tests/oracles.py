@@ -215,7 +215,7 @@ def bootstrap_asymmetry(lag_products: dict, resamples: np.ndarray):
 
 def simulate_files(model, dt, steps, n_paths, seed, *, x0=None, law=None, method="exact"):
     """The bytes of each of simulate's CSV files, written from the stored
-    batch: sample_batch, then per path its header and _csvfmt.rows of the
+    batch: sample_batch, then per path its header and _csvfmt.table of the
     columns t, x1 .. xn, W."""
     from ouirrev import _csvfmt
 
@@ -223,6 +223,6 @@ def simulate_files(model, dt, steps, n_paths, seed, *, x0=None, law=None, method
     header = ("t," + ",".join(f"x{i + 1}" for i in range(model.n)) + ",W\n").encode("ascii")
     t = np.arange(steps + 1) * batch.dt
     return [
-        header + b"".join(_csvfmt.rows([t, batch.states[k], batch.heat[k]]))
+        header + _csvfmt.table(np.column_stack([t, batch.states[k], batch.heat[k]]))[0]
         for k in range(n_paths)
     ]

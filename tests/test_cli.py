@@ -247,6 +247,13 @@ class TestSimulateStream:
             serial = (tmp_path / f"serial_p{k}.csv").read_bytes()
             assert (tmp_path / f"threads_p{k}.csv").read_bytes() == serial, k
 
+    def test_bad_worker_count_exit_1(self, model_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OU_IRREV_THREADS", "abc")
+        argv = ["simulate", model_file(ROT), "--paths", "2", "--steps", "10"]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: OU_IRREV_THREADS must be an integer >= 0, got 'abc'\n"
+
     def test_memory_independent_of_steps(self, model_file, tmp_path):
         # The stored batch alone would hold 20 x 20 001 x (2 + 1) doubles
         # (9.6 MB); the stream keeps one chunk's sampler buffers and one
@@ -408,6 +415,16 @@ class TestTransientCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflows" in err
+
+    def test_unallocatable_grid_exit_1(self, model_file, capsys):
+        # 1e15 rows: the first array of the grid cannot be allocated, so the
+        # request fails at once, with one line and no traceback
+        argv = ["transient", model_file(ROT), "--t-max", "1e12", "--t-step", "1e-3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.err.count("\n") == 1
 
 
 _CSV_PIN_ARGS = ["--paths", "2", "--steps", "300", "--seed", "13"]

@@ -60,9 +60,9 @@ class TestFastPath:
         blank = np.zeros((9000, 11), dtype=bool)
         blank[:11, 7:] = True
         rates[:11] = np.nan
-        got = b"".join(_csvfmt.rows([t, law, rates], blank))
-        want = repr_rows(np.column_stack([t, law, rates]), blank)
-        assert got == want
+        x = np.column_stack([t, law, rates])
+        got = _csvfmt.table(x, blank)[0]
+        assert got == repr_rows(x, blank)
         assert got.startswith(b"0.0,") and b",,,\n" in got
 
 
@@ -86,7 +86,7 @@ class TestReprFallback:
 
         try:
             _csvfmt._format_repr = spy
-            got = b"".join(_csvfmt.rows([x]))
+            got = _csvfmt.table(x)[0]
         finally:
             _csvfmt._format_repr = fallback
         assert got == repr_rows(x)
@@ -94,19 +94,49 @@ class TestReprFallback:
 
     def test_subnormal_shortest_digits(self):
         x = np.array([[5e-324, 5e-323, 1.5e-323, 2.5e-323, -4.94e-322]])
-        assert b"".join(_csvfmt.rows([x])) == b"5e-324,5e-323,1.5e-323,2.5e-323,-4.94e-322\n"
+        assert _csvfmt.table(x)[0] == b"5e-324,5e-323,1.5e-323,2.5e-323,-4.94e-322\n"
 
 
 @pytest.mark.parametrize("special", [None, math.inf, 5e-323], ids=["fast", "inf", "subnormal"])
 def test_table_row_ends(special):
-    # One pass over the whole table, the fast path or repr: the same text as
-    # rows(), and each row's end just past its newline.
+    # One pass over the whole table, the fast path or repr: repr's text, and
+    # each row's end just past its newline.
     x = np.random.default_rng(9).standard_normal((700, 4))
     if special is not None:
         x[350, 2] = special
-    text, ends = _csvfmt.table(x.copy())
-    assert text == b"".join(_csvfmt.rows([x]))
+    text, ends = _csvfmt.table(x)
+    assert text == repr_rows(x)
     assert ends.tolist() == [i + 1 for i, c in enumerate(text) if c == ord("\n")]
+
+
+def test_table_passes(monkeypatch):
+    # 5001 rows of 11 cells, the transient table's shape at n = 2, take more
+    # than two passes of whole rows. A blank band (NaN cells, as in the
+    # transient table's undefined rows) and a subnormal cell sit at the edge
+    # between the first two passes: the text is repr's, the row ends are the
+    # newlines, and only the pass holding the subnormal is written by repr.
+    x = np.random.default_rng(11).standard_normal((5001, 11))
+    passes = -(-x.size // _csvfmt._BLOCK_CELLS)
+    step = -(-len(x) // passes)
+    assert passes > 2
+    blank = np.zeros(x.shape, dtype=bool)
+    blank[step - 3 : step + 3, 7:] = True
+    x[blank] = np.nan
+    x[step, 3] = 5e-323
+    calls = []
+    fallback = _csvfmt._format_repr
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return fallback(*args)
+
+    monkeypatch.setattr(_csvfmt, "_format_repr", spy)
+    before = x.copy()
+    text, ends = _csvfmt.table(x, blank)
+    np.testing.assert_array_equal(x, before)  # blank cells are not written
+    assert text == repr_rows(x, blank)
+    assert ends.tolist() == [i + 1 for i, c in enumerate(text) if c == ord("\n")]
+    assert calls == [step * x.shape[1]]
 
 
 def test_tables_shared_and_read_only():

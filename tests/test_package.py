@@ -13,7 +13,7 @@ def test_public_names_resolve():
 
 
 def test_removed_names_gone():
-    from ouirrev import cli, estimators, model, sampler, stationary
+    from ouirrev import _csvfmt, cli, estimators, model, sampler, stationary
 
     for module, name in [
         (stationary, "entropy_production_rate"),
@@ -42,6 +42,8 @@ def test_removed_names_gone():
         (sampler, "_validate_paths"),
         (model, "drift"),
         (cli, "_csv_cells"),
+        (cli, "_CSV_CALL_CELLS"),
+        (_csvfmt, "rows"),
     ]:
         assert not hasattr(module, name)
         assert not hasattr(ouirrev, name)

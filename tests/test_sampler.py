@@ -454,7 +454,15 @@ class TestWorkerResolution:
 
     def test_negative_rejected(self, monkeypatch):
         monkeypatch.setenv("OU_IRREV_THREADS", "-1")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="OU_IRREV_THREADS must be an integer >= 0, got '-1'"):
+            resolve_workers()
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5"])
+    def test_non_integer_rejected(self, raw, monkeypatch):
+        # the message names the variable, not int()'s literal
+        monkeypatch.setenv("OU_IRREV_THREADS", raw)
+        message = f"OU_IRREV_THREADS must be an integer >= 0, got '{raw}'"
+        with pytest.raises(ValueError, match=message):
             resolve_workers()
 
 
