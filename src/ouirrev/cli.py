@@ -45,10 +45,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
-def _matrix_list(m: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in m]
-
-
 def _seed(text: str) -> int:
     """--seed converter: an integer in [0, 2**64)."""
     try:
@@ -100,20 +96,23 @@ def _load_model(path: str) -> LinearModel:
     return model_from_dict(payload)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """Write text and a newline; print writes them in two calls, so a long
-    text (transient's CSV) is not copied to append the newline."""
+def _emit(out_path: str | None, *parts: bytes) -> None:
+    """Write a command's output, the bytes parts in order, to the file
+    out_path, or to stdout when it is None. Each part is written as it is, so
+    a long one (transient's CSV) is not copied to join it to the others."""
     if out_path is None:
-        print(text)
+        sys.stdout.buffer.writelines(parts)
+        sys.stdout.buffer.flush()
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            print(text, file=fh)
+        with open(out_path, "wb") as fh:
+            fh.writelines(parts)
 
 
 def _classification_dict(cls) -> dict:
+    eigenvalues = cls.spectrum_B.eigenvalues
     return {
         "verdict": str(cls.verdict),
-        "eigenvalues": [[float(v.real), float(v.imag)] for v in cls.spectrum_B.eigenvalues],
+        "eigenvalues": np.column_stack((eigenvalues.real, eigenvalues.imag)).tolist(),
         "min_real_part": float(cls.spectrum_B.min_real_part),
         "symmetry_defect_AinvB": float(cls.symmetry_defect_AinvB),
         "marginal": bool(cls.marginal),
@@ -124,7 +123,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     cls = classify(model)
     if args.json:
-        _emit(canonical_json(_classification_dict(cls)), args.out)
+        _emit(args.out, canonical_json(_classification_dict(cls)).encode(), b"\n")
         return 0
     lines = [f"verdict: {cls.verdict}"]
     eig_strs = [
@@ -135,7 +134,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     lines.append(f"min real part: {_fmt(cls.spectrum_B.min_real_part)}")
     lines.append(f"symmetry defect of A^-1 B: {_fmt(cls.symmetry_defect_AinvB)}")
     lines.append(f"marginal: {'true' if cls.marginal else 'false'}")
-    _emit("\n".join(lines), args.out)
+    _emit(args.out, "\n".join(lines).encode(), b"\n")
     return 0
 
 
@@ -143,17 +142,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     law = stationary.stationary_law(model)  # NoStationaryLawError -> exit 1
     report = {
-        "xi": _matrix_list(law.Xi),
+        "xi": law.Xi.tolist(),
         "epr": law.epr,
         "hdr": law.hdr,
         "fdr_standard": law.fdr_standard_residual,
         "fdr_strong": law.fdr_strong_residual,
         "r_tau": {
-            _fmt(tau): _matrix_list(stationary.two_time_covariance(law, tau))
-            for tau in args.tau
+            _fmt(tau): stationary.two_time_covariance(law, tau).tolist() for tau in args.tau
         },
     }
-    _emit(canonical_json(report), args.out)
+    _emit(args.out, canonical_json(report).encode(), b"\n")
     return 0
 
 
@@ -270,8 +268,8 @@ def cmd_transient(args: argparse.Namespace) -> int:
     # Point mass at t = 0: entropy and rates are undefined (empty), not -inf.
     blank = np.zeros((n_rows, len(header)), dtype=bool)
     blank[np.isnan(grid.entropy), 1 + n + n * n :] = True
-    body = _csvfmt.table(np.column_stack(columns), blank)[0].decode("ascii")
-    _emit(",".join(header) + "\n" + body.removesuffix("\n"), args.out)
+    body = _csvfmt.table(np.column_stack(columns), blank)[0]
+    _emit(args.out, (",".join(header) + "\n").encode("ascii"), body)
     return 0
 
 
@@ -294,7 +292,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for name in ("fdr", "epr_vs_hdr_mc", "two_time_symmetry", "green_kubo"):
             sections[name] = _skipped(reason)
         report = {"pass": True, "sections": sections, "seed": args.seed}
-        _emit(canonical_json(report), args.out)
+        _emit(args.out, canonical_json(report).encode(), b"\n")
         return 0
 
     reversible = cls.verdict is Verdict.REVERSIBLE
@@ -346,7 +344,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     gk = estimators.greenkubo_check(
         law,
         stats,
-        dt=args.dt,
         n_paths=args.paths,
         seed=(args.seed + 1) % 2**64,
         x0=np.ones(model.n),
@@ -372,7 +369,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "tau_list": list(args.tau),
         },
     }
-    _emit(canonical_json(report), args.out)
+    _emit(args.out, canonical_json(report).encode(), b"\n")
     return 0 if overall else 4
 
 
@@ -472,7 +469,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, NoStationaryLawError) as exc:
+    except ValueError as exc:  # NoStationaryLawError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -9,13 +9,15 @@ stationary_statistics is the one producer of PathStatistics and of the heat
 rate (HdrEstimate). It hands an accumulator (_LagSums) the sampler's time
 blocks of states while the paths are generated (sampler.stream_batch), so no
 state array is kept: only per-path sums, a window of the last max(lag)
-states, and the states at burn-in and at T. Each lag's products are summed
-per super-block of _SUPER_BLOCK consecutive later times (aligned to t = 0),
-then added in time order. The heat is an exact function of the states, so
-the heat rate comes from the lag-one products and the end states
-(_heat_rates), not from a per-step sum. greenkubo_check draws its
-conditional paths from a shared start the same way, keeping only each path's
-state at the lags (_LagStates), so no estimator stores a batch.
+states, and the states at burn-in and at T. Each chunk's accumulator writes
+into the caller's slices of those arrays that hold its paths, so no chunk
+result is joined afterwards. Each lag's products are summed per super-block
+of _SUPER_BLOCK consecutive later times (aligned to t = 0), then added in
+time order. The heat is an exact function of the states, so the heat rate
+comes from the lag-one products and the end states (_heat_rates), not from a
+per-step sum. greenkubo_check draws its conditional paths from a shared
+start the same way, keeping only each path's state at the lags (_LagStates,
+into the caller's slices), so no estimator stores a batch.
 
 Both per-path reductions run in BLAS GEMMs whose shapes the run's parameters
 fix. Each super-block's lag products are (n x T) @ (T x n) products per path
@@ -92,12 +94,14 @@ class PathStatistics:
 
     lag_products maps each distinct lag, in first-request order, to the
     per-path time averages of x(t + lag) x(t)^T, shape (n_paths, n, n). seed
-    is the batch's master seed, from which the bootstrap stream is derived.
+    is the batch's master seed, from which the bootstrap stream is derived,
+    and dt its time step, on whose grid every lag lies.
     """
 
     lag_products: dict[float, np.ndarray]
     n_paths: int
     seed: int
+    dt: float
 
 
 def _lag_steps(dt: float, lag: float, steps: int | None = None) -> int:
@@ -145,11 +149,26 @@ def _lag_products(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     return _gemm(later.swapaxes(1, 2), earlier)
 
 
+class _LagStates:
+    """Consumer of a chunk of paths: writes their states at the step indices
+    ells into states (len(ells), paths, n), the caller's slice for the
+    chunk."""
+
+    def __init__(self, ells, states: np.ndarray):
+        self.ells, self.states = ells, states
+
+    def __call__(self, k: int, states: np.ndarray) -> None:
+        for kept, ell in zip(self.states, self.ells):
+            if k <= ell < k + len(states):
+                kept[...] = states[ell - k].T
+
+
 class _LagSums:
     """Consumer of a chunk of paths, fed their states in global index order:
-    per-path sums of x(j) x(j - ell)^T for each lag ell (in steps) over
-    j = k0 + ell .. steps, and the states at k0 and at steps (ends, shape
-    (2, paths, n)).
+    adds into sums, one (paths, n, n) array per lag, the per-path sums of
+    x(j) x(j - ell)^T for each lag ell (in steps) over j = k0 + ell .. steps,
+    and writes the states at k0 and at steps into ends (2, paths, n), all the
+    caller's slices for the chunk (sums starting at zero).
 
     The products of each super-block of _SUPER_BLOCK consecutive j (aligned
     to j = 0) are formed by one _lag_products call (GEMMs per path, whose
@@ -160,20 +179,16 @@ class _LagSums:
     blocks or on which other paths share the chunk.
     """
 
-    def __init__(self, ells: tuple[int, ...], k0: int, steps: int, n: int, count: int):
-        self.ells, self.k0, self.steps = ells, k0, steps
+    def __init__(self, ells: tuple[int, ...], k0: int, steps: int, sums, ends):
+        self.ells, self.k0, self.steps, self.sums = ells, k0, steps, sums
+        self.ends = _LagStates((k0, steps), ends)
         self.hist = max(ells)
+        _, count, n = ends.shape
         self.window = np.empty((count, self.hist + _SUPER_BLOCK, n))
-        self.sums = np.zeros((len(ells), count, n, n))
-        self.ends = np.empty((2, count, n))
 
     def __call__(self, k: int, states: np.ndarray) -> None:
         """states (L, n, paths) at indices k .. k + L - 1."""
-        last = k + len(states) - 1
-        if k <= self.k0 <= last:
-            self.ends[0] = states[self.k0 - k].T
-        if last == self.steps:
-            self.ends[1] = states[-1].T
+        self.ends(k, states)
         pos = 0
         while pos < len(states):
             j = k + pos
@@ -198,7 +213,7 @@ class _LagSums:
                 sums += _lag_products(self.window[:, at:stop], earlier)
         if end == self.steps:  # later chunks of the batch may still run
             self.window = None
-        elif self.hist:
+        else:
             self.window[:, : self.hist] = self.window[:, _SUPER_BLOCK : _SUPER_BLOCK + self.hist]
 
 
@@ -280,27 +295,29 @@ def stationary_statistics(
         raise InsufficientDataError("need at least 2 paths and a nonempty window after burn-in")
     summed = ells if 1 in ells else (*ells, 1)  # the heat rate reads lag one
     n = law.model.n
-    parts = stream_batch(
+    # The lag sums, until divided below; one array per lag, so that a lag one
+    # summed only for the heat rate is freed on return.
+    means = [np.zeros((n_paths, n, n)) for _ in summed]
+    ends = np.empty((2, n_paths, n))
+    stream_batch(
         law.model, dt, steps, n_paths, seed,
-        lambda lo, hi: _LagSums(summed, k0, steps, n, hi - lo),
+        lambda lo, hi: _LagSums(summed, k0, steps, [m[lo:hi] for m in means], ends[:, lo:hi]),
         # Per path: about two windows of up to _SUPER_BLOCK states (one after
         # its lag history).
         chunk_paths=_budget_paths(2 * min(steps, _SUPER_BLOCK) * n),
         law=law,
     )
-    sums = np.concatenate([part.sums for part in parts], axis=1)
-    ends = np.concatenate([part.ends for part in parts], axis=1)
-    means = [total / (steps + 1 - k0 - ell) for ell, total in zip(summed, sums)]
-    for per_path in means:
-        per_path.setflags(write=False)  # shared by every estimator that reads stats
+    for ell, total in zip(summed, means):
+        total /= steps + 1 - k0 - ell
+        total.setflags(write=False)  # shared by every estimator that reads stats
     products = dict(zip(distinct, means))  # the requested lags only
     rates = _heat_rates(law.classification.ainv_b, ends, means[summed.index(1)], span, dt)
-    count = len(rates)
     hdr = HdrEstimate(
-        value=math.fsum(rates.tolist()) / count,
-        stderr=float(rates.std(ddof=1)) / math.sqrt(count),
+        value=math.fsum(rates.tolist()) / n_paths,
+        stderr=float(rates.std(ddof=1)) / math.sqrt(n_paths),
     )
-    return PathStatistics(lag_products=products, n_paths=count, seed=int(seed)), hdr
+    stats = PathStatistics(lag_products=products, n_paths=n_paths, seed=int(seed), dt=float(dt))
+    return stats, hdr
 
 
 def _bootstrap_indices(stats: PathStatistics, n_resamples: int) -> np.ndarray:
@@ -308,9 +325,7 @@ def _bootstrap_indices(stats: PathStatistics, n_resamples: int) -> np.ndarray:
     return rng.integers(0, stats.n_paths, size=(n_resamples, stats.n_paths))
 
 
-def reversibility_test(
-    stats: PathStatistics, threshold: float = REVERSIBILITY_THRESHOLD
-) -> ReversibilityResult:
+def reversibility_test(stats: PathStatistics) -> ReversibilityResult:
     """Test the time-reversal symmetry R(tau) = R(tau)^T of the two-time
     covariance (sufficient for Gaussian processes).
 
@@ -320,10 +335,10 @@ def reversibility_test(
     resampled-minus-observed asymmetries, and the observed value is compared
     through that distribution's mean and SE. Taking the max inside the
     bootstrap accounts for the multiplicity over lags, which keeps the
-    false-positive rate at the threshold calibrated. Above the threshold the
-    verdict is irreversible; below it the data are consistent with
-    reversibility (the test cannot prove it). The lags are those of stats;
-    it needs at least two.
+    false-positive rate at the threshold calibrated. Above
+    REVERSIBILITY_THRESHOLD the verdict is irreversible; below it the data
+    are consistent with reversibility (the test cannot prove it). The lags
+    are those of stats; it needs at least two.
     """
     if len(stats.lag_products) < 2:
         raise ValueError("need at least two distinct lags")
@@ -353,62 +368,47 @@ def reversibility_test(
     statistic = (max(obs_norms) - float(boot_max.mean())) / float(boot_max.std(ddof=1))
     return ReversibilityResult(
         statistic=statistic,
-        threshold=threshold,
-        verdict_reversible=statistic <= threshold,
+        threshold=REVERSIBILITY_THRESHOLD,
+        verdict_reversible=statistic <= REVERSIBILITY_THRESHOLD,
         per_lag=per_lag,
     )
 
 
-class _LagStates:
-    """Consumer of a chunk of paths: their states at the step indices ells,
-    one contiguous (paths, n) array per index."""
-
-    def __init__(self, ells: list[int], n: int, count: int):
-        self.ells = ells
-        self.states = np.empty((len(ells), count, n))
-
-    def __call__(self, k: int, states: np.ndarray) -> None:
-        for kept, ell in zip(self.states, self.ells):
-            if k <= ell < k + len(states):
-                kept[...] = states[ell - k].T
-
-
 def greenkubo_check(
-    law: StationaryLaw, stats: PathStatistics, dt: float, n_paths: int, seed: int, x0
+    law: StationaryLaw, stats: PathStatistics, n_paths: int, seed: int, x0
 ) -> GreenKuboResult:
     """Conditional-mean regression check at the lags of stats: the mean of
     n_paths paths from the shared start x0 must decay as e^{-B t} x0, and the
     stationary R(t, 0) of stats must match e^{-B t} Xi - the same time
-    dependence. Both targets are taken at t = ell dt, the time of the ell
-    steps that stats and the paths sample at a lag.
+    dependence. The paths are drawn at stats.dt, and both targets are taken
+    at t = ell dt, the time of the ell steps that stats and the paths sample
+    at a lag.
 
     The paths are drawn with master seed seed (sampler.stream_batch), run
     exactly as long as the longest lag, and only their states at the lags
-    are kept. Deviations are reported as worst componentwise z-scores against
-    path-ensemble standard errors.
+    are kept, each chunk's in the caller's slice. Deviations are reported as
+    worst componentwise z-scores against path-ensemble standard errors.
 
     Raises
     ------
     ValueError
-        As sampler.stream_batch does, or on a lag that is negative, off the
-        dt grid or not a finite number of steps.
+        As sampler.stream_batch does.
     InsufficientDataError
         If fewer than two paths are asked for.
 
     Every check runs before any path is drawn.
     """
-    _validate_grid(dt, 1)  # dt alone: the run is as long as the longest lag
     if n_paths < 2:
         raise InsufficientDataError("need at least 2 conditional paths")
+    dt, n = stats.dt, law.model.n
     ells = [_lag_steps(dt, lag) for lag in stats.lag_products]
-    n = law.model.n
-    parts = stream_batch(
+    snaps = np.empty((len(ells), n_paths, n))
+    stream_batch(
         law.model, dt, max(1, max(ells)), n_paths, seed,
-        lambda lo, hi: _LagStates(ells, n, hi - lo),
+        lambda lo, hi: _LagStates(ells, snaps[:, lo:hi]),
         chunk_paths=_budget_paths(len(ells) * n),
         x0=x0,
     )
-    snaps = np.concatenate([part.states for part in parts], axis=1)
     x0 = np.asarray(x0, dtype=float)
     max_z = 0.0
     max_dev = 0.0

@@ -1,10 +1,10 @@
 """Dense real-matrix kernels: eigenvalues, matrix exponential, Lyapunov solves,
 Gram integrals of exponentials, SPD factorization, symmetry diagnostics.
 
-chol_spd and is_spd also accept a stack (..., n, n) of matrices, factored by
-LAPACK potrf (np.linalg.cholesky's gufunc) one matrix at a time in one call;
-each factor has the same bits as the factor of that matrix alone, which the
-transient rates of a whole time grid rest on.
+chol_spd and is_spd take one matrix. The transient rates of a whole time
+grid factor a stack (..., n, n) of covariances with _chol_stack, LAPACK potrf
+(np.linalg.cholesky's gufunc) one matrix at a time in one call; each factor
+has the same bits as chol_spd's factor of that matrix alone.
 
 Eigenvalues come from LAPACK through np.linalg.eigvals. The Lyapunov solve is
 the matrix-sign-function iteration on n x n matrices (inverses, determinants
@@ -313,32 +313,26 @@ def _chol_stack(s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chol_spd(s) -> np.ndarray:
-    """Lower-triangular Cholesky factor L with L L^T = s, from LAPACK potrf.
-
-    s is one matrix (n, n) or a stack (..., n, n); a stack is factored in one
-    call and each of its factors equals, bit for bit, the factor of that
-    matrix alone.
+    """Lower-triangular Cholesky factor L with L L^T = s, for one matrix s
+    (n, n), from LAPACK potrf.
 
     Raises
     ------
     ValueError
-        If s is not symmetric within TOL_SYM (argument error).
+        If s is not square, or not symmetric within TOL_SYM (argument error).
     NotPositiveDefiniteError
-        If potrf rejects a matrix or a pivot L_jj**2 of its factor is at or
-        below 1e-12 * (1 + max diagonal) of it; names the first in a stack.
+        If potrf rejects s or a pivot L_jj**2 of its factor is at or below
+        1e-12 * (1 + max diagonal).
     """
-    low, ok = _chol_stack(s)
-    if not ok.all():
-        first = np.unravel_index(int(np.argmin(ok)), ok.shape)
-        where = f" of matrix {', '.join(map(str, first))}" if ok.ndim else ""
+    low, ok = _chol_stack(_as_square(s))
+    if not ok:
         raise NotPositiveDefiniteError(
-            f"Cholesky pivot{where} at or below floor 1e-12 * (1 + max diagonal)"
+            "Cholesky pivot at or below floor 1e-12 * (1 + max diagonal)"
         )
     return low
 
 
-def is_spd(s) -> bool | np.ndarray:
-    """Whether s is symmetric positive definite by chol_spd's test: a bool for
-    one matrix, a bool array for a stack (..., n, n)."""
-    ok = _chol_stack(s)[1]
-    return bool(ok) if ok.ndim == 0 else ok
+def is_spd(s) -> bool:
+    """Whether the matrix s is symmetric positive definite by chol_spd's
+    test."""
+    return bool(_chol_stack(_as_square(s))[1])

@@ -5,10 +5,12 @@ functional of the paths a consumer receives.
 One entry point drives the integrator: stream_batch runs a batch in chunks
 of paths, in this thread or, with several workers (resolve_workers), on
 worker threads, and hands each chunk's time blocks of states to a consumer
-that the caller makes for the chunk's path range; it keeps nothing else. The
-estimators sum per-path lag products from the blocks or keep the states at
-the lags, and the CLI's simulate writes them as CSV rows with their heat
-(_StepHeat), so nothing stores a batch. A single path is a batch of one.
+that the caller makes for the chunk's path range; it keeps nothing and
+returns nothing. The estimators' consumers sum per-path lag products from the
+blocks or keep the states at the lags, each into the slices of the caller's
+arrays that hold its paths, and the CLI's simulate writes them as CSV rows
+with their heat (_StepHeat), so nothing stores a batch. A single path is a
+batch of one.
 
 Reproducibility contract
 ------------------------
@@ -258,8 +260,8 @@ class _Job(NamedTuple):
     update: _Update
 
 
-def _generate(job: _Job, lo: int, hi: int, steps: int, consumer):
-    """Generate paths lo .. hi-1 of a batch into consumer, and return it.
+def _generate(job: _Job, lo: int, hi: int, steps: int, consumer) -> None:
+    """Generate paths lo .. hi-1 of a batch into consumer.
 
     Path p's stream supplies, in order, a standard_normal(n) block for a
     stationary start (only when chol_xi is set), then the normals of the
@@ -281,7 +283,6 @@ def _generate(job: _Job, lo: int, hi: int, steps: int, consumer):
         z.reshape(n, -1)[:, cols] = draws.T
         _tile_matmul(job.chol_xi, z, start)
     _integrate(streams, start, cols, job.update, steps, consumer)
-    return consumer
 
 
 def resolve_workers() -> int:
@@ -345,9 +346,9 @@ def stream_batch(
     x0=None,
     law: StationaryLaw | None = None,
     method: str = "exact",
-) -> list:
-    """Generate n_paths paths with per-path streams derived from seed, keeping
-    none of them, and return the chunks' consumers in path order.
+) -> None:
+    """Generate n_paths paths with per-path streams derived from seed into
+    the consumers of their chunks, keeping none of them.
 
     Starts are either a shared point x0 (the origin when neither is given)
     or, when law is given, independent stationary draws; giving both is a
@@ -359,16 +360,17 @@ def stream_batch(
     (see _integrate), made just before the chunk's first path is drawn;
     every argument is checked before any consumer is made. The worker count
     is resolve_workers(); with several workers the chunks run on threads, so
-    consumers must share no mutable state. The paths are the same bits for
-    any chunking or worker count, so a consumer that sums per path in a fixed
-    time order gives the same sums whatever they are.
+    each consumer writes only its own paths' slices of what the caller holds.
+    The paths are the same bits for any chunking or worker count, so a
+    consumer that sums per path in a fixed time order gives the same sums
+    whatever they are.
     """
     job = _prepare(model, dt, steps, n_paths, seed, x0, law, method)
     n_workers = resolve_workers()
     bounds = _chunk_bounds(n_paths, chunk_paths, n_workers)
 
-    def work(chunk: tuple[int, int]):
-        return _generate(job, *chunk, steps, make_consumer(*chunk))
+    def work(chunk: tuple[int, int]) -> None:
+        _generate(job, *chunk, steps, make_consumer(*chunk))
 
     if n_workers > 1 and len(bounds) > 1:
         from concurrent.futures import ThreadPoolExecutor  # not imported by serial runs
@@ -377,6 +379,8 @@ def stream_batch(
         # those of a serial run; numpy releases the interpreter lock in the
         # draws and the GEMMs.
         with ThreadPoolExecutor(max_workers=min(n_workers, len(bounds))) as pool:
-            return list(pool.map(work, bounds))
-    return [work(chunk) for chunk in bounds]
+            list(pool.map(work, bounds))  # re-raises a chunk's error
+    else:
+        for chunk in bounds:
+            work(chunk)
 

@@ -176,7 +176,7 @@ def test_criterion_5_green_kubo(rev_model):
     ):
         law = stationary_law(m)
         stats, _ = default_run(law, seed, checkpoints, burn_in=10.0)
-        res = greenkubo_check(law, stats, dt=0.01, n_paths=2000, seed=99, x0=[1.0, 1.0])
+        res = greenkubo_check(law, stats, n_paths=2000, seed=99, x0=[1.0, 1.0])
         check(
             failures,
             res.max_abs_z <= 4.0,

@@ -209,10 +209,13 @@ class TestSimulateStream:
         chunks = []
         stream = sampler.stream_batch
 
-        def counting(*args, **kwargs):
-            parts = stream(*args, **kwargs)
-            chunks.append(len(parts))
-            return parts
+        def counting(model, dt, steps, n_paths, seed, make_consumer, **kwargs):
+            def counted(lo, hi):
+                chunks[-1] += 1
+                return make_consumer(lo, hi)
+
+            chunks.append(0)
+            stream(model, dt, steps, n_paths, seed, counted, **kwargs)
 
         monkeypatch.setattr(sampler, "stream_batch", counting)
         monkeypatch.setattr(cli, "_CSV_CHUNK_PATHS", 1)  # rounded up to one tile
@@ -638,6 +641,33 @@ class TestVerifyCommand:
         main(["verify", model_file(SWEEP)])
         text = capsys.readouterr().out.strip()
         assert canonical_json(json.loads(text)) == text
+
+
+class TestStdoutMatchesOut:
+    """Every command that can write to stdout writes there, as bytes, what
+    --out writes to its file."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["classify"], 0),
+            (["classify", "--json"], 0),
+            (["analyze"], 0),
+            (["transient", "--x0", "2,0", "--t-max", "5"], 0),
+            (["verify", "--paths", "20", "--steps", "300", "--burn-in", "1"], None),
+        ],
+        ids=["classify", "classify-json", "analyze", "transient", "verify"],
+    )
+    def test_same_bytes(self, argv, code, model_file, tmp_path, capsysbinary):
+        command, *flags = argv
+        argv = [command, model_file(ROT), *flags]
+        stdout_code = main(argv)
+        stdout = capsysbinary.readouterr().out
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == stdout_code
+        assert code is None or stdout_code == code
+        assert capsysbinary.readouterr().out == b""
+        assert stdout.endswith(b"\n") and stdout == out.read_bytes()
 
 
 class TestParserContract:

@@ -141,7 +141,7 @@ class TestGreenKubo:
     def test_conditional_decay_both_classes(self, rot_law, rev_law):
         for law, seed in ((rot_law, ROT_SEED), (rev_law, REV_SEED)):
             stats, _ = _run_stats(law, seed, [0.2, 0.5, 1.0], burn_in=0.0)
-            res = greenkubo_check(law, stats, dt=0.02, n_paths=2000, seed=500, x0=[1.0, 1.0])
+            res = greenkubo_check(law, stats, n_paths=2000, seed=500, x0=[1.0, 1.0])
             assert res.max_abs_z <= 4.0
             assert res.max_abs_z_two_time <= 4.0
 
@@ -165,7 +165,7 @@ class TestGreenKubo:
 
         monkeypatch.setattr(linalg, "expm", counting)
         monkeypatch.setattr(sampler, "_update", flagged)
-        greenkubo_check(rot_law, stats, dt=0.02, n_paths=20, seed=500, x0=[1.0, 1.0])
+        greenkubo_check(rot_law, stats, n_paths=20, seed=500, x0=[1.0, 1.0])
         assert len(calls) == len(checkpoints)
         for a, t in zip(calls, checkpoints):
             assert np.array_equal(a, -rot_law.model.B * t)
@@ -173,7 +173,7 @@ class TestGreenKubo:
     def test_zero_start_stays_zero(self, rot1):
         law = stationary_law(rot1)
         stats, _ = stationary_statistics(law, 0.02, 100, 2, 1, [0.2, 1.0])
-        res = greenkubo_check(law, stats, dt=0.02, n_paths=2000, seed=600, x0=[0.0, 0.0])
+        res = greenkubo_check(law, stats, n_paths=2000, seed=600, x0=[0.0, 0.0])
         assert res.max_abs_z <= 4.0
         assert res.max_deviation < 0.05
 
@@ -182,20 +182,26 @@ class TestGreenKubo:
         # the stored run as long as the longest lag.
         stats, _ = _run_stats(rot_law, ROT_SEED, [0.5, 0.1, 1.0])
         x0 = np.array([1.0, -0.5])
-        kept = []
+        consumers = []
         stream = estimators.stream_batch
 
-        def keeping(*args, **kwargs):
-            parts = stream(*args, **kwargs)
-            assert len(parts) == 3
-            kept.append(np.concatenate([part.states for part in parts], axis=1))
-            return parts
+        def keeping(model, dt, steps, n_paths, seed, make_consumer, **kwargs):
+            def kept(lo, hi):
+                consumers.append(make_consumer(lo, hi))
+                return consumers[-1]
+
+            stream(model, dt, steps, n_paths, seed, kept, **kwargs)
 
         monkeypatch.setattr(estimators, "stream_batch", keeping)
         monkeypatch.setattr(sampler, "_CHUNK_ELEMENT_BUDGET", sampler._TILE * 3 * 2)
-        greenkubo_check(rot_law, stats, dt=0.02, n_paths=130, seed=900, x0=x0)
+        greenkubo_check(rot_law, stats, n_paths=130, seed=900, x0=x0)
+        assert len(consumers) == 3
+        # the chunks' slices tile one array of all the paths
+        snaps = consumers[0].states.base
+        assert snaps.shape == (3, 130, 2)
+        assert all(c.states.base is snaps for c in consumers)
         batch = sample_batch(rot_law.model, 0.02, 50, 130, 900, x0=x0)
-        assert np.array_equal(kept[0], batch.states[:, [25, 5, 50]].transpose(1, 0, 2))
+        assert np.array_equal(snaps, batch.states[:, [25, 5, 50]].transpose(1, 0, 2))
 
     def test_targets_at_sampled_time(self, rot_law):
         # 0.100000005 is 10 steps of 0.01 within _lag_steps' tolerance: the
@@ -203,7 +209,7 @@ class TestGreenKubo:
         results = []
         for lags in ((0.100000005, 0.5), (0.1, 0.5)):
             stats, _ = stationary_statistics(rot_law, 0.01, 200, 20, 6, lags)
-            gk = greenkubo_check(rot_law, stats, dt=0.01, n_paths=20, seed=7, x0=[1.0, 1.0])
+            gk = greenkubo_check(rot_law, stats, n_paths=20, seed=7, x0=[1.0, 1.0])
             results.append((gk.max_abs_z, gk.max_deviation, gk.max_abs_z_two_time))
         assert results[0] == results[1]
 
@@ -215,12 +221,12 @@ class TestGreenKubo:
 
         monkeypatch.setattr(estimators, "stream_batch", no_sampling)
         with pytest.raises(InsufficientDataError, match="at least 2"):
-            greenkubo_check(rot_law, stats, dt=0.02, n_paths=1, seed=1, x0=[1.0, 1.0])
-        for dt in (0.0, -0.02, math.nan):
-            with pytest.raises(ValueError, match="dt must be"):
-                greenkubo_check(rot_law, stats, dt=dt, n_paths=20, seed=1, x0=[1.0, 1.0])
+            greenkubo_check(rot_law, stats, n_paths=1, seed=1, x0=[1.0, 1.0])
+        # The paths run at stats.dt: statistics whose lags are off their own
+        # grid are refused, not resampled.
+        off_grid = PathStatistics(stats.lag_products, stats.n_paths, stats.seed, dt=0.03)
         with pytest.raises(ValueError, match="multiple of dt"):
-            greenkubo_check(rot_law, stats, dt=0.03, n_paths=20, seed=1, x0=[1.0, 1.0])
+            greenkubo_check(rot_law, off_grid, n_paths=20, seed=1, x0=[1.0, 1.0])
 
 
 class TestConsistency:
@@ -246,13 +252,14 @@ class TestConsistency:
         stats, _ = _run_stats(rot_law, ROT_SEED, lags, burn_in=0.0)
         assert stats.n_paths == 100
         assert stats.seed == ROT_SEED
+        assert stats.dt == 0.02
         assert list(stats.lag_products) == lags
         for lag in lags:
             assert stats.lag_products[lag].shape == (100, 2, 2)
             alone = _run_stats(rot_law, ROT_SEED, (lag,))[0].lag_products[lag]
             assert np.array_equal(stats.lag_products[lag].mean(axis=0), alone.mean(axis=0))
         assert not reversibility_test(stats).verdict_reversible
-        gk = greenkubo_check(rot_law, stats, dt=0.02, n_paths=500, seed=700, x0=[1.0, 1.0])
+        gk = greenkubo_check(rot_law, stats, n_paths=500, seed=700, x0=[1.0, 1.0])
         assert math.isfinite(gk.max_deviation)
 
     def test_repeated_lag_computed_once(self, rot_law):
@@ -393,15 +400,17 @@ class TestStreamedStatistics:
         for lag, ref in zip(lags, refs):
             assert np.array_equal(stats.lag_products[lag], ref), lag
         assert (hdr.value, hdr.stderr) == ref_hdr
-        parts = sampler.stream_batch(
-            m, dt, steps, n_paths, seed,
-            lambda lo, hi: estimators._LagSums(ells, k0, steps, n, hi - lo),
-            chunk_paths=2,
-            law=law,
-        )
-        assert len(parts) == 2
-        assert np.array_equal(np.concatenate([part.ends for part in parts], axis=1), ends)
-        sums = np.concatenate([part.sums for part in parts], axis=1)
+        sums = np.zeros((len(ells), n_paths, n, n))
+        got_ends = np.empty((2, n_paths, n))
+        chunks = []
+
+        def consumer(lo, hi):
+            chunks.append((lo, hi))
+            return estimators._LagSums(ells, k0, steps, sums[:, lo:hi], got_ends[:, lo:hi])
+
+        sampler.stream_batch(m, dt, steps, n_paths, seed, consumer, chunk_paths=2, law=law)
+        assert chunks == [(0, 64), (64, 65)]
+        assert np.array_equal(got_ends, ends)
         for total, ell, ref in zip(sums, ells, refs):
             assert np.array_equal(total / (steps + 1 - k0 - ell), ref)
 
@@ -494,7 +503,7 @@ class TestHeatIdentity:
 def _random_stats(n: int, n_paths: int) -> PathStatistics:
     rng = np.random.default_rng(n)
     products = {lag: rng.standard_normal((n_paths, n, n)) for lag in (0.1, 0.5)}
-    return PathStatistics(lag_products=products, n_paths=n_paths, seed=5)
+    return PathStatistics(lag_products=products, n_paths=n_paths, seed=5, dt=0.1)
 
 
 class TestBootstrapGemm:
@@ -522,7 +531,8 @@ class TestBootstrapGemm:
             "import numpy as np; from ouirrev.estimators import PathStatistics, reversibility_test\n"
             "rng = np.random.default_rng(1)\n"
             "products = {lag: rng.standard_normal((500, 16, 16)) for lag in (0.1, 0.5)}\n"
-            "res = reversibility_test(PathStatistics(lag_products=products, n_paths=500, seed=5))\n"
+            "stats = PathStatistics(lag_products=products, n_paths=500, seed=5, dt=0.1)\n"
+            "res = reversibility_test(stats)\n"
             "print(repr((res.statistic, res.per_lag)))"
         )
         assert with_blas_threads(code, 1) == with_blas_threads(code, 2)

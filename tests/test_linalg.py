@@ -375,6 +375,12 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError):
             linalg.chol_spd(np.diag([1.0, 1e-14]))
 
+    def test_one_matrix_only(self):
+        # A stack of matrices goes to _chol_stack (the transient grid's route).
+        for func in (linalg.chol_spd, linalg.is_spd):
+            with pytest.raises(ValueError, match="square"):
+                func(np.stack([np.eye(2)] * 3))
+
 
 def _chol_reference(s: np.ndarray) -> np.ndarray:
     """The per-matrix column loop that chol_spd ran before it called LAPACK:
@@ -397,18 +403,22 @@ def _spd_stack(n: int, count: int = 12) -> np.ndarray:
 
 
 class TestCholeskyStack:
+    """_chol_stack, which factors the transient grid's covariances in one call,
+    gives each matrix of a stack chol_spd's factor of that matrix alone."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
     def test_stack_equals_each_matrix_alone(self, n):
         stack = _spd_stack(n)
-        lows = linalg.chol_spd(stack)
+        lows, ok = linalg._chol_stack(stack)
         assert lows.shape == stack.shape
         for s, low in zip(stack, lows):
             ref = _chol_reference(s)
             assert np.max(np.abs(low - ref)) <= 1e-13 * np.max(np.abs(ref))
             assert np.array_equal(low, linalg.chol_spd(s))
-            assert np.array_equal(low, linalg.chol_spd(s[None])[0])
-        assert np.array_equal(linalg.chol_spd(stack.reshape(3, 4, n, n)), lows.reshape(3, 4, n, n))
-        assert linalg.is_spd(stack).all()
+            assert np.array_equal(low, linalg._chol_stack(s[None])[0][0])
+        grid = linalg._chol_stack(stack.reshape(3, 4, n, n))[0]
+        assert np.array_equal(grid, lows.reshape(3, 4, n, n))
+        assert ok.all()
 
     def test_member_below_floor(self):
         # Each member fails in a different way: a positive pivot below the
@@ -423,10 +433,11 @@ class TestCholeskyStack:
         for member in members:
             stack = _spd_stack(3, 5)
             stack[2] = member
-            with pytest.raises(NotPositiveDefiniteError, match="matrix 2"):
-                linalg.chol_spd(stack)
-            assert linalg.is_spd(stack).tolist() == [True, True, False, True, True]
-            lows = linalg._chol_stack(stack)[0]
+            with pytest.raises(NotPositiveDefiniteError):
+                linalg.chol_spd(member)
+            assert not linalg.is_spd(member)
+            lows, ok = linalg._chol_stack(stack)
+            assert ok.tolist() == [True, True, False, True, True]
             assert np.isnan(lows[2]).all()
             for k in (0, 1, 3, 4):
                 assert np.array_equal(lows[k], linalg.chol_spd(stack[k]))
@@ -435,9 +446,7 @@ class TestCholeskyStack:
         stack = _spd_stack(3, 5)
         stack[4, 0, 1] += 0.5
         with pytest.raises(ValueError, match="symmetric"):
-            linalg.chol_spd(stack)
-        with pytest.raises(ValueError, match="symmetric"):
-            linalg.is_spd(stack)
+            linalg._chol_stack(stack)
 
 
 class TestSymDefect:

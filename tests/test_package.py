@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -43,6 +44,7 @@ def test_removed_names_gone():
         (model, "drift"),
         (cli, "_csv_cells"),
         (cli, "_CSV_CALL_CELLS"),
+        (cli, "_matrix_list"),
         (_csvfmt, "rows"),
     ]:
         assert not hasattr(module, name)
@@ -55,6 +57,19 @@ def test_removed_names_gone():
     ]:
         assert name not in cls.__dataclass_fields__
     assert not hasattr(estimators._LagSums, "result")
+
+
+def test_removed_parameters_gone():
+    # The Green-Kubo check runs at the time step of its statistics, the
+    # reversibility test at REVERSIBILITY_THRESHOLD, and the consumers of
+    # stream_batch write into the caller's arrays, so it returns nothing.
+    from ouirrev import estimators, sampler
+
+    assert "dt" not in inspect.signature(estimators.greenkubo_check).parameters
+    assert "dt" in estimators.PathStatistics.__dataclass_fields__
+    assert "threshold" not in inspect.signature(estimators.reversibility_test).parameters
+    assert "threshold" in estimators.ReversibilityResult.__dataclass_fields__
+    assert inspect.signature(sampler.stream_batch).return_annotation in (None, "None")
 
 
 def _run_python(code: str, **env) -> str:

@@ -357,25 +357,35 @@ class TestTileBoundaries:
         ells, k0, steps = (0, 3, 150), 20, 2 * _TIME_BLOCK + 5
 
         def run(chunk_paths):
-            parts = stream_batch(
-                law.model, 0.01, steps, 130, 43,
-                lambda lo, hi: _LagSums(ells, k0, steps, n, hi - lo),
-                chunk_paths=chunk_paths,
-                law=law,
+            sums, ends, chunks = np.zeros((len(ells), 130, n, n)), np.empty((2, 130, n)), []
+
+            def consumer(lo, hi):
+                chunks.append(lo)
+                return _LagSums(ells, k0, steps, sums[:, lo:hi], ends[:, lo:hi])
+
+            stream_batch(
+                law.model, 0.01, steps, 130, 43, consumer, chunk_paths=chunk_paths, law=law
             )
-            sums = np.concatenate([part.sums for part in parts], axis=1)
-            return sums, np.concatenate([part.ends for part in parts], axis=1), len(parts)
+            return sums, ends, len(chunks)
 
         monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
         ref_sums, ref_ends, chunks = run(3 * _TILE)
         assert chunks == 1
-        for chunk_paths in (40, 100):  # a chunk would end mid-tile
-            for workers in ("1", "2", "5"):
-                monkeypatch.setenv("OU_IRREV_THREADS", workers)
-                sums, ends, chunks = run(chunk_paths)
-                assert chunks > 1
-                assert np.array_equal(sums, ref_sums)
-                assert np.array_equal(ends, ref_ends)
+        # The chunks' consumers write disjoint slices of the same arrays: with
+        # more workers than cores and frequent thread switches, a lost or
+        # misplaced write would change the sums.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for chunk_paths in (40, 100):  # a chunk would end mid-tile
+                for workers in ("1", "2", "5"):
+                    monkeypatch.setenv("OU_IRREV_THREADS", workers)
+                    sums, ends, chunks = run(chunk_paths)
+                    assert chunks > 1
+                    assert np.array_equal(sums, ref_sums)
+                    assert np.array_equal(ends, ref_ends)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_stream_buffers_sized_by_elements(self):
         # n = 16 on one 64-path tile over 2000 steps, keeping nothing: 64-step
@@ -386,7 +396,7 @@ class TestTileBoundaries:
         assert _blocking(16, _TILE, 2000) == (64, 128)
         tracemalloc.start()
         try:
-            stream_batch(
+            out = stream_batch(
                 law.model, 0.01, 2000, _TILE, 5, lambda lo, hi: lambda k, states: None,
                 chunk_paths=_TILE, law=law,
             )
@@ -394,6 +404,7 @@ class TestTileBoundaries:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+        assert out is None  # what is kept, the consumers hold
 
     def test_blocking(self):
         # At n = 2 on up to four tiles, the blocks and spans of a fixed count
