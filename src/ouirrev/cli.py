@@ -249,8 +249,8 @@ def cmd_transient(args: argparse.Namespace) -> int:
         raise ValueError("transient grid requires finite --t-step > 0 and --t-max >= 0")
     if args.t_max / args.t_step == math.inf:
         raise ValueError("transient grid --t-max / --t-step overflows")
-    factors = transient.rate_factors(model)
-    reversible = factors.classification.verdict is Verdict.REVERSIBLE
+    cls = classify(model)
+    reversible = cls.verdict is Verdict.REVERSIBLE
     n = model.n
     header = ["t"]
     header += [f"mean_{i + 1}" for i in range(n)]
@@ -260,7 +260,7 @@ def cmd_transient(args: argparse.Namespace) -> int:
         header.append("free_energy")
     n_rows = int(math.floor(args.t_max / args.t_step + 1e-9)) + 1
     states = transient.propagate_grid(model, x0, args.t_step, n_rows)
-    grid = factors.grid_rates(states)
+    grid = transient.grid_rates(model, cls, states)
     columns = [states.t, states.mean, states.cov.reshape(n_rows, -1)]
     columns += [grid.entropy, grid.epr_t, grid.hdr_t, grid.entropy_rate]
     if reversible:

@@ -55,6 +55,16 @@ def _as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return a
 
 
+def _as_vector(x, n: int, name: str = "state") -> np.ndarray:
+    """x as a finite float array of shape (n,)."""
+    v = np.asarray(x, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return v
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues of a real matrix, closed under conjugation.

@@ -235,17 +235,19 @@ class _StepHeat:
             self.x, self.w = x[1], 0.0
             return np.zeros((b, count))
         x[0] = self.x
-        mid = (x[1:] + x[:-1]) * 0.5
-        prod, tiled = np.empty(mid.shape), (b, n, -1, _TILE)
-        _tile_matmul(self.s_mat, mid.reshape(tiled), prod.reshape(tiled))
-        prod = prod[:, :, self.cols] * (x[1:] - x[:-1])[:, :, self.cols]
-        w = np.empty((b + 1, count))
-        w[0], w[1:] = self.w, prod[:, 0]
-        for i in range(1, n):
-            w[1:] += prod[:, i]
-        w[1:] *= -2.0
-        first = 1 if k == 1 else 0
-        np.cumsum(w[first:], axis=0, out=w[first:])
+        # Overflow is reported by the writer's finiteness check, not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid = (x[1:] + x[:-1]) * 0.5
+            prod, tiled = np.empty(mid.shape), (b, n, -1, _TILE)
+            _tile_matmul(self.s_mat, mid.reshape(tiled), prod.reshape(tiled))
+            prod = prod[:, :, self.cols] * (x[1:] - x[:-1])[:, :, self.cols]
+            w = np.empty((b + 1, count))
+            w[0], w[1:] = self.w, prod[:, 0]
+            for i in range(1, n):
+                w[1:] += prod[:, i]
+            w[1:] *= -2.0
+            first = 1 if k == 1 else 0
+            np.cumsum(w[first:], axis=0, out=w[first:])
         self.x, self.w = x[-1], w[-1]
         return w[1:]
 
@@ -309,11 +311,7 @@ def _prepare(model, dt, steps, n_paths, seed, x0, law, method) -> _Job:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if x0 is not None and law is not None:
         raise ValueError("give either x0 or law, not both")
-    start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
-    if start.shape != (model.n,):
-        raise ValueError(f"initial state must have shape ({model.n},), got {start.shape}")
-    if not np.all(np.isfinite(start)):
-        raise ValueError("initial state contains non-finite entries")
+    start = np.zeros(model.n) if x0 is None else linalg._as_vector(x0, model.n, "initial state")
     _validate_grid(dt, steps)
     chol_xi = None if law is None else law.chol_Xi
     return _Job(int(seed), start, chol_xi, _update(model, dt, method))

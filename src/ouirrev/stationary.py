@@ -5,7 +5,7 @@ two-time covariance.
 
 The law is P = N(0, Xi) with B Xi + Xi B^T = A. Its entropy production and
 heat dissipation rates are the transient rates at that law, read from the
-transient Gaussian-moment kernel (transient.RateFactors) at mean 0, cov Xi:
+transient Gaussian-moment kernel (transient._moment_rates) at mean 0, cov Xi:
 
     epr = (1/2) tr(M^T A M Xi),        M = 2 A^{-1} B - Xi^{-1}
     hdr = 2 tr(B^T A^{-1} B Xi) - tr(B)
@@ -22,8 +22,8 @@ import numpy as np
 
 from . import linalg
 from .exceptions import NoStationaryLawError
-from .model import Classification, LinearModel, Verdict
-from .transient import rate_factors
+from .model import Classification, LinearModel, Verdict, classify
+from .transient import _moment_rates
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +39,6 @@ class StationaryLaw:
     fdr_strong_residual: float
     classification: Classification
     chol_Xi: np.ndarray = field(repr=False)
-    # M = 2 A^{-1} B - Xi^{-1}; the affinity is Pi(x) = -M x.
-    M: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,7 @@ def stationary_law(model: LinearModel) -> StationaryLaw:
         For sweeping models, which have no integrable stationary density;
         the exception carries the model's classification.
     """
-    factors = rate_factors(model)
-    cls = factors.classification
+    cls = classify(model)
     if cls.verdict is Verdict.SWEEPING:
         raise NoStationaryLawError(
             "model is sweeping (eigenvalue real part <= 0); no stationary law exists",
@@ -72,7 +69,7 @@ def stationary_law(model: LinearModel) -> StationaryLaw:
     chol = linalg.chol_spd(xi)
     xi_inv = np.linalg.solve(xi, np.eye(model.n))
     xi_inv = 0.5 * (xi_inv + xi_inv.T)
-    epr, hdr = factors._moment_rates(np.zeros(model.n), xi, xi_inv)
+    epr, hdr = _moment_rates(model, cls.ainv_b, np.zeros(model.n), xi, xi_inv)
     a_norm = float(np.linalg.norm(model.A))
     standard = float(np.linalg.norm(model.B @ xi + xi @ model.B.T - model.A)) / (1.0 + a_norm)
     strong = float(np.linalg.norm(model.A - 2.0 * model.B @ xi)) / (1.0 + a_norm)
@@ -86,7 +83,6 @@ def stationary_law(model: LinearModel) -> StationaryLaw:
         fdr_strong_residual=strong,
         classification=cls,
         chol_Xi=chol,
-        M=2.0 * cls.ainv_b - xi_inv,
     )
 
 
@@ -105,13 +101,12 @@ def force_flux(law: StationaryLaw, x) -> ForceFlux:
     """Thermodynamic force (affinity), flux per unit density, and mechanical
     force at state x.
 
-    affinity Pi(x) = 2 A^{-1} b(x) - grad log P(x) = -M x; the probability
-    flux is J = (P/2) A Pi, returned here per unit density as (1/2) A Pi.
+    affinity Pi(x) = 2 A^{-1} b(x) - grad log P(x) = -M x with
+    M = 2 A^{-1} B - Xi^{-1}; the probability flux is J = (P/2) A Pi,
+    returned here per unit density as (1/2) A Pi.
     """
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (law.model.n,):
-        raise ValueError(f"state must have shape ({law.model.n},), got {xv.shape}")
-    affinity = -(law.M @ xv)
+    xv = linalg._as_vector(x, law.model.n, "state")
+    affinity = -((2.0 * law.classification.ainv_b - law.Xi_inv) @ xv)
     mechanical = -2.0 * (law.classification.ainv_b @ xv)
     flux = 0.5 * (law.model.A @ affinity)
     return ForceFlux(affinity=affinity, flux=flux, mechanical_force=mechanical)
@@ -120,10 +115,8 @@ def force_flux(law: StationaryLaw, x) -> ForceFlux:
 def stationary_density(law: StationaryLaw, x) -> float:
     """Stationary Gaussian density at x with the standard normalization
     (2 pi)^{-n/2} det(Xi)^{-1/2}."""
-    xv = np.asarray(x, dtype=float)
     n = law.model.n
-    if xv.shape != (n,):
-        raise ValueError(f"state must have shape ({n},), got {xv.shape}")
+    xv = linalg._as_vector(x, n, "state")
     quad = float(xv @ law.Xi_inv @ xv)
     logdet = 2.0 * float(np.sum(np.log(np.diag(law.chol_Xi))))
     return float(np.exp(-0.5 * quad - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)))

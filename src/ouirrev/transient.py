@@ -31,17 +31,17 @@ M_t = 2 A^{-1} B - C^{-1},
 
 so the entropy rate epr - hdr is mean-independent, matching
 d/dt e[P] = (1/2) tr(C^{-1} Cdot). Both forms are quadrature-validated in the
-test suite, and written once (RateFactors._moment_rates), which the
-stationary law also evaluates at (0, Xi). The factors that depend only on the
-model (the classification with its A^{-1} B, B^T A^{-1} B, tr B and the
-potential matrix) are computed once by rate_factors and reused for every state.
+test suite, and written once (_moment_rates), which the stationary law also
+evaluates at (0, Xi). A^{-1} B is the one the model's classification solved
+for; B^T A^{-1} B, tr B and the potential matrix are formed where they are
+read, once per evaluation of a state or a grid.
 
-The rates of a whole grid are evaluated in one pass: one LAPACK Cholesky call
-over the stack for the entropies, one batched solve for the inverse
-covariances, and every trace and quadratic form in batched matmul form. Each
-row has the same bits as the evaluation of that state alone, because the
-single-state entry points (entropy, free_energy, instantaneous_rates,
-RateFactors.rates) run the same kernel on one state.
+The rates of a whole grid are evaluated in one pass (grid_rates): one LAPACK
+Cholesky call over the stack for the entropies, one batched solve for the
+inverse covariances, and every trace and quadratic form in batched matmul
+form. Each row has the same bits as the evaluation of that state alone,
+because the single-state entry points (entropy, free_energy,
+instantaneous_rates) run the same kernel on one state.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ class ThermoSnapshot:
     """Thermodynamic functionals of a Gaussian state.
 
     free_energy is defined only for reversible models and is None otherwise;
-    entropy_rate always equals epr_t - hdr_t. For a grid (RateFactors.
-    grid_rates) every field is an array along the grid axis, NaN on the rows
-    where the functionals are undefined.
+    entropy_rate always equals epr_t - hdr_t. For a grid (grid_rates) every
+    field is an array along the grid axis, NaN on the rows where the
+    functionals are undefined.
     """
 
     t: float | np.ndarray
@@ -94,9 +94,7 @@ class ThermoSnapshot:
 
 def propagate(model: LinearModel, x0, t: float) -> GaussianState:
     """Law at time t >= 0 started from the point x0 (any model, sweeping included)."""
-    xv = np.asarray(x0, dtype=float)
-    if xv.shape != (model.n,):
-        raise ValueError(f"initial state must have shape ({model.n},), got {xv.shape}")
+    xv = linalg._as_vector(x0, model.n, "initial state")
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"time must be finite and >= 0, got {t}")
@@ -122,9 +120,7 @@ def propagate_grid(model: LinearModel, x0, t_step: float, n_rows: int) -> Gaussi
         If the mean or covariance of some row overflows (sweeping models on
         long grids); names the time of the first such row.
     """
-    xv = np.asarray(x0, dtype=float)
-    if xv.shape != (model.n,):
-        raise ValueError(f"initial state must have shape ({model.n},), got {xv.shape}")
+    xv = linalg._as_vector(x0, model.n, "initial state")
     h = float(t_step)
     if not math.isfinite(h) or h <= 0.0:
         raise ValueError(f"time step must be finite and > 0, got {h}")
@@ -172,10 +168,8 @@ def transition_density(model: LinearModel, x, t: float, x0) -> float:
     t = float(t)
     if t <= 0.0:
         raise ValueError(f"transition density requires t > 0, got {t}")
-    state = propagate(model, x0, t)
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (model.n,):
-        raise ValueError(f"state must have shape ({model.n},), got {xv.shape}")
+    xv = linalg._as_vector(x, model.n, "state")
+    state = propagate(model, linalg._as_vector(x0, model.n, "initial state"), t)
     low = _chol_cov(state.cov)
     # Solve L y = (x - mean); the quadratic form is then |y|^2.
     y = np.linalg.solve(low, xv - state.mean)
@@ -215,107 +209,86 @@ def entropy(state: GaussianState) -> float:
     return ent
 
 
-@dataclass(frozen=True, eq=False)
-class RateFactors:
-    """The model-only factors of the instantaneous rates, computed once.
+def _moment_rates(model: LinearModel, ainv_b, mean, cov, cov_inv) -> tuple[np.ndarray, np.ndarray]:
+    """epr and hdr of the Gaussian law N(mean, cov), or of each law in a
+    stack, given cov^{-1} and the model's A^{-1} B: the one copy of the moment
+    formulas."""
+    bt_ainv_b = model.B.T @ ainv_b
+    m_t = 2.0 * ainv_b - cov_inv
+    mean_term = 2.0 * _quad(mean, bt_ainv_b)
+    epr = 0.5 * _trace(m_t.swapaxes(-1, -2) @ model.A @ m_t @ cov) + mean_term
+    hdr = 2.0 * _trace(bt_ainv_b @ cov) - float(np.trace(model.B)) + mean_term
+    return np.where(epr < 0.0, 0.0, epr), hdr
 
-    classification carries the verdict and A^{-1} B. S = sym(A^{-1} B) is the
-    potential matrix, so that U(x) = x^T S x and 2 A^{-1} b(x) = -grad U(x)
-    hold exactly for b(x) = -B x; it is None unless the model is reversible.
+
+def _potential_matrix(cls: Classification) -> np.ndarray:
+    """S = sym(A^{-1} B) of a reversible model, so that U(x) = x^T S x and
+    2 A^{-1} b(x) = -grad U(x) hold exactly for b(x) = -B x.
+
+    Raises PotentialUndefinedError for any other verdict.
     """
-
-    A: np.ndarray
-    classification: Classification
-    bt_ainv_b: np.ndarray
-    trace_b: float
-    S: np.ndarray | None
-
-    def _moment_rates(self, mean, cov, cov_inv) -> tuple[np.ndarray, np.ndarray]:
-        """epr and hdr of the Gaussian law N(mean, cov), or of each law in a
-        stack, given cov^{-1}: the one copy of the moment formulas."""
-        m_t = 2.0 * self.classification.ainv_b - cov_inv
-        mean_term = 2.0 * _quad(mean, self.bt_ainv_b)
-        epr = 0.5 * _trace(m_t.swapaxes(-1, -2) @ self.A @ m_t @ cov) + mean_term
-        hdr = 2.0 * _trace(self.bt_ainv_b @ cov) - self.trace_b + mean_term
-        return np.where(epr < 0.0, 0.0, epr), hdr
-
-    def grid_rates(self, states: GaussianState) -> ThermoSnapshot:
-        """Entropy, instantaneous epr/hdr, and their balance along a grid of
-        states (as propagate_grid returns them), as arrays over the grid.
-
-        Rows whose covariance fails the Cholesky floor (the point mass at
-        t = 0) are NaN in every field but t. A single state (mean (n,),
-        cov (n, n)) gives 0-d arrays.
-        """
-        mean = np.asarray(states.mean, dtype=float)
-        cov = np.asarray(states.cov, dtype=float)
-        ent = _entropies(cov)
-        ok = ~np.isnan(ent)
-        eye = np.eye(cov.shape[-1])
-        # Undefined rows are replaced by I so that the batched solve cannot fail on them.
-        defined_cov = np.where(ok[..., None, None], cov, eye)
-        cov_inv = np.linalg.solve(defined_cov, np.broadcast_to(eye, cov.shape))
-        cov_inv = 0.5 * (cov_inv + cov_inv.swapaxes(-1, -2))
-        epr_t, hdr_t = self._moment_rates(mean, cov, cov_inv)
-        epr_t, hdr_t = np.where(ok, epr_t, np.nan), np.where(ok, hdr_t, np.nan)
-        psi = None
-        if self.S is not None:
-            psi = _trace(self.S @ cov) + _quad(mean, self.S) - ent
-        return ThermoSnapshot(
-            t=states.t,
-            entropy=ent,
-            free_energy=psi,
-            epr_t=epr_t,
-            hdr_t=hdr_t,
-            entropy_rate=epr_t - hdr_t,
-        )
-
-    def rates(self, state: GaussianState) -> ThermoSnapshot:
-        """Entropy, instantaneous epr/hdr, and their balance at a Gaussian state.
-
-        Raises UndefinedEntropyError for singular covariance, as entropy does.
-        """
-        snap = self.grid_rates(state)
-        if math.isnan(snap.entropy):
-            raise UndefinedEntropyError("state covariance is singular (point mass)")
-        return ThermoSnapshot(
-            t=state.t,
-            entropy=float(snap.entropy),
-            free_energy=None if snap.free_energy is None else float(snap.free_energy),
-            epr_t=float(snap.epr_t),
-            hdr_t=float(snap.hdr_t),
-            entropy_rate=float(snap.entropy_rate),
-        )
-
-
-def rate_factors(model: LinearModel) -> RateFactors:
-    """Classify the model once and precompute what every rate evaluation reuses."""
-    cls = classify(model)
-    ainv_b = cls.ainv_b
-    s = 0.5 * (ainv_b + ainv_b.T) if cls.verdict is Verdict.REVERSIBLE else None
-    return RateFactors(
-        A=model.A,
-        classification=cls,
-        bt_ainv_b=model.B.T @ ainv_b,
-        trace_b=float(np.trace(model.B)),
-        S=s,
-    )
-
-
-def _reversible_factors(model: LinearModel) -> RateFactors:
-    """rate_factors of a reversible model, whose S gives the potential."""
-    factors = rate_factors(model)
-    if factors.S is None:
+    if cls.verdict is not Verdict.REVERSIBLE:
         raise PotentialUndefinedError(
             "free energy requires a reversible model (force has no potential otherwise)"
         )
-    return factors
+    return 0.5 * (cls.ainv_b + cls.ainv_b.T)
+
+
+def grid_rates(model: LinearModel, cls: Classification, states: GaussianState) -> ThermoSnapshot:
+    """Entropy, instantaneous epr/hdr, and their balance along a grid of
+    states (as propagate_grid returns them), as arrays over the grid; cls is
+    the model's classification. The free energy is None unless the model is
+    reversible.
+
+    Rows whose covariance fails the Cholesky floor (the point mass at
+    t = 0) are NaN in every field but t. A single state (mean (n,),
+    cov (n, n)) gives 0-d arrays.
+    """
+    mean = np.asarray(states.mean, dtype=float)
+    cov = np.asarray(states.cov, dtype=float)
+    ent = _entropies(cov)
+    ok = ~np.isnan(ent)
+    eye = np.eye(cov.shape[-1])
+    # Undefined rows are replaced by I so that the batched solve cannot fail on them.
+    defined_cov = np.where(ok[..., None, None], cov, eye)
+    cov_inv = np.linalg.solve(defined_cov, np.broadcast_to(eye, cov.shape))
+    cov_inv = 0.5 * (cov_inv + cov_inv.swapaxes(-1, -2))
+    epr_t, hdr_t = _moment_rates(model, cls.ainv_b, mean, cov, cov_inv)
+    epr_t, hdr_t = np.where(ok, epr_t, np.nan), np.where(ok, hdr_t, np.nan)
+    psi = None
+    if cls.verdict is Verdict.REVERSIBLE:
+        s = _potential_matrix(cls)
+        psi = _trace(s @ cov) + _quad(mean, s) - ent
+    return ThermoSnapshot(
+        t=states.t,
+        entropy=ent,
+        free_energy=psi,
+        epr_t=epr_t,
+        hdr_t=hdr_t,
+        entropy_rate=epr_t - hdr_t,
+    )
+
+
+def _state_rates(model: LinearModel, cls: Classification, state: GaussianState) -> ThermoSnapshot:
+    """grid_rates of one state, as floats; UndefinedEntropyError for a
+    singular covariance, as entropy raises."""
+    snap = grid_rates(model, cls, state)
+    if math.isnan(snap.entropy):
+        raise UndefinedEntropyError("state covariance is singular (point mass)")
+    return ThermoSnapshot(
+        t=state.t,
+        entropy=float(snap.entropy),
+        free_energy=None if snap.free_energy is None else float(snap.free_energy),
+        epr_t=float(snap.epr_t),
+        hdr_t=float(snap.hdr_t),
+        entropy_rate=float(snap.entropy_rate),
+    )
 
 
 def potential(model: LinearModel, x) -> float:
     """Potential U(x) = x^T A^{-1} B x of a reversible model."""
-    xv = np.asarray(x, dtype=float)
-    s = _reversible_factors(model).S
+    xv = linalg._as_vector(x, model.n, "state")
+    s = _potential_matrix(classify(model))
     return float(xv @ s @ xv)
 
 
@@ -325,7 +298,9 @@ def free_energy(model: LinearModel, state: GaussianState) -> float:
     E[U] under the Gaussian state is tr(S cov) + mean^T S mean with
     U(x) = x^T S x, S = A^{-1} B.
     """
-    return _reversible_factors(model).rates(state).free_energy
+    cls = classify(model)
+    _potential_matrix(cls)  # an irreversible model raises before the state is read
+    return _state_rates(model, cls, state).free_energy
 
 
 def instantaneous_rates(model: LinearModel, state: GaussianState) -> ThermoSnapshot:
@@ -333,4 +308,4 @@ def instantaneous_rates(model: LinearModel, state: GaussianState) -> ThermoSnaps
 
     Raises UndefinedEntropyError for singular covariance, as entropy does.
     """
-    return rate_factors(model).rates(state)
+    return _state_rates(model, classify(model), state)

@@ -14,7 +14,7 @@ def test_public_names_resolve():
 
 
 def test_removed_names_gone():
-    from ouirrev import _csvfmt, cli, estimators, model, sampler, stationary
+    from ouirrev import _csvfmt, cli, estimators, model, sampler, stationary, transient
 
     for module, name in [
         (stationary, "entropy_production_rate"),
@@ -46,6 +46,9 @@ def test_removed_names_gone():
         (cli, "_CSV_CALL_CELLS"),
         (cli, "_matrix_list"),
         (_csvfmt, "rows"),
+        (transient, "RateFactors"),
+        (transient, "rate_factors"),
+        (transient, "_reversible_factors"),
     ]:
         assert not hasattr(module, name)
         assert not hasattr(ouirrev, name)
@@ -54,6 +57,7 @@ def test_removed_names_gone():
         (estimators.PathStatistics, "lags"),
         (estimators.ReversibilityResult, "note"),
         (estimators.HdrEstimate, "n_paths"),
+        (stationary.StationaryLaw, "M"),
     ]:
         assert name not in cls.__dataclass_fields__
     assert not hasattr(estimators._LagSums, "result")

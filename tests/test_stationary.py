@@ -12,7 +12,7 @@ from ouirrev.stationary import (
     stationary_law,
     two_time_covariance,
 )
-from ouirrev.transient import GaussianState, rate_factors
+from ouirrev.transient import GaussianState, instantaneous_rates
 
 from conftest import random_reversible_model, ring_model, rotational_model, thermo_corpus
 from oracles import epr_quadrature, gauss_hermite_expectation
@@ -130,7 +130,7 @@ class TestSharedRateKernel:
         models += [build_model(ring["B"], ring["Gamma"]), build_model(b16, np.eye(16))]
         for m in models:
             law = stationary_law(m)
-            snap = rate_factors(m).rates(GaussianState(math.inf, np.zeros(m.n), law.Xi))
+            snap = instantaneous_rates(m, GaussianState(math.inf, np.zeros(m.n), law.Xi))
             assert law.epr == snap.epr_t
             assert law.hdr == snap.hdr_t
 

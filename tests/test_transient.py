@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ouirrev import linalg
+from ouirrev import linalg, sampler
 from ouirrev.exceptions import NumericalFailureError, PotentialUndefinedError, UndefinedEntropyError
 from ouirrev.model import Verdict, build_model, classify
-from ouirrev.stationary import stationary_density, stationary_law
+from ouirrev.stationary import force_flux, stationary_density, stationary_law
 from ouirrev.transient import (
     GaussianState,
     entropy,
     free_energy,
+    grid_rates,
     instantaneous_rates,
     potential,
     propagate,
     propagate_grid,
-    rate_factors,
     transition_density,
 )
 
@@ -218,6 +218,36 @@ class TestTransitionDensity:
             transition_density(rotational_model(1.0), [0.0, 0.0], 0.0, [0.0, 0.0])
 
 
+# Each function that takes a point, called with a point p: (model, law, p) -> result.
+_POINT_CALLS = {
+    "propagate": lambda m, law, p: propagate(m, p, 1.0),
+    "propagate_grid": lambda m, law, p: propagate_grid(m, p, 0.1, 3),
+    "transition_density-x": lambda m, law, p: transition_density(m, p, 1.0, [0.0, 0.0]),
+    "transition_density-x0": lambda m, law, p: transition_density(m, [0.0, 0.0], 1.0, p),
+    "potential": lambda m, law, p: potential(m, p),
+    "force_flux": lambda m, law, p: force_flux(law, p),
+    "stationary_density": lambda m, law, p: stationary_density(law, p),
+    "stream_batch": lambda m, law, p: sampler.stream_batch(
+        m, 0.01, 10, 1, 0, lambda lo, hi: pytest.fail("consumer made"), chunk_paths=1, x0=p
+    ),
+}
+
+
+class TestNonFinitePoint:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", sorted(_POINT_CALLS))
+    def test_rejected_before_any_kernel(self, call, bad, reversible_2d, monkeypatch):
+        law = stationary_law(reversible_2d)
+
+        def refuse(*args):
+            raise AssertionError("a kernel ran on a non-finite point")
+
+        monkeypatch.setattr(linalg, "expm", refuse)
+        monkeypatch.setattr(linalg, "gram_integral", refuse)
+        with pytest.raises(ValueError, match="non-finite"):
+            _POINT_CALLS[call](reversible_2d, law, [bad, 0.0])
+
+
 class TestEntropy:
     def test_standard_gaussian_2d(self):
         state = GaussianState(t=1.0, mean=np.zeros(2), cov=np.eye(2))
@@ -337,7 +367,7 @@ class TestGridRates:
     )
     def test_every_row_bit_identical(self, model, x0):
         grid = propagate_grid(model, x0, 0.01, 500)
-        snaps = rate_factors(model).grid_rates(grid)
+        snaps = grid_rates(model, classify(model), grid)
         assert np.isnan(snaps.entropy[0]) and np.isnan(snaps.epr_t[0])
         for k in range(1, 500):
             state = GaussianState(t=grid.t[k], mean=grid.mean[k], cov=grid.cov[k])
@@ -350,7 +380,8 @@ class TestGridRates:
         # cov(t) ~ 1e-10 t I stays at or below the floor 1e-12 (1 + max diag)
         # through t = 0.01, so rows 0-10 of the h = 0.001 grid are undefined
         model = build_model([[1.0, 1.0], [-1.0, 1.0]], 1e-5 * np.eye(2))
-        snaps = rate_factors(model).grid_rates(propagate_grid(model, [2.0, 0.0], 0.001, 41))
+        grid = propagate_grid(model, [2.0, 0.0], 0.001, 41)
+        snaps = grid_rates(model, classify(model), grid)
         for field in (snaps.entropy, snaps.epr_t, snaps.hdr_t, snaps.entropy_rate):
             assert np.flatnonzero(np.isnan(field)).tolist() == list(range(11))
 
