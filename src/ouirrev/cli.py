@@ -1,5 +1,5 @@
 """Command-line surface: model I/O, analysis reports, simulation runs, and
-the Monte Carlo vs. analytic verification suite.
+the verify report, whose sections and gates estimators.verify_sections owns.
 
 Model file format: a JSON object {"B": [[...]], "Gamma": [[...]]} with n
 inferred from the rows (ragged rows rejected).
@@ -28,11 +28,6 @@ import numpy as np
 from . import estimators, sampler, stationary, transient
 from .exceptions import NoStationaryLawError, NumericalFailureError
 from .model import LinearModel, Verdict, classify, model_from_dict
-
-GREEN_KUBO_Z_MAX = 4.0
-HDR_REL_ERR_MAX = 0.05
-HDR_ZERO_SIGMAS = 3.0
-FDR_RESIDUAL_TOL = 1e-8
 
 
 def _fmt(x: float) -> str:
@@ -163,16 +158,17 @@ _CSV_CHUNK_PATHS = 64
 class _CsvWriter:
     """simulate's consumer for paths lo .. hi-1 of a run of steps: opens their
     files, appends each time block's rows t, x1 .. xn, W to them as it
-    arrives, with the heat W of sampler._StepHeat, and closes them with the
-    last block. A block holding a path that overflows (a
-    non-finite state or heat) raises NumericalFailureError."""
+    arrives, with the heat W of sampler._StepHeat for the run's
+    s_mat = A^{-1} B, and closes them with the last block. A block holding a
+    path that overflows (a non-finite state or heat) raises
+    NumericalFailureError."""
 
-    def __init__(self, prefix: str, lo: int, hi: int, model: LinearModel, dt: float, steps: int):
+    def __init__(self, prefix: str, lo: int, hi: int, s_mat: np.ndarray, dt: float, steps: int):
         from . import _csvfmt  # imported by the CSV commands only
 
         self.table, self.lo, self.dt, self.rows = _csvfmt.table, lo, dt, steps + 1
-        self.step_heat = sampler._StepHeat(model, lo, hi)
-        header = ("t," + ",".join(f"x{i + 1}" for i in range(model.n)) + ",W\n").encode("ascii")
+        self.step_heat = sampler._StepHeat(s_mat, lo, hi)
+        header = ("t," + ",".join(f"x{i + 1}" for i in range(len(s_mat))) + ",W\n").encode("ascii")
         self.files = []
         try:
             for k in range(lo, hi):
@@ -213,10 +209,11 @@ class _CsvWriter:
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     law = stationary.stationary_law(model) if args.stationary else None
+    s_mat = np.linalg.solve(model.A, model.B)  # classify's A^{-1} B, once for every chunk
     writers = []
 
     def writer(lo: int, hi: int) -> _CsvWriter:
-        writers.append(_CsvWriter(args.out, lo, hi, model, args.dt, args.steps))
+        writers.append(_CsvWriter(args.out, lo, hi, s_mat, args.dt, args.steps))
         return writers[-1]
 
     try:
@@ -273,10 +270,6 @@ def cmd_transient(args: argparse.Namespace) -> int:
     return 0
 
 
-def _skipped(reason: str) -> dict:
-    return {"skipped": True, "reason": reason}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     try:
@@ -284,30 +277,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cls = law.classification
     except NoStationaryLawError as exc:
         law, cls = None, exc.classification
-    sections: dict[str, dict] = {}
-    sections["classification"] = dict(_classification_dict(cls), **{"pass": True})
-
-    if law is None:
-        reason = "no stationary law (sweeping model)"
-        for name in ("fdr", "epr_vs_hdr_mc", "two_time_symmetry", "green_kubo"):
-            sections[name] = _skipped(reason)
-        report = {"pass": True, "sections": sections, "seed": args.seed}
-        _emit(args.out, canonical_json(report).encode(), b"\n")
-        return 0
-
-    reversible = cls.verdict is Verdict.REVERSIBLE
-
-    standard, strong = law.fdr_standard_residual, law.fdr_strong_residual
-    strong_zero = strong <= FDR_RESIDUAL_TOL
-    fdr_pass = standard <= FDR_RESIDUAL_TOL and strong_zero == reversible
-    sections["fdr"] = {
-        "standard_residual": standard,
-        "strong_residual": strong,
-        "strong_residual_zero": strong_zero,
-        "pass": bool(fdr_pass),
-    }
-
-    stats, hdr = estimators.stationary_statistics(
+    sections = estimators.verify_sections(
         law,
         dt=args.dt,
         steps=args.steps,
@@ -316,59 +286,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lags=args.tau,
         burn_in=args.burn_in,
     )
-    epr = law.epr
-    if reversible:
-        hdr_pass = abs(hdr.value) <= HDR_ZERO_SIGMAS * hdr.stderr
-        criterion = f"|hdr| <= {_fmt(HDR_ZERO_SIGMAS)} * stderr"
-    else:
-        rel = abs(hdr.value - epr) / epr
-        hdr_pass = rel <= HDR_REL_ERR_MAX
-        criterion = f"relative error <= {_fmt(HDR_REL_ERR_MAX)}"
-    sections["epr_vs_hdr_mc"] = {
-        "epr": epr,
-        "hdr_hat": hdr.value,
-        "hdr_stderr": hdr.stderr,
-        "criterion": criterion,
-        "pass": bool(hdr_pass),
-    }
-
-    rev = estimators.reversibility_test(stats)
-    sections["two_time_symmetry"] = {
-        "statistic": rev.statistic,
-        "threshold": rev.threshold,
-        "verdict_reversible": rev.verdict_reversible,
-        "classified_reversible": reversible,
-        "pass": bool(rev.verdict_reversible == reversible),
-    }
-
-    gk = estimators.greenkubo_check(
-        law,
-        stats,
-        n_paths=args.paths,
-        seed=(args.seed + 1) % 2**64,
-        x0=np.ones(model.n),
-    )
-    gk_pass = gk.max_abs_z <= GREEN_KUBO_Z_MAX and gk.max_abs_z_two_time <= GREEN_KUBO_Z_MAX
-    sections["green_kubo"] = {
-        "max_abs_z_conditional_mean": gk.max_abs_z,
-        "max_abs_z_two_time": gk.max_abs_z_two_time,
-        "max_deviation": gk.max_deviation,
-        "pass": bool(gk_pass),
-    }
-
+    sections["classification"] = dict(_classification_dict(cls), **{"pass": True})
     overall = all(sec.get("pass", True) for sec in sections.values())
-    report = {
-        "pass": overall,
-        "sections": sections,
-        "seed": args.seed,
-        "budget": {
+    report = {"pass": overall, "sections": sections, "seed": args.seed}
+    if law is not None:  # a sweeping model's report has no budget: it sampled nothing
+        report["budget"] = {
             "dt": args.dt,
             "steps": args.steps,
             "paths": args.paths,
             "burn_in": args.burn_in,
             "tau_list": list(args.tau),
-        },
-    }
+        }
     _emit(args.out, canonical_json(report).encode(), b"\n")
     return 0 if overall else 4
 

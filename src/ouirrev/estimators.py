@@ -1,6 +1,7 @@
 """Statistical verdicts from trajectory ensembles: per-path two-time
-products, reversibility asymmetry test, heat-rate estimation, and the
-conditional-mean regression (Onsager/Green-Kubo) check.
+products, reversibility asymmetry test, heat-rate estimation, the
+conditional-mean regression (Onsager/Green-Kubo) check, and verify's report
+sections: their gates and the sweeping-model skip rule (verify_sections).
 
 Both two-time estimators (the reversibility test and the R(t, 0) half of the
 Green-Kubo check) read one PathStatistics value: the per-path lag products
@@ -47,6 +48,7 @@ import numpy as np
 
 from . import linalg
 from .exceptions import InsufficientDataError
+from .model import Verdict
 from .sampler import (
     BOOTSTRAP_STREAM,
     _budget_paths,
@@ -62,6 +64,11 @@ _GEMM_DEPTH = 256
 # Studentized asymmetry above this is declared irreversible; below it the
 # verdict is "consistent with reversible" (failure to reject, not proof).
 REVERSIBILITY_THRESHOLD = 3.0
+# verify's other gates (verify_sections):
+FDR_RESIDUAL_TOL = 1e-8  # an FDR residual at or below it is zero
+HDR_ZERO_SIGMAS = 3.0  # a reversible model's hdr passes within this many stderr of 0
+HDR_REL_ERR_MAX = 0.05  # an irreversible model's, within this relative error of epr
+GREEN_KUBO_Z_MAX = 4.0  # Green-Kubo passes if no |z| exceeds it
 # Time steps per block of the streamed per-path lag sums, whose summation
 # order follows these global blocks.
 _SUPER_BLOCK = 1024
@@ -430,3 +437,67 @@ def greenkubo_check(
     return GreenKuboResult(
         max_abs_z=max_z, max_deviation=max_dev, max_abs_z_two_time=max_z_two_time
     )
+
+
+def verify_sections(
+    law: StationaryLaw | None, *, dt: float, steps: int, n_paths: int, seed: int, lags, burn_in
+) -> dict[str, dict]:
+    """verify's fdr, epr_vs_hdr_mc, two_time_symmetry and green_kubo sections
+    on the stationary law law: each one's statistics and whether they pass
+    its gate. On a sweeping model (law None) each is skipped, with the reason.
+
+    The statistics are stationary_statistics(law, dt, steps, n_paths, seed,
+    lags, burn_in); the Green-Kubo check's n_paths paths start at
+    x0 = (1, ..., 1) with master seed seed + 1 (mod 2**64).
+    """
+    if law is None:
+        reason = "no stationary law (sweeping model)"
+        names = ("fdr", "epr_vs_hdr_mc", "two_time_symmetry", "green_kubo")
+        return {name: {"skipped": True, "reason": reason} for name in names}
+    reversible = law.classification.verdict is Verdict.REVERSIBLE
+    sections: dict[str, dict] = {}
+
+    standard, strong = law.fdr_standard_residual, law.fdr_strong_residual
+    strong_zero = strong <= FDR_RESIDUAL_TOL
+    sections["fdr"] = {
+        "standard_residual": standard,
+        "strong_residual": strong,
+        "strong_residual_zero": strong_zero,
+        "pass": bool(standard <= FDR_RESIDUAL_TOL and strong_zero == reversible),
+    }
+
+    stats, hdr = stationary_statistics(law, dt, steps, n_paths, seed, lags, burn_in)
+    if reversible:
+        hdr_pass = abs(hdr.value) <= HDR_ZERO_SIGMAS * hdr.stderr
+        criterion = f"|hdr| <= {HDR_ZERO_SIGMAS!r} * stderr"
+    else:
+        hdr_pass = abs(hdr.value - law.epr) / law.epr <= HDR_REL_ERR_MAX
+        criterion = f"relative error <= {HDR_REL_ERR_MAX!r}"
+    sections["epr_vs_hdr_mc"] = {
+        "epr": law.epr,
+        "hdr_hat": hdr.value,
+        "hdr_stderr": hdr.stderr,
+        "criterion": criterion,
+        "pass": bool(hdr_pass),
+    }
+
+    rev = reversibility_test(stats)
+    sections["two_time_symmetry"] = {
+        "statistic": rev.statistic,
+        "threshold": rev.threshold,
+        "verdict_reversible": rev.verdict_reversible,
+        "classified_reversible": reversible,
+        "pass": bool(rev.verdict_reversible == reversible),
+    }
+
+    gk = greenkubo_check(
+        law, stats, n_paths=n_paths, seed=(seed + 1) % 2**64, x0=np.ones(law.model.n)
+    )
+    gk_pass = gk.max_abs_z <= GREEN_KUBO_Z_MAX and gk.max_abs_z_two_time <= GREEN_KUBO_Z_MAX
+    sections["green_kubo"] = {
+        "max_abs_z_conditional_mean": gk.max_abs_z,
+        "max_abs_z_two_time": gk.max_abs_z_two_time,
+        "max_deviation": gk.max_deviation,
+        "pass": bool(gk_pass),
+    }
+    return sections

@@ -201,16 +201,16 @@ def _integrate(
 
 
 class _StepHeat:
-    """The heat W of paths lo .. hi-1 of a batch of model at every step, for a
+    """The heat W of paths lo .. hi-1 of a batch at every step, for a
     consumer of stream_batch: called with the starts at k = 0 and then each
     time block's states (L, n, paths) at indices k .. k + L - 1, in order, it
     returns W (L, paths) at the same indices, carrying the last state and W
     across blocks.
 
-    Heat increments use the Stratonovich midpoint rule,
-    dW = -2 (S x_mid) . dx with S = A^{-1} B and x_mid the chord midpoint,
-    from W(0) = 0. For a reversible model S is symmetric and each increment
-    is exactly the increment of the quadratic potential.
+    Heat increments use the Stratonovich midpoint rule, dW = -2 (S x_mid) . dx
+    with S = s_mat = A^{-1} B and x_mid the chord midpoint, from W(0) = 0. For
+    a reversible model S is symmetric and each increment is exactly the
+    increment of the quadratic potential.
 
     The product S x_mid is a stack of (n, n) @ (n, _TILE) GEMMs on tiles
     laid out as the sampler's, path p in column p mod _TILE, so its bits are
@@ -222,9 +222,9 @@ class _StepHeat:
     count.
     """
 
-    def __init__(self, model: LinearModel, lo: int, hi: int):
+    def __init__(self, s_mat: np.ndarray, lo: int, hi: int):
         off = lo % _TILE
-        self.s_mat, self.cols = np.linalg.solve(model.A, model.B), slice(off, off + hi - lo)
+        self.s_mat, self.cols = s_mat, slice(off, off + hi - lo)
         self.width = _TILE * -(-self.cols.stop // _TILE)
 
     def __call__(self, k: int, states: np.ndarray) -> np.ndarray:

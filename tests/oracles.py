@@ -45,7 +45,8 @@ class Layout:
 
     def __init__(self, states: np.ndarray, heat: np.ndarray, model, lo: int):
         self.states, self.heat = states, heat
-        self.step_heat = sampler._StepHeat(model, lo, lo + len(states))
+        s_mat = np.linalg.solve(model.A, model.B)
+        self.step_heat = sampler._StepHeat(s_mat, lo, lo + len(states))
 
     def __call__(self, k: int, states: np.ndarray) -> None:
         self.states[:, k : k + len(states)] = states.transpose(2, 0, 1)

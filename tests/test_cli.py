@@ -255,6 +255,28 @@ class TestSimulateStream:
             serial = (tmp_path / f"serial_p{k}.csv").read_bytes()
             assert (tmp_path / f"threads_p{k}.csv").read_bytes() == serial, k
 
+    def test_one_solve_per_run(self, model_file, tmp_path, monkeypatch):
+        # 130 paths: chunks of 64, 64 and 2, whose heat reads the run's one A^-1 B
+        solves, heats = [], []
+        solve, step_heat = np.linalg.solve, sampler._StepHeat
+
+        def counting_solve(a, b):
+            if np.array_equal(b, ROT["B"]):
+                solves.append(a)
+            return solve(a, b)
+
+        def counting_heat(s_mat, lo, hi):
+            heats.append(s_mat)
+            return step_heat(s_mat, lo, hi)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(sampler, "_StepHeat", counting_heat)
+        monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
+        argv = ["simulate", model_file(ROT), "--paths", "130", "--steps", "10"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert len(solves) == 1
+        assert len(heats) == 3 and all(s is heats[0] for s in heats)
+
     def test_bad_worker_count_exit_1(self, model_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OU_IRREV_THREADS", "abc")
         argv = ["simulate", model_file(ROT), "--paths", "2", "--steps", "10"]
@@ -646,6 +668,50 @@ class TestVerifyCommand:
         main(["verify", model_file(SWEEP)])
         text = capsys.readouterr().out.strip()
         assert canonical_json(json.loads(text)) == text
+
+
+class TestVerifySections:
+    """estimators.verify_sections, called in process, gives the sections of
+    the CLI report, and the CLI reads each gate from there."""
+
+    @pytest.mark.parametrize("case", [*sorted(_VERIFY_PIN_CASES), "sweep"])
+    def test_matches_cli(self, case, model_file, capsys):
+        payload, seed = _VERIFY_PIN_CASES.get(case, (SWEEP, "0"))
+        argv = ["verify", model_file(payload), *_VERIFY_PIN_ARGS, "--seed", seed]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        args = build_parser().parse_args(argv)
+        law = None if case == "sweep" else stationary_law(model_from_dict(payload))
+        sections = estimators.verify_sections(
+            law,
+            dt=args.dt,
+            steps=args.steps,
+            n_paths=args.paths,
+            seed=args.seed,
+            lags=args.tau,
+            burn_in=args.burn_in,
+        )
+        del report["sections"]["classification"]
+        assert sections == report["sections"]
+
+    @pytest.mark.parametrize(
+        "gate, section",
+        [("GREEN_KUBO_Z_MAX", "green_kubo"), ("HDR_REL_ERR_MAX", "epr_vs_hdr_mc")],
+    )
+    def test_zero_gate_exit_4(self, gate, section, model_file, capsys, monkeypatch):
+        # rot2 passes every section at its pin; with the gate at 0 only its section fails
+        argv = ["verify", model_file(ROT), *_VERIFY_PIN_ARGS, "--seed", "7"]
+        code, passing = run_json(capsys, argv)
+        assert code == 0
+        monkeypatch.setattr(estimators, gate, 0.0)
+        code, failing = run_json(capsys, argv)
+        assert code == 4 and failing["pass"] is False
+        assert [name for name, sec in failing["sections"].items() if not sec["pass"]] == [section]
+        # the other sections, and this one's statistics, are those of the passing run
+        failed, kept = failing["sections"].pop(section), passing["sections"].pop(section)
+        assert failing["sections"] == passing["sections"]
+        stats = set(kept) - {"pass", "criterion"}
+        assert {k: failed[k] for k in stats} == {k: kept[k] for k in stats}
 
 
 class TestStdoutMatchesOut:

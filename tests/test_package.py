@@ -45,6 +45,11 @@ def test_removed_names_gone():
         (cli, "_csv_cells"),
         (cli, "_CSV_CALL_CELLS"),
         (cli, "_matrix_list"),
+        (cli, "GREEN_KUBO_Z_MAX"),
+        (cli, "HDR_REL_ERR_MAX"),
+        (cli, "HDR_ZERO_SIGMAS"),
+        (cli, "FDR_RESIDUAL_TOL"),
+        (cli, "_skipped"),
         (_csvfmt, "rows"),
         (transient, "RateFactors"),
         (transient, "rate_factors"),

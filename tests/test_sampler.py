@@ -441,14 +441,14 @@ class TestStepHeat:
         batch = sample_batch(m, 0.01, 300, 3, 8, law=stationary_law(m))
         states = batch.states.transpose(1, 2, 0)
         for ends in ((1, 301), (1, 2, 301), (1, 5, 301), (1, 8, 136, 301)):
-            step_heat = sampler._StepHeat(m, 0, 3)
+            step_heat = sampler._StepHeat(np.linalg.solve(m.A, m.B), 0, 3)
             blocks = [step_heat(lo, states[lo:hi]) for lo, hi in zip((0, *ends), ends)]
             assert np.array_equal(np.concatenate(blocks).T, batch.heat)
 
     def test_first_increment_keeps_its_sign(self):
         # x(1) = x(2) = x(0) and S x_mid > 0: dW_1 = -2 (+0.0) = -0.0, which
         # W(1) keeps as one cumsum over all steps would (0.0 + -0.0 is +0.0).
-        step_heat = sampler._StepHeat(build_model([[1.0]], [[1.0]]), 0, 1)
+        step_heat = sampler._StepHeat(np.ones((1, 1)), 0, 1)  # S = 1: B = Gamma = 1
         heat = np.concatenate([step_heat(0, np.ones((1, 1, 1))), step_heat(1, np.ones((2, 1, 1)))])
         assert heat.tolist() == [[0.0], [0.0], [0.0]]
         assert np.signbit(heat[:, 0]).tolist() == [False, True, True]
