@@ -158,7 +158,7 @@ _CSV_CHUNK_PATHS = 64
 class _CsvWriter:
     """simulate's consumer for paths lo .. hi-1 of a run of steps: opens their
     files, appends each time block's rows t, x1 .. xn, W to them as it
-    arrives, with the heat W of sampler._StepHeat for the run's
+    arrives, with the heat W of estimators._StepHeat for the run's
     s_mat = A^{-1} B, and closes them with the last block. A block holding a
     path that overflows (a non-finite state or heat) raises
     NumericalFailureError."""
@@ -167,7 +167,7 @@ class _CsvWriter:
         from . import _csvfmt  # imported by the CSV commands only
 
         self.table, self.lo, self.dt, self.rows = _csvfmt.table, lo, dt, steps + 1
-        self.step_heat = sampler._StepHeat(s_mat, lo, hi)
+        self.step_heat = estimators._StepHeat(s_mat)
         header = ("t," + ",".join(f"x{i + 1}" for i in range(len(s_mat))) + ",W\n").encode("ascii")
         self.files = []
         try:
@@ -209,7 +209,8 @@ class _CsvWriter:
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     law = stationary.stationary_law(model) if args.stationary else None
-    s_mat = np.linalg.solve(model.A, model.B)  # classify's A^{-1} B, once for every chunk
+    # Without a law, A^{-1} B by classify's solve alone (classify rejects models simulate runs).
+    s_mat = np.linalg.solve(model.A, model.B) if law is None else law.classification.ainv_b
     writers = []
 
     def writer(lo: int, hi: int) -> _CsvWriter:

@@ -1,5 +1,5 @@
 """Statistical verdicts from trajectory ensembles: per-path two-time
-products, reversibility asymmetry test, heat-rate estimation, the
+products, reversibility asymmetry test, the heat and its rate, the
 conditional-mean regression (Onsager/Green-Kubo) check, and verify's report
 sections: their gates and the sweeping-model skip rule (verify_sections).
 
@@ -14,11 +14,12 @@ states, and the states at burn-in and at T. Each chunk's accumulator writes
 into the caller's slices of those arrays that hold its paths, so no chunk
 result is joined afterwards. Each lag's products are summed per super-block
 of _SUPER_BLOCK consecutive later times (aligned to t = 0), then added in
-time order. The heat is an exact function of the states, so the heat rate
-comes from the lag-one products and the end states (_heat_rates), not from a
-per-step sum. greenkubo_check draws its conditional paths from a shared
-start the same way, keeping only each path's state at the lags (_LagStates,
-into the caller's slices), so no estimator stores a batch.
+time order. The heat, defined once (_StepHeat, simulate's per-step W), is an
+exact function of the states, so the heat rate comes from the lag-one
+products and the end states (_heat_rates), not from a per-step sum.
+greenkubo_check draws its conditional paths from a shared start the same
+way, keeping only each path's state at the lags (_LagStates, into the
+caller's slices), so no estimator stores a batch.
 
 Both per-path reductions run in BLAS GEMMs whose shapes the run's parameters
 fix. Each super-block's lag products are (n x T) @ (T x n) products per path
@@ -52,6 +53,7 @@ from .model import Verdict
 from .sampler import (
     BOOTSTRAP_STREAM,
     _budget_paths,
+    _tiled_product,
     _validate_grid,
     path_stream,
     stream_batch,
@@ -224,20 +226,87 @@ class _LagSums:
             self.window[:, : self.hist] = self.window[:, _SUPER_BLOCK : _SUPER_BLOCK + self.hist]
 
 
+class _StepHeat:
+    """The heat W of a chunk of paths at every step, for a consumer of
+    stream_batch: fed the starts at k = 0, then each time block's states
+    (L, n, paths) at k .. k + L - 1 in order, it returns W (L, paths) at the
+    same indices, carrying the last state and W across blocks.
+
+    W is the package's one heat functional, the Stratonovich midpoint rule
+    (Sekimoto 1998): from W(0) = 0 each step adds dW = -2 (S x_mid) . dx, with
+    S = s_mat = A^{-1} B and x_mid the chord midpoint. For a reversible model
+    S is symmetric and each increment is exactly the increment of the
+    quadratic potential.
+
+    The product S x_mid is the sampler's tile GEMM (sampler._tiled_product),
+    so its bits are the same for any batch. The midpoint, dx and the dot
+    product, summed over components in fixed order, are elementwise per path.
+    The running sum of a block is a cumsum that starts from the carried W,
+    and the first block's from dW_1 itself, as one cumsum over all steps
+    would (0.0 + -0.0 is +0.0). So W is the same bits for any time blocks,
+    chunking or worker count.
+    """
+
+    def __init__(self, s_mat: np.ndarray):
+        self.s_mat = s_mat
+
+    def __call__(self, k: int, states: np.ndarray) -> np.ndarray:
+        b, n, count = states.shape
+        if k == 0:  # the starts; the sampler reuses the array
+            self.x, self.w = states[0].copy(), 0.0
+            return np.zeros((b, count))
+        x = np.concatenate((self.x[None], states))  # (b + 1, n, count)
+        # Overflow is reported by the writer's finiteness check, not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid = (x[1:] + x[:-1]) * 0.5
+            prod = _tiled_product(self.s_mat, mid) * (x[1:] - x[:-1])
+            w = np.empty((b + 1, count))
+            w[0], w[1:] = self.w, prod[:, 0]
+            for i in range(1, n):
+                w[1:] += prod[:, i]
+            w[1:] *= -2.0
+            first = 1 if k == 1 else 0
+            np.cumsum(w[first:], axis=0, out=w[first:])
+        self.x, self.w = x[-1], w[-1]
+        return w[1:]
+
+
 def _heat_rates(s_mat, ends, lag_one, span: float, dt: float) -> np.ndarray:
-    """Per-path rates (W(T) - W(k0)) / span of the midpoint heat W
-    (sampler._StepHeat) over span = (T - k0) dt, from the states at k0 and T,
-    ends (2, paths, n), and the per-path mean of x(j) x(j - 1)^T over
+    """Per-path rates (W(T) - W(k0)) / span of the midpoint heat W of
+    _StepHeat, with S = s_mat, over span = (T - k0) dt, from the states at k0
+    and T, ends (2, paths, n), and the per-path mean of x(j) x(j - 1)^T over
     j = k0 + 1 .. T, lag_one (paths, n, n).
 
-    The heat is a function of the states: with S = s_mat, q(x) = x^T S x and
-    P1 the sum of x(j) x(j - 1)^T, the midpoint increments add up exactly to
+    No per-step sum is needed: with q(x) = x^T S x and P1 the sum of
+    x(j) x(j - 1)^T, the midpoint increments add up exactly to
     W(T) - W(k0) = -[q(x(T)) - q(x(k0))] - tr((S - S^T) P1^T). The einsums
     run numpy's own loops, not BLAS, so a path's rate depends only on its own
     ends and sums.
     """
     q = np.einsum("kpi,ij,kpj->kp", ends, s_mat, ends)
     return (q[0] - q[1]) / span - np.einsum("pij,ij->p", lag_one, s_mat - s_mat.T) / dt
+
+
+def _checked_budget(dt, steps, n_paths, lags, burn_in):
+    """stationary_statistics's budget checks; returns k0, the lags, their steps and span."""
+    _validate_grid(dt, steps)
+    if not burn_in >= 0:
+        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
+    if burn_in / dt - 1e-9 > steps:  # checked before ceil: the ratio may be inf
+        raise InsufficientDataError(
+            f"burn-in {burn_in} discards the whole trajectory (span {steps * dt})"
+        )
+    k0 = int(math.ceil(burn_in / dt - 1e-9))
+    distinct = tuple(dict.fromkeys(float(v) for v in lags))
+    if not distinct:
+        raise ValueError("need at least one lag")
+    ells = tuple(_lag_steps(dt, lag, steps) for lag in distinct)
+    if any(k0 + ell > steps for ell in ells):
+        raise InsufficientDataError("no admissible time pairs after burn-in at this lag")
+    span = (steps - k0) * dt
+    if span <= 0.0 or n_paths < 2:
+        raise InsufficientDataError("need at least 2 paths and a nonempty window after burn-in")
+    return k0, distinct, ells, span
 
 
 def stationary_statistics(
@@ -257,19 +326,18 @@ def stationary_statistics(
 
     The lag products are the per-path averages of x(t + lag) x(t)^T for each
     distinct lag (a repeated lag is computed once). The heat rate is, per
-    path, (W(T) - W(burn_in)) / (T - burn_in) of the Stratonovich midpoint
-    heat W, averaged over paths (exact summation), with its standard error
+    path, (W(T) - W(burn_in)) / (T - burn_in) of the midpoint heat W of
+    _StepHeat, averaged over paths (exact summation), with its standard error
     over paths. It is read from the lag-one products, summed alongside the
     others and shared with a lag of one step, and the states at burn-in and
     at T (_heat_rates).
 
-    The midpoint rule is exact for a reversible model, whose heat is the drop
-    of the quadratic potential, so the stationary rate is zero like the
-    entropy production rate. For an irreversible model the stationary mean of
-    one increment over a step h is tr((S - S^T) e^{-B h} Xi) with
-    S = A^{-1} B, which falls below epr * h by a relative O(h ||B||): on the
-    rotational model B = [[1, 1], [-1, 1]], Gamma = I at dt = 0.01 the rate
-    is 1.98007 against epr = 2.
+    For a reversible model the stationary rate is zero like the entropy
+    production rate (_StepHeat). For an irreversible model the stationary
+    mean of one increment over a step h is tr((S - S^T) e^{-B h} Xi), which
+    falls below epr * h by a relative O(h ||B||): on the rotational model
+    B = [[1, 1], [-1, 1]], Gamma = I at dt = 0.01 the rate is 1.98007
+    against epr = 2.
 
     Raises
     ------
@@ -281,25 +349,9 @@ def stationary_statistics(
         If burn-in discards the whole trajectory, a lag leaves no time pairs,
         or fewer than two paths are asked for.
 
-    Every check runs before any path is drawn.
+    Every check runs before any path is drawn (_checked_budget).
     """
-    _validate_grid(dt, steps)
-    if not burn_in >= 0:
-        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
-    if burn_in / dt - 1e-9 > steps:  # checked before ceil: the ratio may be inf
-        raise InsufficientDataError(
-            f"burn-in {burn_in} discards the whole trajectory (span {steps * dt})"
-        )
-    k0 = int(math.ceil(burn_in / dt - 1e-9))
-    distinct = tuple(dict.fromkeys(float(v) for v in lags))
-    if not distinct:
-        raise ValueError("need at least one lag")
-    ells = tuple(_lag_steps(dt, lag, steps) for lag in distinct)
-    if any(k0 + ell > steps for ell in ells):
-        raise InsufficientDataError("no admissible time pairs after burn-in at this lag")
-    span = (steps - k0) * dt
-    if span <= 0.0 or n_paths < 2:
-        raise InsufficientDataError("need at least 2 paths and a nonempty window after burn-in")
+    k0, distinct, ells, span = _checked_budget(dt, steps, n_paths, lags, burn_in)
     summed = ells if 1 in ells else (*ells, 1)  # the heat rate reads lag one
     n = law.model.n
     # The lag sums, until divided below; one array per lag, so that a lag one
@@ -448,9 +500,11 @@ def verify_sections(
 
     The statistics are stationary_statistics(law, dt, steps, n_paths, seed,
     lags, burn_in); the Green-Kubo check's n_paths paths start at
-    x0 = (1, ..., 1) with master seed seed + 1 (mod 2**64).
+    x0 = (1, ..., 1) with master seed seed + 1 (mod 2**64). A sweeping
+    model's budget is checked too, with stationary_statistics's errors.
     """
     if law is None:
+        _checked_budget(dt, steps, n_paths, lags, burn_in)
         reason = "no stationary law (sweeping model)"
         names = ("fdr", "epr_vs_hdr_mc", "two_time_symmetry", "green_kubo")
         return {name: {"skipped": True, "reason": reason} for name in names}

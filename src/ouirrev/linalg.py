@@ -291,12 +291,17 @@ def gram_integral(b, a, t: float) -> np.ndarray:
     # Overflow is detected by the finiteness check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
-            g = phi @ g @ phi.T + g
-            g = 0.5 * (g + g.T)
+            g = _compose(phi, g, g)
             phi = phi @ phi
     if not np.all(np.isfinite(g)):
         raise NumericalFailureError("overflow in Gram integral")
     return g
+
+
+def _compose(phi: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sym(phi c phi^T + g): covariance c, (n, n) or a stack, after a step (phi, g)."""
+    cov = phi @ c @ phi.T + g
+    return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
 def _chol_stack(s) -> tuple[np.ndarray, np.ndarray]:

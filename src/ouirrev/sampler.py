@@ -1,6 +1,5 @@
-"""Path generation: exact one-step transition sampling, an
-Euler-Maruyama reference integrator, and the per-step heat dissipation
-functional of the paths a consumer receives.
+"""Path generation: exact one-step transition sampling and an
+Euler-Maruyama reference integrator.
 
 One entry point drives the integrator: stream_batch runs a batch in chunks
 of paths, in this thread or, with several workers (resolve_workers), on
@@ -9,8 +8,8 @@ that the caller makes for the chunk's path range; it keeps nothing and
 returns nothing. The estimators' consumers sum per-path lag products from the
 blocks or keep the states at the lags, each into the slices of the caller's
 arrays that hold its paths, and the CLI's simulate writes them as CSV rows
-with their heat (_StepHeat), so nothing stores a batch. A single path is a
-batch of one.
+with their heat (estimators._StepHeat), so nothing stores a batch. A single
+path is a batch of one.
 
 Reproducibility contract
 ------------------------
@@ -22,14 +21,14 @@ steps, master seed, path index) - bit for bit, independent of how many paths
 run, how they are chunked, in which order, or across how many worker
 threads or BLAS threads.
 
-After the draws, every matrix product runs in BLAS on fixed-shape tiles.
-Path p sits in column p mod _TILE of a tile of _TILE = 64 paths; chunks of
-paths start on tile edges and the last tile is padded with zero columns. The
-noise transform, each step of the recursion and the stationary-start
-transform are each one stacked np.matmul of (n, n) @ (..., n, _TILE): a
-stack of GEMMs of one shape, whatever the batch. A GEMM column's bits depend
-on the GEMM's shape, not on the other columns, and the shape never changes,
-so neither do a path's bits. (OpenBLAS multiplies a product of a few columns
+After the draws, every matrix product runs in BLAS on fixed-shape tiles of
+_TILE = 64 paths: a chunk's paths fill its tiles from column 0, and its last
+tile is padded with zero columns. The noise transform, each step of the
+recursion and the stationary-start transform are each one stacked np.matmul
+of (n, n) @ (..., n, _TILE): a stack of GEMMs of one shape, whatever the
+batch. A GEMM column's bits depend only on the GEMM's shape, not on the
+column's position or the other columns, and the shape never changes, so
+neither do a path's bits. (OpenBLAS multiplies a product of a few columns
 with other kernels and other roundings, which is why the last tile is padded
 rather than cut to the batch.) One and two BLAS threads give the tile GEMMs
 the same bits. Adding the noise is per path.
@@ -67,8 +66,8 @@ from .stationary import StationaryLaw
 _CHUNK_ELEMENT_BUDGET = 5_000_000
 
 # Paths per BLAS tile. Every matrix product is a stack of (n, n) @ (n, _TILE)
-# GEMMs, one shape for any batch, and path p sits in column p mod _TILE, so
-# its bits do not depend on how many paths or tiles share the call.
+# GEMMs, one shape for any batch, whose column bits depend only on that shape:
+# not on the column, nor on how many paths or tiles share the call.
 _TILE = 64
 
 # Most time steps per pass of the noise transform and recursion, and about
@@ -121,11 +120,15 @@ def _update(model: LinearModel, dt: float, method: str) -> _Update:
     return _Update(method, dt, drift, noise_mat)
 
 
-def _tile_matmul(m: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """out = m @ x per tile: x and out are (..., n, tiles, _TILE) views of
-    path-on-last-axis buffers, multiplied as a stack of (n, n) @ (n, _TILE)
-    GEMMs, one fixed shape for any batch."""
-    np.matmul(m, x.swapaxes(-3, -2), out=out.swapaxes(-3, -2))
+def _tiled_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for x (..., n, paths) as (n, n) @ (n, _TILE) GEMMs on zero-padded
+    tiles that the paths fill from column 0: the same bits for any count."""
+    *lead, n, count = x.shape
+    tiles = np.zeros((*lead, n, -(-count // _TILE), _TILE))
+    tiles.reshape(*lead, n, -1)[..., :count] = x
+    out = np.empty(tiles.shape)
+    np.matmul(m, tiles.swapaxes(-3, -2), out=out.swapaxes(-3, -2))
+    return out.reshape(*lead, n, -1)[..., :count]
 
 
 def _blocking(n: int, width: int, steps: int) -> tuple[int, int]:
@@ -139,42 +142,41 @@ def _blocking(n: int, width: int, steps: int) -> tuple[int, int]:
     return min(rows, steps), min(span, steps)
 
 
-def _integrate(
-    streams, start: np.ndarray, cols: slice, update: _Update, steps: int, consumer
-) -> None:
+def _integrate(streams, start: np.ndarray, update: _Update, steps: int, consumer) -> None:
     """Advance the paths of one chunk by steps and hand every finished time
     block to consumer(k, states).
 
     streams holds one generator per path, positioned after any start draw;
-    start is (n, tiles, _TILE), its flattened columns cols holding the paths
-    and the other columns zero. Each path's normals are drawn a span of steps
-    at a time, and each span runs in blocks of rows steps (_blocking). Inside
-    a block the work is time-major with paths on the last axis, every matrix
-    product a stack of per-tile GEMMs. consumer receives states (L, n, paths)
-    at the global indices k .. k + L - 1: first index 0 (the starts), then
-    each time block in order. The array is reused, so it must copy what it
-    keeps.
+    start, (n, paths) or (n, 1) if shared, fills the tiles from column 0.
+    Each path's normals are drawn a span of steps at a time, and each span
+    runs in blocks of rows steps (_blocking). Inside a block the work is
+    time-major with paths on the last axis, every matrix product a stack of
+    per-tile GEMMs. consumer receives states (L, n, paths) at the global
+    indices k .. k + L - 1: first index 0 (the starts), then each time block
+    in order. The array is reused, so it must copy what it keeps.
     """
-    n, tiles, _ = start.shape
+    n, count = start.shape[0], len(streams)
+    tiles = -(-count // _TILE)
     width = tiles * _TILE
     euler, dt = update.method == "euler", update.dt
     rows, span_max = _blocking(n, width, steps)
     # A spare step per path keeps the rows from being a power of two apart
     # (see the copy below).
-    draws = np.empty((len(streams), span_max + 1, n))
-    block = np.empty((rows + 1, n, tiles, _TILE))
+    draws = np.empty((count, span_max + 1, n))
+    block = np.zeros((rows + 1, n, tiles, _TILE))  # the padding columns stay zero
     z = np.zeros((rows, n, tiles, _TILE))  # the padding columns stay zero
     noise = np.empty(z.shape)
     fx = np.empty((tiles, n, _TILE))
     # Flat (time, n, paths) views for the copies and the consumer.
     states, zflat = block.reshape(rows + 1, n, width), z.reshape(rows, n, width)
-    block[0] = start
-    block_t = block.swapaxes(1, 2)  # (time, tiles, n, _TILE) GEMM operands
+    states[0, :, :count] = start
+    # (time, tiles, n, _TILE) GEMM operands
+    block_t, z_t, noise_t = block.swapaxes(1, 2), z.swapaxes(1, 2), noise.swapaxes(1, 2)
     # The recursion's per-step views, made once: x_k and x_{k+1} as GEMM
     # operands, x_{k+1} and the noise of step k.
     steps_views = list(zip(block_t[:-1], block_t[1:], block[1:], noise))
     matmul, add, subtract = np.matmul, np.add, np.subtract
-    consumer(0, states[:1, :, cols])
+    consumer(0, states[:1, :, :count])
     for s0 in range(0, steps, span_max):
         span = min(span_max, steps - s0)
         for c, stream in enumerate(streams):
@@ -184,8 +186,8 @@ def _integrate(
             # Copy the block's draws time-major in one strided pass, which
             # reads the same step of every path at once: rows a power of two
             # apart would map to the same cache sets and evict each other.
-            zflat[:b, :, cols] = draws[:, r : r + b].transpose(1, 2, 0)
-            _tile_matmul(update.noise_mat, z[:b], noise[:b])
+            zflat[:b, :, :count] = draws[:, r : r + b].transpose(1, 2, 0)
+            matmul(update.noise_mat, z_t[:b], out=noise_t[:b])
             if euler:
                 noise[:b] *= math.sqrt(dt)
             for x_t, y_t, y, e in steps_views[:b]:
@@ -196,60 +198,8 @@ def _integrate(
                 else:
                     matmul(update.drift, x_t, out=y_t)
                 add(y, e, out=y)
-            consumer(s0 + r + 1, states[1 : b + 1, :, cols])
+            consumer(s0 + r + 1, states[1 : b + 1, :, :count])
             block[0] = block[b]
-
-
-class _StepHeat:
-    """The heat W of paths lo .. hi-1 of a batch at every step, for a
-    consumer of stream_batch: called with the starts at k = 0 and then each
-    time block's states (L, n, paths) at indices k .. k + L - 1, in order, it
-    returns W (L, paths) at the same indices, carrying the last state and W
-    across blocks.
-
-    Heat increments use the Stratonovich midpoint rule, dW = -2 (S x_mid) . dx
-    with S = s_mat = A^{-1} B and x_mid the chord midpoint, from W(0) = 0. For
-    a reversible model S is symmetric and each increment is exactly the
-    increment of the quadratic potential.
-
-    The product S x_mid is a stack of (n, n) @ (n, _TILE) GEMMs on tiles
-    laid out as the sampler's, path p in column p mod _TILE, so its bits are
-    the same for any batch. The midpoint, dx and the dot product, summed
-    over components in fixed order, are elementwise per path. The running
-    sum of a block is a cumsum that starts from the carried W, and the first
-    block's from dW_1 itself, as one cumsum over all steps would (0.0 + -0.0
-    is +0.0). So W is the same bits for any time blocks, chunking or worker
-    count.
-    """
-
-    def __init__(self, s_mat: np.ndarray, lo: int, hi: int):
-        off = lo % _TILE
-        self.s_mat, self.cols = s_mat, slice(off, off + hi - lo)
-        self.width = _TILE * -(-self.cols.stop // _TILE)
-
-    def __call__(self, k: int, states: np.ndarray) -> np.ndarray:
-        b, n, count = states.shape
-        x = np.zeros((b + 1, n, self.width))  # the padding columns stay zero
-        x[1:, :, self.cols] = states
-        if k == 0:  # the starts
-            self.x, self.w = x[1], 0.0
-            return np.zeros((b, count))
-        x[0] = self.x
-        # Overflow is reported by the writer's finiteness check, not by numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mid = (x[1:] + x[:-1]) * 0.5
-            prod, tiled = np.empty(mid.shape), (b, n, -1, _TILE)
-            _tile_matmul(self.s_mat, mid.reshape(tiled), prod.reshape(tiled))
-            prod = prod[:, :, self.cols] * (x[1:] - x[:-1])[:, :, self.cols]
-            w = np.empty((b + 1, count))
-            w[0], w[1:] = self.w, prod[:, 0]
-            for i in range(1, n):
-                w[1:] += prod[:, i]
-            w[1:] *= -2.0
-            first = 1 if k == 1 else 0
-            np.cumsum(w[first:], axis=0, out=w[first:])
-        self.x, self.w = x[-1], w[-1]
-        return w[1:]
 
 
 class _Job(NamedTuple):
@@ -267,24 +217,15 @@ def _generate(job: _Job, lo: int, hi: int, steps: int, consumer) -> None:
 
     Path p's stream supplies, in order, a standard_normal(n) block for a
     stationary start (only when chol_xi is set), then the normals of the
-    increments in step order. The chunk's first tile starts at path
-    lo - lo % _TILE, so p sits in tile column p mod _TILE: p alone fixes its
-    bits, not lo or hi.
+    increments in step order. p alone fixes its bits, not lo or hi.
     """
     streams = [path_stream(job.seed, p) for p in range(lo, hi)]
-    n, off = job.x0.shape[0], lo % _TILE
-    cols = slice(off, off + hi - lo)
-    start = np.zeros((n, -(-cols.stop // _TILE), _TILE))
     if job.chol_xi is None:
-        start.reshape(n, -1)[:, cols] = job.x0[:, None]
+        start = job.x0[:, None]  # shared by every path
     else:
-        draws = np.empty((hi - lo, n))
-        for c, stream in enumerate(streams):
-            stream.standard_normal(out=draws[c])
-        z = np.zeros(start.shape)
-        z.reshape(n, -1)[:, cols] = draws.T
-        _tile_matmul(job.chol_xi, z, start)
-    _integrate(streams, start, cols, job.update, steps, consumer)
+        draws = [stream.standard_normal(job.x0.shape[0]) for stream in streams]
+        start = _tiled_product(job.chol_xi, np.array(draws).T)
+    _integrate(streams, start, job.update, steps, consumer)
 
 
 def resolve_workers() -> int:

@@ -140,14 +140,12 @@ def propagate_grid(model: LinearModel, x0, t_step: float, n_rows: int) -> Gaussi
             # einsum, not a GEMM: its per-row sums do not change with r, so a
             # row's bits do not depend on how many rows follow it.
             np.einsum("ij,kj->ki", phi, means[:r], out=means[m : m + r])
-            cov = phi @ covs[:r] @ phi.T + g
-            covs[m : m + r] = 0.5 * (cov + cov.swapaxes(-1, -2))
+            covs[m : m + r] = linalg._compose(phi, covs[:r], g)
             m *= 2
             if m >= n_rows:
                 break
             # gram_integral's doubling step
-            g = phi @ g @ phi.T + g
-            g = 0.5 * (g + g.T)
+            g = linalg._compose(phi, g, g)
             phi = phi @ phi
     finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
     if not finite.all():

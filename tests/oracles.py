@@ -7,7 +7,7 @@ solve, elementwise products instead of the sampler's BLAS tiles, einsum
 and fancy indexing instead of the estimators' GEMMs, a stored batch written
 path by path instead of simulate's streamed CSV files. The stored batch
 itself (sample_batch) is the sampler's paths in path-major arrays, with the
-per-step heat of sampler._StepHeat: the reference layout that the tests read
+per-step heat of estimators._StepHeat: the reference layout that the tests read
 states and heat from, where the package keeps only what each consumer needs
 of the streamed time blocks.
 """
@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad_vec
 
-from ouirrev import sampler
+from ouirrev import estimators, sampler
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,14 +39,13 @@ class TrajectoryBatch:
 
 
 class Layout:
-    """sample_batch's consumer for paths lo .. of a batch of model: copies
-    each block into path-major states (paths, steps + 1, n), and its per-step
-    heat (sampler._StepHeat) into heat (paths, steps + 1)."""
+    """sample_batch's consumer for a chunk of paths of a batch of model:
+    copies each block into path-major states (paths, steps + 1, n), and its
+    per-step heat (estimators._StepHeat) into heat (paths, steps + 1)."""
 
-    def __init__(self, states: np.ndarray, heat: np.ndarray, model, lo: int):
+    def __init__(self, states: np.ndarray, heat: np.ndarray, model):
         self.states, self.heat = states, heat
-        s_mat = np.linalg.solve(model.A, model.B)
-        self.step_heat = sampler._StepHeat(s_mat, lo, lo + len(states))
+        self.step_heat = estimators._StepHeat(np.linalg.solve(model.A, model.B))
 
     def __call__(self, k: int, states: np.ndarray) -> None:
         self.states[:, k : k + len(states)] = states.transpose(2, 0, 1)
@@ -61,7 +60,7 @@ def sample_batch(model, dt, steps, n_paths, seed, *, x0=None, law=None, method="
     heat = np.empty((n_paths, steps + 1))
     sampler.stream_batch(
         model, dt, steps, n_paths, seed,
-        lambda lo, hi: Layout(states[lo:hi], heat[lo:hi], model, lo),
+        lambda lo, hi: Layout(states[lo:hi], heat[lo:hi], model),
         chunk_paths=sampler._budget_paths((steps + 1) * model.n), x0=x0, law=law, method=method,
     )
     return TrajectoryBatch(float(dt), states, heat)

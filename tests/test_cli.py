@@ -256,26 +256,30 @@ class TestSimulateStream:
             assert (tmp_path / f"threads_p{k}.csv").read_bytes() == serial, k
 
     def test_one_solve_per_run(self, model_file, tmp_path, monkeypatch):
-        # 130 paths: chunks of 64, 64 and 2, whose heat reads the run's one A^-1 B
+        # 130 paths: chunks of 64, 64 and 2, whose heat reads the run's one
+        # A^-1 B; with --stationary, the one that classify solved
         solves, heats = [], []
-        solve, step_heat = np.linalg.solve, sampler._StepHeat
+        solve, step_heat = np.linalg.solve, estimators._StepHeat
 
         def counting_solve(a, b):
             if np.array_equal(b, ROT["B"]):
                 solves.append(a)
             return solve(a, b)
 
-        def counting_heat(s_mat, lo, hi):
+        def counting_heat(s_mat):
             heats.append(s_mat)
-            return step_heat(s_mat, lo, hi)
+            return step_heat(s_mat)
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        monkeypatch.setattr(sampler, "_StepHeat", counting_heat)
+        monkeypatch.setattr(estimators, "_StepHeat", counting_heat)
         monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
         argv = ["simulate", model_file(ROT), "--paths", "130", "--steps", "10"]
-        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
-        assert len(solves) == 1
-        assert len(heats) == 3 and all(s is heats[0] for s in heats)
+        for flags in ([], ["--stationary"]):
+            solves.clear()
+            heats.clear()
+            assert main([*argv, *flags, "--out", str(tmp_path / "run")]) == 0
+            assert len(solves) == 1
+            assert len(heats) == 3 and all(s is heats[0] for s in heats)
 
     def test_bad_worker_count_exit_1(self, model_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OU_IRREV_THREADS", "abc")
@@ -635,6 +639,20 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert match in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--steps", "-5"), ("--paths", "0"), ("--burn-in", "-3"), ("--dt", "-1")]
+    )
+    def test_sweeping_budget_checked(self, flag, value, model_file, capsys):
+        # A sweeping model samples nothing, but its budget is checked as
+        # rot2's is: exit 1 with the same one-line message.
+        errors = []
+        for payload in (ROT, SWEEP):
+            assert main(["verify", model_file(payload), flag, value]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            errors.append(captured.err)
+        assert errors[0] == errors[1] and errors[0].startswith("error: ")
 
     def test_lag_near_grid_writes_report(self, model_file, capsys):
         # 0.100000005 / 0.01 is within 1e-6 of 10 steps: a lag on the grid for

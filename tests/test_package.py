@@ -41,6 +41,7 @@ def test_removed_names_gone():
         (sampler, "TrajectoryBatch"),
         (sampler, "_Layout"),
         (sampler, "_validate_paths"),
+        (sampler, "_StepHeat"),
         (model, "drift"),
         (cli, "_csv_cells"),
         (cli, "_CSV_CALL_CELLS"),
@@ -79,6 +80,10 @@ def test_removed_parameters_gone():
     assert "threshold" not in inspect.signature(estimators.reversibility_test).parameters
     assert "threshold" in estimators.ReversibilityResult.__dataclass_fields__
     assert inspect.signature(sampler.stream_batch).return_annotation in (None, "None")
+    # The heat takes its path count from each block, and a chunk's paths fill
+    # its tiles from column 0: no path range or column slice is passed.
+    assert list(inspect.signature(estimators._StepHeat).parameters) == ["s_mat"]
+    assert "cols" not in inspect.signature(sampler._integrate).parameters
 
 
 def _run_python(code: str, **env) -> str:

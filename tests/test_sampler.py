@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ouirrev import linalg, sampler
-from ouirrev.estimators import _LagSums
+from ouirrev.estimators import _LagSums, _StepHeat
 from ouirrev.model import LinearModel, build_model
 from ouirrev.sampler import (
     _TILE,
@@ -246,7 +246,7 @@ class TestBatchDeterminism:
         batch = sample_batch(m, dt=0.01, steps=100, n_paths=5, seed=101, x0=[1.0, 0.0])
         job = _prepare(m, 0.01, 100, 5, 101, [1.0, 0.0], None, "exact")
         for k in range(5):
-            alone = Layout(np.empty((1, 101, m.n)), np.empty((1, 101)), m, k)
+            alone = Layout(np.empty((1, 101, m.n)), np.empty((1, 101)), m)
             _generate(job, k, k + 1, 100, alone)
             assert np.array_equal(batch.states[k], alone.states[0])
             assert np.array_equal(batch.heat[k], alone.heat[0])
@@ -315,7 +315,8 @@ def _assert_same_paths(batch, ref):
 class TestTileBoundaries:
     """A path's bits do not depend on where tiles and chunks of the batch
     end: path counts on both sides of a tile edge, chunk budgets that would
-    end mid-tile, worker counts, and paths generated alone."""
+    end mid-tile, worker counts, and paths generated alone or in a chunk
+    that starts mid-tile."""
 
     @pytest.mark.parametrize("case", _TILE_CASES, ids=_case_id)
     def test_path_count(self, case):
@@ -345,11 +346,14 @@ class TestTileBoundaries:
         m = sin_model(n)
         x0, law = (None, stationary_law(m)) if start == "law" else (np.linspace(1.0, -0.5, n), None)
         job = _prepare(m, 0.01, _TILE_STEPS, 130, 41, x0, law, method)
-        for k in (0, 63, 64, 129):
-            alone = Layout(np.empty((1, _TILE_STEPS + 1, n)), np.empty((1, _TILE_STEPS + 1)), m, k)
-            _generate(job, k, k + 1, _TILE_STEPS, alone)
-            assert np.array_equal(alone.states[0], ref.states[k])
-            assert np.array_equal(alone.heat[0], ref.heat[k])
+        # single paths on both sides of tile edges, and a chunk across one:
+        # each fills its own tile from column 0, the batch's columns elsewhere
+        for lo, hi in ((0, 1), (63, 64), (64, 65), (129, 130), (62, 66)):
+            shape = (hi - lo, _TILE_STEPS + 1)
+            alone = Layout(np.empty((*shape, n)), np.empty(shape), m)
+            _generate(job, lo, hi, _TILE_STEPS, alone)
+            assert np.array_equal(alone.states, ref.states[lo:hi])
+            assert np.array_equal(alone.heat, ref.heat[lo:hi])
 
     @pytest.mark.parametrize("n", [2, 16])
     def test_stream_chunking_and_workers(self, n, monkeypatch):
@@ -430,7 +434,7 @@ class TestTileBoundaries:
 
 
 class TestStepHeat:
-    """The per-step heat of sampler._StepHeat: the same bits for any time
+    """The per-step heat of estimators._StepHeat: the same bits for any time
     blocks after the starts, from W(0) = 0 and with the first increment as
     is."""
 
@@ -441,14 +445,14 @@ class TestStepHeat:
         batch = sample_batch(m, 0.01, 300, 3, 8, law=stationary_law(m))
         states = batch.states.transpose(1, 2, 0)
         for ends in ((1, 301), (1, 2, 301), (1, 5, 301), (1, 8, 136, 301)):
-            step_heat = sampler._StepHeat(np.linalg.solve(m.A, m.B), 0, 3)
+            step_heat = _StepHeat(np.linalg.solve(m.A, m.B))
             blocks = [step_heat(lo, states[lo:hi]) for lo, hi in zip((0, *ends), ends)]
             assert np.array_equal(np.concatenate(blocks).T, batch.heat)
 
     def test_first_increment_keeps_its_sign(self):
         # x(1) = x(2) = x(0) and S x_mid > 0: dW_1 = -2 (+0.0) = -0.0, which
         # W(1) keeps as one cumsum over all steps would (0.0 + -0.0 is +0.0).
-        step_heat = sampler._StepHeat(np.ones((1, 1)), 0, 1)  # S = 1: B = Gamma = 1
+        step_heat = _StepHeat(np.ones((1, 1)))  # S = 1: B = Gamma = 1
         heat = np.concatenate([step_heat(0, np.ones((1, 1, 1))), step_heat(1, np.ones((2, 1, 1)))])
         assert heat.tolist() == [[0.0], [0.0], [0.0]]
         assert np.signbit(heat[:, 0]).tolist() == [False, True, True]
