@@ -9,7 +9,10 @@ thousand cells at once with Schubfach (R. Giulietti, "The Schubfach way to
 render doubles", 2020), which needs only 64-bit integer arithmetic and so
 runs on numpy uint64 arrays, and lays the text out with a few scatters into
 one byte buffer. It returns where each row ends, so that a caller can cut
-any run of rows out of the text.
+any run of rows out of the text. A caller may also give each row prefix
+text, already formatted (simulate's time cell, the same for every path): the
+pass leaves a gap of that length before the row's first cell and fills it
+with one more scatter, so a column shared by many rows is formatted once.
 
 Schubfach's shortening step removes at most one digit, which is enough for
 every normal double but not for the shortest subnormals (it would write
@@ -26,8 +29,9 @@ import numpy as np
 # Most cells per formatting pass. A pass makes about 250 numpy calls, each
 # costing about a microsecond whatever its length, and holds a few dozen
 # arrays of this length (8 bytes a cell) and one of up to 8 digit places a
-# cell: 8192 cells peak at 1.37 MB of temporaries (tracemalloc), text
-# included.
+# cell: 8192 cells peak at 1.31 MB of temporaries (tracemalloc), text
+# included, and at 1.44 MB with a prefix such as "0.01," before each row of
+# four cells (its gap and scatter index arrays).
 _BLOCK_CELLS = 8192
 
 _U = np.uint64
@@ -187,10 +191,13 @@ def _places(first: int, count: int) -> np.ndarray:
 _PLACES = (_places(-2, 8), _places(6, 8), _places(14, 4))
 
 
-def _format(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The text of cells x (each zero or normal where not blank), each
-    followed by its separator byte, and the offset of each separator; blank
-    cells are written empty."""
+def _format(
+    x: np.ndarray, seps: np.ndarray, blank: np.ndarray, gap: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The text of cells x (each zero or normal where not blank) as a byte
+    buffer, each cell after gap bytes left for its row's prefix (none when
+    gap is None) and followed by its separator byte, and the offset of each
+    separator; blank cells are written empty."""
     bits = x.view(_U)
     neg = ((bits >> _U(63)) == 1) & ~blank
     zero = ((bits & _M63) == 0) | blank
@@ -216,8 +223,12 @@ def _format(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> tuple[bytes, 
     )
     length += neg
     length[blank] = 0
-    end = np.cumsum(length + 1)
+    width = length + 1
+    if gap is not None:
+        width += gap
+    end = np.cumsum(width)
     end -= 1
+    del width
     buf = np.full(int(end[-1]) + 1, _ZERO, dtype=np.uint8)
     b = end - length + neg  # where the cell's text starts, after any sign
     del length
@@ -251,7 +262,7 @@ def _format(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> tuple[bytes, 
         buf[last - 1] = _ZERO + expo // 10 % 10
         wide = expo >= 100
         buf[last[wide] - 2] = _ZERO + expo[wide] // 100
-    return buf.tobytes(), end
+    return buf, end
 
 
 def _needs_repr(x: np.ndarray, empty: np.ndarray) -> bool:
@@ -260,39 +271,75 @@ def _needs_repr(x: np.ndarray, empty: np.ndarray) -> bool:
     return bool(np.any(((biased == 0x7FF) | ((biased == 0) & (x != 0))) & ~empty))
 
 
-def _format_repr(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> tuple[bytes, np.ndarray]:
+def _format_repr(
+    x: np.ndarray, seps: np.ndarray, blank: np.ndarray, gap: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
     """The same as _format, one repr per cell."""
     cells = ["" if b else repr(v) for v, b in zip(x.tolist(), blank.tolist())]
+    if gap is not None:
+        cells = [" " * g + c for g, c in zip(gap.tolist(), cells)]
     end = np.cumsum([len(c) + 1 for c in cells]) - 1
-    return "".join(c + chr(s) for c, s in zip(cells, seps.tolist())).encode("ascii"), end
+    text = "".join(c + chr(s) for c, s in zip(cells, seps.tolist()))
+    return np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8), end
 
 
-def _cells(x: np.ndarray, seps: np.ndarray, blank: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """_format's text and separator offsets, by repr when a cell that is not
-    blank is subnormal or not finite."""
-    if _needs_repr(x, blank):
-        return _format_repr(x, seps, blank)
-    return _format(x, seps, blank)
+def _rows(
+    x: np.ndarray,
+    seps: np.ndarray,
+    blank: np.ndarray,
+    n_cols: int,
+    prefix: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[bytes, np.ndarray]:
+    """The text of one pass of whole rows of n_cols cells x, by repr when a
+    cell that is not blank is subnormal or not finite, and the offset just
+    past each row's newline. prefix, if given, is (bytes, bounds): row j's
+    prefix is bytes[bounds[j] : bounds[j + 1]], written before its first
+    cell."""
+    gap = None
+    if prefix is not None:
+        pre, bounds = prefix
+        lengths = np.diff(bounds)
+        gap = np.zeros(len(x), np.int64)
+        gap[::n_cols] = lengths
+    buf, end = (_format_repr if _needs_repr(x, blank) else _format)(x, seps, blank, gap)
+    row_ends = end[n_cols - 1 :: n_cols] + 1
+    if prefix is not None:
+        # Prefix byte i of row j goes to i - bounds[j] + where row j begins.
+        at = np.repeat(np.concatenate([[0], row_ends[:-1]]) - bounds[:-1], lengths)
+        at += np.arange(bounds[0], bounds[-1])
+        buf[at] = pre[bounds[0] : bounds[-1]]
+    return buf.tobytes(), row_ends
 
 
-def table(x: np.ndarray, blank: np.ndarray | None = None) -> tuple[bytes, np.ndarray]:
+def table(
+    x: np.ndarray,
+    blank: np.ndarray | None = None,
+    prefix: tuple[bytes, np.ndarray] | None = None,
+) -> tuple[bytes, np.ndarray]:
     """The CSV text of the rows of a 2-D array of doubles as ASCII bytes: each
     row's cells as repr writes them, joined by commas and ended by a newline,
     cells where blank (the shape of x) is true written empty; and the offset
     just past each row's newline, so that any run of rows can be cut out of
-    the text. Whole rows are formatted at most _BLOCK_CELLS cells a pass, the
-    passes as even as whole rows allow."""
+    the text. prefix, as (text, ends) with ends[i] the offset in text just
+    past row i's prefix, puts that row's prefix bytes before its first cell.
+    Whole rows are formatted at most _BLOCK_CELLS cells a pass, the passes as
+    even as whole rows allow; the text of a single pass is returned without
+    a copy."""
     n_rows, n_cols = x.shape
     passes = -(-x.size // _BLOCK_CELLS)
     step = -(-n_rows // passes)
     seps = _separators(step, n_cols)
-    texts, ends, offset = [], [], 1
+    if prefix is not None:
+        pre = np.frombuffer(prefix[0], dtype=np.uint8)
+        bounds = np.concatenate([[0], prefix[1]])
+    texts, ends, offset = [], [], 0
     for r in range(0, n_rows, step):
         cells = x[r : r + step].ravel()
         empty = np.zeros(len(cells), bool) if blank is None else blank[r : r + step].ravel()
-        text, end = _cells(cells, seps[: len(cells)], empty)
+        rows = None if prefix is None else (pre, bounds[r : r + step + 1])
+        text, row_ends = _rows(cells, seps[: len(cells)], empty, n_cols, rows)
         texts.append(text)
-        ends.append(end[n_cols - 1 :: n_cols] + offset)
+        ends.append(row_ends + offset)
         offset += len(text)
     return b"".join(texts), np.concatenate(ends)
 

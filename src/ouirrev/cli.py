@@ -161,13 +161,21 @@ class _CsvWriter:
     arrives, with the heat W of estimators._StepHeat for the run's
     s_mat = A^{-1} B, and closes them with the last block. A block holding a
     path that overflows (a non-finite state or heat) raises
-    NumericalFailureError."""
+    NumericalFailureError.
+
+    The time cells t = k dt are the same for every path, so they are
+    formatted once per window of whole time blocks, at most one formatter
+    pass long, and laid before each path's x1 .. xn, W as row prefixes: the
+    time text held never grows with the run."""
 
     def __init__(self, prefix: str, lo: int, hi: int, s_mat: np.ndarray, dt: float, steps: int):
         from . import _csvfmt  # imported by the CSV commands only
 
-        self.table, self.lo, self.dt, self.rows = _csvfmt.table, lo, dt, steps + 1
+        self.csvfmt, self.lo, self.dt, self.rows = _csvfmt, lo, dt, steps + 1
         self.step_heat = estimators._StepHeat(s_mat)
+        # Time text "t," of rows window[0] .. window[1] - 1; row k's runs from
+        # t_bounds[k - window[0]] to the next bound.
+        self.window, self.t_text, self.t_bounds = (0, 0), b"", np.zeros(1, np.int64)
         header = ("t," + ",".join(f"x{i + 1}" for i in range(len(s_mat))) + ",W\n").encode("ascii")
         self.files = []
         try:
@@ -182,9 +190,24 @@ class _CsvWriter:
         for fh in self.files:
             fh.close()
 
+    def _time_text(self, k: int, length: int) -> tuple[bytes, np.ndarray]:
+        """The text "t," of rows k .. k + length - 1 and where each ends. A
+        block outside the window opens a new one at k, of as many whole
+        blocks of its length as one formatter pass holds."""
+        w0, w1 = self.window
+        if not (w0 <= k and k + length <= w1):
+            w0, w1 = k, min(self.rows, k + length * max(1, self.csvfmt._BLOCK_CELLS // length))
+            text, ends = self.csvfmt.table((np.arange(w0, w1) * self.dt)[:, None])
+            self.window, self.t_text = (w0, w1), text.replace(b"\n", b",")
+            self.t_bounds = np.concatenate([[0], ends])
+        bounds = self.t_bounds[k - w0 : k - w0 + length + 1]
+        start = int(bounds[0])
+        return self.t_text[start : int(bounds[-1])], bounds[1:] - start
+
     def __call__(self, k: int, states: np.ndarray) -> None:
         """states (L, n, paths) at indices k .. k + L - 1: one formatter call
-        for the block, each path's rows cut out of its text."""
+        for the block's x1 .. xn, W, each row after its time text, and each
+        path's rows cut out of its text."""
         length, n, paths = states.shape
         heat = self.step_heat(k, states)
         finite = np.isfinite(states).all(axis=1) & np.isfinite(heat)
@@ -193,11 +216,12 @@ class _CsvWriter:
             raise NumericalFailureError(
                 f"path {self.lo + path} overflows at t = {(k + step) * self.dt!r}"
             )
-        cells = np.empty((paths, length, n + 2))
-        cells[:, :, 0] = np.arange(k, k + length) * self.dt
-        cells[:, :, 1:-1] = states.transpose(2, 0, 1)
+        cells = np.empty((paths, length, n + 1))
+        cells[:, :, :-1] = states.transpose(2, 0, 1)
         cells[:, :, -1] = heat.T
-        text, ends = self.table(cells.reshape(-1, n + 2))
+        t_text, t_ends = self._time_text(k, length)
+        t_ends = (t_ends + len(t_text) * np.arange(paths)[:, None]).ravel()
+        text, ends = self.csvfmt.table(cells.reshape(-1, n + 1), prefix=(t_text * paths, t_ends))
         text, start = memoryview(text), 0
         for fh, end in zip(self.files, ends[length - 1 :: length].tolist()):
             fh.write(text[start:end])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ouirrev import cli, estimators, linalg, sampler, stationary, transient
+from ouirrev import _csvfmt, cli, estimators, linalg, sampler, stationary, transient
 from ouirrev.cli import build_parser, canonical_json, main
 from ouirrev.model import classify, model_from_dict
 from ouirrev.stationary import stationary_law
@@ -179,13 +179,22 @@ class TestSimulateCommand:
 
 
 # Streamed-writer cases: (model, paths, flags, the oracle's arguments). Each
-# runs 300 steps, which is not a whole number of 128-step time blocks.
+# runs 300 steps unless it says otherwise, which is not a whole number of
+# 128-step time blocks.
 _STREAM_CASES = {
     # one tile per chunk: three chunks, the last holding two paths
     "chunks": (ROT, 130, ["--x0", "2,-1"], {"x0": [2.0, -1.0]}),
     # t cells such as 3 * 0.1 = 0.30000000000000004
     "dt": (ROT, 2, ["--dt", "0.1"], {"dt": 0.1}),
+    # t from 1e+16 on in exponent form
+    "dt-exponent": (ROT, 2, ["--dt", "1e15"], {"dt": 1e15}),
+    # subnormal t and heat cells, which only repr writes right
+    "dt-subnormal": (
+        ROT, 2, ["--method", "euler", "--dt", "5e-324"], {"dt": 5e-324, "method": "euler"}
+    ),
     "euler-stationary": (ROT, 3, ["--method", "euler", "--stationary"], {"method": "euler"}),
+    # more rows than one time-text window: blocks read a second window
+    "long": (ROT, 2, [], {"steps": 8500}),
     # the heat overflows at step 178: a numerical failure (exit 2) at the
     # second time block, after the first block's rows are written
     "sweep-inf": (SWEEP_FAST, 2, ["--dt", "0.1"], {"dt": 0.1}),
@@ -204,9 +213,8 @@ class TestSimulateStream:
         model = model_from_dict(payload)
         if "--stationary" in flags:
             kwargs = dict(kwargs, law=stationary_law(model))
-        want = oracles.simulate_files(
-            model, kwargs.pop("dt", 0.01), 300, n_paths, 13, **kwargs
-        )
+        steps = kwargs.pop("steps", 300)
+        want = oracles.simulate_files(model, kwargs.pop("dt", 0.01), steps, n_paths, 13, **kwargs)
         chunks = []
         stream = sampler.stream_batch
 
@@ -220,7 +228,7 @@ class TestSimulateStream:
 
         monkeypatch.setattr(sampler, "stream_batch", counting)
         monkeypatch.setattr(cli, "_CSV_CHUNK_PATHS", 1)  # rounded up to one tile
-        argv = ["simulate", model_file(payload), "--paths", str(n_paths), "--steps", "300"]
+        argv = ["simulate", model_file(payload), "--paths", str(n_paths), "--steps", str(steps)]
         with warnings.catch_warnings():
             # the writer's finiteness check reports an overflow, not numpy
             warnings.simplefilter("error", RuntimeWarning)
@@ -243,6 +251,31 @@ class TestSimulateStream:
             assert got[k] == want[k], k
         if case == "dt":
             assert b"\n0.30000000000000004," in got[0]
+        elif case == "dt-exponent":
+            assert b"\n9000000000000000.0," in got[0] and b"\n1e+16," in got[0]
+        elif case == "dt-subnormal":
+            assert b"\n5e-324," in got[0] and b"\n1.48e-321," in got[0]
+        elif case == "long":
+            assert steps + 1 > _csvfmt._BLOCK_CELLS
+
+    def test_time_column_formatted_once(self, model_file, tmp_path, monkeypatch):
+        # The writer formats the time cells once for all 20 paths: each path's
+        # 301 rows of x1, x2, W, and the 301 t cells once (20 x 301 x 4 =
+        # 24 080 cells if every path formatted its own t). Passes: one for
+        # the time text, then one per time block (the start row, two blocks of
+        # 128 steps and one of 44), each of at most 20 x 128 x 3 cells.
+        passes = []
+        shortest = _csvfmt._shortest
+
+        def counting(bits):
+            passes.append(len(bits))
+            return shortest(bits)
+
+        monkeypatch.setattr(_csvfmt, "_shortest", counting)
+        argv = ["simulate", model_file(ROT), "--paths", "20", "--steps", "300"]
+        assert main(argv + ["--out", str(tmp_path / "c")]) == 0
+        assert sum(passes) == 20 * 301 * 3 + 301 == 18_361
+        assert passes == [301, 20 * 1 * 3, 20 * 128 * 3, 20 * 128 * 3, 20 * 44 * 3]
 
     def test_worker_count_invariance(self, model_file, tmp_path, monkeypatch):
         # 70 paths: two workers get a tile of 64 and a chunk of 6

@@ -7,7 +7,7 @@ import pytest
 
 from ouirrev import _csvfmt
 
-from csvfmt_sweep import first_mismatch, repr_rows, sweep
+from csvfmt_sweep import first_mismatch, prefixed, repr_rows, sweep
 
 
 @pytest.fixture
@@ -137,6 +137,41 @@ def test_table_passes(monkeypatch):
     assert text == repr_rows(x, blank)
     assert ends.tolist() == [i + 1 for i, c in enumerate(text) if c == ord("\n")]
     assert calls == [step * x.shape[1]]
+
+
+@pytest.mark.parametrize("special", [None, 5e-323], ids=["fast", "subnormal"])
+def test_table_prefix(special, monkeypatch):
+    # Each row's prefix, then its cells as repr writes them: prefixes of
+    # several lengths and empty ones, a band of blank cells, and two passes
+    # of whole rows; a row of subnormal cells sends its pass, prefixes
+    # included, through repr.
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((3000, 3))
+    passes = -(-x.size // _csvfmt._BLOCK_CELLS)
+    step = -(-len(x) // passes)
+    assert passes == 2
+    blank = np.zeros(x.shape, dtype=bool)
+    blank[step - 5 : step + 5, 1:] = True
+    x[blank] = np.nan
+    if special is not None:
+        x[2000] = special
+    t = rng.standard_normal(len(x)).tolist()
+    prefix = [b"" if i % 7 == 0 else f"{v!r},".encode() for i, v in enumerate(t)]
+    prefix[-1] = b"t,,"
+    calls = []
+    fallback = _csvfmt._format_repr
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return fallback(*args)
+
+    monkeypatch.setattr(_csvfmt, "_format_repr", spy)
+    text, ends = _csvfmt.table(x, blank, prefixed(prefix))
+    assert text == repr_rows(x, blank, prefix)
+    assert ends.tolist() == [i + 1 for i, c in enumerate(text) if c == ord("\n")]
+    assert calls == ([] if special is None else [(len(x) - step) * x.shape[1]])
+    # Empty prefixes leave the text as it is without them.
+    assert _csvfmt.table(x, blank, prefixed([b""] * len(x)))[0] == _csvfmt.table(x, blank)[0]
 
 
 def test_tables_shared_and_read_only():
