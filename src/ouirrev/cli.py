@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import estimators, sampler, stationary, transient
+from . import estimators, linalg, sampler, stationary, transient
 from .exceptions import NoStationaryLawError, NumericalFailureError
 from .model import LinearModel, Verdict, classify, model_from_dict
 
@@ -233,12 +233,10 @@ class _CsvWriter:
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     law = stationary.stationary_law(model) if args.stationary else None
-    # Without a law, A^{-1} B by classify's solve alone (classify rejects models simulate runs).
-    s_mat = np.linalg.solve(model.A, model.B) if law is None else law.classification.ainv_b
     writers = []
 
     def writer(lo: int, hi: int) -> _CsvWriter:
-        writers.append(_CsvWriter(args.out, lo, hi, s_mat, args.dt, args.steps))
+        writers.append(_CsvWriter(args.out, lo, hi, model.ainv_b, args.dt, args.steps))
         return writers[-1]
 
     try:
@@ -264,9 +262,7 @@ def cmd_transient(args: argparse.Namespace) -> int:
     from . import _csvfmt  # imported by the CSV commands only
 
     model = _load_model(args.model)
-    x0 = np.zeros(model.n) if args.x0 is None else np.asarray(args.x0, dtype=float)
-    if x0.shape != (model.n,):
-        raise ValueError(f"--x0 must have {model.n} components")
+    x0 = linalg._as_vector(args.x0 or np.zeros(model.n), model.n, "initial state")
     if not (0 < args.t_step < math.inf and 0 <= args.t_max < math.inf):
         raise ValueError("transient grid requires finite --t-step > 0 and --t-max >= 0")
     if args.t_max / args.t_step == math.inf:

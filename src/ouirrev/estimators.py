@@ -53,6 +53,7 @@ from .model import Verdict
 from .sampler import (
     BOOTSTRAP_STREAM,
     _budget_paths,
+    _path_elements,
     _tiled_product,
     _validate_grid,
     path_stream,
@@ -172,6 +173,11 @@ class _LagStates:
                 kept[...] = states[ell - k].T
 
 
+def _window_rows(ells, steps: int) -> int:
+    """_LagSums's window rows per path: a lag history and a super-block, cut to the run."""
+    return max(ells) + min(_SUPER_BLOCK, steps + 1)
+
+
 class _LagSums:
     """Consumer of a chunk of paths, fed their states in global index order:
     adds into sums, one (paths, n, n) array per lag, the per-path sums of
@@ -193,7 +199,7 @@ class _LagSums:
         self.ends = _LagStates((k0, steps), ends)
         self.hist = max(ells)
         _, count, n = ends.shape
-        self.window = np.empty((count, self.hist + _SUPER_BLOCK, n))
+        self.window = np.empty((count, _window_rows(ells, steps), n))
 
     def __call__(self, k: int, states: np.ndarray) -> None:
         """states (L, n, paths) at indices k .. k + L - 1."""
@@ -212,7 +218,7 @@ class _LagSums:
 
     def _flush(self, base: int, end: int) -> None:
         """Add the products of later indices base .. end, then keep the last
-        hist states as the next super-block's history, or free the window."""
+        hist states as the next super-block's history."""
         stop = self.hist + end - base + 1
         for sums, ell in zip(self.sums, self.ells):
             first = max(base, self.k0 + ell)
@@ -220,9 +226,7 @@ class _LagSums:
                 at = self.hist + first - base
                 earlier = self.window[:, at - ell : stop - ell]
                 sums += _lag_products(self.window[:, at:stop], earlier)
-        if end == self.steps:  # later chunks of the batch may still run
-            self.window = None
-        else:
+        if end < self.steps:
             self.window[:, : self.hist] = self.window[:, _SUPER_BLOCK : _SUPER_BLOCK + self.hist]
 
 
@@ -361,16 +365,14 @@ def stationary_statistics(
     stream_batch(
         law.model, dt, steps, n_paths, seed,
         lambda lo, hi: _LagSums(summed, k0, steps, [m[lo:hi] for m in means], ends[:, lo:hi]),
-        # Per path: about two windows of up to _SUPER_BLOCK states (one after
-        # its lag history).
-        chunk_paths=_budget_paths(2 * min(steps, _SUPER_BLOCK) * n),
+        chunk_paths=_budget_paths(_window_rows(summed, steps) * n + _path_elements(n, steps)),
         law=law,
     )
     for ell, total in zip(summed, means):
         total /= steps + 1 - k0 - ell
         total.setflags(write=False)  # shared by every estimator that reads stats
     products = dict(zip(distinct, means))  # the requested lags only
-    rates = _heat_rates(law.classification.ainv_b, ends, means[summed.index(1)], span, dt)
+    rates = _heat_rates(law.model.ainv_b, ends, means[summed.index(1)], span, dt)
     hdr = HdrEstimate(
         value=math.fsum(rates.tolist()) / n_paths,
         stderr=float(rates.std(ddof=1)) / math.sqrt(n_paths),

@@ -32,15 +32,16 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """The pair (B, Gamma) with derived diffusion A = Gamma Gamma^T.
+    """The pair (B, Gamma), diffusion A = Gamma Gamma^T and the model's one A^{-1} B.
 
-    B has units 1/time, Gamma state/sqrt(time), A state^2/time.
+    B has units 1/time, Gamma state/sqrt(time), A state^2/time; all are read-only.
     """
 
     n: int
     B: np.ndarray
     Gamma: np.ndarray
     A: np.ndarray
+    ainv_b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class Classification:
     spectrum_B: linalg.Spectrum
     symmetry_defect_AinvB: float
     marginal: bool
-    ainv_b: np.ndarray  # read-only; the rates and the stationary law reuse it
 
 
 def build_model(B, Gamma) -> LinearModel:
@@ -78,10 +78,10 @@ def build_model(B, Gamma) -> LinearModel:
     a = 0.5 * (a + a.T)
     if not linalg.is_spd(a):
         raise ModelValidationError("A = Gamma Gamma^T is not positive definite")
-    b.setflags(write=False)
-    g.setflags(write=False)
-    a.setflags(write=False)
-    return LinearModel(n=n, B=b, Gamma=g, A=a)
+    ainv_b = np.linalg.solve(a, b)
+    for m in (b, g, a, ainv_b):
+        m.setflags(write=False)
+    return LinearModel(n=n, B=b, Gamma=g, A=a, ainv_b=ainv_b)
 
 
 def classify(model: LinearModel) -> Classification:
@@ -93,20 +93,18 @@ def classify(model: LinearModel) -> Classification:
     definite. Irreversible: everything else.
     """
     spectrum = linalg.eig(model.B)
-    ainv_b = np.linalg.solve(model.A, model.B)
-    ainv_b.setflags(write=False)
-    defect = linalg.sym_defect(ainv_b)
+    defect = linalg.sym_defect(model.ainv_b)
     if spectrum.min_real_part <= SPECTRAL_TOL:
         marginal = abs(spectrum.min_real_part) <= SPECTRAL_TOL
-        return Classification(Verdict.SWEEPING, spectrum, defect, marginal, ainv_b)
-    if defect <= linalg.TOL_SYM and linalg.is_spd(0.5 * (ainv_b + ainv_b.T)):
+        return Classification(Verdict.SWEEPING, spectrum, defect, marginal)
+    if defect <= linalg.TOL_SYM and linalg.is_spd(0.5 * (model.ainv_b + model.ainv_b.T)):
         # B is then similar to a symmetric matrix, so its spectrum must be real.
         if float(np.max(np.abs(spectrum.eigenvalues.imag))) > 1e-8:
             raise NumericalFailureError(
                 "inconsistent classification: symmetric A^{-1}B but complex spectrum"
             )
-        return Classification(Verdict.REVERSIBLE, spectrum, defect, False, ainv_b)
-    return Classification(Verdict.IRREVERSIBLE, spectrum, defect, False, ainv_b)
+        return Classification(Verdict.REVERSIBLE, spectrum, defect, False)
+    return Classification(Verdict.IRREVERSIBLE, spectrum, defect, False)
 
 
 def model_from_dict(payload) -> LinearModel:

@@ -61,9 +61,9 @@ from . import linalg
 from .model import LinearModel
 from .stationary import StationaryLaw
 
-# Most doubles that the consumers of one chunk keep (_budget_paths): bounds
-# a chunk's share of the estimators' windows and kept states.
-_CHUNK_ELEMENT_BUDGET = 5_000_000
+# Most doubles that the paths of one chunk hold (_budget_paths): the
+# sampler's own (_path_elements) and what the chunk's consumer keeps.
+_CHUNK_ELEMENT_BUDGET = 2_500_000
 
 # Paths per BLAS tile. Every matrix product is a stack of (n, n) @ (n, _TILE)
 # GEMMs, one shape for any batch, whose column bits depend only on that shape:
@@ -259,9 +259,15 @@ def _prepare(model, dt, steps, n_paths, seed, x0, law, method) -> _Job:
 
 
 def _budget_paths(path_elements: int) -> int:
-    """Paths per chunk whose consumers keep path_elements doubles per path
-    within _CHUNK_ELEMENT_BUDGET (at least one)."""
+    """Paths per chunk that hold path_elements doubles per path within
+    _CHUNK_ELEMENT_BUDGET (at least one)."""
     return max(1, _CHUNK_ELEMENT_BUDGET // path_elements)
+
+
+def _path_elements(n: int, steps: int) -> int:
+    """Doubles the sampler holds per path: a span of draws, at most _SPAN_NORMALS
+    // n steps at any chunk width, its spare step, and a generator (744 bytes)."""
+    return (min(_SPAN_NORMALS // n, steps) + 1) * n + 93
 
 
 def _chunk_bounds(n_paths: int, chunk_paths: int, n_workers: int) -> list[tuple[int, int]]:
@@ -293,7 +299,8 @@ def stream_batch(
     or, when law is given, independent stationary draws; giving both is a
     ValueError. method is "exact" (transition sampling) or "euler".
 
-    The paths run in chunks of at most chunk_paths, rounded down to whole
+    The paths run in chunks of at most chunk_paths, and of no more than the
+    budget holds at _path_elements doubles each, rounded down to whole
     _TILE-path tiles but at least one (_chunk_bounds). Each chunk of paths
     lo .. hi-1 hands its time blocks to consumer = make_consumer(lo, hi)
     (see _integrate), made just before the chunk's first path is drawn;
@@ -306,7 +313,8 @@ def stream_batch(
     """
     job = _prepare(model, dt, steps, n_paths, seed, x0, law, method)
     n_workers = resolve_workers()
-    bounds = _chunk_bounds(n_paths, chunk_paths, n_workers)
+    own_paths = _budget_paths(_path_elements(model.n, steps))
+    bounds = _chunk_bounds(n_paths, min(chunk_paths, own_paths), n_workers)
 
     def work(chunk: tuple[int, int]) -> None:
         _generate(job, *chunk, steps, make_consumer(*chunk))

@@ -11,7 +11,7 @@ transient Gaussian-moment kernel (transient._moment_rates) at mean 0, cov Xi:
     hdr = 2 tr(B^T A^{-1} B Xi) - tr(B)
 
 Both are cross-validated against quadrature of the defining integrals in the
-test suite. A^{-1} B is the one classify solved for.
+test suite. A^{-1} B is the one build_model solved for.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def stationary_law(model: LinearModel) -> StationaryLaw:
     chol = linalg.chol_spd(xi)
     xi_inv = np.linalg.solve(xi, np.eye(model.n))
     xi_inv = 0.5 * (xi_inv + xi_inv.T)
-    epr, hdr = _moment_rates(model, cls.ainv_b, np.zeros(model.n), xi, xi_inv)
+    epr, hdr = _moment_rates(model, np.zeros(model.n), xi, xi_inv)
     a_norm = float(np.linalg.norm(model.A))
     standard = float(np.linalg.norm(model.B @ xi + xi @ model.B.T - model.A)) / (1.0 + a_norm)
     strong = float(np.linalg.norm(model.A - 2.0 * model.B @ xi)) / (1.0 + a_norm)
@@ -106,8 +106,8 @@ def force_flux(law: StationaryLaw, x) -> ForceFlux:
     returned here per unit density as (1/2) A Pi.
     """
     xv = linalg._as_vector(x, law.model.n, "state")
-    affinity = -((2.0 * law.classification.ainv_b - law.Xi_inv) @ xv)
-    mechanical = -2.0 * (law.classification.ainv_b @ xv)
+    affinity = -((2.0 * law.model.ainv_b - law.Xi_inv) @ xv)
+    mechanical = -2.0 * (law.model.ainv_b @ xv)
     flux = 0.5 * (law.model.A @ affinity)
     return ForceFlux(affinity=affinity, flux=flux, mechanical_force=mechanical)
 

@@ -32,9 +32,9 @@ M_t = 2 A^{-1} B - C^{-1},
 so the entropy rate epr - hdr is mean-independent, matching
 d/dt e[P] = (1/2) tr(C^{-1} Cdot). Both forms are quadrature-validated in the
 test suite, and written once (_moment_rates), which the stationary law also
-evaluates at (0, Xi). A^{-1} B is the one the model's classification solved
-for; B^T A^{-1} B, tr B and the potential matrix are formed where they are
-read, once per evaluation of a state or a grid.
+evaluates at (0, Xi). A^{-1} B is the one build_model solved for;
+B^T A^{-1} B, tr B and the potential matrix are formed where they are read,
+once per evaluation of a state or a grid.
 
 The rates of a whole grid are evaluated in one pass (grid_rates): one LAPACK
 Cholesky call over the stack for the entropies, one batched solve for the
@@ -154,13 +154,6 @@ def propagate_grid(model: LinearModel, x0, t_step: float, n_rows: int) -> Gaussi
     return GaussianState(t=np.arange(n_rows) * h, mean=means, cov=covs)
 
 
-def _chol_cov(cov: np.ndarray) -> np.ndarray:
-    try:
-        return linalg.chol_spd(cov)
-    except NotPositiveDefiniteError as exc:
-        raise UndefinedEntropyError("state covariance is singular (point mass)") from exc
-
-
 def transition_density(model: LinearModel, x, t: float, x0) -> float:
     """Transition density p(x, t | x0) for t > 0, standard Gaussian normalization."""
     t = float(t)
@@ -168,7 +161,10 @@ def transition_density(model: LinearModel, x, t: float, x0) -> float:
         raise ValueError(f"transition density requires t > 0, got {t}")
     xv = linalg._as_vector(x, model.n, "state")
     state = propagate(model, linalg._as_vector(x0, model.n, "initial state"), t)
-    low = _chol_cov(state.cov)
+    try:
+        low = linalg.chol_spd(state.cov)
+    except NotPositiveDefiniteError as exc:
+        raise UndefinedEntropyError("state covariance is singular (point mass)") from exc
     # Solve L y = (x - mean); the quadratic form is then |y|^2.
     y = np.linalg.solve(low, xv - state.mean)
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
@@ -207,21 +203,20 @@ def entropy(state: GaussianState) -> float:
     return ent
 
 
-def _moment_rates(model: LinearModel, ainv_b, mean, cov, cov_inv) -> tuple[np.ndarray, np.ndarray]:
+def _moment_rates(model: LinearModel, mean, cov, cov_inv) -> tuple[np.ndarray, np.ndarray]:
     """epr and hdr of the Gaussian law N(mean, cov), or of each law in a
-    stack, given cov^{-1} and the model's A^{-1} B: the one copy of the moment
-    formulas."""
-    bt_ainv_b = model.B.T @ ainv_b
-    m_t = 2.0 * ainv_b - cov_inv
+    stack, given cov^{-1}: the one copy of the moment formulas."""
+    bt_ainv_b = model.B.T @ model.ainv_b
+    m_t = 2.0 * model.ainv_b - cov_inv
     mean_term = 2.0 * _quad(mean, bt_ainv_b)
     epr = 0.5 * _trace(m_t.swapaxes(-1, -2) @ model.A @ m_t @ cov) + mean_term
     hdr = 2.0 * _trace(bt_ainv_b @ cov) - float(np.trace(model.B)) + mean_term
     return np.where(epr < 0.0, 0.0, epr), hdr
 
 
-def _potential_matrix(cls: Classification) -> np.ndarray:
+def _potential_matrix(model: LinearModel, cls: Classification) -> np.ndarray:
     """S = sym(A^{-1} B) of a reversible model, so that U(x) = x^T S x and
-    2 A^{-1} b(x) = -grad U(x) hold exactly for b(x) = -B x.
+    2 A^{-1} b(x) = -grad U(x) hold exactly for b(x) = -B x (cls classifies model).
 
     Raises PotentialUndefinedError for any other verdict.
     """
@@ -229,7 +224,7 @@ def _potential_matrix(cls: Classification) -> np.ndarray:
         raise PotentialUndefinedError(
             "free energy requires a reversible model (force has no potential otherwise)"
         )
-    return 0.5 * (cls.ainv_b + cls.ainv_b.T)
+    return 0.5 * (model.ainv_b + model.ainv_b.T)
 
 
 def grid_rates(model: LinearModel, cls: Classification, states: GaussianState) -> ThermoSnapshot:
@@ -251,11 +246,11 @@ def grid_rates(model: LinearModel, cls: Classification, states: GaussianState) -
     defined_cov = np.where(ok[..., None, None], cov, eye)
     cov_inv = np.linalg.solve(defined_cov, np.broadcast_to(eye, cov.shape))
     cov_inv = 0.5 * (cov_inv + cov_inv.swapaxes(-1, -2))
-    epr_t, hdr_t = _moment_rates(model, cls.ainv_b, mean, cov, cov_inv)
+    epr_t, hdr_t = _moment_rates(model, mean, cov, cov_inv)
     epr_t, hdr_t = np.where(ok, epr_t, np.nan), np.where(ok, hdr_t, np.nan)
     psi = None
     if cls.verdict is Verdict.REVERSIBLE:
-        s = _potential_matrix(cls)
+        s = _potential_matrix(model, cls)
         psi = _trace(s @ cov) + _quad(mean, s) - ent
     return ThermoSnapshot(
         t=states.t,
@@ -286,7 +281,7 @@ def _state_rates(model: LinearModel, cls: Classification, state: GaussianState) 
 def potential(model: LinearModel, x) -> float:
     """Potential U(x) = x^T A^{-1} B x of a reversible model."""
     xv = linalg._as_vector(x, model.n, "state")
-    s = _potential_matrix(classify(model))
+    s = _potential_matrix(model, classify(model))
     return float(xv @ s @ xv)
 
 
@@ -297,7 +292,7 @@ def free_energy(model: LinearModel, state: GaussianState) -> float:
     U(x) = x^T S x, S = A^{-1} B.
     """
     cls = classify(model)
-    _potential_matrix(cls)  # an irreversible model raises before the state is read
+    _potential_matrix(model, cls)  # an irreversible model raises before the state is read
     return _state_rates(model, cls, state).free_energy
 
 

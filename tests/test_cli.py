@@ -289,8 +289,9 @@ class TestSimulateStream:
             assert (tmp_path / f"threads_p{k}.csv").read_bytes() == serial, k
 
     def test_one_solve_per_run(self, model_file, tmp_path, monkeypatch):
-        # 130 paths: chunks of 64, 64 and 2, whose heat reads the run's one
-        # A^-1 B; with --stationary, the one that classify solved
+        # 130 paths: chunks of 64, 64 and 2, whose heat reads the model's one
+        # A^-1 B, which build_model solved; with --stationary too, and
+        # classify solves none of its own
         solves, heats = [], []
         solve, step_heat = np.linalg.solve, estimators._StepHeat
 
@@ -313,6 +314,9 @@ class TestSimulateStream:
             assert main([*argv, *flags, "--out", str(tmp_path / "run")]) == 0
             assert len(solves) == 1
             assert len(heats) == 3 and all(s is heats[0] for s in heats)
+        solves.clear()
+        assert main(["classify", model_file(ROT)]) == 0
+        assert len(solves) == 1
 
     def test_bad_worker_count_exit_1(self, model_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OU_IRREV_THREADS", "abc")
@@ -897,3 +901,38 @@ class TestParserContract:
         code, report = run_json(capsys, [*argv, "--seed", str(seed)])
         assert code in (0, 4)
         assert report["seed"] == seed
+
+
+class TestValidationExits:
+    """Each malformed input exits 1 with exactly one "error:" line."""
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("{not json", ["classify"]),
+            ("[1, 2]", ["classify"]),
+            ('{"B": [1, 2], "Gamma": [[1.0]]}', ["classify"]),
+            ('{"B": [[1.0, 0.0]], "Gamma": [[1.0]]}', ["classify"]),
+            (json.dumps(ROT), ["verify", "--seed", "abc"]),
+            (json.dumps(ROT), ["analyze", "--tau", ","]),
+            (json.dumps(ROT), ["transient", "--x0", "1,2,3"]),
+        ],
+        ids=["not-json", "json-array", "b-vector", "b-not-square", "seed-abc", "tau-empty", "x0-n3"],
+    )
+    def test_exit_1_one_line(self, text, argv, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_x0_message_shared(self, model_file, tmp_path, capsys):
+        # transient checks --x0 as simulate does, before it classifies
+        path = model_file(ROT)
+        errors = []
+        for argv in (["transient", path], ["simulate", path, "--out", str(tmp_path / "run")]):
+            assert main([*argv, "--x0", "1,2,3"]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "error: initial state must have shape (2,), got (3,)\n"

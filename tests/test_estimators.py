@@ -389,7 +389,7 @@ class TestStreamedStatistics:
         ends = batch.states[:, [k0, -1]].transpose(1, 0, 2)
         lag_one = _superblock_oracle(batch.states, k0, 1)
         span = (steps - k0) * dt
-        rates = estimators._heat_rates(law.classification.ainv_b, ends, lag_one, span, dt)
+        rates = estimators._heat_rates(law.model.ainv_b, ends, lag_one, span, dt)
         ref_hdr = (
             math.fsum(rates.tolist()) / n_paths,
             float(rates.std(ddof=1)) / math.sqrt(n_paths),
@@ -426,6 +426,34 @@ class TestStreamedStatistics:
             assert np.array_equal(serial.lag_products[lag], pooled.lag_products[lag])
         assert (serial_hdr.value, serial_hdr.stderr) == (pooled_hdr.value, pooled_hdr.stderr)
 
+    def test_window_sized_to_run(self):
+        # a run shorter than a super-block holds its steps + 1 states after
+        # the lag history, not a whole super-block
+        ends = np.empty((2, 3, 2))
+        sums = [np.zeros((3, 2, 2)) for _ in range(2)]
+        assert estimators._LagSums((1, 10), 0, 200, sums, ends).window.shape == (3, 211, 2)
+        window = estimators._LagSums((1, 10), 0, 5000, sums, ends).window
+        assert window.shape == (3, 10 + _SUPER_BLOCK, 2)
+
+    @pytest.mark.parametrize(
+        "n, steps, n_paths", [(2, 10_000, 200), (16, 2000, 50)], ids=["verify-default", "irr16"]
+    )
+    def test_bench_budgets_one_chunk(self, n, steps, n_paths, monkeypatch):
+        # The benchmark's verify budgets run each stream, the stationary one
+        # and the Green-Kubo one, as one chunk of all the paths.
+        monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
+        bounds, chunk_bounds = [], sampler._chunk_bounds
+
+        def recording(*args):
+            bounds.append(chunk_bounds(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr(sampler, "_chunk_bounds", recording)
+        law = stationary_law(sin_model(n))
+        stats, _ = stationary_statistics(law, 0.01, steps, n_paths, 1, (0.1, 0.5, 1.0), 2.0)
+        greenkubo_check(law, stats, n_paths=n_paths, seed=2, x0=np.ones(n))
+        assert bounds == [[(0, n_paths)], [(0, n_paths)]]
+
     def test_validation_before_sampling(self, monkeypatch):
         law = stationary_law(rotational_model(1.0))
 
@@ -448,6 +476,8 @@ class TestStreamedStatistics:
             stationary_statistics(law, 0.01, 0, 4, 1, (0.0,))
         with pytest.raises(ValueError, match="at least one lag"):
             stationary_statistics(law, 0.01, 100, 4, 1, ())
+        with pytest.raises(ValueError, match="lag must be >= 0"):
+            stationary_statistics(law, 0.01, 100, 4, 1, (0.1, -0.1))
 
     @pytest.mark.parametrize(
         "dt, lags, burn_in, error, match",
@@ -484,7 +514,7 @@ class TestHeatIdentity:
     )
     def test_matches_midpoint_sum(self, m):
         law = stationary_law(m)
-        s_mat = law.classification.ainv_b
+        s_mat = law.model.ainv_b
         dt, steps, k0, n_paths, seed = 0.01, 600, 100, 5, 13
         streams = [sampler.path_stream(seed, p) for p in range(n_paths)]
         z0 = np.stack([s.standard_normal(m.n) for s in streams], axis=1)

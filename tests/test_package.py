@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import ouirrev
 
 
@@ -64,6 +66,7 @@ def test_removed_names_gone():
         (estimators.ReversibilityResult, "note"),
         (estimators.HdrEstimate, "n_paths"),
         (stationary.StationaryLaw, "M"),
+        (model.Classification, "ainv_b"),
     ]:
         assert name not in cls.__dataclass_fields__
     assert not hasattr(estimators._LagSums, "result")
@@ -84,6 +87,18 @@ def test_removed_parameters_gone():
     # its tiles from column 0: no path range or column slice is passed.
     assert list(inspect.signature(estimators._StepHeat).parameters) == ["s_mat"]
     assert "cols" not in inspect.signature(sampler._integrate).parameters
+
+
+def test_model_holds_the_one_ainv_b():
+    # build_model solves A^-1 B once; the rates read the model's copy
+    from ouirrev import transient
+    from ouirrev.model import build_model
+
+    m = build_model([[1.0, 1.0], [-1.0, 1.0]], [[2.0, 0.0], [1.0, 1.0]])
+    assert np.array_equal(m.ainv_b, np.linalg.solve(m.A, m.B))
+    for arr in (m.B, m.Gamma, m.A, m.ainv_b):
+        assert not arr.flags.writeable
+    assert "ainv_b" not in inspect.signature(transient._moment_rates).parameters
 
 
 def _run_python(code: str, **env) -> str:

@@ -166,6 +166,10 @@ class TestSamplePath:
         for n_paths in (0, -1, 2.0):
             with pytest.raises(ValueError, match="n_paths must be"):
                 _stream(m, 0.01, 10, n_paths=n_paths, seed=0, x0=[1.0, 0.0])
+        with pytest.raises(ValueError, match="unknown method 'milstein'"):
+            _stream(m, 0.01, 10, n_paths=1, seed=0, method="milstein")
+        with pytest.raises(ValueError, match="seed must fit"):
+            _stream(m, 0.01, 10, n_paths=1, seed=2**64)
 
 
 class TestStationaryStart:
@@ -431,6 +435,27 @@ class TestTileBoundaries:
         budget = sampler._CHUNK_ELEMENT_BUDGET
         assert sampler._budget_paths(budget // 100) == 100
         assert sampler._budget_paths(2 * budget) == 1
+
+    def test_own_buffers_budgeted(self, monkeypatch):
+        # Whatever chunk_paths the caller passes, a chunk's paths hold at most
+        # the budget in the sampler's own draws and generators.
+        for n in range(1, linalg.MAX_DIM + 1):
+            for width in (_TILE, 4 * _TILE, 1024 * _TILE):
+                span = _blocking(n, width, 10**6)[1]
+                assert (span + 1) * n + 93 <= sampler._path_elements(n, 10**6)
+        assert sampler._path_elements(2, 10_000) == 1025 * 2 + 93
+        assert sampler._path_elements(2, 200) == 201 * 2 + 93
+        monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
+        monkeypatch.setattr(sampler, "_CHUNK_ELEMENT_BUDGET", 100 * sampler._path_elements(2, 50))
+        chunks = []
+
+        def consumer(lo, hi):
+            chunks.append((lo, hi))
+            return lambda k, states: None
+
+        m = rotational_model(1.0)
+        stream_batch(m, 0.01, 50, 300, 1, consumer, chunk_paths=10**6)
+        assert chunks == [(0, 64), (64, 128), (128, 192), (192, 256), (256, 300)]
 
 
 class TestStepHeat:

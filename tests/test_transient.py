@@ -330,6 +330,12 @@ class TestInstantaneousRates:
             snap = instantaneous_rates(reversible_2d, propagate(reversible_2d, x0, t))
             assert abs(dpsi + snap.epr_t) <= 1e-5
 
+    def test_point_mass_is_error(self):
+        # at t = 0 the law is the point mass x0: no entropy, so no rates
+        m = rotational_model(1.0)
+        with pytest.raises(UndefinedEntropyError, match="point mass"):
+            instantaneous_rates(m, propagate(m, [2.0, 0.0], 0.0))
+
     def test_rotational_long_time_limits(self):
         m = rotational_model(1.0)
         law = stationary_law(m)
