@@ -14,6 +14,9 @@ canonical (sorted keys) and re-serialize to identical bytes after parsing.
 The environment variable OU_IRREV_THREADS sets the number of worker threads
 for path generation (0, 1 or absent = serial); outputs are byte-identical
 across worker counts.
+
+Each command imports the modules it runs, so importing the CLI loads only
+model, linalg and exceptions: classify runs on those alone.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import estimators, linalg, sampler, stationary, transient
+from . import linalg
 from .exceptions import NoStationaryLawError, NumericalFailureError
 from .model import LinearModel, Verdict, classify, model_from_dict
 
@@ -134,6 +137,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import stationary
+
     model = _load_model(args.model)
     law = stationary.stationary_law(model)  # NoStationaryLawError -> exit 1
     report = {
@@ -169,7 +174,7 @@ class _CsvWriter:
     time text held never grows with the run."""
 
     def __init__(self, prefix: str, lo: int, hi: int, s_mat: np.ndarray, dt: float, steps: int):
-        from . import _csvfmt  # imported by the CSV commands only
+        from . import _csvfmt, estimators
 
         self.csvfmt, self.lo, self.dt, self.rows = _csvfmt, lo, dt, steps + 1
         self.step_heat = estimators._StepHeat(s_mat)
@@ -193,10 +198,14 @@ class _CsvWriter:
     def _time_text(self, k: int, length: int) -> tuple[bytes, np.ndarray]:
         """The text "t," of rows k .. k + length - 1 and where each ends. A
         block outside the window opens a new one at k, of as many whole
-        blocks of its length as one formatter pass holds."""
+        blocks of its length as one formatter pass holds. The start row
+        (k = 0) is a window of its own: the blocks after it are longer, so a
+        window of start blocks would end inside one of them and its rows
+        would be formatted again."""
         w0, w1 = self.window
         if not (w0 <= k and k + length <= w1):
-            w0, w1 = k, min(self.rows, k + length * max(1, self.csvfmt._BLOCK_CELLS // length))
+            blocks = 1 if k == 0 else max(1, self.csvfmt._BLOCK_CELLS // length)
+            w0, w1 = k, min(self.rows, k + length * blocks)
             text, ends = self.csvfmt.table((np.arange(w0, w1) * self.dt)[:, None])
             self.window, self.t_text = (w0, w1), text.replace(b"\n", b",")
             self.t_bounds = np.concatenate([[0], ends])
@@ -231,8 +240,14 @@ class _CsvWriter:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import sampler
+
     model = _load_model(args.model)
-    law = stationary.stationary_law(model) if args.stationary else None
+    law = None
+    if args.stationary:
+        from . import stationary
+
+        law = stationary.stationary_law(model)
     writers = []
 
     def writer(lo: int, hi: int) -> _CsvWriter:
@@ -259,7 +274,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_transient(args: argparse.Namespace) -> int:
-    from . import _csvfmt  # imported by the CSV commands only
+    from . import _csvfmt, transient
 
     model = _load_model(args.model)
     x0 = linalg._as_vector(args.x0 or np.zeros(model.n), model.n, "initial state")
@@ -292,6 +307,8 @@ def cmd_transient(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import estimators, stationary
+
     model = _load_model(args.model)
     try:
         law = stationary.stationary_law(model)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,7 +60,9 @@ from .sampler import (
     path_stream,
     stream_batch,
 )
-from .stationary import StationaryLaw
+
+if TYPE_CHECKING:  # annotations only: stationary is not imported at run time
+    from .stationary import StationaryLaw
 
 BOOTSTRAP_RESAMPLES = 200
 # Longest summed axis of one estimator GEMM (time rows or paths); see _gemm.

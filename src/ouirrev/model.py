@@ -134,8 +134,3 @@ def model_from_dict(payload) -> LinearModel:
         return mat
 
     return build_model(to_matrix("B"), to_matrix("Gamma"))
-
-
-def model_to_dict(model: LinearModel) -> dict:
-    """Inverse of model_from_dict."""
-    return {"B": model.B.tolist(), "Gamma": model.Gamma.tolist()}

@@ -53,13 +53,15 @@ from __future__ import annotations
 
 import math
 import os
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .model import LinearModel
-from .stationary import StationaryLaw
+
+if TYPE_CHECKING:  # annotations only: stationary is not imported at run time
+    from .stationary import StationaryLaw
 
 # Most doubles that the paths of one chunk hold (_budget_paths): the
 # sampler's own (_path_elements) and what the chunk's consumer keeps.

@@ -261,9 +261,10 @@ class TestSimulateStream:
     def test_time_column_formatted_once(self, model_file, tmp_path, monkeypatch):
         # The writer formats the time cells once for all 20 paths: each path's
         # 301 rows of x1, x2, W, and the 301 t cells once (20 x 301 x 4 =
-        # 24 080 cells if every path formatted its own t). Passes: one for
-        # the time text, then one per time block (the start row, two blocks of
-        # 128 steps and one of 44), each of at most 20 x 128 x 3 cells.
+        # 24 080 cells if every path formatted its own t). Passes: one per
+        # time block (the start row, two blocks of 128 steps and one of 44),
+        # each of at most 20 x 128 x 3 cells, after the time text of its
+        # window: the start row's own, then rows 1 .. 300.
         passes = []
         shortest = _csvfmt._shortest
 
@@ -275,7 +276,32 @@ class TestSimulateStream:
         argv = ["simulate", model_file(ROT), "--paths", "20", "--steps", "300"]
         assert main(argv + ["--out", str(tmp_path / "c")]) == 0
         assert sum(passes) == 20 * 301 * 3 + 301 == 18_361
-        assert passes == [301, 20 * 1 * 3, 20 * 128 * 3, 20 * 128 * 3, 20 * 44 * 3]
+        assert passes == [1, 20 * 1 * 3, 300, 20 * 128 * 3, 20 * 128 * 3, 20 * 44 * 3]
+
+    def test_each_time_row_formatted_once(self, model_file, tmp_path, monkeypatch):
+        # 8301 rows are more than one window of time text (8192 rows) holds:
+        # the start row, rows 1 .. 8192 (64 blocks of 128 steps) and the rest.
+        time_passes, in_time_text = [], [False]
+        table, shortest = _csvfmt.table, _csvfmt._shortest
+
+        def marking(x, blank=None, prefix=None):
+            in_time_text[0] = prefix is None  # the x1 .. xn, W rows have prefixes
+            try:
+                return table(x, blank, prefix)
+            finally:
+                in_time_text[0] = False
+
+        def counting(bits):
+            if in_time_text[0]:
+                time_passes.append(len(bits))
+            return shortest(bits)
+
+        monkeypatch.setattr(_csvfmt, "table", marking)
+        monkeypatch.setattr(_csvfmt, "_shortest", counting)
+        argv = ["simulate", model_file(ROT), "--paths", "2", "--steps", "8300"]
+        assert main(argv + ["--out", str(tmp_path / "c")]) == 0
+        assert sum(time_passes) == 8301
+        assert time_passes == [1, 8192, 108]
 
     def test_worker_count_invariance(self, model_file, tmp_path, monkeypatch):
         # 70 paths: two workers get a tile of 64 and a chunk of 6

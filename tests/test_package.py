@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import os
 import subprocess
@@ -5,14 +6,36 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ouirrev
 
 
 def test_public_names_resolve():
-    assert len(set(ouirrev.__all__)) == len(ouirrev.__all__)
+    assert len(set(ouirrev.__all__)) == len(ouirrev.__all__) == 41
     for name in ouirrev.__all__:
         assert getattr(ouirrev, name) is not None
+
+
+def test_public_names_are_their_home_modules_objects():
+    # Each name resolves on first use to the object its home module defines.
+    for name in ouirrev.__all__:
+        obj = getattr(ouirrev, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__ == f"ouirrev.{ouirrev._HOME[name]}"
+        assert getattr(home, name) is obj
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from ouirrev import *", namespace)
+    for name in ouirrev.__all__:
+        assert namespace[name] is getattr(ouirrev, name)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ouirrev.no_such_name
 
 
 def test_removed_names_gone():
@@ -45,6 +68,7 @@ def test_removed_names_gone():
         (sampler, "_validate_paths"),
         (sampler, "_StepHeat"),
         (model, "drift"),
+        (model, "model_to_dict"),
         (cli, "_csv_cells"),
         (cli, "_CSV_CALL_CELLS"),
         (cli, "_matrix_list"),
@@ -101,10 +125,10 @@ def test_model_holds_the_one_ainv_b():
     assert "ainv_b" not in inspect.signature(transient._moment_rates).parameters
 
 
-def _run_python(code: str, **env) -> str:
+def _run_python(code: str, *args: str, **env) -> str:
     env = dict(os.environ, PYTHONPATH=str(Path(ouirrev.__file__).parents[1]), **env)
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     ).stdout
 
 
@@ -117,11 +141,51 @@ def test_cli_import_skips_process_pool():
     assert _run_python(code).strip() == "[]"
 
 
-def test_cli_import_skips_csv_formatter():
-    # The CSV formatter is imported, and its tables built, by the first CSV
-    # write: not by commands that write none, nor by importing the CLI.
-    code = "import sys, ouirrev.cli; print('ouirrev._csvfmt' in sys.modules)"
-    assert _run_python(code).strip() == "False"
+_PRINT_LOADED = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'ouirrev')))"
+
+
+def test_package_import_loads_no_submodule():
+    # dir lists every public name before any is resolved, and resolves none
+    code = "import sys, ouirrev\nassert set(ouirrev.__all__) <= set(dir(ouirrev))\n"
+    assert _run_python(code + _PRINT_LOADED).split() == ["ouirrev"]
+
+
+# The package modules each entry point loads besides ouirrev, cli, exceptions,
+# linalg and model, which importing the CLI loads. The CSV formatter is
+# imported, and its tables built, by the first CSV write: not by commands that
+# write none, nor by importing the CLI.
+_LOADED = {
+    "import-cli": ([], []),
+    "classify": (["classify"], []),
+    "analyze": (["analyze"], ["stationary", "transient"]),
+    "transient": (["transient", "--x0", "2,0"], ["_csvfmt", "transient"]),
+    "simulate": (["simulate", "--steps", "10"], ["_csvfmt", "estimators", "sampler"]),
+    "simulate-stationary": (
+        ["simulate", "--steps", "10", "--stationary"],
+        ["_csvfmt", "estimators", "sampler", "stationary", "transient"],
+    ),
+    "verify": (
+        ["verify", "--paths", "20", "--steps", "2000", "--burn-in", "2", "--seed", "7"],
+        ["estimators", "sampler", "stationary", "transient"],
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(_LOADED))
+def test_modules_loaded(entry, tmp_path):
+    command, own = _LOADED[entry]
+    args = []
+    if command:
+        model = tmp_path / "rot2.json"
+        model.write_text('{"B": [[1.0, 1.0], [-1.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}')
+        args = [command[0], str(model), *command[1:], "--out", str(tmp_path / "out")]
+    code = (
+        "import sys, ouirrev.cli\n"
+        "assert not sys.argv[1:] or ouirrev.cli.main(sys.argv[1:]) == 0\n" + _PRINT_LOADED
+    )
+    core = ["cli", "exceptions", "linalg", "model"]
+    want = ["ouirrev", *(f"ouirrev.{m}" for m in core + own)]
+    assert _run_python(code, *args).split() == sorted(want)
 
 
 def test_worker_threads_start_no_processes():
