@@ -29,8 +29,10 @@ trajectory length and super-block alone. So a path's sums depend only on its
 own states: the same bits for any path count, chunking or worker count. The
 bootstrap resample means of each lag are the (resamples x paths) @
 (paths x n^2) product of the resample-count matrix with the per-path
-asymmetries. Every summed axis is cut into pieces of at most _GEMM_DEPTH, so
-both give the same bits with one or two BLAS threads.
+asymmetries, formed _RESAMPLE_BLOCK resamples at a time: blocks of its rows,
+which have the bits of the whole product. Every summed axis is cut into
+pieces of at most _GEMM_DEPTH, so both give the same bits with one or two
+BLAS threads.
 
 All estimators are deterministic functions of (master seed, parameters):
 bootstrap resampling draws from a reserved stream derived from the master seed,
@@ -65,6 +67,8 @@ if TYPE_CHECKING:  # annotations only: stationary is not imported at run time
     from .stationary import StationaryLaw
 
 BOOTSTRAP_RESAMPLES = 200
+# Resamples whose path indices and counts are held at once (_bootstrap_indices).
+_RESAMPLE_BLOCK = 25
 # Longest summed axis of one estimator GEMM (time rows or paths); see _gemm.
 _GEMM_DEPTH = 256
 # Studentized asymmetry above this is declared irreversible; below it the
@@ -384,9 +388,15 @@ def stationary_statistics(
     return stats, hdr
 
 
-def _bootstrap_indices(stats: PathStatistics, n_resamples: int) -> np.ndarray:
+def _bootstrap_indices(stats: PathStatistics, n_resamples: int):
+    """The path indices of n_resamples bootstrap resamples, (resamples, paths),
+    in successive blocks of at most _RESAMPLE_BLOCK resamples as (first
+    resample, block). Every block is drawn from the one stream of stats's
+    seed, so together they are the one (n_resamples, paths) draw."""
     rng = path_stream(stats.seed, BOOTSTRAP_STREAM)
-    return rng.integers(0, stats.n_paths, size=(n_resamples, stats.n_paths))
+    for lo in range(0, n_resamples, _RESAMPLE_BLOCK):
+        size = (min(_RESAMPLE_BLOCK, n_resamples - lo), stats.n_paths)
+        yield lo, rng.integers(0, stats.n_paths, size=size)
 
 
 def reversibility_test(stats: PathStatistics) -> ReversibilityResult:
@@ -407,18 +417,27 @@ def reversibility_test(stats: PathStatistics) -> ReversibilityResult:
     if len(stats.lag_products) < 2:
         raise ValueError("need at least two distinct lags")
     n_paths = stats.n_paths
-    resamples = _bootstrap_indices(stats, BOOTSTRAP_RESAMPLES)
-    # counts[r, p]: how often resample r drew path p, so that each lag's
-    # resample means are one GEMM with the per-path asymmetries.
-    counts = np.zeros((len(resamples), n_paths))
-    np.add.at(counts, (np.arange(len(resamples))[:, None], resamples), 1.0)
+    asyms = [
+        (per_path - per_path.transpose(0, 2, 1)).reshape(n_paths, -1)
+        for per_path in stats.lag_products.values()
+    ]
+    boots = [np.empty((BOOTSTRAP_RESAMPLES, asym.shape[1])) for asym in asyms]
+    counts = np.empty((min(_RESAMPLE_BLOCK, BOOTSTRAP_RESAMPLES), n_paths))
+    for lo, resamples in _bootstrap_indices(stats, BOOTSTRAP_RESAMPLES):
+        # block[r, p]: how often resample lo + r drew path p, so that each
+        # lag's resample means are GEMM rows of it with the per-path
+        # asymmetries, the same bits as rows of one GEMM of every resample.
+        block = counts[: len(resamples)]
+        for r in range(len(block)):
+            block[r] = np.bincount(resamples[r], minlength=n_paths)
+        del resamples  # freed before the next block is drawn
+        for asym, boot in zip(asyms, boots):
+            boot[lo : lo + len(block)] = _gemm(block, asym)
     obs_norms: list[float] = []
     boot_norms: list[np.ndarray] = []
     per_lag: dict[float, float] = {}
-    for lag, per_path in stats.lag_products.items():
-        asym = (per_path - per_path.transpose(0, 2, 1)).reshape(n_paths, -1)
+    for lag, asym, boot in zip(stats.lag_products, asyms, boots):
         observed = asym.mean(axis=0)
-        boot = _gemm(counts, asym)
         boot /= n_paths
         boot -= observed
         norms = np.linalg.norm(boot, axis=1)

@@ -81,9 +81,11 @@ class Spectrum:
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack (..., n, n): one dot product of
-    its flattened entries, as np.linalg.norm takes it."""
+    its flattened entries, as np.linalg.norm takes it. A norm beyond the
+    double range is inf, without a warning."""
     flat = a.reshape(*a.shape[:-2], 1, -1)
-    return np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
+    with np.errstate(over="ignore"):
+        return np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
 
 
 def _sym_defects(a: np.ndarray) -> np.ndarray:
@@ -131,12 +133,13 @@ def expm(m) -> np.ndarray:
     """
     a = _as_square(m)
     n = a.shape[0]
-    norm = float(np.linalg.norm(a, 1))
+    with np.errstate(over="ignore"):  # a norm that overflows is reported below
+        norm = float(np.linalg.norm(a, 1))
     if norm == 0.0:
         return np.eye(n)
-    s = max(0, int(math.ceil(math.log2(norm / 0.5))))
-    if s > 64:
+    if not math.isfinite(norm) or math.log2(norm / 0.5) > 64:
         raise NumericalFailureError(f"matrix norm {norm:.3g} too large to exponentiate")
+    s = max(0, int(math.ceil(math.log2(norm / 0.5))))
     a = a / (2.0**s)
     ident = np.eye(n)
     a2 = a @ a
@@ -282,7 +285,10 @@ def gram_integral(b, a, t: float) -> np.ndarray:
     blk[:n, :n] = -bm
     blk[:n, n:] = am
     blk[n:, n:] = bm.T
-    norm = float(np.linalg.norm(blk, 1)) * t
+    with np.errstate(over="ignore"):  # a norm that overflows is reported below
+        norm = float(np.linalg.norm(blk, 1)) * t
+    if not math.isfinite(norm):
+        raise NumericalFailureError(f"matrix norm {norm:.3g} too large to integrate")
     s = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.0 else 0
     f = expm(blk * (t / 2.0**s))
     phi = f[:n, :n]

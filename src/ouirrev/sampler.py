@@ -36,11 +36,14 @@ the same bits. Adding the noise is per path.
 The integrator draws each path's normals a span of steps at a time, does the
 noise transform and the recursion in blocks of time steps in preallocated
 tile buffers, and hands each finished block to a consumer, so temporaries do
-not grow with the run. _blocking sizes both from n and the chunk width: a
-tile buffer holds at most _TIME_BLOCK steps and about _BLOCK_ELEMENTS
-doubles, and a span is whole blocks of about _SPAN_NORMALS normals per path,
-so the buffers grow with neither n nor the chunk. Blocking changes no bits:
-the draws continue each path's stream and every term is per step.
+not grow with the run. The noise transform writes into the block's state
+rows, and each step adds its drift term to its row (IEEE addition commutes,
+so e + Phi x has the bits of Phi x + e). _blocking sizes the blocks and spans
+from n and the chunk width: a tile buffer holds at most _TIME_BLOCK steps and
+about _BLOCK_ELEMENTS doubles, and a span is whole blocks of about
+_SPAN_NORMALS normals per path (at least one block), so the buffers grow with
+neither n nor the chunk. Blocking changes no bits: the draws continue each
+path's stream and every term is per step.
 
 The step matrices come from linalg.expm (which multiplies with @ and calls
 solve), so they follow the BLAS build. The stationary-start factor comes from
@@ -79,8 +82,9 @@ _TILE = 64
 _TIME_BLOCK = 128
 _BLOCK_ELEMENTS = 65_536
 
-# About the normals drawn per path in one standard_normal call (_blocking).
-_SPAN_NORMALS = 2048
+# About the normals drawn per path in one standard_normal call, unless one
+# time block holds more (_blocking).
+_SPAN_NORMALS = 512
 
 # Stream index reserved for estimator bootstraps; never a path index.
 BOOTSTRAP_STREAM = 2**64 - 1
@@ -137,8 +141,8 @@ def _blocking(n: int, width: int, steps: int) -> tuple[int, int]:
     """(rows, span) for a chunk of width path columns: time steps per block of
     the recursion, at most _TIME_BLOCK and about _BLOCK_ELEMENTS // (n width),
     and steps of normals drawn per path at a time, whole blocks of about
-    _SPAN_NORMALS normals; neither longer than the run. Both stay 128 and 1024
-    at n = 2 on one to four tiles."""
+    _SPAN_NORMALS normals but at least one block; neither longer than the run.
+    Both stay 128 and 256 at n = 2 on one to four tiles."""
     rows = max(1, min(_TIME_BLOCK, _BLOCK_ELEMENTS // (n * width)))
     span = rows * max(1, _SPAN_NORMALS // (n * rows))
     return min(rows, steps), min(span, steps)
@@ -167,16 +171,17 @@ def _integrate(streams, start: np.ndarray, update: _Update, steps: int, consumer
     draws = np.empty((count, span_max + 1, n))
     block = np.zeros((rows + 1, n, tiles, _TILE))  # the padding columns stay zero
     z = np.zeros((rows, n, tiles, _TILE))  # the padding columns stay zero
-    noise = np.empty(z.shape)
-    fx = np.empty((tiles, n, _TILE))
+    # The drift term of one step, laid out like a state row so that adding it
+    # is contiguous.
+    fx = np.empty((n, tiles, _TILE))
     # Flat (time, n, paths) views for the copies and the consumer.
     states, zflat = block.reshape(rows + 1, n, width), z.reshape(rows, n, width)
     states[0, :, :count] = start
     # (time, tiles, n, _TILE) GEMM operands
-    block_t, z_t, noise_t = block.swapaxes(1, 2), z.swapaxes(1, 2), noise.swapaxes(1, 2)
-    # The recursion's per-step views, made once: x_k and x_{k+1} as GEMM
-    # operands, x_{k+1} and the noise of step k.
-    steps_views = list(zip(block_t[:-1], block_t[1:], block[1:], noise))
+    block_t, z_t, fx_t = block.swapaxes(1, 2), z.swapaxes(1, 2), fx.swapaxes(0, 1)
+    # The recursion's per-step views, made once: x_k as a GEMM operand, x_k
+    # and x_{k+1}.
+    steps_views = list(zip(block_t[:-1], block[:-1], block[1:]))
     matmul, add, subtract = np.matmul, np.add, np.subtract
     consumer(0, states[:1, :, :count])
     for s0 in range(0, steps, span_max):
@@ -189,17 +194,17 @@ def _integrate(streams, start: np.ndarray, update: _Update, steps: int, consumer
             # reads the same step of every path at once: rows a power of two
             # apart would map to the same cache sets and evict each other.
             zflat[:b, :, :count] = draws[:, r : r + b].transpose(1, 2, 0)
-            matmul(update.noise_mat, z_t[:b], out=noise_t[:b])
+            # Each step's noise goes straight into its state row, to which
+            # the step adds its drift term.
+            matmul(update.noise_mat, z_t[:b], out=block_t[1 : b + 1])
             if euler:
-                noise[:b] *= math.sqrt(dt)
-            for x_t, y_t, y, e in steps_views[:b]:
+                block[1 : b + 1] *= math.sqrt(dt)
+            for x_t, x, y in steps_views[:b]:
+                matmul(update.drift, x_t, out=fx_t)
                 if euler:
-                    matmul(update.drift, x_t, out=fx)
                     fx *= dt
-                    subtract(x_t, fx, out=y_t)
-                else:
-                    matmul(update.drift, x_t, out=y_t)
-                add(y, e, out=y)
+                    subtract(x, fx, out=fx)
+                add(y, fx, out=y)
             consumer(s0 + r + 1, states[1 : b + 1, :, :count])
             block[0] = block[b]
 
@@ -267,9 +272,11 @@ def _budget_paths(path_elements: int) -> int:
 
 
 def _path_elements(n: int, steps: int) -> int:
-    """Doubles the sampler holds per path: a span of draws, at most _SPAN_NORMALS
-    // n steps at any chunk width, its spare step, and a generator (744 bytes)."""
-    return (min(_SPAN_NORMALS // n, steps) + 1) * n + 93
+    """Doubles the sampler holds per path: a span of draws, at any chunk width
+    at most _SPAN_NORMALS // n steps or one block of a one-tile chunk, the
+    longer (_blocking), its spare step, and a generator (744 bytes)."""
+    span = max(_SPAN_NORMALS // n, _blocking(n, _TILE, steps)[0])
+    return (min(span, steps) + 1) * n + 93
 
 
 def _chunk_bounds(n_paths: int, chunk_paths: int, n_workers: int) -> list[tuple[int, int]]:

@@ -116,6 +116,50 @@ class TestReversibilityTest:
         assert a.statistic == b.statistic
         assert a.per_lag == b.per_lag
 
+    @pytest.mark.parametrize("n_paths", [3, 199, 200, 5000, 50_000])
+    def test_index_blocks_are_one_draw(self, n_paths, monkeypatch):
+        # Blocks of resamples drawn in turn from the one bootstrap stream are
+        # the one (200, paths) draw, whatever the block sizes.
+        stats = _random_stats(2, n_paths)
+        whole = sampler.path_stream(stats.seed, sampler.BOOTSTRAP_STREAM).integers(
+            0, n_paths, size=(estimators.BOOTSTRAP_RESAMPLES, n_paths)
+        )
+        rng = sampler.path_stream(stats.seed, sampler.BOOTSTRAP_STREAM)
+        uneven = [rng.integers(0, n_paths, size=(m, n_paths)) for m in [25] * 7 + [17, 8]]
+        assert np.array_equal(np.concatenate(uneven), whole)
+        for block in (25, 64):
+            monkeypatch.setattr(estimators, "_RESAMPLE_BLOCK", block)
+            assert np.array_equal(_resamples(stats), whole)
+        # each resample's counts, as reversibility_test forms them
+        counts = np.zeros(whole.shape)
+        np.add.at(counts, (np.arange(len(whole))[:, None], whole), 1.0)
+        for row, drawn in zip(counts, whole):
+            assert np.array_equal(np.bincount(drawn, minlength=n_paths), row)
+
+    def test_resample_blocks_keep_the_bits(self, monkeypatch):
+        # 1000 paths (four GEMM depths) with blocks of 64 resamples, which do
+        # not divide 200, and of 25: the bits of one block of every resample.
+        stats = _random_stats(3, 1000)
+        monkeypatch.setattr(estimators, "_RESAMPLE_BLOCK", estimators.BOOTSTRAP_RESAMPLES)
+        whole = reversibility_test(stats)
+        for block in (64, 25):
+            monkeypatch.setattr(estimators, "_RESAMPLE_BLOCK", block)
+            res = reversibility_test(stats)
+            assert res.statistic == whole.statistic
+            assert res.per_lag == whole.per_lag
+
+    def test_peak_memory_many_paths(self):
+        # 50 000 paths at n = 2: the (200, paths) resample indices and count
+        # matrix held 156 MiB at once; blocks of 25 resamples hold about 24.
+        stats = _random_stats(2, 50_000)
+        tracemalloc.start()
+        try:
+            reversibility_test(stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
 
 class TestHdrEstimate:
     def test_rotational_value(self, rot_law):
@@ -536,9 +580,16 @@ def _random_stats(n: int, n_paths: int) -> PathStatistics:
     return PathStatistics(lag_products=products, n_paths=n_paths, seed=5, dt=0.1)
 
 
+def _resamples(stats: PathStatistics) -> np.ndarray:
+    """Every resample's path indices, (BOOTSTRAP_RESAMPLES, paths), in one array."""
+    blocks = estimators._bootstrap_indices(stats, estimators.BOOTSTRAP_RESAMPLES)
+    return np.concatenate([indices for _, indices in blocks])
+
+
 class TestBootstrapGemm:
-    """reversibility_test forms each lag's resample means as one GEMM of the
-    resample-count matrix with the per-path asymmetries."""
+    """reversibility_test forms each lag's resample means as GEMM rows of the
+    resample-count matrix with the per-path asymmetries, a block of
+    resamples at a time."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
     def test_matches_fancy_index_oracle(self, n):
@@ -548,8 +599,7 @@ class TestBootstrapGemm:
                 reversibility_test(stats)
             return
         res = reversibility_test(stats)
-        resamples = estimators._bootstrap_indices(stats, estimators.BOOTSTRAP_RESAMPLES)
-        statistic, per_lag = oracles.bootstrap_asymmetry(stats.lag_products, resamples)
+        statistic, per_lag = oracles.bootstrap_asymmetry(stats.lag_products, _resamples(stats))
         assert res.statistic == pytest.approx(statistic, rel=1e-12, abs=0.0)
         assert list(res.per_lag) == list(per_lag)
         for lag, z in per_lag.items():

@@ -124,11 +124,15 @@ class TestExpm:
             ref = scipy.linalg.expm(m)
             assert np.max(np.abs(linalg.expm(m) - ref)) <= 1e-10 * (1 + np.linalg.norm(ref))
 
+    @pytest.mark.filterwarnings("error")
     def test_extreme_norm_is_numerical_failure(self):
         from ouirrev.exceptions import NumericalFailureError
 
         with pytest.raises(NumericalFailureError):
             linalg.expm(1e30 * np.eye(2))
+        # a 1-norm that overflows to inf, without a numpy warning
+        with pytest.raises(NumericalFailureError):
+            linalg.expm([[1e308, 1e308], [-1e308, 1e308]])
 
 
 # The absolute residual bound these closed-form and random solves met before
@@ -350,6 +354,9 @@ class TestGramIntegral:
             linalg.gram_integral([[-1.0]], [[1.0]], 360.0)
         with pytest.raises(NumericalFailureError):
             linalg.gram_integral(np.diag([-1.0, 1.0]), np.eye(2), 400.0)
+        # a block-matrix 1-norm times t that overflows to inf, without a warning
+        with pytest.raises(NumericalFailureError):
+            linalg.gram_integral(np.eye(2), 9e306 * np.eye(2), 100.0)
 
 
 class TestCholesky:

@@ -397,11 +397,12 @@ class TestTileBoundaries:
 
     def test_stream_buffers_sized_by_elements(self):
         # n = 16 on one 64-path tile over 2000 steps, keeping nothing: 64-step
-        # blocks and 128-step draw spans peak at about 2.6 MiB (three tile
-        # buffers of 64 x 16 x 64 doubles, 64 x 129 x 16 normals); 128-step
-        # blocks and 1024-step draws peaked at about 13 MiB.
+        # blocks and draw spans peak at about 1.6 MiB (two tile buffers of
+        # 64 x 16 x 64 doubles, 64 x 65 x 16 normals). 128-step draw spans
+        # and a third tile buffer for the noise peaked at about 2.6 MiB, and
+        # 128-step blocks with 1024-step draws at about 13 MiB.
         law = stationary_law(sin_model(16))
-        assert _blocking(16, _TILE, 2000) == (64, 128)
+        assert _blocking(16, _TILE, 2000) == (64, 64)
         tracemalloc.start()
         try:
             out = stream_batch(
@@ -411,17 +412,18 @@ class TestTileBoundaries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert peak < 2 * 2**20
         assert out is None  # what is kept, the consumers hold
 
     def test_blocking(self):
         # At n = 2 on up to four tiles, the blocks and spans of a fixed count
         # of steps; larger n or chunks get shorter blocks, never shorter runs.
         for tiles in (1, 4):
-            assert _blocking(2, tiles * _TILE, 10_000) == (_TIME_BLOCK, 1024)
-        assert _blocking(32, _TILE, 10_000) == (32, 64)
-        assert _blocking(32, 4 * _TILE, 10_000) == (8, 64)
-        assert _blocking(16, _TILE, 100) == (64, 100)
+            assert _blocking(2, tiles * _TILE, 10_000) == (_TIME_BLOCK, 256)
+        # A block of more than _SPAN_NORMALS normals is a span of its own.
+        assert _blocking(32, _TILE, 10_000) == (32, 32)
+        assert _blocking(32, 4 * _TILE, 10_000) == (8, 16)
+        assert _blocking(2, _TILE, 200) == (_TIME_BLOCK, 200)
         assert _blocking(2, _TILE, 1) == (1, 1)
 
     def test_chunk_bounds(self):
@@ -443,8 +445,10 @@ class TestTileBoundaries:
             for width in (_TILE, 4 * _TILE, 1024 * _TILE):
                 span = _blocking(n, width, 10**6)[1]
                 assert (span + 1) * n + 93 <= sampler._path_elements(n, 10**6)
-        assert sampler._path_elements(2, 10_000) == 1025 * 2 + 93
+        assert sampler._path_elements(2, 10_000) == 257 * 2 + 93
         assert sampler._path_elements(2, 200) == 201 * 2 + 93
+        # one 32-step block of a one-tile chunk: longer than 512 // 32 steps
+        assert sampler._path_elements(32, 10_000) == 33 * 32 + 93
         monkeypatch.delenv("OU_IRREV_THREADS", raising=False)
         monkeypatch.setattr(sampler, "_CHUNK_ELEMENT_BUDGET", 100 * sampler._path_elements(2, 50))
         chunks = []
