@@ -9,10 +9,11 @@ x(t + lag) x(t)^T, so a verify run forms each lag's products once.
 stationary_statistics is the one producer of PathStatistics and of the heat
 rate (HdrEstimate). It hands an accumulator (_LagSums) the sampler's time
 blocks of states while the paths are generated (sampler.stream_batch), so no
-state array is kept: only per-path sums, a window of the last max(lag)
-states, and the states at burn-in and at T. Each chunk's accumulator writes
-into the caller's slices of those arrays that hold its paths, so no chunk
-result is joined afterwards. Each lag's products are summed per super-block
+state array is kept: only per-path sums, a window of the last max(lag) states
+and two GEMM pieces, and the states at burn-in and at T. Each chunk's
+accumulator writes into the caller's slices of those arrays that hold its
+paths, so no chunk result is joined afterwards. Each lag's products are
+formed in pieces of at most _GEMM_DEPTH later times, summed per super-block
 of _SUPER_BLOCK consecutive later times (aligned to t = 0), then added in
 time order. The heat, defined once (_StepHeat, simulate's per-step W), is an
 exact function of the states, so the heat rate comes from the lag-one
@@ -22,7 +23,7 @@ way, keeping only each path's state at the lags (_LagStates, into the
 caller's slices), so no estimator stores a batch.
 
 Both per-path reductions run in BLAS GEMMs whose shapes the run's parameters
-fix. Each super-block's lag products are (n x T) @ (T x n) products per path
+fix. Each piece's lag products are (n x T) @ (T x n) products per path
 (a stacked matmul, which numpy runs as one BLAS call per path; at lag 0 it
 takes BLAS's A A^T route, syrk), and T is fixed by the burn-in, lag,
 trajectory length and super-block alone. So a path's sums depend only on its
@@ -80,7 +81,7 @@ HDR_ZERO_SIGMAS = 3.0  # a reversible model's hdr passes within this many stderr
 HDR_REL_ERR_MAX = 0.05  # an irreversible model's, within this relative error of epr
 GREEN_KUBO_Z_MAX = 4.0  # Green-Kubo passes if no |z| exceeds it
 # Time steps per block of the streamed per-path lag sums, whose summation
-# order follows these global blocks.
+# order follows these global blocks; no buffer is sized by it.
 _SUPER_BLOCK = 1024
 
 
@@ -181,8 +182,8 @@ class _LagStates:
 
 
 def _window_rows(ells, steps: int) -> int:
-    """_LagSums's window rows per path: a lag history and a super-block, cut to the run."""
-    return max(ells) + min(_SUPER_BLOCK, steps + 1)
+    """_LagSums's window rows per path: a lag history and two GEMM pieces, cut to the run."""
+    return max(ells) + min(2 * _GEMM_DEPTH, steps + 1)
 
 
 class _LagSums:
@@ -192,49 +193,77 @@ class _LagSums:
     and writes the states at k0 and at steps into ends (2, paths, n), all the
     caller's slices for the chunk (sums starting at zero).
 
-    The products of each super-block of _SUPER_BLOCK consecutive j (aligned
-    to j = 0) are formed by one _lag_products call (GEMMs per path, whose
-    shapes depend only on k0, ell, steps and the super-block) on a path-major
-    window that also keeps the last max(ell) states of the previous
-    super-blocks, then added to the running sum in time order. The sums
+    Each lag's j run in pieces: inside each super-block of _SUPER_BLOCK
+    consecutive j (aligned to j = 0), from its first j on, _GEMM_DEPTH at a
+    time, the pieces of _gemm. A piece's products are formed by one
+    _lag_products call (GEMMs per path, whose shapes depend only on k0, ell,
+    steps and the super-block) as soon as its last state arrives, added to
+    the lag's partial sum of the super-block, and that partial is added to
+    the running sum at the super-block's end: the operations of one _gemm
+    per super-block, in its order. The path-major window holds only the
+    states that pending pieces still read, at most max(ell) + 2 _GEMM_DEPTH
+    (_window_rows); when it is full, they are moved to its front. The sums
     therefore depend only on each path's states, not on the sampler's time
     blocks or on which other paths share the chunk.
     """
 
     def __init__(self, ells: tuple[int, ...], k0: int, steps: int, sums, ends):
-        self.ells, self.k0, self.steps, self.sums = ells, k0, steps, sums
+        self.ells, self.steps, self.sums = ells, steps, sums
         self.ends = _LagStates((k0, steps), ends)
-        self.hist = max(ells)
         _, count, n = ends.shape
         self.window = np.empty((count, _window_rows(ells, steps), n))
+        # The window holds the states at first .. stop - 1; none before k0 is read.
+        self.first = self.stop = k0
+        # Per lag: the first j of its pending piece and its super-block's partial sum.
+        self.starts = [k0 + ell for ell in ells]
+        self.partials = [None] * len(ells)
 
     def __call__(self, k: int, states: np.ndarray) -> None:
         """states (L, n, paths) at indices k .. k + L - 1."""
         self.ends(k, states)
-        pos = 0
+        pos = max(0, self.stop - k)
         while pos < len(states):
-            j = k + pos
-            base = j - j % _SUPER_BLOCK
-            take = min(len(states) - pos, base + _SUPER_BLOCK - j)
-            at = self.hist + j - base
+            if self.stop - self.first == self.window.shape[1]:
+                self._shift()
+            take = min(len(states) - pos, self.first + self.window.shape[1] - self.stop)
+            at = self.stop - self.first
             self.window[:, at : at + take] = states[pos : pos + take].transpose(2, 0, 1)
             pos += take
-            end = j + take - 1
-            if end == self.steps or end == base + _SUPER_BLOCK - 1:
-                self._flush(base, end)
+            self.stop += take
+            self._add_pieces()
 
-    def _flush(self, base: int, end: int) -> None:
-        """Add the products of later indices base .. end, then keep the last
-        hist states as the next super-block's history."""
-        stop = self.hist + end - base + 1
-        for sums, ell in zip(self.sums, self.ells):
-            first = max(base, self.k0 + ell)
-            if first <= end:
-                at = self.hist + first - base
-                earlier = self.window[:, at - ell : stop - ell]
-                sums += _lag_products(self.window[:, at:stop], earlier)
-        if end < self.steps:
-            self.window[:, : self.hist] = self.window[:, _SUPER_BLOCK : _SUPER_BLOCK + self.hist]
+    def _add_pieces(self) -> None:
+        """Form every piece whose states are all in the window."""
+        for i, (sums, ell) in enumerate(zip(self.sums, self.ells)):
+            start = self.starts[i]
+            while start <= self.steps:
+                block_end = start - start % _SUPER_BLOCK + _SUPER_BLOCK
+                end = min(start + _GEMM_DEPTH, block_end, self.steps + 1)
+                if end > self.stop:
+                    break
+                at = start - self.first
+                later = self.window[:, at : at + end - start]
+                product = _lag_products(later, self.window[:, at - ell : at - ell + end - start])
+                if self.partials[i] is None:
+                    self.partials[i] = product
+                else:
+                    self.partials[i] += product
+                if end in (block_end, self.steps + 1):
+                    sums += self.partials[i]
+                    self.partials[i] = None
+                start = end
+            self.starts[i] = start
+
+    def _shift(self) -> None:
+        """Move the states that pending pieces read to the window's front, in
+        slices that do not overlap their destination, so numpy copies them
+        without a temporary buffer."""
+        keep = min(s - ell for s, ell in zip(self.starts, self.ells) if s <= self.steps)
+        gap, rows = keep - self.first, self.stop - keep
+        for lo in range(0, rows, gap):
+            hi = min(lo + gap, rows)
+            self.window[:, lo:hi] = self.window[:, lo + gap : hi + gap]
+        self.first = keep
 
 
 class _StepHeat:
@@ -333,7 +362,7 @@ def stationary_statistics(
     of sampler.stream_batch(law.model, dt, steps, n_paths, seed, ...,
     law=law) after burn-in, computed while the paths are generated: no state
     array is kept, only per-path lag sums, a window of the last max(lag)
-    states and the states at burn-in and at T.
+    states and two GEMM pieces (_LagSums) and the states at burn-in and at T.
 
     The lag products are the per-path averages of x(t + lag) x(t)^T for each
     distinct lag (a repeated lag is computed once). The heat rate is, per
@@ -372,7 +401,10 @@ def stationary_statistics(
     stream_batch(
         law.model, dt, steps, n_paths, seed,
         lambda lo, hi: _LagSums(summed, k0, steps, [m[lo:hi] for m in means], ends[:, lo:hi]),
-        chunk_paths=_budget_paths(_window_rows(summed, steps) * n + _path_elements(n, steps)),
+        # per path: the accumulator's window and partial sums, and the sampler's own
+        chunk_paths=_budget_paths(
+            (_window_rows(summed, steps) + len(summed) * n) * n + _path_elements(n, steps)
+        ),
         law=law,
     )
     for ell, total in zip(summed, means):
@@ -500,7 +532,7 @@ def greenkubo_check(
     root_p = math.sqrt(n_paths)
     root_q = math.sqrt(stats.n_paths)
     for ell, per_path, snap in zip(ells, stats.lag_products.values(), snaps):
-        phi = linalg.expm(-law.model.B * (ell * dt))  # e^{-B t}, for both targets
+        phi = linalg.expm(linalg._scaled(-law.model.B, ell * dt))  # e^{-B t}, for both targets
         target = phi @ x0
         se = snap.std(axis=0, ddof=1) / root_p
         z = np.abs(snap.mean(axis=0) - target) / np.maximum(se, 1e-300)

@@ -89,8 +89,16 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
 
 
 def _sym_defects(a: np.ndarray) -> np.ndarray:
-    """sym_defect of each matrix of a stack (..., n, n)."""
-    return _frobenius(a - a.swapaxes(-1, -2)) / (1.0 + _frobenius(a))
+    """sym_defect of each matrix of a stack (..., n, n); NaN, without a
+    warning, where both norms overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _frobenius(a - a.swapaxes(-1, -2)) / (1.0 + _frobenius(a))
+
+
+def _symmetric(a: np.ndarray) -> bool:
+    """Whether every matrix of a stack (..., n, n) is symmetric within
+    TOL_SYM; a NaN defect is not."""
+    return bool(np.all(_sym_defects(a) <= TOL_SYM))
 
 
 def sym_defect(m) -> float:
@@ -120,6 +128,22 @@ def eig(m) -> Spectrum:
     real_key = np.round(values.real / grid) if grid > 0.0 else values.real
     values = values[np.lexsort((values.imag, real_key))]
     return Spectrum(eigenvalues=values, min_real_part=float(np.min(values.real)))
+
+
+def _scaled(m: np.ndarray, t: float) -> np.ndarray:
+    """m * t for a finite matrix m and time t, such as the -B t that expm
+    takes.
+
+    Raises
+    ------
+    NumericalFailureError
+        If an entry overflows (without a numpy warning).
+    """
+    with np.errstate(over="ignore"):
+        a = m * t
+    if not np.all(np.isfinite(a)):
+        raise NumericalFailureError(f"matrix times {t:.3g} overflows")
+    return a
 
 
 def expm(m) -> np.ndarray:
@@ -221,7 +245,7 @@ def solve_lyapunov(b, a) -> np.ndarray:
         raise ValueError(f"dimension mismatch: b is {n}x{n}, a is {am.shape[0]}x{am.shape[0]}")
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
-    if sym_defect(am) > TOL_SYM:
+    if not _symmetric(am):
         raise ValueError("right-hand side a must be symmetric")
     xi = _sign_solve(bm, am)
     r = am - (bm @ xi + xi @ bm.T)
@@ -274,7 +298,7 @@ def gram_integral(b, a, t: float) -> np.ndarray:
     n = bm.shape[0]
     if am.shape[0] != n:
         raise ValueError(f"dimension mismatch: b is {n}x{n}, a is {am.shape[0]}x{am.shape[0]}")
-    if sym_defect(am) > TOL_SYM:
+    if not _symmetric(am):
         raise ValueError("integrand matrix a must be symmetric")
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
@@ -321,7 +345,7 @@ def _chol_stack(s) -> tuple[np.ndarray, np.ndarray]:
         If some matrix is not symmetric within TOL_SYM.
     """
     a = _as_square(s, stack=True)
-    if np.any(_sym_defects(a) > TOL_SYM):
+    if not _symmetric(a):
         raise ValueError("input to chol_spd must be symmetric")
     floor = PD_FLOOR_SCALE * (1.0 + np.max(np.diagonal(a, axis1=-2, axis2=-1), axis=-1))
     # np.linalg.cholesky's private gufunc gives NaN per rejected matrix, not one raise per stack.
@@ -354,6 +378,7 @@ def chol_spd(s) -> np.ndarray:
 
 
 def is_spd(s) -> bool:
-    """Whether the matrix s is symmetric positive definite by chol_spd's
-    test."""
-    return bool(_chol_stack(_as_square(s))[1])
+    """Whether the matrix s is symmetric within TOL_SYM and positive
+    definite by chol_spd's test."""
+    a = _as_square(s)
+    return _symmetric(a) and bool(_chol_stack(a)[1])

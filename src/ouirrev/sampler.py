@@ -119,7 +119,7 @@ def _update(model: LinearModel, dt: float, method: str) -> _Update:
     covariance Sigma_dt = int_0^dt e^{-B s} A e^{-B^T s} ds."""
     dt = float(dt)
     if method == "exact":
-        drift = linalg.expm(-model.B * dt)
+        drift = linalg.expm(linalg._scaled(-model.B, dt))
         noise_mat = linalg.chol_spd(linalg.gram_integral(model.B, model.A, dt))
     else:
         drift, noise_mat = model.B, model.Gamma

@@ -93,8 +93,8 @@ def two_time_covariance(law: StationaryLaw, tau: float) -> np.ndarray:
     """
     tau = float(tau)
     if tau >= 0.0:
-        return linalg.expm(-law.model.B * tau) @ law.Xi
-    return law.Xi @ linalg.expm(-law.model.B.T * (-tau))
+        return linalg.expm(linalg._scaled(-law.model.B, tau)) @ law.Xi
+    return law.Xi @ linalg.expm(linalg._scaled(-law.model.B.T, -tau))
 
 
 def force_flux(law: StationaryLaw, x) -> ForceFlux:

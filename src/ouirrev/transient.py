@@ -98,7 +98,7 @@ def propagate(model: LinearModel, x0, t: float) -> GaussianState:
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    mean = linalg.expm(-model.B * t) @ xv
+    mean = linalg.expm(linalg._scaled(-model.B, t)) @ xv
     cov = linalg.gram_integral(model.B, model.A, t)
     return GaussianState(t=t, mean=mean, cov=cov)
 
@@ -126,7 +126,7 @@ def propagate_grid(model: LinearModel, x0, t_step: float, n_rows: int) -> Gaussi
         raise ValueError(f"time step must be finite and > 0, got {h}")
     if n_rows < 1:
         raise ValueError(f"grid needs at least one row, got {n_rows}")
-    phi = linalg.expm(-model.B * h)
+    phi = linalg.expm(linalg._scaled(-model.B, h))
     g = linalg.gram_integral(model.B, model.A, h)
     means = np.empty((n_rows, model.n))
     covs = np.empty((n_rows, model.n, model.n))

@@ -22,6 +22,8 @@ ROT = {"B": [[1.0, 1.0], [-1.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 REV = {"B": [[2.0, 1.0], [1.0, 2.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 SWEEP = {"B": [[-1.0, 0.0], [0.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 SCALAR = {"B": [[1.0]], "Gamma": [[1.0]]}
+# Irreversible like ROT, with entries of B whose product with 1e308 overflows.
+ROT_STIFF = {"B": [[2.0, 1.0], [-1.0, 2.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 SWEEP_1D = {"B": [[-1.0]], "Gamma": [[1.0]]}
 SWEEP_FAST = {"B": [[-20.0, 0.0], [0.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 
@@ -85,11 +87,18 @@ class TestClassifyCommand:
 
 
 # Inputs whose step or grid matrices have a 1-norm beyond the double range:
-# (argv after the model file, model). The last reaches gram_integral itself.
+# (argv after the model file, model). The "-product" cases overflow an entry
+# of -B t itself, before its norm is taken; "simulate-gram" reaches
+# gram_integral itself.
 _NORM_OVERFLOW_CASES = {
     "simulate-dt": (["simulate", "--dt", "1e308"], ROT),
     "transient-t-step": (["transient", "--t-step", "1e308", "--t-max", "1e308"], ROT),
     "analyze-tau": (["analyze", "--tau", "1e308"], ROT),
+    "simulate-dt-product": (["simulate", "--dt", "1e308"], ROT_STIFF),
+    "transient-t-step-product": (
+        ["transient", "--t-step", "1e308", "--t-max", "1e308"], ROT_STIFF
+    ),
+    "analyze-tau-product": (["analyze", "--tau", "1e308"], ROT_STIFF),
     "simulate-gram": (
         ["simulate", "--dt", "100"],
         {"B": ROT["B"], "Gamma": [[3e153, 0.0], [0.0, 3e153]]},
@@ -756,17 +765,18 @@ class TestVerifyCommand:
 
     def test_default_budget_memory(self, model_file, capsys):
         # The stored batch alone held 200 x 10 001 x (2 + 1) doubles (48 MB);
-        # the stream keeps per-path sums and one super-block per path. The
-        # sampler's 256-step draw spans, with the noise written into the
-        # state block, peak at about 6 MiB; 1024-step spans and a separate
-        # noise buffer peaked at about 8.8 MiB.
+        # the stream keeps per-path sums and a window of the longest lag and
+        # two 256-step GEMM pieces per path. With the sampler's 256-step
+        # draw spans it peaks at about 4.5 MiB; a window of the longest lag
+        # and a 1024-step super-block peaked at about 5.8 MiB, and 1024-step
+        # draw spans with a separate noise buffer at about 8.8 MiB.
         tracemalloc.start()
         try:
             assert main(["verify", model_file(ROT), "--seed", "3"]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7 * 2**20
+        assert peak < 5.25 * 2**20
 
     def test_sweeping_sections_skipped(self, model_file, capsys):
         code, report = run_json(capsys, ["verify", model_file(SWEEP)])

@@ -6,6 +6,7 @@ import pytest
 
 from ouirrev import estimators, linalg, sampler
 from ouirrev.estimators import (
+    _GEMM_DEPTH,
     _SUPER_BLOCK,
     PathStatistics,
     greenkubo_check,
@@ -404,13 +405,23 @@ class TestLagProducts:
 # (steps, burn-in index, lags in steps) around the super-block edges: one step;
 # exactly one super-block; one super-block + 1 with the burn-in on the edge; a
 # lag whose first pair straddles the edge; a ragged last super-block with the
-# burn-in off the edge and a lag spanning earlier super-blocks.
+# burn-in off the edge and a lag spanning earlier super-blocks. Around the
+# GEMM pieces: verify's default burn-in and lags, whose lags 50 and 100 start
+# their pieces 26 and 76 steps into a super-block; a lag longer than a piece;
+# lag 0 starting off the piece grid; runs of one step less, exactly and one
+# step more than whole pieces.
 _STREAM_CASES = [
     (1, 0, (0,)),
     (_SUPER_BLOCK, 0, (0, 1)),
     (_SUPER_BLOCK + 1, _SUPER_BLOCK, (0, 1)),
     (_SUPER_BLOCK + 20, _SUPER_BLOCK - 5, (0, 10)),
     (2 * _SUPER_BLOCK + 300, 37, (0, 1, 150)),
+    (3000, 1000, (1, 10, 50, 100)),
+    (1400, 3, (1, 300)),
+    (900, 100, (0,)),
+    (3 * _GEMM_DEPTH - 1, 0, (0, 1, 5)),
+    (3 * _GEMM_DEPTH, 0, (0, 1, 5)),
+    (3 * _GEMM_DEPTH + 1, 0, (0, 1, 5)),
 ]
 
 
@@ -438,7 +449,7 @@ class TestStreamedStatistics:
             math.fsum(rates.tolist()) / n_paths,
             float(rates.std(ddof=1)) / math.sqrt(n_paths),
         )
-        # a budget of 2 paths per chunk: whole tiles of 64, the last holds one
+        # a budget of a few paths per chunk: whole tiles of 64, the last holds one
         monkeypatch.setattr(sampler, "_CHUNK_ELEMENT_BUDGET", 4 * min(steps, _SUPER_BLOCK) * n)
         stats, hdr = stationary_statistics(law, dt, steps, n_paths, seed, lags, k0 * dt)
         for lag, ref in zip(lags, refs):
@@ -471,13 +482,13 @@ class TestStreamedStatistics:
         assert (serial_hdr.value, serial_hdr.stderr) == (pooled_hdr.value, pooled_hdr.stderr)
 
     def test_window_sized_to_run(self):
-        # a run shorter than a super-block holds its steps + 1 states after
-        # the lag history, not a whole super-block
+        # a run shorter than two GEMM pieces holds its steps + 1 states after
+        # the lag history, a longer one the history and two pieces
         ends = np.empty((2, 3, 2))
         sums = [np.zeros((3, 2, 2)) for _ in range(2)]
         assert estimators._LagSums((1, 10), 0, 200, sums, ends).window.shape == (3, 211, 2)
         window = estimators._LagSums((1, 10), 0, 5000, sums, ends).window
-        assert window.shape == (3, 10 + _SUPER_BLOCK, 2)
+        assert window.shape == (3, 10 + 2 * _GEMM_DEPTH, 2)
 
     @pytest.mark.parametrize(
         "n, steps, n_paths", [(2, 10_000, 200), (16, 2000, 50)], ids=["verify-default", "irr16"]

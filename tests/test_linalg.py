@@ -134,6 +134,15 @@ class TestExpm:
         with pytest.raises(NumericalFailureError):
             linalg.expm([[1e308, 1e308], [-1e308, 1e308]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_scaled_overflow_is_numerical_failure(self):
+        m = np.array([[-2.0, -1.0], [1.0, -2.0]])
+        for t in (0.01, 2.57, -1.5, 1e307):
+            assert np.array_equal(linalg._scaled(m, t), m * t)
+        # an entry of -B t that overflows before expm sees it, without a warning
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            linalg._scaled(m, 1e308)
+
 
 # The absolute residual bound these closed-form and random solves met before
 # acceptance moved to the backward error; kept here as a check on them.
@@ -377,6 +386,7 @@ class TestCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             linalg.chol_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        assert not linalg.is_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_floor_scaled_by_diagonal(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -464,6 +474,20 @@ class TestSymDefect:
         # ||m - m^T||_F = 2 sqrt(2), ||m||_F = sqrt(2)
         val = linalg.sym_defect(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert val == pytest.approx(2 * math.sqrt(2) / (1 + math.sqrt(2)), rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_defect_rejected(self):
+        # ||m - m^T||_F and ||m||_F both overflow: the defect is NaN, which
+        # no symmetry check lets through
+        m = np.array([[1e300, 1e300], [-1e300, 3e300]])
+        assert math.isnan(linalg.sym_defect(m))
+        assert not linalg.is_spd(m)
+        with pytest.raises(ValueError, match="chol_spd must be symmetric"):
+            linalg.chol_spd(m)
+        with pytest.raises(ValueError, match="right-hand side a must be symmetric"):
+            linalg.solve_lyapunov(np.eye(2), m)
+        with pytest.raises(ValueError, match="integrand matrix a must be symmetric"):
+            linalg.gram_integral(np.eye(2), m, 1.0)
 
     def test_monotone_in_rotation_strength(self):
         defects = [
