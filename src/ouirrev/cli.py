@@ -17,11 +17,19 @@ across worker counts.
 
 Each command imports the modules it runs, so importing the CLI loads only
 model, linalg and exceptions: classify runs on those alone.
+
+Run as the program (main() with no argv: the console script, python -m
+ouirrev.cli), main freezes the garbage collector's tracked objects once the
+command has returned or raised. The interpreter's shutdown collection then
+skips the ~22 000 objects of numpy and the package, about 15 ms per command;
+the OS reclaims them with the process. main(argv), called from Python, leaves
+the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -426,6 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command that argv (default: sys.argv[1:]) names and return its
+    exit code. With argv None, the program's entry, freeze the collector's
+    objects when the command is done (see the module docstring)."""
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
@@ -441,6 +452,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

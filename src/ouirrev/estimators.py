@@ -552,7 +552,8 @@ def verify_sections(
 ) -> dict[str, dict]:
     """verify's fdr, epr_vs_hdr_mc, two_time_symmetry and green_kubo sections
     on the stationary law law: each one's statistics and whether they pass
-    its gate. On a sweeping model (law None) each is skipped, with the reason.
+    its gate. On a sweeping model (law None) each is skipped, with the reason,
+    and so is two_time_symmetry on a one-dimensional model.
 
     The statistics are stationary_statistics(law, dt, steps, n_paths, seed,
     lags, burn_in); the Green-Kubo check's n_paths paths start at
@@ -591,14 +592,19 @@ def verify_sections(
         "pass": bool(hdr_pass),
     }
 
-    rev = reversibility_test(stats)
-    sections["two_time_symmetry"] = {
-        "statistic": rev.statistic,
-        "threshold": rev.threshold,
-        "verdict_reversible": rev.verdict_reversible,
-        "classified_reversible": reversible,
-        "pass": bool(rev.verdict_reversible == reversible),
-    }
+    if law.model.n == 1:
+        # R(tau) is 1 x 1: every asymmetry is exactly 0, as is its bootstrap spread.
+        reason = "one-dimensional model: R(tau) is 1x1, symmetric by construction"
+        sections["two_time_symmetry"] = {"skipped": True, "reason": reason}
+    else:
+        rev = reversibility_test(stats)
+        sections["two_time_symmetry"] = {
+            "statistic": rev.statistic,
+            "threshold": rev.threshold,
+            "verdict_reversible": rev.verdict_reversible,
+            "classified_reversible": reversible,
+            "pass": bool(rev.verdict_reversible == reversible),
+        }
 
     gk = greenkubo_check(
         law, stats, n_paths=n_paths, seed=(seed + 1) % 2**64, x0=np.ones(law.model.n)

@@ -59,8 +59,8 @@ def build_model(B, Gamma) -> LinearModel:
     ------
     ModelValidationError
         If Gamma is singular (smallest singular value <= 1e-12 times the
-        largest, a test that depends neither on units nor on n) or A fails
-        the positive-definiteness check.
+        largest, a test that depends neither on units nor on n), A fails
+        the positive-definiteness check, or A or A^{-1} B overflows.
     ValueError
         On shape mismatch or non-finite entries.
     """
@@ -74,11 +74,18 @@ def build_model(B, Gamma) -> LinearModel:
     sv = np.linalg.svd(g, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise ModelValidationError("Gamma is singular or nearly singular")
-    a = g @ g.T
-    a = 0.5 * (a + a.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, in one line
+        a = g @ g.T
+    if not np.all(np.isfinite(a)):
+        raise ModelValidationError("A = Gamma Gamma^T overflows")
+    # Halves before the sum, which cannot overflow: the bits of 0.5 * (a + a.T)
+    # wherever that sum is finite and no entry is subnormal.
+    a = 0.5 * a + 0.5 * a.T
     if not linalg.is_spd(a):
         raise ModelValidationError("A = Gamma Gamma^T is not positive definite")
     ainv_b = np.linalg.solve(a, b)
+    if not np.all(np.isfinite(ainv_b)):
+        raise ModelValidationError("A^-1 B overflows")
     for m in (b, g, a, ainv_b):
         m.setflags(write=False)
     return LinearModel(n=n, B=b, Gamma=g, A=a, ainv_b=ainv_b)
@@ -97,7 +104,7 @@ def classify(model: LinearModel) -> Classification:
     if spectrum.min_real_part <= SPECTRAL_TOL:
         marginal = abs(spectrum.min_real_part) <= SPECTRAL_TOL
         return Classification(Verdict.SWEEPING, spectrum, defect, marginal)
-    if defect <= linalg.TOL_SYM and linalg.is_spd(0.5 * (model.ainv_b + model.ainv_b.T)):
+    if defect <= linalg.TOL_SYM and linalg.is_spd(0.5 * model.ainv_b + 0.5 * model.ainv_b.T):
         # B is then similar to a symmetric matrix, so its spectrum must be real.
         if float(np.max(np.abs(spectrum.eigenvalues.imag))) > 1e-8:
             raise NumericalFailureError(
@@ -110,7 +117,8 @@ def classify(model: LinearModel) -> Classification:
 def model_from_dict(payload) -> LinearModel:
     """Build a model from the JSON object {"B": [[...]], "Gamma": [[...]]}.
 
-    Rows must be equally sized (no ragged input); n is inferred.
+    Rows must be equally sized (no ragged input) and every entry a number
+    (int or float, not bool); n is inferred.
     """
     if not isinstance(payload, dict):
         raise ModelValidationError("model file must contain a JSON object")
@@ -125,10 +133,14 @@ def model_from_dict(payload) -> LinearModel:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ModelValidationError(f'"{key}" has ragged rows')
+        # JSON numbers only: no strings, booleans (a bool is an int), nulls or lists
+        entries = (x for r in rows for x in r)
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entries):
+            raise ModelValidationError(f'"{key}" contains non-numeric entries')
         try:
             mat = np.array(rows, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ModelValidationError(f'"{key}" contains non-numeric entries') from exc
+        except OverflowError as exc:  # an integer beyond the double range
+            raise ModelValidationError(f'"{key}" contains non-finite entries') from exc
         if mat.shape[0] != mat.shape[1]:
             raise ModelValidationError(f'"{key}" must be square, got shape {mat.shape}')
         return mat

@@ -224,7 +224,7 @@ def _potential_matrix(model: LinearModel, cls: Classification) -> np.ndarray:
         raise PotentialUndefinedError(
             "free energy requires a reversible model (force has no potential otherwise)"
         )
-    return 0.5 * (model.ainv_b + model.ainv_b.T)
+    return 0.5 * model.ainv_b + 0.5 * model.ainv_b.T  # halved first: the sum cannot overflow
 
 
 def grid_rates(model: LinearModel, cls: Classification, states: GaussianState) -> ThermoSnapshot:

@@ -1,6 +1,10 @@
+import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -8,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ouirrev
 from ouirrev import _csvfmt, cli, estimators, linalg, sampler, stationary, transient
 from ouirrev.cli import build_parser, canonical_json, main
 from ouirrev.model import classify, model_from_dict
@@ -26,6 +31,10 @@ SCALAR = {"B": [[1.0]], "Gamma": [[1.0]]}
 ROT_STIFF = {"B": [[2.0, 1.0], [-1.0, 2.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 SWEEP_1D = {"B": [[-1.0]], "Gamma": [[1.0]]}
 SWEEP_FAST = {"B": [[-20.0, 0.0], [0.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
+# Finite inputs at the edge of the double range: A = Gamma Gamma^T overflows
+# in the first; 1e308 I + (1e308 I)^T would overflow in the second.
+GAMMA_HUGE = {"B": [[1.0, 0.0], [0.0, 1.0]], "Gamma": [[1e200, 0.0], [0.0, 1e200]]}
+B_HUGE = {"B": [[1e308, 0.0], [0.0, 1e308]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
 
 
 @pytest.fixture
@@ -67,6 +76,14 @@ class TestClassifyCommand:
         code, report = run_json(capsys, ["classify", model_file(SWEEP), "--json"])
         assert code == 0
         assert report["verdict"] == "Sweeping"
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_finite_model(self, model_file, capsys):
+        # sym(A^-1 B) is halved before the sum: no overflow, no numpy warning
+        code, report = run_json(capsys, ["classify", model_file(B_HUGE), "--json"])
+        assert code == 0
+        assert report["verdict"] == "Reversible"
+        assert capsys.readouterr().err == ""
 
     def test_validation_error_exit_1(self, model_file, capsys):
         bad = {"B": [[1.0, 0.0], [0.0, 1.0]], "Gamma": [[1.0, 0.0], [1.0, 0.0]]}
@@ -778,6 +795,23 @@ class TestVerifyCommand:
             tracemalloc.stop()
         assert peak < 5.25 * 2**20
 
+    @pytest.mark.parametrize(
+        "budget",
+        [["--paths", "20", "--steps", "500", "--burn-in", "1"], ["--seed", "3"]],
+        ids=["small", "default"],
+    )
+    def test_one_dimensional_symmetry_skipped(self, budget, model_file, capsys):
+        # R(tau) is 1x1, so every asymmetry and its bootstrap spread are 0:
+        # the symmetry test is skipped, and the other sections still run.
+        path = model_file({"B": [[2.0]], "Gamma": [[1.0]]})
+        code, report = run_json(capsys, ["verify", path, *budget])
+        assert code == 0 and report["pass"] is True
+        sections = report["sections"]
+        assert sections["two_time_symmetry"]["skipped"] is True
+        assert "1x1" in sections["two_time_symmetry"]["reason"]
+        for name in ("fdr", "epr_vs_hdr_mc", "green_kubo"):
+            assert sections[name]["pass"] is True
+
     def test_sweeping_sections_skipped(self, model_file, capsys):
         code, report = run_json(capsys, ["verify", model_file(SWEEP)])
         assert code == 0
@@ -983,9 +1017,20 @@ class TestValidationExits:
             (json.dumps(ROT), ["verify", "--seed", "abc"]),
             (json.dumps(ROT), ["analyze", "--tau", ","]),
             (json.dumps(ROT), ["transient", "--x0", "1,2,3"]),
+            (json.dumps(GAMMA_HUGE), ["verify"]),
         ],
-        ids=["not-json", "json-array", "b-vector", "b-not-square", "seed-abc", "tau-empty", "x0-n3"],
+        ids=[
+            "not-json",
+            "json-array",
+            "b-vector",
+            "b-not-square",
+            "seed-abc",
+            "tau-empty",
+            "x0-n3",
+            "a-overflow-verify",
+        ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_exit_1_one_line(self, text, argv, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_text(text)
@@ -995,6 +1040,20 @@ class TestValidationExits:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (GAMMA_HUGE, "A = Gamma Gamma^T overflows"),
+            ({**ROT, "B": [["1.5", 0], [0, True]]}, '"B" contains non-numeric entries'),
+            ({**ROT, "Gamma": [[1, None], [0, 1]]}, '"Gamma" contains non-numeric entries'),
+        ],
+        ids=["a-overflow", "b-string-bool", "gamma-null"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_model_message(self, payload, message, model_file, capsys):
+        assert main(["classify", model_file(payload)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_x0_message_shared(self, model_file, tmp_path, capsys):
         # transient checks --x0 as simulate does, before it classifies
         path = model_file(ROT)
@@ -1003,3 +1062,61 @@ class TestValidationExits:
             assert main([*argv, "--x0", "1,2,3"]) == 1
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == "error: initial state must have shape (2,), got (3,)\n"
+
+
+# Commands run as the program, each with the exit code it must give:
+# (argv, model written to model.json or None, exit code).
+_ENTRY_CASES = {
+    "classify": (["classify", "model.json", "--json"], ROT, 0),
+    "analyze": (["analyze", "model.json"], ROT, 0),
+    "transient": (["transient", "model.json", "--x0", "2,0", "--t-max", "5"], ROT, 0),
+    "simulate": (["simulate", "model.json", *_CSV_PIN_ARGS, "--out", "p"], ROT, 0),
+    "verify": (["verify", "model.json", *_VERIFY_PIN_ARGS, "--seed", "7"], ROT, 0),
+    "analyze-tau-overflow": (["analyze", "model.json", "--tau", "1e308"], ROT_STIFF, 2),
+    "missing-model": (["classify", "missing.json"], None, 3),
+}
+_ENTRY = "import sys; from ouirrev.cli import main; sys.exit(main())"
+
+
+def _run_entry(argv, cwd, code=_ENTRY):
+    """argv run as the program in a fresh interpreter: python -c code argv..."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ouirrev.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, check=False
+    )
+
+
+def _files(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestEntryPoint:
+    """main() as the program's entry (argv None) freezes the collector's
+    objects at exit; it writes what main(argv) writes in process."""
+
+    @pytest.mark.parametrize("case", sorted(_ENTRY_CASES))
+    def test_same_output_as_in_process(self, case, tmp_path, capsysbinary, monkeypatch):
+        argv, payload, code = _ENTRY_CASES[case]
+        runs = {}
+        for name in ("entry", "in_process"):
+            runs[name] = tmp_path / name
+            runs[name].mkdir()
+            if payload is not None:
+                (runs[name] / "model.json").write_text(json.dumps(payload))
+        entry = _run_entry(argv, runs["entry"])
+        monkeypatch.chdir(runs["in_process"])
+        assert main(argv) == entry.returncode == code
+        captured = capsysbinary.readouterr()
+        assert (entry.stdout, entry.stderr) == (captured.out, captured.err)
+        assert _files(runs["entry"]) == _files(runs["in_process"])
+        assert gc.get_freeze_count() == 0
+
+    def test_freezes_only_as_entry(self, model_file, capsys):
+        # an atexit hook, registered before main, runs after main has returned
+        hook = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count()))\n"
+        argv = ["classify", model_file(ROT), "--out", os.devnull]
+        entry = _run_entry(argv, None, code=hook + _ENTRY)
+        assert entry.returncode == 0
+        assert int(entry.stdout) > 0
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == 0

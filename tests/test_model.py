@@ -35,6 +35,17 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             m.B[0, 0] = 5.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "b, gamma, message",
+        [(1.0, 1e200, r"A = Gamma Gamma\^T overflows"), (1e300, 1e-5, r"A\^-1 B overflows")],
+        ids=["A", "AinvB"],
+    )
+    def test_overflow_rejected(self, b, gamma, message):
+        # finite inputs whose A or A^-1 B is not: one error that names it, no numpy warning
+        with pytest.raises(ModelValidationError, match=f"^{message}$"):
+            build_model(b * np.eye(2), gamma * np.eye(2))
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             build_model(np.eye(33), np.eye(33))
@@ -90,6 +101,13 @@ class TestClassify:
             for g in (0.2, 1.0, 7.0):
                 assert classify(build_model([[lam]], [[g]])).verdict is Verdict.REVERSIBLE
 
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_finite_model_classified(self):
+        # sym(A^-1 B) is formed as 0.5 m + 0.5 m^T: m + m^T would overflow here
+        cls = classify(build_model(1e308 * np.eye(2), np.eye(2)))
+        assert cls.verdict is Verdict.REVERSIBLE
+        assert cls.symmetry_defect_AinvB == 0.0
+
     def test_reversible_spectrum_is_real(self):
         rng = np.random.default_rng(43)
         for n in (2, 3, 4):
@@ -117,3 +135,18 @@ class TestModelJson:
     def test_non_numeric_rejected(self):
         with pytest.raises(ModelValidationError):
             model_from_dict({"B": [["x"]], "Gamma": [[1.0]]})
+
+    @pytest.mark.parametrize(
+        "entry", ["1.5", True, False, None, [1.0]], ids=["string", "true", "false", "null", "list"]
+    )
+    def test_only_numbers_accepted(self, entry):
+        # a bool is an int to Python and a numeric string converts to a float,
+        # but neither is a JSON number; null is not a non-finite entry
+        payload = {"B": [[1.0, 0.0], [0.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
+        payload["B"][1][1] = entry
+        with pytest.raises(ModelValidationError, match='^"B" contains non-numeric entries$'):
+            model_from_dict(payload)
+
+    def test_integer_beyond_double_range(self):
+        with pytest.raises(ModelValidationError, match='^"Gamma" contains non-finite entries$'):
+            model_from_dict({"B": [[1]], "Gamma": [[10**400]]})

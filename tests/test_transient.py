@@ -282,6 +282,12 @@ class TestFreeEnergy:
         m = build_model([[1.0]], [[1.0]])
         assert potential(m, [2.0]) == pytest.approx(4.0, rel=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_finite_potential(self):
+        # S = sym(A^-1 B) is halved before the sum, which would overflow
+        m = build_model(1e308 * np.eye(2), np.eye(2))
+        assert potential(m, [1.0, 0.0]) == 1e308
+
     def test_irreversible_rejected(self):
         m = rotational_model(1.0)
         state = propagate(m, [1.0, 0.0], 1.0)
