@@ -1,4 +1,6 @@
-"""CSV rows of doubles, byte for byte as ``",".join(map(repr, row))``.
+"""CSV rows of doubles, byte for byte as ``",".join(map(repr, row))``, except
+that a NaN cell is written empty: NaN is how the package marks an undefined
+value (the transient functionals at the point mass t = 0).
 
 Python's repr of a float is the shortest decimal that reads back as the same
 double (the closest such decimal when several have that length), laid out in
@@ -16,8 +18,8 @@ with one more scatter, so a column shared by many rows is formatted once.
 
 Schubfach's shortening step removes at most one digit, which is enough for
 every normal double but not for the shortest subnormals (it would write
-4.9e-323 where repr writes 5e-323); a block holding a subnormal or a
-non-finite value is therefore written by repr itself.
+4.9e-323 where repr writes 5e-323); a block holding a subnormal or an
+infinite value is therefore written by repr itself.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
 _M63 = _U(2**63 - 1)
 _C_MIN = _U(2**52)
+_INF = _U(0x7FF0000000000000)  # bits of inf; NaN above, subnormals below _C_MIN
 _K_MIN, _K_MAX = -324, 292
 _ZERO, _DOT, _MINUS, _PLUS, _E = (ord(c) for c in "0.-+e")
 # 10**0 .. 10**19: digit counts by searchsorted, and left-aligning to 18 digits.
@@ -192,17 +195,20 @@ _PLACES = (_places(-2, 8), _places(6, 8), _places(14, 4))
 
 
 def _format(
-    x: np.ndarray, seps: np.ndarray, blank: np.ndarray, gap: np.ndarray | None
+    x: np.ndarray, seps: np.ndarray, gap: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The text of cells x (each zero or normal where not blank) as a byte
-    buffer, each cell after gap bytes left for its row's prefix (none when
-    gap is None) and followed by its separator byte, and the offset of each
-    separator; blank cells are written empty."""
+    """The text of cells x (each zero, normal or NaN) as a byte buffer, each
+    cell after gap bytes left for its row's prefix (none when gap is None)
+    and followed by its separator byte, and the offset of each separator;
+    NaN cells are written empty."""
     bits = x.view(_U)
+    mag = bits & _M63
+    blank = mag > _INF
     neg = ((bits >> _U(63)) == 1) & ~blank
-    zero = ((bits & _M63) == 0) | blank
+    zero = (mag == 0) | blank
     # Zero goes through as 1.0 and is then written as the digit 0: "0.0".
-    d, decpt = _shortest(np.where(zero, _U(0x3FF0000000000000), bits & _M63))
+    d, decpt = _shortest(np.where(zero, _U(0x3FF0000000000000), mag))
+    del mag
     d[zero] = 0
     ndig = np.searchsorted(_POW10, d, side="right")
     decpt += ndig  # value = 0.d 10**decpt
@@ -265,17 +271,17 @@ def _format(
     return buf, end
 
 
-def _needs_repr(x: np.ndarray, empty: np.ndarray) -> bool:
-    """Whether a cell that is not empty is subnormal or not finite."""
-    biased = (x.view(_U) >> _U(52)) & _U(0x7FF)
-    return bool(np.any(((biased == 0x7FF) | ((biased == 0) & (x != 0))) & ~empty))
+def _needs_repr(x: np.ndarray) -> bool:
+    """Whether a cell is subnormal or infinite."""
+    mag = x.view(_U) & _M63
+    return bool(np.any((mag == _INF) | ((mag < _C_MIN) & (mag != 0))))
 
 
 def _format_repr(
-    x: np.ndarray, seps: np.ndarray, blank: np.ndarray, gap: np.ndarray | None
+    x: np.ndarray, seps: np.ndarray, gap: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The same as _format, one repr per cell."""
-    cells = ["" if b else repr(v) for v, b in zip(x.tolist(), blank.tolist())]
+    cells = ["" if v != v else repr(v) for v in x.tolist()]  # v != v: NaN
     if gap is not None:
         cells = [" " * g + c for g, c in zip(gap.tolist(), cells)]
     end = np.cumsum([len(c) + 1 for c in cells]) - 1
@@ -284,24 +290,19 @@ def _format_repr(
 
 
 def _rows(
-    x: np.ndarray,
-    seps: np.ndarray,
-    blank: np.ndarray,
-    n_cols: int,
-    prefix: tuple[np.ndarray, np.ndarray] | None,
+    x: np.ndarray, seps: np.ndarray, n_cols: int, prefix: tuple[np.ndarray, np.ndarray] | None
 ) -> tuple[bytes, np.ndarray]:
     """The text of one pass of whole rows of n_cols cells x, by repr when a
-    cell that is not blank is subnormal or not finite, and the offset just
-    past each row's newline. prefix, if given, is (bytes, bounds): row j's
-    prefix is bytes[bounds[j] : bounds[j + 1]], written before its first
-    cell."""
+    cell is subnormal or infinite, and the offset just past each row's
+    newline. prefix, if given, is (bytes, bounds): row j's prefix is
+    bytes[bounds[j] : bounds[j + 1]], written before its first cell."""
     gap = None
     if prefix is not None:
         pre, bounds = prefix
         lengths = np.diff(bounds)
         gap = np.zeros(len(x), np.int64)
         gap[::n_cols] = lengths
-    buf, end = (_format_repr if _needs_repr(x, blank) else _format)(x, seps, blank, gap)
+    buf, end = (_format_repr if _needs_repr(x) else _format)(x, seps, gap)
     row_ends = end[n_cols - 1 :: n_cols] + 1
     if prefix is not None:
         # Prefix byte i of row j goes to i - bounds[j] + where row j begins.
@@ -312,41 +313,31 @@ def _rows(
 
 
 def table(
-    x: np.ndarray,
-    blank: np.ndarray | None = None,
-    prefix: tuple[bytes, np.ndarray] | None = None,
+    x: np.ndarray, prefix: tuple[bytes, np.ndarray] | None = None
 ) -> tuple[bytes, np.ndarray]:
     """The CSV text of the rows of a 2-D array of doubles as ASCII bytes: each
-    row's cells as repr writes them, joined by commas and ended by a newline,
-    cells where blank (the shape of x) is true written empty; and the offset
-    just past each row's newline, so that any run of rows can be cut out of
-    the text. prefix, as (text, ends) with ends[i] the offset in text just
-    past row i's prefix, puts that row's prefix bytes before its first cell.
-    Whole rows are formatted at most _BLOCK_CELLS cells a pass, the passes as
-    even as whole rows allow; the text of a single pass is returned without
-    a copy."""
+    row's cells as repr writes them (NaN cells empty), joined by commas and
+    ended by a newline; and the offset just past each row's newline, so that
+    any run of rows can be cut out of the text. prefix, as (text, ends) with
+    ends[i] the offset in text just past row i's prefix, puts that row's
+    prefix bytes before its first cell. Whole rows are formatted at most
+    _BLOCK_CELLS cells a pass, the passes as even as whole rows allow; the
+    text of a single pass is returned without a copy."""
     n_rows, n_cols = x.shape
     passes = -(-x.size // _BLOCK_CELLS)
     step = -(-n_rows // passes)
-    seps = _separators(step, n_cols)
+    seps = np.full((step, n_cols), ord(","), dtype=np.uint8)  # a newline after each row
+    seps[:, -1] = ord("\n")
+    seps = seps.ravel()
     if prefix is not None:
         pre = np.frombuffer(prefix[0], dtype=np.uint8)
         bounds = np.concatenate([[0], prefix[1]])
     texts, ends, offset = [], [], 0
     for r in range(0, n_rows, step):
         cells = x[r : r + step].ravel()
-        empty = np.zeros(len(cells), bool) if blank is None else blank[r : r + step].ravel()
         rows = None if prefix is None else (pre, bounds[r : r + step + 1])
-        text, row_ends = _rows(cells, seps[: len(cells)], empty, n_cols, rows)
+        text, row_ends = _rows(cells, seps[: len(cells)], n_cols, rows)
         texts.append(text)
         ends.append(row_ends + offset)
         offset += len(text)
     return b"".join(texts), np.concatenate(ends)
-
-
-def _separators(n_rows: int, n_cols: int) -> np.ndarray:
-    """The separator bytes of n_rows rows of n_cols cells, flat: commas, and a
-    newline after each row's last cell."""
-    seps = np.full((n_rows, n_cols), ord(","), dtype=np.uint8)
-    seps[:, -1] = ord("\n")
-    return seps.ravel()

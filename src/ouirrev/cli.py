@@ -38,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .exceptions import NoStationaryLawError, NumericalFailureError
-from .model import LinearModel, Verdict, classify, model_from_dict
+from .model import LinearModel, classify, model_from_dict
 
 
 def _fmt(x: float) -> str:
@@ -291,25 +291,18 @@ def cmd_transient(args: argparse.Namespace) -> int:
     if args.t_max / args.t_step == math.inf:
         raise ValueError("transient grid --t-max / --t-step overflows")
     cls = classify(model)
-    reversible = cls.verdict is Verdict.REVERSIBLE
-    n = model.n
-    header = ["t"]
-    header += [f"mean_{i + 1}" for i in range(n)]
-    header += [f"cov_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    header += ["entropy", "epr_t", "hdr_t", "entropy_rate"]
-    if reversible:
-        header.append("free_energy")
     n_rows = int(math.floor(args.t_max / args.t_step + 1e-9)) + 1
     states = transient.propagate_grid(model, x0, args.t_step, n_rows)
     grid = transient.grid_rates(model, cls, states)
-    columns = [states.t, states.mean, states.cov.reshape(n_rows, -1)]
-    columns += [grid.entropy, grid.epr_t, grid.hdr_t, grid.entropy_rate]
-    if reversible:
-        columns.append(grid.free_energy)
-    # Point mass at t = 0: entropy and rates are undefined (empty), not -inf.
-    blank = np.zeros((n_rows, len(header)), dtype=bool)
-    blank[np.isnan(grid.entropy), 1 + n + n * n :] = True
-    body = _csvfmt.table(np.column_stack(columns), blank)[0]
+    n = model.n
+    columns = [("t", states.t)]
+    columns += [(f"mean_{i + 1}", states.mean[:, i]) for i in range(n)]
+    columns += [(f"cov_{i + 1}{j + 1}", states.cov[:, i, j]) for i in range(n) for j in range(n)]
+    functionals = ("entropy", "epr_t", "hdr_t", "entropy_rate", "free_energy")
+    # free_energy is None unless the model is reversible: no column then
+    columns += [(k, getattr(grid, k)) for k in functionals if getattr(grid, k) is not None]
+    header, values = zip(*columns)
+    body = _csvfmt.table(np.column_stack(values))[0]
     _emit(args.out, (",".join(header) + "\n").encode("ascii"), body)
     return 0
 

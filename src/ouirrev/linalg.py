@@ -81,16 +81,20 @@ class Spectrum:
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack (..., n, n): one dot product of
-    its flattened entries, as np.linalg.norm takes it. A norm beyond the
-    double range is inf, without a warning."""
+    its flattened entries, as np.linalg.norm takes it, after an exact scaling
+    by a power of two near its largest entry. The bits are np.linalg.norm's
+    wherever that sum of squares stays in range; a norm beyond the double
+    range is inf, without a warning."""
     flat = a.reshape(*a.shape[:-2], 1, -1)
+    e = np.frexp(np.max(np.abs(flat), axis=-1, keepdims=True))[1]
+    flat = np.ldexp(flat, -e)
     with np.errstate(over="ignore"):
-        return np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
+        return np.ldexp(np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0]), e[..., 0, 0])
 
 
 def _sym_defects(a: np.ndarray) -> np.ndarray:
     """sym_defect of each matrix of a stack (..., n, n); NaN, without a
-    warning, where both norms overflow."""
+    warning, where both norms are beyond the double range."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _frobenius(a - a.swapaxes(-1, -2)) / (1.0 + _frobenius(a))
 
@@ -208,11 +212,11 @@ def _sign_solve(bm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         z_next = 0.5 * (c * z + z_inv / c)
         y = 0.5 * (c * y + z_inv @ y @ z_inv.T / c)
         y = 0.5 * (y + y.T)
-        change = float(np.linalg.norm(z_next - z))
+        change = float(_frobenius(z_next - z))
         z = z_next
-        if change <= _SIGN_TOL * float(np.linalg.norm(z)):
+        if change <= _SIGN_TOL * float(_frobenius(z)):
             break
-    if not float(np.linalg.norm(z + np.eye(n))) <= _SIGN_TOL:  # NaN fails too
+    if not float(_frobenius(z + np.eye(n))) <= _SIGN_TOL:  # NaN fails too
         raise DegenerateModelError(
             "Lyapunov sign iteration did not reach -I: b is not stable "
             "(an eigenvalue has real part <= 0)"
@@ -270,8 +274,8 @@ def _lyapunov_accepts(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> bool:
     alone costs up to 3u. An x off by 1e-8 relative has a backward error
     near 1e-9, which no n <= 32 accepts (8 * 32 * u = 2.8e-14).
     """
-    residual = float(np.linalg.norm(b @ x + x @ b.T - a))
-    scale = 2.0 * float(np.linalg.norm(b)) * float(np.linalg.norm(x)) + float(np.linalg.norm(a))
+    residual = float(_frobenius(b @ x + x @ b.T - a))
+    scale = 2.0 * (float(_frobenius(b)) * float(_frobenius(x))) + float(_frobenius(a))
     # A NaN residual compares false; an x that overflowed gives an infinite scale.
     return math.isfinite(scale) and residual <= TOL_LYAP * b.shape[0] * _UNIT_ROUNDOFF * scale
 

@@ -70,9 +70,9 @@ def stationary_law(model: LinearModel) -> StationaryLaw:
     xi_inv = np.linalg.solve(xi, np.eye(model.n))
     xi_inv = 0.5 * (xi_inv + xi_inv.T)
     epr, hdr = _moment_rates(model, np.zeros(model.n), xi, xi_inv)
-    a_norm = float(np.linalg.norm(model.A))
-    standard = float(np.linalg.norm(model.B @ xi + xi @ model.B.T - model.A)) / (1.0 + a_norm)
-    strong = float(np.linalg.norm(model.A - 2.0 * model.B @ xi)) / (1.0 + a_norm)
+    scale = 1.0 + float(linalg._frobenius(model.A))
+    standard = float(linalg._frobenius(model.B @ xi + xi @ model.B.T - model.A)) / scale
+    strong = float(linalg._frobenius(model.A - 2.0 * model.B @ xi)) / scale
     return StationaryLaw(
         model=model,
         Xi=xi,

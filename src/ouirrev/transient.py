@@ -53,7 +53,6 @@ import numpy as np
 
 from . import linalg
 from .exceptions import (
-    NotPositiveDefiniteError,
     NumericalFailureError,
     PotentialUndefinedError,
     UndefinedEntropyError,
@@ -161,10 +160,9 @@ def transition_density(model: LinearModel, x, t: float, x0) -> float:
         raise ValueError(f"transition density requires t > 0, got {t}")
     xv = linalg._as_vector(x, model.n, "state")
     state = propagate(model, linalg._as_vector(x0, model.n, "initial state"), t)
-    try:
-        low = linalg.chol_spd(state.cov)
-    except NotPositiveDefiniteError as exc:
-        raise UndefinedEntropyError("state covariance is singular (point mass)") from exc
+    low, ok = linalg._chol_stack(state.cov)
+    if not ok:
+        raise UndefinedEntropyError("state covariance is singular (point mass)")
     # Solve L y = (x - mean); the quadratic form is then |y|^2.
     y = np.linalg.solve(low, xv - state.mean)
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
@@ -205,12 +203,18 @@ def entropy(state: GaussianState) -> float:
 
 def _moment_rates(model: LinearModel, mean, cov, cov_inv) -> tuple[np.ndarray, np.ndarray]:
     """epr and hdr of the Gaussian law N(mean, cov), or of each law in a
-    stack, given cov^{-1}: the one copy of the moment formulas."""
-    bt_ainv_b = model.B.T @ model.ainv_b
-    m_t = 2.0 * model.ainv_b - cov_inv
+    stack, given cov^{-1}: the one copy of the moment formulas. Raises
+    NumericalFailureError, without a numpy warning, where B^T A^{-1} B,
+    2 A^{-1} B or tr B overflows: no rate of the model is finite then."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bt_ainv_b, two_ainv_b = model.B.T @ model.ainv_b, 2.0 * model.ainv_b
+        tr_b = np.trace(model.B)
+    if not (np.isfinite(bt_ainv_b).all() and np.isfinite(two_ainv_b).all() and math.isfinite(tr_b)):
+        raise NumericalFailureError("rate matrices B^T A^-1 B, 2 A^-1 B or tr B overflow")
+    m_t = two_ainv_b - cov_inv
     mean_term = 2.0 * _quad(mean, bt_ainv_b)
     epr = 0.5 * _trace(m_t.swapaxes(-1, -2) @ model.A @ m_t @ cov) + mean_term
-    hdr = 2.0 * _trace(bt_ainv_b @ cov) - float(np.trace(model.B)) + mean_term
+    hdr = 2.0 * _trace(bt_ainv_b @ cov) - tr_b + mean_term
     return np.where(epr < 0.0, 0.0, epr), hdr
 
 
@@ -234,8 +238,10 @@ def grid_rates(model: LinearModel, cls: Classification, states: GaussianState) -
     reversible.
 
     Rows whose covariance fails the Cholesky floor (the point mass at
-    t = 0) are NaN in every field but t. A single state (mean (n,),
-    cov (n, n)) gives 0-d arrays.
+    t = 0) are NaN in every field but t, and only those: a functional that
+    overflows on another row (a sweeping model far out on its grid) raises
+    NumericalFailureError naming the first such time. A single state
+    (mean (n,), cov (n, n)) gives 0-d arrays.
     """
     mean = np.asarray(states.mean, dtype=float)
     cov = np.asarray(states.cov, dtype=float)
@@ -246,19 +252,22 @@ def grid_rates(model: LinearModel, cls: Classification, states: GaussianState) -
     defined_cov = np.where(ok[..., None, None], cov, eye)
     cov_inv = np.linalg.solve(defined_cov, np.broadcast_to(eye, cov.shape))
     cov_inv = 0.5 * (cov_inv + cov_inv.swapaxes(-1, -2))
-    epr_t, hdr_t = _moment_rates(model, mean, cov, cov_inv)
-    epr_t, hdr_t = np.where(ok, epr_t, np.nan), np.where(ok, hdr_t, np.nan)
     psi = None
-    if cls.verdict is Verdict.REVERSIBLE:
-        s = _potential_matrix(model, cls)
-        psi = _trace(s @ cov) + _quad(mean, s) - ent
+    # Overflow is detected by the finiteness check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        epr_t, hdr_t = _moment_rates(model, mean, cov, cov_inv)
+        epr_t, hdr_t = np.where(ok, epr_t, np.nan), np.where(ok, hdr_t, np.nan)
+        rate = epr_t - hdr_t
+        if cls.verdict is Verdict.REVERSIBLE:
+            s = _potential_matrix(model, cls)
+            psi = _trace(s @ cov) + _quad(mean, s) - ent
+    fields = [ent, epr_t, hdr_t, rate] + ([] if psi is None else [psi])
+    finite = np.isfinite(fields).all(axis=0) | ~ok
+    if not finite.all():
+        t = float(np.ravel(states.t)[np.argmin(finite)])
+        raise NumericalFailureError(f"transient rates overflow at t = {t!r}")
     return ThermoSnapshot(
-        t=states.t,
-        entropy=ent,
-        free_energy=psi,
-        epr_t=epr_t,
-        hdr_t=hdr_t,
-        entropy_rate=epr_t - hdr_t,
+        t=states.t, entropy=ent, free_energy=psi, epr_t=epr_t, hdr_t=hdr_t, entropy_rate=rate
     )
 
 

@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tests/csvfmt_sweep.py COUNT [SEED]
 
-Draws COUNT random 64-bit patterns and keeps the zero and normal doubles
-among them (a subnormal or non-finite cell sends its whole block to repr).
+Draws COUNT random 64-bit patterns and keeps the zero, normal and NaN
+doubles among them (a subnormal or infinite cell sends its whole block to
+repr; a NaN cell is written empty).
 They are formatted a chunk at a time as a three-column table and compared
 with ",".join(map(repr, row)) row by row, first alone and then with a prefix
 before each row (the route simulate takes for its time cells): the repr of
@@ -23,15 +24,12 @@ from ouirrev import _csvfmt
 _CHUNK = 3 * 2**16
 
 
-def repr_rows(
-    table: np.ndarray, blank: np.ndarray | None = None, prefix: list[bytes] | None = None
-) -> bytes:
+def repr_rows(table: np.ndarray, prefix: list[bytes] | None = None) -> bytes:
     """The reference text: each row as its prefix (if any), then
-    ",".join(map(repr, row)) and a newline, cells where blank is true
-    written empty."""
+    ",".join(map(repr, row)) and a newline, NaN cells written empty."""
     lines = []
     for i, row in enumerate(table.tolist()):
-        cells = ("" if blank is not None and blank[i, j] else repr(v) for j, v in enumerate(row))
+        cells = ("" if v != v else repr(v) for v in row)  # v != v: NaN
         lines.append(("" if prefix is None else prefix[i].decode("ascii")) + ",".join(cells) + "\n")
     return "".join(lines).encode("ascii")
 
@@ -48,11 +46,11 @@ def row_prefixes(table: np.ndarray) -> list[bytes]:
     return [b"" if i % 5 == 0 else f"{v!r},".encode("ascii") for i, v in enumerate(firsts)]
 
 
-def random_normals(rng: np.random.Generator, count: int) -> np.ndarray:
+def random_cells(rng: np.random.Generator, count: int) -> np.ndarray:
     """Doubles from count random bit patterns, less the subnormal and
-    non-finite ones, trimmed to whole rows of three."""
+    infinite ones, trimmed to whole rows of three."""
     x = rng.integers(0, 2**64, size=count, dtype=np.uint64).view(np.float64)
-    x = x[np.isfinite(x) & ((np.abs(x) >= np.finfo(np.float64).tiny) | (x == 0))]
+    x = x[~np.isinf(x) & ~((np.abs(x) < np.finfo(np.float64).tiny) & (x != 0))]
     return x[: len(x) - len(x) % 3]
 
 
@@ -61,8 +59,8 @@ def first_mismatch(
 ) -> tuple[bytes, bytes] | None:
     """(formatter row, repr row) of the first row where they differ, each row
     after its prefix if given, or None."""
-    got = _csvfmt.table(table, None, None if prefix is None else prefixed(prefix))[0]
-    want = repr_rows(table, None, prefix)
+    got = _csvfmt.table(table, None if prefix is None else prefixed(prefix))[0]
+    want = repr_rows(table, prefix)
     if got == want:
         return None
     return next((g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w)
@@ -74,7 +72,7 @@ def sweep(count: int, seed: int) -> tuple[int, tuple[bytes, bytes] | None]:
     rng = np.random.default_rng(seed)
     done = 0
     for start in range(0, count, _CHUNK):
-        x = random_normals(rng, min(_CHUNK, count - start)).reshape(-1, 3)
+        x = random_cells(rng, min(_CHUNK, count - start)).reshape(-1, 3)
         bad = first_mismatch(x) or first_mismatch(x, row_prefixes(x))
         done += x.size
         if bad is not None:

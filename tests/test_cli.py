@@ -159,6 +159,25 @@ class TestAnalyzeCommand:
         assert main(["analyze", model_file(SWEEP)]) == 1
         assert "no stationary law" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_norms_beyond_sum_of_squares(self, model_file, capsys):
+        # ||B||_F^2 and ||A||_F^2 overflow, the norms of the Lyapunov and FDR
+        # checks do not: Xi = diag(1/2, 1/4) exactly
+        payload = {"B": [[1e200, 0.0], [0.0, 2e200]], "Gamma": [[1e100, 0.0], [0.0, 1e100]]}
+        code, report = run_json(capsys, ["analyze", model_file(payload), "--tau", "1e-200"])
+        assert code == 0
+        assert report["xi"] == [[0.5, 0.0], [0.0, 0.25]]
+        assert report["fdr_standard"] == report["fdr_strong"] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_model_one_line(self, model_file, capsys):
+        # B = 1e308 I: the solve's backward error rejects it, in one line,
+        # with no numpy warning from the norms of the check
+        assert main(["analyze", model_file(B_HUGE)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Lyapunov backward error too large; system near-singular\n"
+
     def test_json_round_trip_canonical(self, model_file, capsys):
         main(["analyze", model_file(ROT)])
         text = capsys.readouterr().out.strip()
@@ -338,10 +357,10 @@ class TestSimulateStream:
         time_passes, in_time_text = [], [False]
         table, shortest = _csvfmt.table, _csvfmt._shortest
 
-        def marking(x, blank=None, prefix=None):
+        def marking(x, prefix=None):
             in_time_text[0] = prefix is None  # the x1 .. xn, W rows have prefixes
             try:
-                return table(x, blank, prefix)
+                return table(x, prefix)
             finally:
                 in_time_text[0] = False
 
@@ -553,6 +572,28 @@ class TestTransientCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"numerical failure: transient law overflows at t = {t}\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_rate_matrix_overflow_exit_2(self, model_file, capsys):
+        # B^T A^-1 B of B = 1e308 I overflows: a numerical failure in one
+        # line, not a NaN that the CSV would show as an undefined (empty) cell
+        argv = ["transient", model_file(B_HUGE), "--x0", "1,0"]
+        assert main(argv + ["--t-max", "1e-308", "--t-step", "1e-308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: rate matrices B^T A^-1 B, 2 A^-1 B or tr B overflow\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_rate_overflow_exit_2(self, model_file, capsys):
+        # the law of B = -I stays finite through t = 354, its rates from t = 332 on do not
+        payload = {"B": [[-1.0, 0.0], [0.0, -1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
+        argv = ["transient", model_file(payload), "--x0", "1e10,0", "--t-max", "354", "--t-step", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: transient rates overflow at t = 332.0\n"
 
     @pytest.mark.parametrize("t_max", ["inf", "nan"])
     def test_non_finite_grid_exit_1(self, t_max, model_file, capsys):

@@ -51,28 +51,37 @@ class TestFastPath:
         assert first_mismatch(values.reshape(-1, 1)) is None
 
     def test_columns_and_blank_cells(self):
-        # Columns of mixed widths side by side; blank cells (NaN in the
-        # transient table's undefined rows) are empty and need no repr.
+        # Columns of mixed widths side by side; NaN cells (the transient
+        # table's undefined rows) are empty and need no repr.
         rng = np.random.default_rng(3)
         t = np.arange(9000) * 0.01
         law = rng.standard_normal((9000, 6))
         rates = rng.standard_normal((9000, 4))
-        blank = np.zeros((9000, 11), dtype=bool)
-        blank[:11, 7:] = True
         rates[:11] = np.nan
         x = np.column_stack([t, law, rates])
-        got = _csvfmt.table(x, blank)[0]
-        assert got == repr_rows(x, blank)
+        got = _csvfmt.table(x)[0]
+        assert got == repr_rows(x)
         assert got.startswith(b"0.0,") and b",,,\n" in got
+
+    def test_nan_cells_empty(self):
+        # NaN of either sign and any payload is an empty cell, on the fast
+        # path: it alone sends no block to repr.
+        nans = np.array([np.nan, -np.nan, np.uint64(0x7FF0000000000001).view(np.float64)])
+        x = np.random.default_rng(4).standard_normal((3000, 3))
+        x[1500] = nans
+        x[0, 0] = x[-1, -1] = np.nan
+        text = _csvfmt.table(x)[0]
+        assert text == repr_rows(x)
+        assert text.startswith(b",") and text.endswith(b",\n") and b"\n,,\n" in text
 
 
 class TestReprFallback:
     @pytest.mark.parametrize(
         "special",
-        [5e-324, 5e-323, -2.5e-320, 2.2250738585072009e-308, math.inf, -math.inf, math.nan],
+        [5e-324, 5e-323, -2.5e-320, 2.2250738585072009e-308, math.inf, -math.inf],
     )
     def test_block_with_special_cell(self, special):
-        # One subnormal or non-finite cell among normal ones sends its block
+        # One subnormal or infinite cell among normal ones sends its block
         # to repr; the other blocks keep the fast path, and the text is the
         # same (Schubfach's one shortening step would give 4.9e-323 for 5e-323).
         x = np.random.default_rng(5).standard_normal((3000, 3))
@@ -91,6 +100,14 @@ class TestReprFallback:
             _csvfmt._format_repr = fallback
         assert got == repr_rows(x)
         assert len(calls) == 1 and calls[0] < x.size
+
+    @pytest.mark.parametrize("special", [5e-323, math.inf])
+    def test_nan_next_to_special_cell(self, special):
+        # A block that repr writes keeps its NaN cells empty, also the one
+        # beside the cell that sent it there and a whole row of them.
+        x = np.array([[1.5, np.nan, special], [np.nan, np.nan, np.nan], [-0.0, 2.0, -np.nan]])
+        want = f"1.5,,{special!r}\n,,\n-0.0,2.0,\n".encode()
+        assert _csvfmt.table(x)[0] == repr_rows(x) == want
 
     def test_subnormal_shortest_digits(self):
         x = np.array([[5e-324, 5e-323, 1.5e-323, 2.5e-323, -4.94e-322]])
@@ -111,7 +128,7 @@ def test_table_row_ends(special):
 
 def test_table_passes(monkeypatch):
     # 5001 rows of 11 cells, the transient table's shape at n = 2, take more
-    # than two passes of whole rows. A blank band (NaN cells, as in the
+    # than two passes of whole rows. A band of NaN cells (as in the
     # transient table's undefined rows) and a subnormal cell sit at the edge
     # between the first two passes: the text is repr's, the row ends are the
     # newlines, and only the pass holding the subnormal is written by repr.
@@ -119,9 +136,7 @@ def test_table_passes(monkeypatch):
     passes = -(-x.size // _csvfmt._BLOCK_CELLS)
     step = -(-len(x) // passes)
     assert passes > 2
-    blank = np.zeros(x.shape, dtype=bool)
-    blank[step - 3 : step + 3, 7:] = True
-    x[blank] = np.nan
+    x[step - 3 : step + 3, 7:] = np.nan
     x[step, 3] = 5e-323
     calls = []
     fallback = _csvfmt._format_repr
@@ -132,9 +147,9 @@ def test_table_passes(monkeypatch):
 
     monkeypatch.setattr(_csvfmt, "_format_repr", spy)
     before = x.copy()
-    text, ends = _csvfmt.table(x, blank)
-    np.testing.assert_array_equal(x, before)  # blank cells are not written
-    assert text == repr_rows(x, blank)
+    text, ends = _csvfmt.table(x)
+    np.testing.assert_array_equal(x, before)  # the cells are not written
+    assert text == repr_rows(x)
     assert ends.tolist() == [i + 1 for i, c in enumerate(text) if c == ord("\n")]
     assert calls == [step * x.shape[1]]
 
@@ -142,7 +157,7 @@ def test_table_passes(monkeypatch):
 @pytest.mark.parametrize("special", [None, 5e-323], ids=["fast", "subnormal"])
 def test_table_prefix(special, monkeypatch):
     # Each row's prefix, then its cells as repr writes them: prefixes of
-    # several lengths and empty ones, a band of blank cells, and two passes
+    # several lengths and empty ones, a band of NaN cells, and two passes
     # of whole rows; a row of subnormal cells sends its pass, prefixes
     # included, through repr.
     rng = np.random.default_rng(17)
@@ -150,9 +165,8 @@ def test_table_prefix(special, monkeypatch):
     passes = -(-x.size // _csvfmt._BLOCK_CELLS)
     step = -(-len(x) // passes)
     assert passes == 2
-    blank = np.zeros(x.shape, dtype=bool)
-    blank[step - 5 : step + 5, 1:] = True
-    x[blank] = np.nan
+    x[step - 5 : step + 5, 1:] = np.nan
+    x[step + 6, 0] = np.nan  # the cell right after its row's prefix
     if special is not None:
         x[2000] = special
     t = rng.standard_normal(len(x)).tolist()
@@ -166,12 +180,12 @@ def test_table_prefix(special, monkeypatch):
         return fallback(*args)
 
     monkeypatch.setattr(_csvfmt, "_format_repr", spy)
-    text, ends = _csvfmt.table(x, blank, prefixed(prefix))
-    assert text == repr_rows(x, blank, prefix)
+    text, ends = _csvfmt.table(x, prefixed(prefix))
+    assert text == repr_rows(x, prefix)
     assert ends.tolist() == [i + 1 for i, c in enumerate(text) if c == ord("\n")]
     assert calls == ([] if special is None else [(len(x) - step) * x.shape[1]])
     # Empty prefixes leave the text as it is without them.
-    assert _csvfmt.table(x, blank, prefixed([b""] * len(x)))[0] == _csvfmt.table(x, blank)[0]
+    assert _csvfmt.table(x, prefixed([b""] * len(x)))[0] == _csvfmt.table(x)[0]
 
 
 def test_tables_shared_and_read_only():

@@ -265,6 +265,23 @@ class TestSolveLyapunov:
         b = np.array([[2.0, 1.0], [1.0, 2.0]])
         assert not linalg._lyapunov_accepts(b, np.eye(2), np.full((2, 2), value))
 
+    @pytest.mark.filterwarnings("error")
+    def test_norms_beyond_sum_of_squares(self):
+        # ||b||_F^2 and ||a||_F^2 overflow, the norms do not: the backward
+        # error alone accepts the solve, and rejects an x off by 1e-8
+        b, a = np.diag([1e200, 2e200]), 1e200 * np.eye(2)
+        xi = linalg.solve_lyapunov(b, a)
+        np.testing.assert_allclose(xi, np.diag([0.5, 0.25]), rtol=1e-15)
+        assert not linalg._lyapunov_accepts(b, a, xi + 1e-8 * np.eye(2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_solve_rejected(self):
+        # b = 1e308 I: X = I / 2e308 is subnormal, and the sign iteration's
+        # Z^{-1} Y Z^{-T} underflows to 0, so it returns 3/4 of it; the
+        # backward error (0.12) rejects it without an overflow in its norms
+        with pytest.raises(DegenerateModelError, match="backward error"):
+            linalg.solve_lyapunov(1e308 * np.eye(2), np.eye(2))
+
     def test_degenerate_pair_raises(self):
         # eigenvalues +1 and -1 sum to zero: no solution, and b is not stable
         with pytest.raises(DegenerateModelError):
@@ -466,6 +483,32 @@ class TestCholeskyStack:
             linalg._chol_stack(stack)
 
 
+class TestFrobenius:
+    def test_numpy_bits_in_range(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 8, 32):
+            for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+                stack = scale * rng.standard_normal((3, n, n))
+                norms = linalg._frobenius(stack)
+                assert norms.tolist() == [np.linalg.norm(m) for m in stack]
+                assert float(linalg._frobenius(stack[0])) == np.linalg.norm(stack[0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_edges_of_the_range(self):
+        # the sum of squares overflows at 1e300 and underflows at 5e-324,
+        # the norm does neither; each matrix of a stack is scaled on its own
+        cases = [
+            (np.full((2, 2), 1e300), 2e300),
+            (np.full((2, 2), 1e308), math.inf),
+            (np.full((2, 2), 5e-324), 1e-323),
+            (np.zeros((2, 2)), 0.0),
+            (np.array([[np.inf, 1.0], [0.0, 0.0]]), math.inf),
+        ]
+        stack = np.stack([m for m, _ in cases])
+        assert linalg._frobenius(stack).tolist() == [norm for _, norm in cases]
+        assert math.isnan(linalg._frobenius(np.array([[np.nan, 1.0], [0.0, 0.0]])))
+
+
 class TestSymDefect:
     def test_symmetric_zero(self):
         assert linalg.sym_defect(np.array([[1.0, 2.0], [2.0, 3.0]])) == 0.0
@@ -477,17 +520,22 @@ class TestSymDefect:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_defect_rejected(self):
-        # ||m - m^T||_F and ||m||_F both overflow: the defect is NaN, which
-        # no symmetry check lets through
+        # ||m - m^T||_F and ||m||_F are both beyond the double range: the
+        # defect is NaN, which no symmetry check lets through. At 1e300 only
+        # their sums of squares would overflow: the defect is finite, and
+        # rejected as well.
+        huge = np.array([[1e308, 1.5e308], [-1.5e308, 1e308]])
+        assert math.isnan(linalg.sym_defect(huge))
         m = np.array([[1e300, 1e300], [-1e300, 3e300]])
-        assert math.isnan(linalg.sym_defect(m))
-        assert not linalg.is_spd(m)
-        with pytest.raises(ValueError, match="chol_spd must be symmetric"):
-            linalg.chol_spd(m)
-        with pytest.raises(ValueError, match="right-hand side a must be symmetric"):
-            linalg.solve_lyapunov(np.eye(2), m)
-        with pytest.raises(ValueError, match="integrand matrix a must be symmetric"):
-            linalg.gram_integral(np.eye(2), m, 1.0)
+        assert linalg.sym_defect(m) == pytest.approx(math.sqrt(8 / 12), rel=1e-15)
+        for m in (huge, m):
+            assert not linalg.is_spd(m)
+            with pytest.raises(ValueError, match="chol_spd must be symmetric"):
+                linalg.chol_spd(m)
+            with pytest.raises(ValueError, match="right-hand side a must be symmetric"):
+                linalg.solve_lyapunov(np.eye(2), m)
+            with pytest.raises(ValueError, match="integrand matrix a must be symmetric"):
+                linalg.gram_integral(np.eye(2), m, 1.0)
 
     def test_monotone_in_rotation_strength(self):
         defects = [

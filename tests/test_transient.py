@@ -398,6 +398,36 @@ class TestGridRates:
             assert np.flatnonzero(np.isnan(field)).tolist() == list(range(11))
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_rate_matrix_overflow_is_numerical_failure(self):
+        # B^T A^-1 B, 2 A^-1 B and tr B of B = 1e308 I overflow: a numerical
+        # failure, without a warning, even where every row is undefined
+        model = build_model(1e308 * np.eye(2), np.eye(2))
+        grid = propagate_grid(model, [1.0, 0.0], 1e-308, 2)
+        with pytest.raises(NumericalFailureError, match="B\\^T A\\^-1 B"):
+            grid_rates(model, classify(model), grid)
+        # the stationary law evaluates the same formulas at (0, Xi): here
+        # Xi = 5e-11 I clears the Cholesky floor, B^T A^-1 B = 1e310 I overflows
+        with pytest.raises(NumericalFailureError, match="B\\^T A\\^-1 B"):
+            stationary_law(build_model(1e300 * np.eye(2), 1e145 * np.eye(2)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rate_overflow_is_numerical_failure(self):
+        # B = -I sweeps: the law stays finite through t = 354, but from
+        # t = 332 on 2 mu^T B^T A^-1 B mu overflows, and the rates of a
+        # defined row are never left NaN
+        model = build_model(-np.eye(2), np.eye(2))
+        grid = propagate_grid(model, [1e10, 0.0], 1.0, 355)
+        with pytest.raises(NumericalFailureError, match=r"rates overflow at t = 332\.0$"):
+            grid_rates(model, classify(model), grid)
+        head = GaussianState(t=grid.t[:332], mean=grid.mean[:332], cov=grid.cov[:332])
+        snaps = grid_rates(model, classify(model), head)
+        assert np.isfinite(snaps.epr_t[1:]).all() and np.isfinite(snaps.entropy_rate[1:]).all()
+        state = GaussianState(t=332.0, mean=grid.mean[332], cov=grid.cov[332])
+        with pytest.raises(NumericalFailureError, match=r"rates overflow at t = 332\.0$"):
+            instantaneous_rates(model, state)
+
+
 class TestRelativeEntropy:
     def test_kl_to_stationary_nonincreasing(self):
         for m, x0 in thermo_corpus():
