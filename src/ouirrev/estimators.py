@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import linalg
-from .exceptions import InsufficientDataError
+from .exceptions import InsufficientDataError, NumericalFailureError
 from .model import Verdict
 from .sampler import (
     BOOTSTRAP_STREAM,
@@ -278,9 +278,10 @@ class _StepHeat:
     S is symmetric and each increment is exactly the increment of the
     quadratic potential.
 
-    The product S x_mid is the sampler's tile GEMM (sampler._tiled_product),
-    so its bits are the same for any batch. The midpoint, dx and the dot
-    product, summed over components in fixed order, are elementwise per path.
+    S x_mid is, per step, the sampler's (n, n) @ (n, width) GEMM on paths
+    zero-padded to whole tiles (sampler._tiled_product), the same bits for any
+    batch. The midpoint, dx and the dot product, summed over components in
+    fixed order, are elementwise per path.
     The running sum of a block is a cumsum that starts from the carried W,
     and the first block's from dW_1 itself, as one cumsum over all steps
     would (0.0 + -0.0 is +0.0). So W is the same bits for any time blocks,
@@ -296,17 +297,15 @@ class _StepHeat:
             self.x, self.w = states[0].copy(), 0.0
             return np.zeros((b, count))
         x = np.concatenate((self.x[None], states))  # (b + 1, n, count)
-        # Overflow is reported by the writer's finiteness check, not by numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mid = (x[1:] + x[:-1]) * 0.5
-            prod = _tiled_product(self.s_mat, mid) * (x[1:] - x[:-1])
-            w = np.empty((b + 1, count))
-            w[0], w[1:] = self.w, prod[:, 0]
-            for i in range(1, n):
-                w[1:] += prod[:, i]
-            w[1:] *= -2.0
-            first = 1 if k == 1 else 0
-            np.cumsum(w[first:], axis=0, out=w[first:])
+        mid = (x[1:] + x[:-1]) * 0.5
+        prod = _tiled_product(self.s_mat, mid) * (x[1:] - x[:-1])
+        w = np.empty((b + 1, count))
+        w[0], w[1:] = self.w, prod[:, 0]
+        for i in range(1, n):
+            w[1:] += prod[:, i]
+        w[1:] *= -2.0
+        first = 1 if k == 1 else 0
+        np.cumsum(w[first:], axis=0, out=w[first:])
         self.x, self.w = x[-1], w[-1]
         return w[1:]
 
@@ -388,6 +387,8 @@ def stationary_statistics(
     InsufficientDataError
         If burn-in discards the whole trajectory, a lag leaves no time pairs,
         or fewer than two paths are asked for.
+    NumericalFailureError
+        If a lag sum or heat rate overflows (after the paths are drawn).
 
     Every check runs before any path is drawn (_checked_budget).
     """
@@ -411,11 +412,12 @@ def stationary_statistics(
         total /= steps + 1 - k0 - ell
         total.setflags(write=False)  # shared by every estimator that reads stats
     products = dict(zip(distinct, means))  # the requested lags only
-    rates = _heat_rates(law.model.ainv_b, ends, means[summed.index(1)], span, dt)
-    hdr = HdrEstimate(
-        value=math.fsum(rates.tolist()) / n_paths,
-        stderr=float(rates.std(ddof=1)) / math.sqrt(n_paths),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        rates = _heat_rates(law.model.ainv_b, ends, means[summed.index(1)], span, dt)
+        stderr = float(rates.std(ddof=1)) / math.sqrt(n_paths)  # finite only if every rate is
+    if not (math.isfinite(stderr) and all(np.isfinite(m).all() for m in means)):
+        raise NumericalFailureError("lag sums or heat rates overflow")
+    hdr = HdrEstimate(value=math.fsum(rates.tolist()) / n_paths, stderr=stderr)
     stats = PathStatistics(lag_products=products, n_paths=n_paths, seed=int(seed), dt=float(dt))
     return stats, hdr
 
@@ -431,6 +433,17 @@ def _bootstrap_indices(stats: PathStatistics, n_resamples: int):
         yield lo, rng.integers(0, stats.n_paths, size=size)
 
 
+def _studentized(observed: float, norms: np.ndarray) -> float:
+    """observed against the bootstrap norms: (observed - mean) / std."""
+    spread = float(norms.std(ddof=1))  # finite only if every norm is
+    if not math.isfinite(observed + spread):
+        raise NumericalFailureError("two-time asymmetry norms overflow")
+    if spread <= 0.0:
+        raise InsufficientDataError("degenerate bootstrap spread; too little data")
+    return (observed - float(norms.mean())) / spread
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a norm that overflows is reported by _studentized
 def reversibility_test(stats: PathStatistics) -> ReversibilityResult:
     """Test the time-reversal symmetry R(tau) = R(tau)^T of the two-time
     covariance (sufficient for Gaussian processes).
@@ -465,28 +478,31 @@ def reversibility_test(stats: PathStatistics) -> ReversibilityResult:
         del resamples  # freed before the next block is drawn
         for asym, boot in zip(asyms, boots):
             boot[lo : lo + len(block)] = _gemm(block, asym)
-    obs_norms: list[float] = []
-    boot_norms: list[np.ndarray] = []
-    per_lag: dict[float, float] = {}
-    for lag, asym, boot in zip(stats.lag_products, asyms, boots):
+    obs_norms, boot_norms = [], []
+    for asym, boot in zip(asyms, boots):
         observed = asym.mean(axis=0)
         boot /= n_paths
         boot -= observed
-        norms = np.linalg.norm(boot, axis=1)
-        spread = float(norms.std(ddof=1))
-        if spread <= 0.0:
-            raise InsufficientDataError("degenerate bootstrap spread; too little data")
         obs_norms.append(float(np.linalg.norm(observed)))
-        boot_norms.append(norms)
-        per_lag[lag] = (obs_norms[-1] - float(norms.mean())) / spread
-    boot_max = np.max(np.column_stack(boot_norms), axis=1)
-    statistic = (max(obs_norms) - float(boot_max.mean())) / float(boot_max.std(ddof=1))
+        boot_norms.append(np.linalg.norm(boot, axis=1))
+    per_lag = dict(zip(stats.lag_products, map(_studentized, obs_norms, boot_norms)))
+    statistic = _studentized(max(obs_norms), np.max(np.column_stack(boot_norms), axis=1))
     return ReversibilityResult(
         statistic=statistic,
         threshold=REVERSIBILITY_THRESHOLD,
         verdict_reversible=statistic <= REVERSIBILITY_THRESHOLD,
         per_lag=per_lag,
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
+def _worst_z(samples: np.ndarray, target: np.ndarray) -> float:
+    """The largest |mean - target| / stderr of an entry of samples' path mean."""
+    se = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    worst = float((np.abs(samples.mean(axis=0) - target) / np.maximum(se, 1e-300)).max())
+    if not math.isfinite(worst + float(se.max())):
+        raise NumericalFailureError("Green-Kubo standard errors or z-scores overflow")
+    return worst
 
 
 def greenkubo_check(
@@ -510,8 +526,10 @@ def greenkubo_check(
         As sampler.stream_batch does.
     InsufficientDataError
         If fewer than two paths are asked for.
+    NumericalFailureError
+        If a standard error or z-score overflows (after the paths are drawn).
 
-    Every check runs before any path is drawn.
+    Every other check runs before any path is drawn.
     """
     if n_paths < 2:
         raise InsufficientDataError("need at least 2 conditional paths")
@@ -525,23 +543,14 @@ def greenkubo_check(
         x0=x0,
     )
     x0 = np.asarray(x0, dtype=float)
-    max_z = 0.0
-    max_dev = 0.0
-    max_z_two_time = 0.0
+    max_z = max_dev = max_z_two_time = 0.0
     scale = 1.0 + float(np.linalg.norm(x0))
-    root_p = math.sqrt(n_paths)
-    root_q = math.sqrt(stats.n_paths)
     for ell, per_path, snap in zip(ells, stats.lag_products.values(), snaps):
         phi = linalg.expm(linalg._scaled(-law.model.B, ell * dt))  # e^{-B t}, for both targets
         target = phi @ x0
-        se = snap.std(axis=0, ddof=1) / root_p
-        z = np.abs(snap.mean(axis=0) - target) / np.maximum(se, 1e-300)
-        max_z = max(max_z, float(z.max()))
+        max_z = max(max_z, _worst_z(snap, target))
         max_dev = max(max_dev, float(np.linalg.norm(snap.mean(axis=0) - target)) / scale)
-        target = phi @ law.Xi
-        se = per_path.std(axis=0, ddof=1) / root_q
-        z = np.abs(per_path.mean(axis=0) - target) / np.maximum(se, 1e-300)
-        max_z_two_time = max(max_z_two_time, float(z.max()))
+        max_z_two_time = max(max_z_two_time, _worst_z(per_path, phi @ law.Xi))
     return GreenKuboResult(
         max_abs_z=max_z, max_deviation=max_dev, max_abs_z_two_time=max_z_two_time
     )
@@ -582,7 +591,7 @@ def verify_sections(
         hdr_pass = abs(hdr.value) <= HDR_ZERO_SIGMAS * hdr.stderr
         criterion = f"|hdr| <= {HDR_ZERO_SIGMAS!r} * stderr"
     else:
-        hdr_pass = abs(hdr.value - law.epr) / law.epr <= HDR_REL_ERR_MAX
+        hdr_pass = abs(hdr.value - law.epr) <= HDR_REL_ERR_MAX * law.epr
         criterion = f"relative error <= {HDR_REL_ERR_MAX!r}"
     sections["epr_vs_hdr_mc"] = {
         "epr": law.epr,

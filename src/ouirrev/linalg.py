@@ -150,6 +150,7 @@ def _scaled(m: np.ndarray, t: float) -> np.ndarray:
     return a
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by the checks below
 def expm(m) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a diagonal Pade
     approximant of order 6; the input is scaled so its 1-norm is <= 0.5.
@@ -161,8 +162,7 @@ def expm(m) -> np.ndarray:
     """
     a = _as_square(m)
     n = a.shape[0]
-    with np.errstate(over="ignore"):  # a norm that overflows is reported below
-        norm = float(np.linalg.norm(a, 1))
+    norm = float(np.linalg.norm(a, 1))
     if norm == 0.0:
         return np.eye(n)
     if not math.isfinite(norm) or math.log2(norm / 0.5) > 64:

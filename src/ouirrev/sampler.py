@@ -21,25 +21,24 @@ steps, master seed, path index) - bit for bit, independent of how many paths
 run, how they are chunked, in which order, or across how many worker
 threads or BLAS threads.
 
-After the draws, every matrix product runs in BLAS on fixed-shape tiles of
-_TILE = 64 paths: a chunk's paths fill its tiles from column 0, and its last
-tile is padded with zero columns. The noise transform, each step of the
-recursion and the stationary-start transform are each one stacked np.matmul
-of (n, n) @ (..., n, _TILE): a stack of GEMMs of one shape, whatever the
-batch. A GEMM column's bits depend only on the GEMM's shape, not on the
-column's position or the other columns, and the shape never changes, so
-neither do a path's bits. (OpenBLAS multiplies a product of a few columns
-with other kernels and other roundings, which is why the last tile is padded
-rather than cut to the batch.) One and two BLAS threads give the tile GEMMs
-the same bits. Adding the noise is per path.
+After the draws, every matrix product is one np.matmul of (n, n) @ (n, width)
+BLAS GEMMs, width a whole number of _TILE = 64 columns that a chunk's paths
+fill from column 0, the rest zero: the noise transform (a GEMM per time
+step), each step of the recursion and the stationary-start transform. A GEMM
+whose summed axis is n <= 32 sums every column of its register blocks in the
+same order whatever the width, so on whole tiles a column has the bits of a
+one-tile (n, n) @ (n, _TILE) GEMM, whatever its position, the other columns
+or the batch. (At other widths OpenBLAS takes the last few columns through
+edge kernels of other roundings, hence the padding.) One and two BLAS threads
+give these GEMMs the same bits. Adding the noise is per path.
 
 The integrator draws each path's normals a span of steps at a time, does the
 noise transform and the recursion in blocks of time steps in preallocated
-tile buffers, and hands each finished block to a consumer, so temporaries do
+buffers, and hands each finished block to a consumer, so temporaries do
 not grow with the run. The noise transform writes into the block's state
 rows, and each step adds its drift term to its row (IEEE addition commutes,
 so e + Phi x has the bits of Phi x + e). _blocking sizes the blocks and spans
-from n and the chunk width: a tile buffer holds at most _TIME_BLOCK steps and
+from n and the chunk width: a buffer holds at most _TIME_BLOCK steps and
 about _BLOCK_ELEMENTS doubles, and a span is whole blocks of about
 _SPAN_NORMALS normals per path (at least one block), so the buffers grow with
 neither n nor the chunk. Blocking changes no bits: the draws continue each
@@ -70,15 +69,14 @@ if TYPE_CHECKING:  # annotations only: stationary is not imported at run time
 # sampler's own (_path_elements) and what the chunk's consumer keeps.
 _CHUNK_ELEMENT_BUDGET = 2_500_000
 
-# Paths per BLAS tile. Every matrix product is a stack of (n, n) @ (n, _TILE)
-# GEMMs, one shape for any batch, whose column bits depend only on that shape:
-# not on the column, nor on how many paths or tiles share the call.
+# Paths per tile: every GEMM's path columns are zero-padded to whole tiles,
+# which keeps their bits (see the reproducibility contract above).
 _TILE = 64
 
 # Most time steps per pass of the noise transform and recursion, and about
-# the most doubles in each of its tile buffers (time steps x n x chunk
-# width), so their temporaries grow with neither the run length nor n nor the
-# chunk (_blocking).
+# the most doubles in each of its buffers (time steps x n x chunk width), so
+# their temporaries grow with neither the run length nor n nor the chunk
+# (_blocking).
 _TIME_BLOCK = 128
 _BLOCK_ELEMENTS = 65_536
 
@@ -127,14 +125,12 @@ def _update(model: LinearModel, dt: float, method: str) -> _Update:
 
 
 def _tiled_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for x (..., n, paths) as (n, n) @ (n, _TILE) GEMMs on zero-padded
-    tiles that the paths fill from column 0: the same bits for any count."""
-    *lead, n, count = x.shape
-    tiles = np.zeros((*lead, n, -(-count // _TILE), _TILE))
-    tiles.reshape(*lead, n, -1)[..., :count] = x
-    out = np.empty(tiles.shape)
-    np.matmul(m, tiles.swapaxes(-3, -2), out=out.swapaxes(-3, -2))
-    return out.reshape(*lead, n, -1)[..., :count]
+    """m @ x for x (..., n, paths): (n, n) @ (n, width) GEMMs on the paths
+    zero-padded to whole _TILE columns, then cut; the same bits for any count."""
+    count = x.shape[-1]
+    padded = np.zeros((*x.shape[:-1], _TILE * -(-count // _TILE)))
+    padded[..., :count] = x
+    return (m @ padded)[..., :count]
 
 
 def _blocking(n: int, width: int, steps: int) -> tuple[int, int]:
@@ -148,40 +144,34 @@ def _blocking(n: int, width: int, steps: int) -> tuple[int, int]:
     return min(rows, steps), min(span, steps)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # in the consumer too: see the docstring
 def _integrate(streams, start: np.ndarray, update: _Update, steps: int, consumer) -> None:
     """Advance the paths of one chunk by steps and hand every finished time
     block to consumer(k, states).
 
     streams holds one generator per path, positioned after any start draw;
-    start, (n, paths) or (n, 1) if shared, fills the tiles from column 0.
-    Each path's normals are drawn a span of steps at a time, and each span
-    runs in blocks of rows steps (_blocking). Inside a block the work is
-    time-major with paths on the last axis, every matrix product a stack of
-    per-tile GEMMs. consumer receives states (L, n, paths) at the global
-    indices k .. k + L - 1: first index 0 (the starts), then each time block
-    in order. The array is reused, so it must copy what it keeps.
+    start is (n, paths), or (n, 1) if shared. The buffers are (time, n,
+    width), the paths zero-padded to whole _TILE columns, so that each
+    product is an (n, n) @ (n, width) GEMM. Normals are drawn a span of steps
+    at a time, and each span runs in blocks of rows steps (_blocking).
+    consumer receives states (L, n, paths) at the global indices
+    k .. k + L - 1: first index 0 (the starts), then each time block in
+    order. The array is reused, so it must copy what it keeps. Overflow warns
+    neither here nor in consumer: the readers of the states check them.
     """
     n, count = start.shape[0], len(streams)
-    tiles = -(-count // _TILE)
-    width = tiles * _TILE
+    width = _TILE * -(-count // _TILE)
     euler, dt = update.method == "euler", update.dt
     rows, span_max = _blocking(n, width, steps)
     # A spare step per path keeps the rows from being a power of two apart
     # (see the copy below).
     draws = np.empty((count, span_max + 1, n))
-    block = np.zeros((rows + 1, n, tiles, _TILE))  # the padding columns stay zero
-    z = np.zeros((rows, n, tiles, _TILE))  # the padding columns stay zero
-    # The drift term of one step, laid out like a state row so that adding it
-    # is contiguous.
-    fx = np.empty((n, tiles, _TILE))
-    # Flat (time, n, paths) views for the copies and the consumer.
-    states, zflat = block.reshape(rows + 1, n, width), z.reshape(rows, n, width)
+    states = np.zeros((rows + 1, n, width))  # the padding columns stay zero
+    z = np.zeros((rows, n, width))  # the padding columns stay zero
+    fx = np.empty((n, width))  # the drift term of one step
     states[0, :, :count] = start
-    # (time, tiles, n, _TILE) GEMM operands
-    block_t, z_t, fx_t = block.swapaxes(1, 2), z.swapaxes(1, 2), fx.swapaxes(0, 1)
-    # The recursion's per-step views, made once: x_k as a GEMM operand, x_k
-    # and x_{k+1}.
-    steps_views = list(zip(block_t[:-1], block[:-1], block[1:]))
+    # The recursion's per-step views, made once: x_k and x_{k+1}.
+    steps_views = list(zip(states[:-1], states[1:]))
     matmul, add, subtract = np.matmul, np.add, np.subtract
     consumer(0, states[:1, :, :count])
     for s0 in range(0, steps, span_max):
@@ -193,20 +183,20 @@ def _integrate(streams, start: np.ndarray, update: _Update, steps: int, consumer
             # Copy the block's draws time-major in one strided pass, which
             # reads the same step of every path at once: rows a power of two
             # apart would map to the same cache sets and evict each other.
-            zflat[:b, :, :count] = draws[:, r : r + b].transpose(1, 2, 0)
+            z[:b, :, :count] = draws[:, r : r + b].transpose(1, 2, 0)
             # Each step's noise goes straight into its state row, to which
             # the step adds its drift term.
-            matmul(update.noise_mat, z_t[:b], out=block_t[1 : b + 1])
+            matmul(update.noise_mat, z[:b], out=states[1 : b + 1])
             if euler:
-                block[1 : b + 1] *= math.sqrt(dt)
-            for x_t, x, y in steps_views[:b]:
-                matmul(update.drift, x_t, out=fx_t)
+                states[1 : b + 1] *= math.sqrt(dt)
+            for x, y in steps_views[:b]:
+                matmul(update.drift, x, out=fx)
                 if euler:
                     fx *= dt
                     subtract(x, fx, out=fx)
                 add(y, fx, out=y)
             consumer(s0 + r + 1, states[1 : b + 1, :, :count])
-            block[0] = block[b]
+            states[0] = states[b]
 
 
 class _Job(NamedTuple):

@@ -138,6 +138,81 @@ def test_norm_overflow_exit_2(case, model_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _ring3(gamma: float) -> dict:
+    """The irreversible 3-D drift B = [[1, 1, 0], [-1, 1, 0.5], [0, -0.5, 1]]
+    with Gamma = gamma I."""
+    return {
+        "B": [[1.0, 1.0, 0.0], [-1.0, 1.0, 0.5], [0.0, -0.5, 1.0]],
+        "Gamma": [[gamma if i == j else 0.0 for j in range(3)] for i in range(3)],
+    }
+
+
+_EXTREME_VERIFY = ["verify", "--paths", "20", "--steps", "500", "--burn-in", "0"]
+# Extreme models that once broke the exit-code contract: (argv, model, exit
+# code). "verify-zero-epr" is classified irreversible with epr = 0, which the
+# hdr gate once divided by; the report is written and fdr fails (exit 4).
+# "transient-expm-squaring" overflows in expm's squaring loop, and
+# "simulate-recursion-overflow" in the sampler's recursion, inside a time
+# block. In the "verify-*-overflow" cases a lag sum (Gamma = 1e153 I), a
+# bootstrap norm (1e150 I) or a Green-Kubo standard error (1-D, 1e150) is not
+# finite.
+_EXTREME_CASES = {
+    "verify-zero-epr": (
+        ["verify", "--dt", "9.00379814016564e-49", "--steps", "60", "--paths", "4",
+         "--burn-in", "0", "--tau", "9.00379814016564e-49,1.800759628033128e-48"],
+        {"B": [[4.02217265112263]], "Gamma": [[-4.85257178520161e23]]},
+        4,
+    ),
+    "transient-expm-squaring": (
+        ["transient", "--x0=-1.0", "--t-step", "39.41844514309024",
+         "--t-max", "551.8582320032633"],
+        {"B": [[-386.5875048738971]], "Gamma": [[2.4557500496915087e-05]]},
+        2,
+    ),
+    "simulate-recursion-overflow": (
+        ["simulate", "--dt", "0.1", "--steps", "300", "--paths", "2"],
+        {"B": [[-100.0, 0.0], [0.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]]},
+        2,
+    ),
+    "verify-lag-sum-overflow": (_EXTREME_VERIFY, _ring3(1e153), 2),
+    "verify-bootstrap-norm-overflow": (_EXTREME_VERIFY, _ring3(1e150), 2),
+    "verify-green-kubo-overflow": (_EXTREME_VERIFY, {"B": [[1.0]], "Gamma": [[1e150]]}, 2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_EXTREME_CASES))
+def test_extreme_model_exit_code(case, model_file, tmp_path, capsys):
+    # No traceback and no numpy warning: exit 4 writes its report, and exit 2
+    # is one "numerical failure:" line.
+    (command, *options), payload, code = _EXTREME_CASES[case]
+    if command == "simulate":
+        options += ["--out", str(tmp_path / "paths")]
+    assert main([command, model_file(payload), *options]) == code
+    captured = capsys.readouterr()
+    if code == 4:
+        report = json.loads(captured.out)
+        assert not report["sections"]["fdr"]["pass"]
+        assert report["sections"]["epr_vs_hdr_mc"]["pass"]
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["simulate-recursion-overflow", "verify-lag-sum-overflow"])
+def test_extreme_model_worker_threads(case, model_file, tmp_path, capsys, monkeypatch):
+    # Two or three chunks on two worker threads, which keep their own numpy error
+    # state: still one line and no warning.
+    monkeypatch.setenv("OU_IRREV_THREADS", "2")
+    (command, *options), payload, _ = _EXTREME_CASES[case]
+    options += ["--paths", "130", "--out", str(tmp_path / "paths")]
+    assert main([command, model_file(payload), *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
 class TestAnalyzeCommand:
     def test_rotational_values(self, model_file, capsys):
         code, report = run_json(capsys, ["analyze", model_file(ROT)])

@@ -135,6 +135,12 @@ class TestExpm:
             linalg.expm([[1e308, 1e308], [-1e308, 1e308]])
 
     @pytest.mark.filterwarnings("error")
+    def test_squaring_overflow_is_numerical_failure(self):
+        # the Pade step is finite and the squarings overflow, without a numpy warning
+        with pytest.raises(NumericalFailureError, match="overflow in matrix exponential"):
+            linalg.expm([[2000.0]])
+
+    @pytest.mark.filterwarnings("error")
     def test_scaled_overflow_is_numerical_failure(self):
         m = np.array([[-2.0, -1.0], [1.0, -2.0]])
         for t in (0.01, 2.57, -1.5, 1e307):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import sys
 import tracemalloc
@@ -23,7 +24,7 @@ from ouirrev.sampler import (
 from ouirrev.stationary import stationary_law
 from ouirrev.transient import potential, propagate
 
-from conftest import rotational_model, sin_model
+from conftest import rotational_model, sin_model, with_blas_threads
 from oracles import Layout, colmatvec, integrate_paths, sample_batch
 
 
@@ -577,9 +578,11 @@ class TestBitPin:
     everywhere; these SHA-256 digests of states.tobytes() + heat.tobytes() (of
     the batch, or of the one path) can. They assume numpy's Philox bit
     generator and ziggurat standard_normal streams as of numpy 2.4.6, and the
-    roundings of the (n, n) @ (n, 64) GEMMs of the BLAS it was built with
-    (scipy-openblas 0.3.31); a numpy release that changes either stream, or a
-    BLAS whose GEMM kernels round differently, changes them legitimately. The
+    roundings of the BLAS it was built with (scipy-openblas 0.3.31) in the
+    sampler's (n, n) @ (n, width) GEMMs, width a whole number of 64-column
+    tiles, each column with the bits of a one-tile GEMM (TestFlatGemm); a
+    numpy release that changes either stream, or a BLAS whose GEMM kernels
+    round differently, changes them legitimately. The
     stationary starts also carry the bits of the Lyapunov solve, which are the
     same with one and two OpenBLAS threads, so every case holds on both.
     """
@@ -600,8 +603,42 @@ class TestBitPin:
             assert any(s > rows + 1 and s % rows > 1 for s in steps)
 
 
+def _flat_gemm_mismatches() -> list:
+    """(n, k) pairs at which a flat (n, n) @ (n, 64 k) GEMM differs in any bit
+    from the one-tile (n, n) @ (n, 64) GEMMs of its column blocks. It imports
+    what it uses, so that its source also runs alone (with_blas_threads)."""
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    bad = []
+    for n in (1, 2, 3, 16, 32):
+        m = rng.standard_normal((n, n))
+        for k in (1, 2, 3, 5):
+            x = rng.standard_normal((n, 64 * k))
+            tiles = [m @ x[:, 64 * t : 64 * (t + 1)] for t in range(k)]
+            if (m @ x).tobytes() != np.hstack(tiles).tobytes():
+                bad.append((n, k))
+    return bad
+
+
+class TestFlatGemm:
+    """The premise of the reproducibility contract: a GEMM whose width is a
+    whole number of _TILE columns gives each column the bits of the one-tile
+    GEMM that holds it. The sampler multiplies flat (n, n) @ (n, width)
+    matrices on that premise, so a BLAS build that breaks it fails here, by
+    name, as well as in TestBitPin."""
+
+    def test_in_process(self):
+        assert _TILE == 64
+        assert _flat_gemm_mismatches() == []
+
+    def test_two_blas_threads(self):
+        code = inspect.getsource(_flat_gemm_mismatches) + "print(_flat_gemm_mismatches())"
+        assert with_blas_threads(code, 2) == "[]\n"
+
+
 class TestReferenceIntegrator:
-    """The tiled GEMMs agree with the BLAS-free oracle integrator of
+    """The sampler's GEMMs agree with the BLAS-free oracle integrator of
     tests/oracles.py on every state and heat value, to 1e-12 of each array's
     largest magnitude."""
 
