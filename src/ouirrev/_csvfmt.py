@@ -16,9 +16,11 @@ text, already formatted (simulate's time cell, the same for every path): the
 pass leaves a gap of that length before the row's first cell and fills it
 with one more scatter, so a column shared by many rows is formatted once.
 
+table runs each pass of whole rows in its one loop: the prefix gaps, the
+cells' text (_format, or _format_repr), the prefix scatter and the row ends.
 Schubfach's shortening step removes at most one digit, which is enough for
 every normal double but not for the shortest subnormals (it would write
-4.9e-323 where repr writes 5e-323); a block holding a subnormal or an
+4.9e-323 where repr writes 5e-323); a pass holding a subnormal or an
 infinite value is therefore written by repr itself.
 """
 
@@ -271,12 +273,6 @@ def _format(
     return buf, end
 
 
-def _needs_repr(x: np.ndarray) -> bool:
-    """Whether a cell is subnormal or infinite."""
-    mag = x.view(_U) & _M63
-    return bool(np.any((mag == _INF) | ((mag < _C_MIN) & (mag != 0))))
-
-
 def _format_repr(
     x: np.ndarray, seps: np.ndarray, gap: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -289,29 +285,6 @@ def _format_repr(
     return np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8), end
 
 
-def _rows(
-    x: np.ndarray, seps: np.ndarray, n_cols: int, prefix: tuple[np.ndarray, np.ndarray] | None
-) -> tuple[bytes, np.ndarray]:
-    """The text of one pass of whole rows of n_cols cells x, by repr when a
-    cell is subnormal or infinite, and the offset just past each row's
-    newline. prefix, if given, is (bytes, bounds): row j's prefix is
-    bytes[bounds[j] : bounds[j + 1]], written before its first cell."""
-    gap = None
-    if prefix is not None:
-        pre, bounds = prefix
-        lengths = np.diff(bounds)
-        gap = np.zeros(len(x), np.int64)
-        gap[::n_cols] = lengths
-    buf, end = (_format_repr if _needs_repr(x) else _format)(x, seps, gap)
-    row_ends = end[n_cols - 1 :: n_cols] + 1
-    if prefix is not None:
-        # Prefix byte i of row j goes to i - bounds[j] + where row j begins.
-        at = np.repeat(np.concatenate([[0], row_ends[:-1]]) - bounds[:-1], lengths)
-        at += np.arange(bounds[0], bounds[-1])
-        buf[at] = pre[bounds[0] : bounds[-1]]
-    return buf.tobytes(), row_ends
-
-
 def table(
     x: np.ndarray, prefix: tuple[bytes, np.ndarray] | None = None
 ) -> tuple[bytes, np.ndarray]:
@@ -321,8 +294,9 @@ def table(
     any run of rows can be cut out of the text. prefix, as (text, ends) with
     ends[i] the offset in text just past row i's prefix, puts that row's
     prefix bytes before its first cell. Whole rows are formatted at most
-    _BLOCK_CELLS cells a pass, the passes as even as whole rows allow; the
-    text of a single pass is returned without a copy."""
+    _BLOCK_CELLS cells a pass, the passes as even as whole rows allow, each
+    by repr when a cell is subnormal or infinite; the text of a single pass
+    is returned without a copy."""
     n_rows, n_cols = x.shape
     passes = -(-x.size // _BLOCK_CELLS)
     step = -(-n_rows // passes)
@@ -335,8 +309,26 @@ def table(
     texts, ends, offset = [], [], 0
     for r in range(0, n_rows, step):
         cells = x[r : r + step].ravel()
-        rows = None if prefix is None else (pre, bounds[r : r + step + 1])
-        text, row_ends = _rows(cells, seps[: len(cells)], n_cols, rows)
+        gap = None
+        if prefix is not None:
+            # Row j's prefix, pre[rows[j] : rows[j + 1]], goes before its first cell.
+            rows = bounds[r : r + step + 1]
+            lengths = np.diff(rows)
+            gap = np.zeros(len(cells), np.int64)
+            gap[::n_cols] = lengths
+        mag = cells.view(_U) & _M63
+        by_repr = np.any((mag == _INF) | ((mag < _C_MIN) & (mag != 0)))
+        del mag
+        buf, end = (_format_repr if by_repr else _format)(cells, seps[: len(cells)], gap)
+        row_ends = end[n_cols - 1 :: n_cols] + 1
+        if prefix is not None:
+            # Prefix byte i of row j goes to i - rows[j] + where row j begins.
+            at = np.repeat(np.concatenate([[0], row_ends[:-1]]) - rows[:-1], lengths)
+            at += np.arange(rows[0], rows[-1])
+            buf[at] = pre[rows[0] : rows[-1]]
+            del at
+        text = buf.tobytes()
+        del buf, end, gap  # freed before the next pass makes its own
         texts.append(text)
         ends.append(row_ends + offset)
         offset += len(text)

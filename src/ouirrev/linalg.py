@@ -86,7 +86,9 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     wherever that sum of squares stays in range; a norm beyond the double
     range is inf, without a warning."""
     flat = a.reshape(*a.shape[:-2], 1, -1)
-    e = np.frexp(np.max(np.abs(flat), axis=-1, keepdims=True))[1]
+    # Each largest entry from a transposed copy: numpy reduces short rows one by one.
+    big = np.abs(flat.reshape(-1, flat.shape[-1])).T.copy().max(axis=0)
+    e = np.frexp(big.reshape(*flat.shape[:-1], 1))[1]
     flat = np.ldexp(flat, -e)
     with np.errstate(over="ignore"):
         return np.ldexp(np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0]), e[..., 0, 0])
@@ -241,6 +243,8 @@ def solve_lyapunov(b, a) -> np.ndarray:
     ------
     DegenerateModelError
         If b is not stable, or the backward error exceeds TOL_LYAP * n * u.
+    NumericalFailureError
+        If the solution overflows.
     """
     bm = _as_square(b, "b")
     am = _as_square(a, "a")
@@ -251,10 +255,15 @@ def solve_lyapunov(b, a) -> np.ndarray:
         raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
     if not _symmetric(am):
         raise ValueError("right-hand side a must be symmetric")
-    xi = _sign_solve(bm, am)
-    r = am - (bm @ xi + xi @ bm.T)
-    xi = xi + _sign_solve(bm, 0.5 * (r + r.T))
-    if not _lyapunov_accepts(bm, am, xi):
+    # An overflow is reported below, not by a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = _sign_solve(bm, am)
+        r = am - (bm @ xi + xi @ bm.T)
+        xi = xi + _sign_solve(bm, 0.5 * (r + r.T))
+        accepted = _lyapunov_accepts(bm, am, xi)
+    if not np.all(np.isfinite(xi)):
+        raise NumericalFailureError("Lyapunov solution overflows")
+    if not accepted:
         raise DegenerateModelError("Lyapunov backward error too large; system near-singular")
     return xi
 
@@ -315,7 +324,7 @@ def gram_integral(b, a, t: float) -> np.ndarray:
     blk[n:, n:] = bm.T
     with np.errstate(over="ignore"):  # a norm that overflows is reported below
         norm = float(np.linalg.norm(blk, 1)) * t
-    if not math.isfinite(norm):
+    if not math.isfinite(norm / 0.5):  # the scaling below takes log2(norm / 0.5)
         raise NumericalFailureError(f"matrix norm {norm:.3g} too large to integrate")
     s = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.0 else 0
     f = expm(blk * (t / 2.0**s))
@@ -353,7 +362,7 @@ def _chol_stack(s) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("input to chol_spd must be symmetric")
     floor = PD_FLOOR_SCALE * (1.0 + np.max(np.diagonal(a, axis1=-2, axis2=-1), axis=-1))
     # np.linalg.cholesky's private gufunc gives NaN per rejected matrix, not one raise per stack.
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         low = _umath_linalg.cholesky_lo(a, signature="d->d")
         pivots = np.diagonal(low, axis1=-2, axis2=-1)
         ok = np.all(pivots * pivots > floor[..., None], axis=-1)

@@ -15,11 +15,14 @@ Reproducibility contract
 ------------------------
 Every path owns a private counter-based RNG stream: numpy's Philox generator
 keyed by (master seed, path index), with Gaussian variates drawn through
-numpy's ziggurat sampler (``Generator.standard_normal``). For a given
-numpy/BLAS build, a path is therefore a pure function of (model, start, dt,
-steps, master seed, path index) - bit for bit, independent of how many paths
-run, how they are chunked, in which order, or across how many worker
-threads or BLAS threads.
+numpy's ziggurat sampler (``Generator.standard_normal``). The stream
+supplies, in order, a standard_normal(n) block for a stationary start (only
+when one is drawn), then the normals of the increments in step order; one
+function, _generate, reads it. For a given numpy/BLAS build, a path is
+therefore a pure function of (model, start, dt, steps, master seed, path
+index) - bit for bit, independent of how many paths run, how they are
+chunked, in which order, or across how many worker threads or BLAS
+threads.
 
 After the draws, every matrix product is one np.matmul of (n, n) @ (n, width)
 BLAS GEMMs, width a whole number of _TILE = 64 columns that a chunk's paths
@@ -32,7 +35,7 @@ or the batch. (At other widths OpenBLAS takes the last few columns through
 edge kernels of other roundings, hence the padding.) One and two BLAS threads
 give these GEMMs the same bits. Adding the noise is per path.
 
-The integrator draws each path's normals a span of steps at a time, does the
+_generate draws each path's normals a span of steps at a time, does the
 noise transform and the recursion in blocks of time steps in preallocated
 buffers, and hands each finished block to a consumer, so temporaries do
 not grow with the run. The noise transform writes into the block's state
@@ -144,22 +147,33 @@ def _blocking(n: int, width: int, steps: int) -> tuple[int, int]:
     return min(rows, steps), min(span, steps)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # in the consumer too: see the docstring
-def _integrate(streams, start: np.ndarray, update: _Update, steps: int, consumer) -> None:
-    """Advance the paths of one chunk by steps and hand every finished time
-    block to consumer(k, states).
+class _Job(NamedTuple):
+    """What every chunk of a batch shares: master seed, shared start (used
+    when chol_xi is None), stationary-start factor, and the step update."""
 
-    streams holds one generator per path, positioned after any start draw;
-    start is (n, paths), or (n, 1) if shared. The buffers are (time, n,
-    width), the paths zero-padded to whole _TILE columns, so that each
-    product is an (n, n) @ (n, width) GEMM. Normals are drawn a span of steps
-    at a time, and each span runs in blocks of rows steps (_blocking).
+    seed: int
+    x0: np.ndarray
+    chol_xi: np.ndarray | None
+    update: _Update
+
+
+@np.errstate(over="ignore", invalid="ignore")  # in the consumer too: see the docstring
+def _generate(job: _Job, lo: int, hi: int, steps: int, consumer) -> None:
+    """Run paths lo .. hi-1 of a batch for steps steps and hand every
+    finished time block to consumer(k, states).
+
+    Each path's stream is read in the contract's order (see the module
+    docstring), so path p alone fixes its bits, not lo or hi. The buffers are
+    (time, n, width), the paths zero-padded to whole _TILE columns, so that
+    each product is an (n, n) @ (n, width) GEMM. Normals are drawn a span of
+    steps at a time, and each span runs in blocks of rows steps (_blocking).
     consumer receives states (L, n, paths) at the global indices
     k .. k + L - 1: first index 0 (the starts), then each time block in
     order. The array is reused, so it must copy what it keeps. Overflow warns
     neither here nor in consumer: the readers of the states check them.
     """
-    n, count = start.shape[0], len(streams)
+    streams = [path_stream(job.seed, p) for p in range(lo, hi)]
+    update, n, count = job.update, job.x0.shape[0], hi - lo
     width = _TILE * -(-count // _TILE)
     euler, dt = update.method == "euler", update.dt
     rows, span_max = _blocking(n, width, steps)
@@ -169,7 +183,11 @@ def _integrate(streams, start: np.ndarray, update: _Update, steps: int, consumer
     states = np.zeros((rows + 1, n, width))  # the padding columns stay zero
     z = np.zeros((rows, n, width))  # the padding columns stay zero
     fx = np.empty((n, width))  # the drift term of one step
-    states[0, :, :count] = start
+    if job.chol_xi is None:
+        states[0, :, :count] = job.x0[:, None]  # shared by every path
+    else:
+        starts = np.array([stream.standard_normal(n) for stream in streams]).T
+        states[0, :, :count] = _tiled_product(job.chol_xi, starts)
     # The recursion's per-step views, made once: x_k and x_{k+1}.
     steps_views = list(zip(states[:-1], states[1:]))
     matmul, add, subtract = np.matmul, np.add, np.subtract
@@ -197,32 +215,6 @@ def _integrate(streams, start: np.ndarray, update: _Update, steps: int, consumer
                 add(y, fx, out=y)
             consumer(s0 + r + 1, states[1 : b + 1, :, :count])
             states[0] = states[b]
-
-
-class _Job(NamedTuple):
-    """What every chunk of a batch shares: master seed, shared start (used
-    when chol_xi is None), stationary-start factor, and the step update."""
-
-    seed: int
-    x0: np.ndarray
-    chol_xi: np.ndarray | None
-    update: _Update
-
-
-def _generate(job: _Job, lo: int, hi: int, steps: int, consumer) -> None:
-    """Generate paths lo .. hi-1 of a batch into consumer.
-
-    Path p's stream supplies, in order, a standard_normal(n) block for a
-    stationary start (only when chol_xi is set), then the normals of the
-    increments in step order. p alone fixes its bits, not lo or hi.
-    """
-    streams = [path_stream(job.seed, p) for p in range(lo, hi)]
-    if job.chol_xi is None:
-        start = job.x0[:, None]  # shared by every path
-    else:
-        draws = [stream.standard_normal(job.x0.shape[0]) for stream in streams]
-        start = _tiled_product(job.chol_xi, np.array(draws).T)
-    _integrate(streams, start, job.update, steps, consumer)
 
 
 def resolve_workers() -> int:
@@ -302,7 +294,7 @@ def stream_batch(
     budget holds at _path_elements doubles each, rounded down to whole
     _TILE-path tiles but at least one (_chunk_bounds). Each chunk of paths
     lo .. hi-1 hands its time blocks to consumer = make_consumer(lo, hi)
-    (see _integrate), made just before the chunk's first path is drawn;
+    (see _generate), made just before the chunk's first path is drawn;
     every argument is checked before any consumer is made. The worker count
     is resolve_workers(); with several workers the chunks run on threads, so
     each consumer writes only its own paths' slices of what the caller holds.

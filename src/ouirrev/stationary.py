@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .exceptions import NoStationaryLawError
+from .exceptions import NoStationaryLawError, NumericalFailureError
 from .model import Classification, LinearModel, Verdict, classify
 from .transient import _moment_rates
 
@@ -58,6 +58,8 @@ def stationary_law(model: LinearModel) -> StationaryLaw:
     NoStationaryLawError
         For sweeping models, which have no integrable stationary density;
         the exception carries the model's classification.
+    NumericalFailureError
+        If Xi, the rates or the FDR residuals overflow.
     """
     cls = classify(model)
     if cls.verdict is Verdict.SWEEPING:
@@ -69,10 +71,14 @@ def stationary_law(model: LinearModel) -> StationaryLaw:
     chol = linalg.chol_spd(xi)
     xi_inv = np.linalg.solve(xi, np.eye(model.n))
     xi_inv = 0.5 * (xi_inv + xi_inv.T)
-    epr, hdr = _moment_rates(model, np.zeros(model.n), xi, xi_inv)
-    scale = 1.0 + float(linalg._frobenius(model.A))
-    standard = float(linalg._frobenius(model.B @ xi + xi @ model.B.T - model.A)) / scale
-    strong = float(linalg._frobenius(model.A - 2.0 * model.B @ xi)) / scale
+    # An overflow is reported below, not by a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        epr, hdr = _moment_rates(model, np.zeros(model.n), xi, xi_inv)
+        scale = 1.0 + float(linalg._frobenius(model.A))
+        standard = float(linalg._frobenius(model.B @ xi + xi @ model.B.T - model.A)) / scale
+        strong = float(linalg._frobenius(model.A - 2.0 * model.B @ xi)) / scale
+    if not np.isfinite([epr, hdr, standard, strong]).all():
+        raise NumericalFailureError("stationary epr, hdr or FDR residuals overflow")
     return StationaryLaw(
         model=model,
         Xi=xi,

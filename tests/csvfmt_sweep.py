@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/csvfmt_sweep.py COUNT [SEED]
 
 Draws COUNT random 64-bit patterns and keeps the zero, normal and NaN
-doubles among them (a subnormal or infinite cell sends its whole block to
+doubles among them (a subnormal or infinite cell sends its whole pass to
 repr; a NaN cell is written empty).
 They are formatted a chunk at a time as a three-column table and compared
 with ",".join(map(repr, row)) row by row, first alone and then with a prefix

@@ -18,6 +18,7 @@ from ouirrev.cli import build_parser, canonical_json, main
 from ouirrev.model import classify, model_from_dict
 from ouirrev.stationary import stationary_law
 
+import contract_fuzz
 import oracles
 from conftest import ring_model
 
@@ -120,6 +121,11 @@ _NORM_OVERFLOW_CASES = {
         ["simulate", "--dt", "100"],
         {"B": ROT["B"], "Gamma": [[3e153, 0.0], [0.0, 3e153]]},
     ),
+    # The Gram integral's 1-norm times t is finite, its double is not.
+    "transient-gram-doubled-norm": (
+        ["transient", "--t-step", "88.61027923279309", "--t-max", "1324.7815076419988"],
+        {"B": [[2.360107103406195e-141]], "Gamma": [[1.0918380087638878e153]]},
+    ),
 }
 
 
@@ -155,7 +161,13 @@ _EXTREME_VERIFY = ["verify", "--paths", "20", "--steps", "500", "--burn-in", "0"
 # "simulate-recursion-overflow" in the sampler's recursion, inside a time
 # block. In the "verify-*-overflow" cases a lag sum (Gamma = 1e153 I), a
 # bootstrap norm (1e150 I) or a Green-Kubo standard error (1-D, 1e150) is not
-# finite.
+# finite. The Lyapunov solve once warned: "analyze-sign-solve-overflow" has a
+# finite X = A / 2 whose sign iteration's Y = 2 X overflows (exit 2), and
+# "analyze-lyapunov-residual-overflow" a residual b x + x b^T that overflows
+# (exit 1, as a backward error too large). "classify-cholesky-overflow" is an
+# SPD test whose Cholesky factor overflows (exit 0, no warning).
+# "analyze-stationary-epr-overflow" has a finite Xi and an epr beyond the
+# double range (exit 2).
 _EXTREME_CASES = {
     "verify-zero-epr": (
         ["verify", "--dt", "9.00379814016564e-49", "--steps", "60", "--paths", "4",
@@ -177,14 +189,42 @@ _EXTREME_CASES = {
     "verify-lag-sum-overflow": (_EXTREME_VERIFY, _ring3(1e153), 2),
     "verify-bootstrap-norm-overflow": (_EXTREME_VERIFY, _ring3(1e150), 2),
     "verify-green-kubo-overflow": (_EXTREME_VERIFY, {"B": [[1.0]], "Gamma": [[1e150]]}, 2),
+    "analyze-sign-solve-overflow": (["analyze"], {"B": [[1.0]], "Gamma": [[1e154]]}, 2),
+    "analyze-lyapunov-residual-overflow": (
+        ["analyze"],
+        {
+            "B": [[191.85217703159415, -1.4051042278509844e254],
+                  [1.4051042278509844e254, 191.85217703159415]],
+            "Gamma": [[-29966.496989940664, 0.0], [0.0, 6310.680776509004]],
+        },
+        1,
+    ),
+    "analyze-stationary-epr-overflow": (
+        ["analyze"],
+        {
+            "B": [[1.4059661024526285e108, -7.823519314509885e221],
+                  [7.823519314509885e221, 1.4059661024526285e108]],
+            "Gamma": [[-1.9428032312870987e70, 0.0], [0.0, -1.9428032312870987e70]],
+        },
+        2,
+    ),
+    "classify-cholesky-overflow": (
+        ["classify", "--json"],
+        {
+            "B": [[24065.680951538645, 4.252089385476805e-07],
+                  [-7.93749087325149e215, 5.935966172352535e266]],
+            "Gamma": [[1.1282780404888042, 0.0], [0.0, 55.53100030862028]],
+        },
+        0,
+    ),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(_EXTREME_CASES))
 def test_extreme_model_exit_code(case, model_file, tmp_path, capsys):
-    # No traceback and no numpy warning: exit 4 writes its report, and exit 2
-    # is one "numerical failure:" line.
+    # No traceback and no numpy warning: exits 0 and 4 write their report, and
+    # exits 1 and 2 are one "error:" or "numerical failure:" line.
     (command, *options), payload, code = _EXTREME_CASES[case]
     if command == "simulate":
         options += ["--out", str(tmp_path / "paths")]
@@ -195,8 +235,10 @@ def test_extreme_model_exit_code(case, model_file, tmp_path, capsys):
         assert not report["sections"]["fdr"]["pass"]
         assert report["sections"]["epr_vs_hdr_mc"]["pass"]
         assert captured.err == ""
+    elif code == 0:
+        assert json.loads(captured.out) and captured.err == ""
     else:
-        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.startswith({1: "error: ", 2: "numerical failure: "}[code])
         assert captured.err.count("\n") == 1
 
 
@@ -211,6 +253,17 @@ def test_extreme_model_worker_threads(case, model_file, tmp_path, capsys, monkey
     assert main([command, model_file(payload), *options]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_contract_fuzz(seed):
+    # Random models (entries 1e-310 to 1e308) and options through every
+    # command keep the exit-code contract; CI runs contract_fuzz.py at 5000
+    # cases on three other seeds.
+    done, broken = contract_fuzz.sweep(1000, seed)
+    assert broken is None, broken
+    assert done == 1000
 
 
 class TestAnalyzeCommand:

@@ -71,6 +71,8 @@ class TestEig:
             linalg.eig(np.ones((2, 3)))
         with pytest.raises(ValueError):
             linalg.eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="at least 1x1"):
+            linalg.eig(np.zeros((0, 0)))
 
     def test_canonical_order_under_permutation(self):
         # Every eigenvalue of the ring has real part 1.5 up to rounding noise,
@@ -293,6 +295,17 @@ class TestSolveLyapunov:
         with pytest.raises(DegenerateModelError):
             linalg.solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
 
+    def test_imaginary_axis_eigenvalues_singular(self):
+        # b = [[0, 1], [-1, 0]] has eigenvalues +-i: the first step maps Z to 0
+        with pytest.raises(DegenerateModelError, match="sign iteration singular"):
+            linalg.solve_lyapunov([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_solution_is_numerical_failure(self):
+        # X = a / 2 = 5e307 is finite, but the sign iteration's Y = 2 X is not
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            linalg.solve_lyapunov([[1.0]], [[1e308]])
+
     def test_anti_stable_drift_raises(self):
         # solvable (xi = diag(-1/2, -1/4)) but outside the stable domain
         with pytest.raises(DegenerateModelError, match="not stable"):
@@ -316,6 +329,10 @@ class TestSolveLyapunov:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             linalg.solve_lyapunov(np.eye(33), np.eye(33))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            linalg.solve_lyapunov(np.eye(2), np.eye(3))
 
 
 class TestGramIntegral:
@@ -378,6 +395,10 @@ class TestGramIntegral:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             linalg.gram_integral(np.eye(2), np.eye(2), -0.1)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            linalg.gram_integral(np.eye(2), np.eye(3), 1.0)
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_is_numerical_failure(self):

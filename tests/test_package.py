@@ -67,6 +67,7 @@ def test_removed_names_gone():
         (sampler, "_Layout"),
         (sampler, "_validate_paths"),
         (sampler, "_StepHeat"),
+        (sampler, "_integrate"),
         (model, "drift"),
         (model, "model_to_dict"),
         (cli, "_csv_cells"),
@@ -78,6 +79,8 @@ def test_removed_names_gone():
         (cli, "FDR_RESIDUAL_TOL"),
         (cli, "_skipped"),
         (_csvfmt, "rows"),
+        (_csvfmt, "_rows"),
+        (_csvfmt, "_needs_repr"),
         (transient, "RateFactors"),
         (transient, "rate_factors"),
         (transient, "_reversible_factors"),
@@ -110,7 +113,7 @@ def test_removed_parameters_gone():
     # The heat takes its path count from each block, and a chunk's paths fill
     # its tiles from column 0: no path range or column slice is passed.
     assert list(inspect.signature(estimators._StepHeat).parameters) == ["s_mat"]
-    assert "cols" not in inspect.signature(sampler._integrate).parameters
+    assert "cols" not in inspect.signature(sampler._generate).parameters
 
 
 def test_model_holds_the_one_ainv_b():

@@ -217,6 +217,11 @@ class TestTransitionDensity:
         with pytest.raises(ValueError):
             transition_density(rotational_model(1.0), [0.0, 0.0], 0.0, [0.0, 0.0])
 
+    def test_point_mass_undefined(self):
+        # at t = 1e-14 the covariance (about 2e-14 I) fails the Cholesky floor
+        with pytest.raises(UndefinedEntropyError, match="singular"):
+            transition_density(rotational_model(1.0), [0.0, 0.0], 1e-14, [0.0, 0.0])
+
 
 # Each function that takes a point, called with a point p: (model, law, p) -> result.
 _POINT_CALLS = {
